@@ -13,11 +13,16 @@
 //   3. everything else  — Algorithm 7: small GEMMs
 //      GEMM(W'[cb][kb][R-1-r][S-1-s], dO[n][kb][oj][:], dI[n][cb][ij+r][ii+s])
 //      with M = K = VLEN and N = Q, accumulating into a zeroed dI.
+//
+// All three run from weights already in backward-dual form (backward_dual);
+// backward() only adds the threaded duality transform in front. Each path
+// writes every dI element, zeroing inside its own thread partition.
 #include <omp.h>
 
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "core/conv_layer.hpp"
 #include "gemm/gemm.hpp"
@@ -32,8 +37,9 @@ namespace {
 // tensor must fail loudly instead of silently corrupting memory.
 void check_bwd_geometry(const core::ConvLayer& l,
                         const tensor::ActTensor& grad_out,
-                        const tensor::WtTensor& wt,
                         const tensor::ActTensor& grad_in) {
+  if (l.options().fwd_only)
+    throw std::logic_error("ConvLayer::backward: layer was built fwd_only");
   const core::ConvParams& p = l.params();
   if (grad_out.n() != p.N || grad_out.channels() != p.K ||
       grad_out.h() != p.P() || grad_out.w() != p.Q() ||
@@ -46,10 +52,32 @@ void check_bwd_geometry(const core::ConvLayer& l,
       grad_in.pad_w() != l.in_halo_w() || grad_in.vlen() != l.vlen())
     throw std::invalid_argument(
         "ConvLayer::backward: grad_in geometry mismatch (use make_input)");
-  if (wt.outer() != l.kb() || wt.inner() != l.cb() || wt.r() != p.R ||
+}
+
+/// `outer`/`inner` are (kb, cb) for the forward form, (cb, kb) for the
+/// backward-dual form.
+void check_wt_geometry(const core::ConvLayer& l, const tensor::WtTensor& wt,
+                       int outer, int inner, const char* what) {
+  const core::ConvParams& p = l.params();
+  if (wt.outer() != outer || wt.inner() != inner || wt.r() != p.R ||
       wt.s() != p.S || wt.vlen() != l.vlen())
-    throw std::invalid_argument(
-        "ConvLayer::backward: weight geometry mismatch");
+    throw std::invalid_argument(std::string(what) +
+                                ": weight geometry mismatch");
+}
+
+/// One 1x1-strided work item: image n, dI block cbi, dO row oj, q-block qb.
+struct Item1x1 {
+  int n, cbi, oj, qb;
+};
+Item1x1 decode_1x1(std::int64_t it, int n_qb, int P, int cb) {
+  Item1x1 w{};
+  w.qb = static_cast<int>(it % n_qb);
+  it /= n_qb;
+  w.oj = static_cast<int>(it % P);
+  it /= P;
+  w.cbi = static_cast<int>(it % cb);
+  w.n = static_cast<int>(it / cb);
+  return w;
 }
 }  // namespace
 
@@ -67,7 +95,6 @@ ConvLayer::~ConvLayer() = default;
 
 void ConvLayer::setup_backward() {
   const ConvParams& p = params_;
-  bwd_wt_ = tensor::WtTensor(cb_, kb_, p.R, p.S, vlen_);
 
   const bool jit_capable = opt_.isa != platform::Isa::scalar &&
                            opt_.backend != kernels::BackendPref::scalar &&
@@ -175,38 +202,93 @@ void ConvLayer::setup_backward() {
 void ConvLayer::backward(const tensor::ActTensor& grad_out,
                          const tensor::WtTensor& wt,
                          tensor::ActTensor& grad_in) {
-  check_bwd_geometry(*this, grad_out, wt, grad_in);
+  check_bwd_geometry(*this, grad_out, grad_in);
+  check_wt_geometry(*this, wt, kb_, cb_, "ConvLayer::backward");
+  if (bwd_wt_.size() == 0)
+    bwd_wt_ = tensor::WtTensor(cb_, kb_, params_.R, params_.S, vlen_);
+  tensor::blocked_fwd_to_bwd(wt, bwd_wt_, threads_);
+  backward_dual(grad_out, bwd_wt_, grad_in);
+}
 
-  // Weights change every training iteration: re-run the duality transform.
-  tensor::blocked_fwd_to_bwd(wt, bwd_wt_);
+void ConvLayer::backward_dual(const tensor::ActTensor& grad_out,
+                              const tensor::WtTensor& bwd_wt,
+                              tensor::ActTensor& grad_in) {
+  check_bwd_geometry(*this, grad_out, grad_in);
+  check_wt_geometry(*this, bwd_wt, cb_, kb_, "ConvLayer::backward_dual");
 
   switch (bwd_algo_) {
-    case BwdAlgo::duality_stride1:
-      bwd_layer_->forward(grad_out, bwd_wt_, grad_in);
+    case BwdAlgo::duality_stride1: {
+      // The dual forward writes the whole interior; only the halo is left.
+      bwd_layer_->forward(grad_out, bwd_wt, grad_in);
+      const int planes = params_.N * cb_;
+#pragma omp parallel for num_threads(threads_) schedule(static)
+      for (int i = 0; i < planes; ++i) grad_in.zero_halo(i / cb_, i % cb_);
       return;
+    }
     case BwdAlgo::duality_1x1_strided:
-      backward_1x1_strided(grad_out, grad_in);
+      backward_1x1_strided(grad_out, bwd_wt, grad_in);
       return;
     case BwdAlgo::gemm_fallback:
-      backward_gemm(grad_out, grad_in);
+      backward_gemm(grad_out, bwd_wt, grad_in);
       return;
   }
 }
 
 void ConvLayer::backward_1x1_strided(const tensor::ActTensor& grad_out,
+                                     const tensor::WtTensor& bwd_wt,
                                      tensor::ActTensor& grad_in) {
-  // Covered pixels (multiples of the stride) are overwritten by beta0
-  // kernels; every other dI pixel is zero.
-  grad_in.zero();
   if (opt_.use_streams && !bwd1x1_streams_.empty()) {
     parallel_exact("ConvLayer::backward", [&](int tid) {
+      zero_1x1_uncovered(grad_in.data(), tid);
       bwd1x1_streams_[tid].replay(bwd1x1_variants_, grad_out.data(),
-                                  bwd_wt_.data(), grad_in.data(), {});
+                                  bwd_wt.data(), grad_in.data(), {});
     });
     return;
   }
-  backward_1x1_branchy(grad_out.data(), bwd_wt_.data(), grad_in.data(),
+  backward_1x1_branchy(grad_out.data(), bwd_wt.data(), grad_in.data(),
                        /*record_streams=*/false);
+}
+
+// Each work item owns a tile of its dI plane in the padded frame: rows from
+// its covered row up to the next item's (the first row also takes the top
+// halo, the last everything below), and likewise for the columns of its
+// q-block. The tiles cover the plane exactly once. The beta0 kernels
+// overwrite the covered pixels (multiples of the stride); this zeroes the
+// rest of the tile, so dI needs no serial full-tensor zero pass.
+void ConvLayer::zero_1x1_uncovered(float* din, int tid) const {
+  const ConvParams& p = params_;
+  const int P = p.P();
+  const int n_qb = bwd1x1_qfull_ + (bwd1x1_qrem_ > 0 ? 1 : 0);
+  const std::int64_t total = static_cast<std::int64_t>(p.N) * cb_ * P * n_qb;
+  const int hp = p.H + 2 * in_halo_h_, wp = p.W + 2 * in_halo_w_;
+  const std::size_t px_bytes = static_cast<std::size_t>(vlen_) * sizeof(float);
+  const Range rg = thread_chunk(total, tid, threads_);
+  for (std::int64_t it = rg.begin; it < rg.end; ++it) {
+    const Item1x1 w = decode_1x1(it, n_qb, P, cb_);
+    const int cols = (bwd1x1_qrem_ > 0 && w.qb == bwd1x1_qfull_)
+                         ? bwd1x1_qrem_
+                         : bwd1x1_rbq_;
+    const int oi0 = std::min(w.qb, bwd1x1_qfull_) * bwd1x1_rbq_;
+    const int y_cov = w.oj * p.stride_h + in_halo_h_;
+    const int y0 = w.oj == 0 ? 0 : y_cov;
+    const int y1 = w.oj == P - 1 ? hp : y_cov + p.stride_h;
+    const int x_cov = oi0 * p.stride_w + in_halo_w_;
+    const int x0 = w.qb == 0 ? 0 : x_cov;
+    const int x1 = w.qb == n_qb - 1 ? wp : x_cov + cols * p.stride_w;
+    float* plane = din + w.n * in_n_stride_ + w.cbi * in_cb_stride_;
+    for (int y = y0; y < y1; ++y) {
+      float* row = plane + static_cast<std::int64_t>(y) * in_row_stride_;
+      int x = x0;  // first pixel of the row not yet handled
+      if (y == y_cov) {
+        for (int j = 0; j < cols; ++j) {
+          const int xc = x_cov + j * p.stride_w;  // the kernel writes this
+          std::memset(row + x * vlen_, 0, (xc - x) * px_bytes);
+          x = xc + 1;
+        }
+      }
+      std::memset(row + x * vlen_, 0, (x1 - x) * px_bytes);
+    }
+  }
 }
 
 void ConvLayer::backward_1x1_branchy(const float* dout, const float* wtb,
@@ -218,33 +300,27 @@ void ConvLayer::backward_1x1_branchy(const float* dout, const float* wtb,
   // affects the result.
   const std::int64_t total =
       static_cast<std::int64_t>(p.N) * cb_ * p.P() * n_qb;
+  // The backward form is [Cb][Kb][1][1][k][c]: one outer block spans Kb.
+  const std::int64_t wt_cb_stride = wt_cb_stride_ * kb_;
 
   parallel_exact("ConvLayer::backward", [&](int tid) {
     KernelStream* stream = record_streams ? &bwd1x1_streams_[tid] : nullptr;
+    if (stream == nullptr) zero_1x1_uncovered(din, tid);
     const Range rg = thread_chunk(total, tid, threads_);
     for (std::int64_t it = rg.begin; it < rg.end; ++it) {
-      std::int64_t rest = it;
-      const int qb = static_cast<int>(rest % n_qb);
-      rest /= n_qb;
-      const int oj = static_cast<int>(rest % p.P());
-      rest /= p.P();
-      const int cbi = static_cast<int>(rest % cb_);
-      const int n = static_cast<int>(rest / cb_);
-
-      const bool q_edge = (bwd1x1_qrem_ > 0 && qb == bwd1x1_qfull_);
-      const int oi0 = std::min(qb, bwd1x1_qfull_) * bwd1x1_rbq_;
+      const Item1x1 w = decode_1x1(it, n_qb, p.P(), cb_);
+      const bool q_edge = (bwd1x1_qrem_ > 0 && w.qb == bwd1x1_qfull_);
+      const int oi0 = std::min(w.qb, bwd1x1_qfull_) * bwd1x1_rbq_;
       const std::int64_t dout_off =
-          n * out_n_stride_ +
-          static_cast<std::int64_t>(oj + out_pad_h_) * out_row_stride_ +
+          w.n * out_n_stride_ +
+          static_cast<std::int64_t>(w.oj + out_pad_h_) * out_row_stride_ +
           static_cast<std::int64_t>(oi0 + out_pad_w_) * vlen_;
-      // bwd_wt_ layout is [Cb][Kb][1][1][k][c]: outer stride spans Kb blocks.
-      const std::int64_t wt_off =
-          static_cast<std::int64_t>(cbi) * bwd_wt_.stride_outer();
+      const std::int64_t wt_off = w.cbi * wt_cb_stride;
       // 1x1 layers have pad == 0; the physical halo (if any consumer raised
       // it) shifts the scatter frame — same formula ActTensor::offset() uses.
       const std::int64_t din_off =
-          n * in_n_stride_ + cbi * in_cb_stride_ +
-          static_cast<std::int64_t>(oj * p.stride_h + in_halo_h_) *
+          w.n * in_n_stride_ + w.cbi * in_cb_stride_ +
+          static_cast<std::int64_t>(w.oj * p.stride_h + in_halo_h_) *
               in_row_stride_ +
           static_cast<std::int64_t>(oi0 * p.stride_w + in_halo_w_) * vlen_;
 
@@ -272,27 +348,29 @@ void ConvLayer::dryrun_backward() {
 }
 
 void ConvLayer::backward_gemm(const tensor::ActTensor& grad_out,
+                              const tensor::WtTensor& bwd_wt,
                               tensor::ActTensor& grad_in) {
-  grad_in.zero();
   const ConvParams& p = params_;
   const BwdGemmPlan& plan = *bwd_gemm_;
   const int n_chunks =
       p.Q() / plan.qc + (plan.q_rem > 0 ? 1 : 0);
 
   // dI rows overlap across oj when stride < R, so parallelism stays at
-  // (n, cb) granularity (each item owns a full dI feature-map plane).
+  // (n, cb) granularity: each item owns a full dI feature-map plane, which
+  // it zeroes, accumulates into, and then clears the halo of.
   const std::int64_t total = static_cast<std::int64_t>(p.N) * cb_;
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (std::int64_t it = 0; it < total; ++it) {
     const int cbi = static_cast<int>(it % cb_);
     const int n = static_cast<int>(it / cb_);
+    std::memset(grad_in.at_padded(n, cbi, 0, 0), 0,
+                grad_in.stride_cb() * sizeof(float));
     for (int kbi = 0; kbi < kb_; ++kbi) {
       for (int oj = 0; oj < p.P(); ++oj) {
         const int ij = oj * p.stride_h;
         for (int r = 0; r < p.R; ++r) {
           for (int s = 0; s < p.S; ++s) {
-            const float* a =
-                bwd_wt_.at(cbi, kbi, p.R - 1 - r, p.S - 1 - s);
+            const float* a = bwd_wt.at(cbi, kbi, p.R - 1 - r, p.S - 1 - s);
             for (int ch = 0; ch < n_chunks; ++ch) {
               const int oi0 = ch * plan.qc;
               const bool is_rem =
@@ -314,9 +392,8 @@ void ConvLayer::backward_gemm(const tensor::ActTensor& grad_out,
         }
       }
     }
+    // Gradients that fell into the padding halo are discarded.
+    grad_in.zero_halo(n, cbi);
   }
-  // Gradients that fell into the padding halo are discarded.
-  grad_in.zero_halo();
 }
-
 }  // namespace xconv::core

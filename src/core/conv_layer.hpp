@@ -104,12 +104,23 @@ class ConvLayer {
                tensor::ActTensor& out, const FusionArgs& fargs = {});
 
   /// Backward propagation (Section II-I): dI from dO and the *forward-form*
-  /// weights (the duality transform is applied internally and cached until
-  /// `invalidate_weights` or a new wt pointer/content — callers pass the
-  /// current weights every time; re-transform happens on every call since
-  /// training updates weights each iteration).
+  /// weights. Nothing is cached across calls: every call runs the threaded
+  /// duality transform (tensor::blocked_fwd_to_bwd) into a layer-owned
+  /// scratch, allocated on the first call, and then runs backward_dual.
+  /// Callers that keep the backward form themselves (gxm::ConvNode) call
+  /// backward_dual directly and never allocate the scratch.
   void backward(const tensor::ActTensor& grad_out, const tensor::WtTensor& wt,
                 tensor::ActTensor& grad_in);
+
+  /// Backward propagation from weights already in backward-dual form
+  /// [Cb][Kb][R][S][k][c] (tensor::blocked_fwd_to_bwd of the forward
+  /// weights). Every element of `grad_in` is written: the interior with dI,
+  /// the halo and the channel-padding lanes with 0 (the latter provided the
+  /// weights' padding lanes are 0, as every transform here leaves them), so
+  /// its prior contents never matter.
+  void backward_dual(const tensor::ActTensor& grad_out,
+                     const tensor::WtTensor& bwd_wt,
+                     tensor::ActTensor& grad_in);
 
   /// Weight-gradient update (Section II-J, Algorithm 9): dW (+)= I * dO.
   /// dW is overwritten (the driver zero-initializes its accumulation).
@@ -157,14 +168,17 @@ class ConvLayer {
   // drivers
   void forward_branchy(const float* in, const float* wt, float* out,
                        const FusionArgs& fargs, bool record_streams);
-  void backward_duality(const tensor::ActTensor& grad_out,
-                        tensor::ActTensor& grad_in);
   void backward_gemm(const tensor::ActTensor& grad_out,
+                     const tensor::WtTensor& bwd_wt,
                      tensor::ActTensor& grad_in);
   void backward_1x1_strided(const tensor::ActTensor& grad_out,
+                            const tensor::WtTensor& bwd_wt,
                             tensor::ActTensor& grad_in);
   void backward_1x1_branchy(const float* dout, const float* wtb, float* din,
                             bool record_streams);
+  /// Zero the dI pixels of thread `tid`'s 1x1-strided work items that their
+  /// kernels do not write (see conv_backward.cpp).
+  void zero_1x1_uncovered(float* din, int tid) const;
   void update_branchy(const float* in, const float* dout, float* dw,
                       bool record_streams);
   float* upd_dw_base(int tid, float* dw);  ///< strategy-dependent target
@@ -211,7 +225,8 @@ class ConvLayer {
   // backward
   BwdAlgo bwd_algo_ = BwdAlgo::duality_stride1;
   std::unique_ptr<ConvLayer> bwd_layer_;   ///< dual layer (duality paths)
-  tensor::WtTensor bwd_wt_;                ///< transformed weights
+  /// backward()'s transform target; empty until its first call.
+  tensor::WtTensor bwd_wt_;
   struct BwdGemmPlan;
   // shared_ptr: the deleter is bound where the type is complete
   // (conv_backward.cpp), keeping the plan out of this header.

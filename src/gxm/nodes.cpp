@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "gxm/data.hpp"
+#include "tensor/transform.hpp"
 
 namespace xconv::gxm {
 
@@ -138,8 +139,19 @@ void ConvNode::forward(bool) {
   layer_->forward(bottoms[0]->act, wt_, tops[0]->act);
 }
 
+tensor::WtTensor& ConvNode::bwd_form() {
+  if (bwd_wt_.size() == 0)
+    bwd_wt_ = tensor::WtTensor(wt_.inner(), wt_.outer(), wt_.r(), wt_.s(),
+                               wt_.vlen());
+  return bwd_wt_;
+}
+
 void ConvNode::backward() {
-  layer_->backward(tops[0]->grad, wt_, bottoms[0]->grad);
+  if (bwd_stale_) {
+    tensor::blocked_fwd_to_bwd(wt_, bwd_form(), threads_);
+    bwd_stale_ = false;
+  }
+  layer_->backward_dual(tops[0]->grad, bwd_wt_, bottoms[0]->grad);
 }
 
 void ConvNode::compute_grads() {
@@ -147,15 +159,25 @@ void ConvNode::compute_grads() {
 }
 
 void ConvNode::apply_update(const Solver& s) {
+  // SGD with momentum, one v x v block at a time across the node's threads;
+  // each updated block is written straight into the backward form while it
+  // is still in cache, which keeps that form fresh at no extra pass.
   float* w = wt_.data();
-  float* g = dwt_.data();
+  const float* g = dwt_.data();
   float* v = vel_.data();
-  const std::size_t n = wt_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const float grad = g[i] + s.weight_decay * w[i];
-    v[i] = s.momentum * v[i] - s.lr * grad;
-    w[i] += v[i];
-  }
+  float* bwd = bwd_form().data();
+  const int vlen = wt_.vlen();
+  const std::size_t vv = wt_.stride_s();
+  const auto step_block = [&](std::size_t f, std::size_t b) {
+    for (std::size_t i = f; i < f + vv; ++i) {
+      const float grad = g[i] + s.weight_decay * w[i];
+      v[i] = s.momentum * v[i] - s.lr * grad;
+      w[i] += v[i];
+    }
+    tensor::transpose_block(w + f, bwd + b, vlen);
+  };
+  tensor::for_each_dual_block(wt_, threads_, step_block);
+  bwd_stale_ = false;
 }
 
 void ConvNode::export_grads(float* buf) const {

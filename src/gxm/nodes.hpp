@@ -139,11 +139,27 @@ class ConvNode final : public Node {
   void import_grads(const float* buf) override;
   void export_params(float* buf) const override;
   core::ConvLayer* layer() { return layer_.get(); }
-  tensor::WtTensor& weights() { return wt_; }
+  /// Forward-form master weights [Kb][Cb][R][S][c][k].
+  const tensor::WtTensor& weights() const { return wt_; }
+  /// Writable master weights. Marks the backward form stale, so the next
+  /// backward() re-derives it from whatever the caller writes.
+  tensor::WtTensor& mutable_weights() {
+    bwd_stale_ = true;
+    return wt_;
+  }
+  /// Backward-dual form [Cb][Kb][R][S][k][c] of weights(), as the last
+  /// backward() used it (empty before the first backward or apply_update).
+  const tensor::WtTensor& bwd_weights() const { return bwd_wt_; }
 
  private:
+  tensor::WtTensor& bwd_form();  ///< bwd_wt_, allocated on first use
+
   std::unique_ptr<core::ConvLayer> layer_;
   tensor::WtTensor wt_, dwt_, vel_;
+  /// The node owns the backward form: apply_update writes it fused with the
+  /// SGD step, so backward() runs no transform in steady state.
+  tensor::WtTensor bwd_wt_;
+  bool bwd_stale_ = true;
 };
 
 class BatchNormNode final : public Node {

@@ -19,25 +19,28 @@ ActTensor::ActTensor(int n, int channels, int h, int w, int pad_h, int pad_w,
 }
 
 void ActTensor::zero_halo() {
+  for (int n = 0; n < n_; ++n)
+    for (int cb = 0; cb < cb_; ++cb) zero_halo(n, cb);
+}
+
+void ActTensor::zero_halo(int n, int cb) {
   if (pad_h_ == 0 && pad_w_ == 0) return;
-  for (int n = 0; n < n_; ++n) {
-    for (int cb = 0; cb < cb_; ++cb) {
-      float* base = data() + n * stride_n() + cb * stride_cb();
-      // Top and bottom halo rows.
-      const std::size_t row_bytes = stride_h() * sizeof(float);
-      for (int y = 0; y < pad_h_; ++y) {
-        std::memset(base + y * stride_h(), 0, row_bytes);
-        std::memset(base + (hp() - 1 - y) * stride_h(), 0, row_bytes);
-      }
-      // Left/right halo columns of interior rows.
-      if (pad_w_ > 0) {
-        for (int y = pad_h_; y < hp() - pad_h_; ++y) {
-          float* row = base + y * stride_h();
-          std::memset(row, 0, static_cast<std::size_t>(pad_w_) * v_ * sizeof(float));
-          std::memset(row + (wp() - pad_w_) * static_cast<std::size_t>(v_), 0,
-                      static_cast<std::size_t>(pad_w_) * v_ * sizeof(float));
-        }
-      }
+  float* base = data() + n * stride_n() + cb * stride_cb();
+  // Top and bottom halo rows.
+  const std::size_t row_bytes = stride_h() * sizeof(float);
+  for (int y = 0; y < pad_h_; ++y) {
+    std::memset(base + y * stride_h(), 0, row_bytes);
+    std::memset(base + (hp() - 1 - y) * stride_h(), 0, row_bytes);
+  }
+  // Left/right halo columns of interior rows.
+  if (pad_w_ > 0) {
+    const std::size_t col_bytes =
+        static_cast<std::size_t>(pad_w_) * v_ * sizeof(float);
+    for (int y = pad_h_; y < hp() - pad_h_; ++y) {
+      float* row = base + y * stride_h();
+      std::memset(row, 0, col_bytes);
+      std::memset(row + (wp() - pad_w_) * static_cast<std::size_t>(v_), 0,
+                  col_bytes);
     }
   }
 }

@@ -88,6 +88,9 @@ class ActTensor {
   void zero() { buf_.zero(); }
   /// Re-zero only the halo region (needed after in-place writes touch it).
   void zero_halo();
+  /// zero_halo() restricted to the (n, cb) feature-map plane, so threads
+  /// that own disjoint planes can clear their halos in parallel.
+  void zero_halo(int n, int cb);
 
  private:
   AlignedBuffer<float> buf_;

@@ -1,5 +1,10 @@
 #include "tensor/transform.hpp"
 
+#include <omp.h>
+
+#include <cstdint>
+#include <stdexcept>
+
 namespace xconv::tensor {
 
 void nchw_to_blocked(const float* src, ActTensor& dst) {
@@ -62,18 +67,45 @@ void kcrs_to_blocked_bwd(const float* src, int K, int C, WtTensor& dst) {
         }
 }
 
-void blocked_fwd_to_bwd(const WtTensor& fwd, WtTensor& bwd) {
-  const int Kb = fwd.outer(), Cb = fwd.inner();
-  const int R = fwd.r(), S = fwd.s(), v = fwd.vlen();
-  bwd.zero();
-  for (int kb = 0; kb < Kb; ++kb)
-    for (int cb = 0; cb < Cb; ++cb)
-      for (int r = 0; r < R; ++r)
-        for (int s = 0; s < S; ++s)
-          for (int c = 0; c < v; ++c)
-            for (int k = 0; k < v; ++k)
-              bwd.el(cb, kb, R - 1 - r, S - 1 - s, k, c) =
-                  fwd.el(kb, cb, r, s, c, k);
+void for_each_dual_block(
+    const WtTensor& fwd, int threads,
+    const std::function<void(std::size_t f, std::size_t b)>& body) {
+  const int Kb = fwd.outer(), Cb = fwd.inner(), R = fwd.r(), S = fwd.s();
+  const std::size_t vv = fwd.stride_s();
+  // Backward-form strides: [Cb][Kb][R][S] blocks of v x v.
+  const std::size_t b_inner = vv * R * S;
+  const std::size_t b_outer = b_inner * Kb;
+  const std::int64_t blocks = static_cast<std::int64_t>(Kb) * Cb * R * S;
+  if (threads <= 0) threads = omp_get_max_threads();
+  // Blocks are visited in forward-form order, so `f` is simply i * v * v.
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (std::int64_t i = 0; i < blocks; ++i) {
+    std::int64_t rest = i;
+    const int s = static_cast<int>(rest % S);
+    rest /= S;
+    const int r = static_cast<int>(rest % R);
+    rest /= R;
+    const int cb = static_cast<int>(rest % Cb);
+    const int kb = static_cast<int>(rest / Cb);
+    body(static_cast<std::size_t>(i) * vv,
+         cb * b_outer + kb * b_inner +
+             ((R - 1 - r) * static_cast<std::size_t>(S) + (S - 1 - s)) * vv);
+  }
+}
+
+void blocked_fwd_to_bwd(const WtTensor& fwd, WtTensor& bwd, int threads) {
+  if (bwd.outer() != fwd.inner() || bwd.inner() != fwd.outer() ||
+      bwd.r() != fwd.r() || bwd.s() != fwd.s() || bwd.vlen() != fwd.vlen())
+    throw std::invalid_argument(
+        "blocked_fwd_to_bwd: backward tensor must be [Cb][Kb][R][S] of the "
+        "forward tensor's shape");
+  const float* src = fwd.data();
+  float* dst = bwd.data();
+  const int v = fwd.vlen();
+  const auto copy_block = [=](std::size_t f, std::size_t b) {
+    transpose_block(src + f, dst + b, v);
+  };
+  for_each_dual_block(fwd, threads, copy_block);
 }
 
 }  // namespace xconv::tensor

@@ -2,6 +2,11 @@
 // (stride-1 duality, scattered 1x1 duality, Algorithm-7 GEMM fallback).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "test_helpers.hpp"
 #include "topo/resnet50.hpp"
 
@@ -126,6 +131,105 @@ TEST(Bwd, FwdOnlyLayerHasNoBackward) {
   // Forward still fine:
   expect_close(xconv::testing::naive_fwd(pr), layer_forward(layer, pr), 2e-3,
                "fwd_only fwd");
+  // ... and backward fails loudly instead of running an unbuilt path.
+  auto dout = layer.make_output();
+  auto din = layer.make_input();
+  EXPECT_THROW(layer.backward(dout, layer.make_weights(), din),
+               std::logic_error);
+}
+
+namespace {
+// dI starts as NaN everywhere: backward must write every element. The
+// interior must match the naive reference, the halo and the channel-padding
+// lanes must be exactly 0, and backward (transform inside) must equal
+// backward_dual (weights handed over in backward form) bit for bit.
+void check_poisoned_dI(const core::ConvParams& p, int halo, BwdAlgo algo) {
+  for (bool streams : {true, false})
+    for (int threads : {1, 3}) {
+      SCOPED_TRACE(p.to_string() + " halo " + std::to_string(halo) +
+                   " streams " + std::to_string(streams) + " threads " +
+                   std::to_string(threads));
+      core::ConvOptions o;
+      o.use_streams = streams;
+      o.threads = threads;
+      o.in_halo_h = o.in_halo_w = halo;
+      core::ConvLayer layer(p, o);
+      ASSERT_EQ(layer.bwd_algo(), algo);
+      ConvProblem pr(p, 31);
+      auto dout = layer.make_output();
+      tensor::nchw_to_blocked(pr.dout.data(), dout);
+      auto wt = layer.make_weights();
+      tensor::kcrs_to_blocked_fwd(pr.wt.data(), p.K, p.C, wt);
+      tensor::WtTensor bwd_wt(layer.cb(), layer.kb(), p.R, p.S, layer.vlen());
+      tensor::kcrs_to_blocked_bwd(pr.wt.data(), p.K, p.C, bwd_wt);
+
+      const float nan = std::numeric_limits<float>::quiet_NaN();
+      auto din = layer.make_input(), din_dual = layer.make_input();
+      std::fill(din.data(), din.data() + din.size(), nan);
+      std::fill(din_dual.data(), din_dual.data() + din_dual.size(), nan);
+      layer.backward(dout, wt, din);
+      layer.backward_dual(dout, bwd_wt, din_dual);
+      ASSERT_EQ(std::memcmp(din.data(), din_dual.data(),
+                            din.size() * sizeof(float)),
+                0);
+
+      std::vector<float> got(p.input_elems());
+      tensor::blocked_to_nchw(din, got.data());
+      expect_close(naive_bwd(pr), got, 2e-3, "poisoned dI interior");
+
+      const int v = din.vlen();
+      std::size_t outside = 0;
+      for (int n = 0; n < din.n(); ++n)
+        for (int cb = 0; cb < din.blocks(); ++cb)
+          for (int y = 0; y < din.hp(); ++y)
+            for (int x = 0; x < din.wp(); ++x)
+              for (int lane = 0; lane < v; ++lane) {
+                const bool interior = y >= halo && y < halo + p.H &&
+                                      x >= halo && x < halo + p.W &&
+                                      cb * v + lane < p.C;
+                if (interior) continue;
+                ++outside;
+                ASSERT_EQ(*(din.at_padded(n, cb, y, x) + lane), 0.0f)
+                    << "n " << n << " cb " << cb << " y " << y << " x " << x
+                    << " lane " << lane;
+              }
+      EXPECT_GT(outside, 0u);  // the case really has halo / padding lanes
+    }
+}
+}  // namespace
+
+TEST(Bwd, PoisonedDIStride1Duality) {
+  // Odd C/K and a halo one wider than the padding.
+  check_poisoned_dI(core::make_conv(2, 19, 21, 9, 7, 3, 3, 1), 2,
+                    BwdAlgo::duality_stride1);
+  check_poisoned_dI(core::make_conv(1, 19, 16, 6, 6, 1, 1, 1, 0), 0,
+                    BwdAlgo::duality_stride1);
+}
+
+TEST(Bwd, PoisonedDI1x1Strided) {
+  // Odd spatial extents leave uncovered trailing rows and columns; Q = 15
+  // gives the q-edge kernel a turn.
+  check_poisoned_dI(core::make_conv(2, 19, 24, 11, 29, 1, 1, 2, 0), 1,
+                    BwdAlgo::duality_1x1_strided);
+  check_poisoned_dI(core::make_conv(1, 35, 16, 10, 10, 1, 1, 3, 0), 0,
+                    BwdAlgo::duality_1x1_strided);
+}
+
+TEST(Bwd, PoisonedDIGemmFallback) {
+  check_poisoned_dI(core::make_conv(2, 19, 21, 15, 13, 3, 3, 2), 2,
+                    BwdAlgo::gemm_fallback);
+  check_poisoned_dI(core::make_conv(1, 16, 16, 17, 17, 7, 7, 2), 4,
+                    BwdAlgo::gemm_fallback);
+}
+
+TEST(Bwd, BackwardDualRejectsForwardFormWeights) {
+  const auto p = core::make_conv(1, 16, 32, 8, 8, 3, 3, 1);
+  core::ConvLayer layer(p);
+  auto dout = layer.make_output();
+  auto din = layer.make_input();
+  auto fwd_form = layer.make_weights();  // [Kb=2][Cb=1]: not [Cb][Kb]
+  EXPECT_THROW(layer.backward_dual(dout, fwd_form, din),
+               std::invalid_argument);
 }
 
 TEST(Bwd, GradientsOfPaddingAreDiscarded) {

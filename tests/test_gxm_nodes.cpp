@@ -148,8 +148,9 @@ layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
   g.export_grads(grads.data());
 
   // Conv gradients come first in export order (schedule order); check a few
-  // weight entries by central difference.
-  auto& wt = conv->weights();
+  // weight entries by central difference. The edits go through
+  // mutable_weights(), so every loss_at() backward sees the edited weights.
+  auto& wt = conv->mutable_weights();
   const double eps = 1e-2;
   int checked = 0;
   for (std::size_t idx : {std::size_t{0}, std::size_t{17}, std::size_t{200}}) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <tuple>
 
 #include "tensor/buffer.hpp"
@@ -156,6 +160,47 @@ TEST(Transform, BlockedFwdToBwdMatchesDirectTransform) {
   ASSERT_EQ(bwd_a.size(), bwd_b.size());
   for (std::size_t i = 0; i < bwd_a.size(); ++i)
     ASSERT_EQ(bwd_a.data()[i], bwd_b.data()[i]) << i;
+}
+
+struct DualCase {
+  int vlen, r, s;
+};
+
+class ThreadedFwdToBwd : public ::testing::TestWithParam<DualCase> {};
+
+// The threaded blocked transform against the direct dense -> backward-form
+// transform, bit for bit, with K and C off the vector width (padding lanes)
+// and a NaN-poisoned destination: every element must be written, since the
+// transform no longer zeroes its output first.
+TEST_P(ThreadedFwdToBwd, BitwiseEqualToDirectTransform) {
+  const auto [v, R, S] = GetParam();
+  const int K = 2 * v + 3, C = v + 5;
+  const int Kb = tensor::ceil_div(K, v), Cb = tensor::ceil_div(C, v);
+  const auto src = random_vec(1ull * K * C * R * S, 100 + v + R * 10 + S);
+  tensor::WtTensor fwd(Kb, Cb, R, S, v), want(Cb, Kb, R, S, v);
+  tensor::kcrs_to_blocked_fwd(src.data(), K, C, fwd);
+  tensor::kcrs_to_blocked_bwd(src.data(), K, C, want);
+  for (int threads = 1; threads <= 4; ++threads) {
+    tensor::WtTensor got(Cb, Kb, R, S, v);
+    std::fill(got.data(), got.data() + got.size(),
+              std::numeric_limits<float>::quiet_NaN());
+    tensor::blocked_fwd_to_bwd(fwd, got, threads);
+    ASSERT_EQ(std::memcmp(want.data(), got.data(), want.size() * sizeof(float)),
+              0)
+        << "vlen " << v << " R " << R << " S " << S << " threads " << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ThreadedFwdToBwd,
+    ::testing::Values(DualCase{8, 1, 1}, DualCase{8, 3, 3}, DualCase{8, 7, 7},
+                      DualCase{8, 1, 7}, DualCase{16, 1, 1},
+                      DualCase{16, 3, 3}, DualCase{16, 7, 7},
+                      DualCase{16, 3, 1}));
+
+TEST(Transform, FwdToBwdRejectsMismatchedShape) {
+  tensor::WtTensor fwd(2, 3, 3, 3, 16), bad(2, 3, 3, 3, 16);
+  EXPECT_THROW(tensor::blocked_fwd_to_bwd(fwd, bad), std::invalid_argument);
 }
 
 TEST(Transform, DoubleDualIsIdentity) {

@@ -245,7 +245,8 @@ ConvPlan plan_default(const ConvParams& p, const PlanRequest& req) {
       plan.bwd1x1_rbq = pick_block_extent(Q, max_acc, kRbMinExtent);
     } else {
       plan.bwd_algo = BwdAlgo::gemm_fallback;
-      plan.bwd_gemm_qc = pick_block_extent(Q, kBwdGemmMaxCols, kRbMinExtent);
+      // One GEMM call keeps its Q-chunk of C rows in registers.
+      plan.bwd_gemm_qc = pick_block_extent(Q, max_acc, kRbMinExtent);
     }
 
     // Update pixel blocking + strategy (Section II-J).
@@ -333,6 +334,7 @@ void ConvPlan::validate(const ConvParams& p, PlanPass pass) const {
   }
   if (bwd_algo == BwdAlgo::gemm_fallback) {
     if (bwd_gemm_qc < 1 || bwd_gemm_qc > Q) fail("bwd_gemm_qc out of range");
+    if (bwd_gemm_qc > max_acc) fail("bwd_gemm_qc outside the register budget");
   }
   if (upd_strategy == UpdStrategy::auto_pick)
     fail("unresolved (auto_pick) update strategy");

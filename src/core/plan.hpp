@@ -70,10 +70,6 @@ inline constexpr int kUpdBqCap = 32;
 /// than forward since dW accumulators carry across the whole patch).
 inline constexpr int kUpdBlockMin = 2;
 
-/// Backward GEMM fallback (Algorithm 7): max N (output pixels) per GEMM
-/// call, matching the JIT GEMM generator's accumulator budget.
-inline constexpr int kBwdGemmMaxCols = 28;
-
 /// Traffic model (Section II-J): minibatch parallelism moves ~2 extra dW
 /// volumes per thread (write the private copy + read it back in reduction).
 inline constexpr double kUpdCopyTrafficFactor = 2.0;

@@ -18,6 +18,9 @@ namespace {
   throw std::runtime_error("gxm node '" + n.name() + "' (" + n.type() +
                            "): " + what);
 }
+
+/// Widest vlen (AVX-512 fp32): BatchNorm keeps per-lane sums on the stack.
+constexpr int kMaxLanes = 16;
 }  // namespace
 
 std::unique_ptr<Node> make_node(const NodeSpec& spec) {
@@ -50,8 +53,7 @@ void InputNode::infer_shapes() {
 }
 
 void InputNode::setup(int vlen, int threads) {
-  vlen_ = vlen;
-  threads_ = threads;
+  Node::setup(vlen, threads);
   labels_.assign(tops[0]->shape.n, 0);
 }
 
@@ -92,8 +94,7 @@ void ConvNode::infer_shapes() {
 }
 
 void ConvNode::setup(int vlen, int threads) {
-  vlen_ = vlen;
-  threads_ = threads;
+  Node::setup(vlen, threads);
   const PortShape& b = bottoms[0]->shape;
   core::ConvParams p;
   p.N = b.n;
@@ -199,8 +200,9 @@ void BatchNormNode::infer_shapes() {
 }
 
 void BatchNormNode::setup(int vlen, int threads) {
-  vlen_ = vlen;
-  threads_ = threads;
+  Node::setup(vlen, threads);
+  if (vlen > kMaxLanes)
+    node_fail(*this, "vlen exceeds the per-lane statistics width");
   relu_ = spec_.geti("relu", 0) != 0;
   const int cpad = tensor::ceil_div(bottoms[0]->shape.c, vlen) * vlen;
   gamma_.assign(cpad, 1.0f);
@@ -222,47 +224,56 @@ void BatchNormNode::forward(bool training) {
   const double count = static_cast<double>(N) * H * W;
   constexpr float eps = 1e-5f;
 
+  // One channel block per iteration, lanes innermost (unit stride). Each
+  // lane still sums over (n, h, w) in that order, so the statistics and
+  // outputs equal the lane-at-a-time loop bit for bit.
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (int cb = 0; cb < CB; ++cb) {
+    double sum[kMaxLanes] = {}, sum2[kMaxLanes] = {};
+    for (int n = 0; n < N; ++n)
+      for (int h = 0; h < H; ++h) {
+        const float* row = x.at(n, cb, h, 0);
+        for (int w = 0; w < W; ++w)
+          for (int lane = 0; lane < v; ++lane) {
+            const double val = row[static_cast<std::size_t>(w) * v + lane];
+            sum[lane] += val;
+            sum2[lane] += val * val;
+          }
+      }
+    float mu[kMaxLanes], is[kMaxLanes], g[kMaxLanes], b[kMaxLanes];
     for (int lane = 0; lane < v; ++lane) {
       const int c = cb * v + lane;
-      double sum = 0, sum2 = 0;
-      for (int n = 0; n < N; ++n)
-        for (int h = 0; h < H; ++h) {
-          const float* row = x.at(n, cb, h, 0);
-          for (int w = 0; w < W; ++w) {
-            const double val = row[static_cast<std::size_t>(w) * v + lane];
-            sum += val;
-            sum2 += val * val;
-          }
-        }
-      float mu, var;
+      float m, var;
       if (training) {
-        mu = static_cast<float>(sum / count);
-        var = static_cast<float>(sum2 / count - mu * static_cast<double>(mu));
+        m = static_cast<float>(sum[lane] / count);
+        var = static_cast<float>(sum2[lane] / count -
+                                 m * static_cast<double>(m));
         if (var < 0) var = 0;
-        run_mean_[c] = 0.9f * run_mean_[c] + 0.1f * mu;
+        run_mean_[c] = 0.9f * run_mean_[c] + 0.1f * m;
         run_var_[c] = 0.9f * run_var_[c] + 0.1f * var;
       } else {
-        mu = run_mean_[c];
+        m = run_mean_[c];
         var = run_var_[c];
       }
-      mean_[c] = mu;
+      mean_[c] = m;
       invstd_[c] = 1.0f / std::sqrt(var + eps);
-      const float g = gamma_[c], b = beta_[c], is = invstd_[c];
-      for (int n = 0; n < N; ++n)
-        for (int h = 0; h < H; ++h) {
-          const float* row = x.at(n, cb, h, 0);
-          float* orow = y.at(n, cb, h, 0);
-          for (int w = 0; w < W; ++w) {
-            float val =
-                g * (row[static_cast<std::size_t>(w) * v + lane] - mu) * is +
-                b;
-            if (relu_ && val < 0) val = 0;
-            orow[static_cast<std::size_t>(w) * v + lane] = val;
-          }
-        }
+      mu[lane] = m;
+      is[lane] = invstd_[c];
+      g[lane] = gamma_[c];
+      b[lane] = beta_[c];
     }
+    for (int n = 0; n < N; ++n)
+      for (int h = 0; h < H; ++h) {
+        const float* row = x.at(n, cb, h, 0);
+        float* orow = y.at(n, cb, h, 0);
+        for (int w = 0; w < W; ++w)
+          for (int lane = 0; lane < v; ++lane) {
+            const std::size_t i = static_cast<std::size_t>(w) * v + lane;
+            float val = g[lane] * (row[i] - mu[lane]) * is[lane] + b[lane];
+            if (relu_ && val < 0) val = 0;
+            orow[i] = val;
+          }
+      }
   }
 }
 
@@ -274,47 +285,55 @@ void BatchNormNode::backward() {
   const int N = x.n(), CB = x.blocks(), H = x.h(), W = x.w(), v = x.vlen();
   const double count = static_cast<double>(N) * H * W;
 
+  // Same partition and per-lane summation order as forward().
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (int cb = 0; cb < CB; ++cb) {
+    float mu[kMaxLanes], is[kMaxLanes];
+    for (int lane = 0; lane < v; ++lane) {
+      mu[lane] = mean_[cb * v + lane];
+      is[lane] = invstd_[cb * v + lane];
+    }
+    // First pass: dgamma, dbeta (with the ReLU mask folded into dy).
+    double sdg[kMaxLanes] = {}, sdb[kMaxLanes] = {};
+    for (int n = 0; n < N; ++n)
+      for (int h = 0; h < H; ++h) {
+        const float* xr = x.at(n, cb, h, 0);
+        const float* yr = y.at(n, cb, h, 0);
+        const float* gr = dy.at(n, cb, h, 0);
+        for (int w = 0; w < W; ++w)
+          for (int lane = 0; lane < v; ++lane) {
+            const std::size_t i = static_cast<std::size_t>(w) * v + lane;
+            float gy = gr[i];
+            if (relu_ && yr[i] <= 0.0f) gy = 0.0f;
+            sdg[lane] += gy * (xr[i] - mu[lane]) * is[lane];
+            sdb[lane] += gy;
+          }
+      }
+    // Second pass: dx = (g*is) * (gy - sdb/count - xhat * sdg/count).
+    float k1[kMaxLanes], m_db[kMaxLanes], m_dg[kMaxLanes];
     for (int lane = 0; lane < v; ++lane) {
       const int c = cb * v + lane;
-      const float mu = mean_[c], is = invstd_[c], g = gamma_[c];
-      // First pass: dgamma, dbeta (with the ReLU mask folded into dy).
-      double sdg = 0, sdb = 0;
-      for (int n = 0; n < N; ++n)
-        for (int h = 0; h < H; ++h) {
-          const float* xr = x.at(n, cb, h, 0);
-          const float* yr = y.at(n, cb, h, 0);
-          const float* gr = dy.at(n, cb, h, 0);
-          for (int w = 0; w < W; ++w) {
-            const std::size_t i = static_cast<std::size_t>(w) * v + lane;
-            float gy = gr[i];
-            if (relu_ && yr[i] <= 0.0f) gy = 0.0f;
-            sdg += gy * (xr[i] - mu) * is;
-            sdb += gy;
-          }
-        }
-      dgamma_[c] = static_cast<float>(sdg);
-      dbeta_[c] = static_cast<float>(sdb);
-      // Second pass: dx = (g*is) * (gy - sdb/count - xhat * sdg/count).
-      const float k1 = g * is;
-      const float m_db = static_cast<float>(sdb / count);
-      const float m_dg = static_cast<float>(sdg / count);
-      for (int n = 0; n < N; ++n)
-        for (int h = 0; h < H; ++h) {
-          const float* xr = x.at(n, cb, h, 0);
-          const float* yr = y.at(n, cb, h, 0);
-          const float* gr = dy.at(n, cb, h, 0);
-          float* dr = dx.at(n, cb, h, 0);
-          for (int w = 0; w < W; ++w) {
-            const std::size_t i = static_cast<std::size_t>(w) * v + lane;
-            float gy = gr[i];
-            if (relu_ && yr[i] <= 0.0f) gy = 0.0f;
-            const float xhat = (xr[i] - mu) * is;
-            dr[i] = k1 * (gy - m_db - xhat * m_dg);
-          }
-        }
+      dgamma_[c] = static_cast<float>(sdg[lane]);
+      dbeta_[c] = static_cast<float>(sdb[lane]);
+      k1[lane] = gamma_[c] * is[lane];
+      m_db[lane] = static_cast<float>(sdb[lane] / count);
+      m_dg[lane] = static_cast<float>(sdg[lane] / count);
     }
+    for (int n = 0; n < N; ++n)
+      for (int h = 0; h < H; ++h) {
+        const float* xr = x.at(n, cb, h, 0);
+        const float* yr = y.at(n, cb, h, 0);
+        const float* gr = dy.at(n, cb, h, 0);
+        float* dr = dx.at(n, cb, h, 0);
+        for (int w = 0; w < W; ++w)
+          for (int lane = 0; lane < v; ++lane) {
+            const std::size_t i = static_cast<std::size_t>(w) * v + lane;
+            float gy = gr[i];
+            if (relu_ && yr[i] <= 0.0f) gy = 0.0f;
+            const float xhat = (xr[i] - mu[lane]) * is[lane];
+            dr[i] = k1[lane] * (gy - m_db[lane] - xhat * m_dg[lane]);
+          }
+      }
   }
 }
 
@@ -360,8 +379,7 @@ void MaxPoolNode::infer_shapes() {
 }
 
 void MaxPoolNode::setup(int vlen, int threads) {
-  vlen_ = vlen;
-  threads_ = threads;
+  Node::setup(vlen, threads);
   const PortShape& o = tops[0]->shape;
   argmax_.assign(static_cast<std::size_t>(o.n) *
                      tensor::ceil_div(o.c, vlen) * vlen * o.h * o.w,
@@ -449,6 +467,7 @@ void AvgPoolNode::forward(bool) {
   tensor::ActTensor& y = tops[0]->act;
   const int N = x.n(), CB = x.blocks(), v = x.vlen(), H = x.h(), W = x.w();
   const float inv = 1.0f / (static_cast<float>(H) * W);
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < N; ++n)
     for (int cb = 0; cb < CB; ++cb) {
       float* out = y.at(n, cb, 0, 0);
@@ -469,6 +488,7 @@ void AvgPoolNode::backward() {
   const int N = dx.n(), CB = dx.blocks(), v = dx.vlen(), H = dx.h(),
             W = dx.w();
   const float inv = 1.0f / (static_cast<float>(H) * W);
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < N; ++n)
     for (int cb = 0; cb < CB; ++cb) {
       const float* g = dy.at(n, cb, 0, 0);
@@ -491,8 +511,7 @@ void InnerProductNode::infer_shapes() {
 }
 
 void InnerProductNode::setup(int vlen, int threads) {
-  vlen_ = vlen;
-  threads_ = threads;
+  Node::setup(vlen, threads);
   in_c_ = bottoms[0]->shape.c;
   out_k_ = tops[0]->shape.c;
   wt_.assign(static_cast<std::size_t>(out_k_) * in_c_, 0.0f);
@@ -648,6 +667,7 @@ void EltwiseNode::forward(bool) {
   const tensor::ActTensor& b = bottoms[1]->act;
   tensor::ActTensor& y = tops[0]->act;
   const int N = a.n(), CB = a.blocks(), v = a.vlen(), H = a.h(), W = a.w();
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < N; ++n)
     for (int cb = 0; cb < CB; ++cb)
       for (int h = 0; h < H; ++h) {
@@ -668,6 +688,7 @@ void EltwiseNode::backward() {
   tensor::ActTensor& da = bottoms[0]->grad;
   tensor::ActTensor& db = bottoms[1]->grad;
   const int N = y.n(), CB = y.blocks(), v = y.vlen(), H = y.h(), W = y.w();
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < N; ++n)
     for (int cb = 0; cb < CB; ++cb)
       for (int h = 0; h < H; ++h) {
@@ -694,14 +715,13 @@ void SplitNode::forward(bool) {
   // Tensor distribution: interior copy into each branch's buffer (halos may
   // differ per consumer).
   const int N = x.n(), CB = x.blocks(), v = x.vlen(), H = x.h(), W = x.w();
-  for (Port* t : tops) {
-    tensor::ActTensor& y = t->act;
-    for (int n = 0; n < N; ++n)
-      for (int cb = 0; cb < CB; ++cb)
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
+  for (int n = 0; n < N; ++n)
+    for (int cb = 0; cb < CB; ++cb)
+      for (Port* t : tops)
         for (int h = 0; h < H; ++h)
-          std::memcpy(y.at(n, cb, h, 0), x.at(n, cb, h, 0),
+          std::memcpy(t->act.at(n, cb, h, 0), x.at(n, cb, h, 0),
                       sizeof(float) * W * v);
-  }
 }
 
 void SplitNode::backward() {
@@ -709,6 +729,7 @@ void SplitNode::backward() {
   tensor::ActTensor& dx = bottoms[0]->grad;
   const int N = dx.n(), CB = dx.blocks(), v = dx.vlen(), H = dx.h(),
             W = dx.w();
+#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
   for (int n = 0; n < N; ++n)
     for (int cb = 0; cb < CB; ++cb)
       for (int h = 0; h < H; ++h) {

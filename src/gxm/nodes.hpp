@@ -59,8 +59,12 @@ class Node {
   /// Derive top-port shapes from (already-shaped) bottom ports. Called in
   /// topological order before allocation.
   virtual void infer_shapes() = 0;
-  /// Allocate weights/scratch once ports exist.
-  virtual void setup(int /*vlen*/, int /*threads*/) {}
+  /// Record the graph's vector length and thread count; overrides call this
+  /// first, then allocate weights/scratch (ports exist by now).
+  virtual void setup(int vlen, int threads) {
+    vlen_ = vlen;
+    threads_ = threads;
+  }
   virtual void forward(bool training) = 0;
   virtual void backward() {}
   /// Weight-gradient computation (the UPD pass body). BatchNorm/FC compute
@@ -174,6 +178,10 @@ class BatchNormNode final : public Node {
   void export_grads(float* buf) const override;
   void import_grads(const float* buf) override;
   void export_params(float* buf) const override;
+  /// Running statistics the inference forward normalizes with (one entry per
+  /// padded channel).
+  const std::vector<float>& running_mean() const { return run_mean_; }
+  const std::vector<float>& running_var() const { return run_var_; }
 
  private:
   std::vector<float> gamma_, beta_, dgamma_, dbeta_, vg_, vb_;

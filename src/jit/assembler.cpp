@@ -149,6 +149,12 @@ void Assembler::vop_rr(VecWidth w, std::uint8_t opcode, int map, int pp,
 
 void Assembler::ret() { buf_.emit8(0xC3); }
 
+void Assembler::vzeroupper() {
+  buf_.emit8(0xC5);
+  buf_.emit8(0xF8);
+  buf_.emit8(0x77);
+}
+
 void Assembler::push(Gpr r) {
   if (hi1(r)) buf_.emit8(0x41);
   buf_.emit8(static_cast<std::uint8_t>(0x50 + lo3(r)));

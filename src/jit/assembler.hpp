@@ -3,6 +3,8 @@
 //
 //   * GPR: mov/add/sub/cmp with immediates, reg-reg mov/add, dec-and-branch
 //     loops (backward rel32 jcc), push/pop, ret.
+//   * vzeroupper: every kernel exits through `vzeroupper; ret`, so the
+//     caller's legacy-SSE code never runs with dirty upper vector state.
 //   * SIMD fp32: vmovups (load/store), vbroadcastss, vfmadd231ps
 //     (reg-reg-reg, full-width memory operand, and EVEX embedded-broadcast
 //     memory operand), vxorps, vmaxps, vaddps — in VEX.256 (AVX2) and
@@ -59,6 +61,9 @@ class Assembler {
 
   // --- control flow / GPR ---------------------------------------------------
   void ret();
+  /// Zero bits 128+ of every vector register (VEX2 `C5 F8 77`). Emitted
+  /// immediately before `ret` by every generator; the verifier enforces it.
+  void vzeroupper();
   void push(Gpr r);
   void pop(Gpr r);
   void mov_ri(Gpr r, std::int64_t imm);

@@ -196,6 +196,7 @@ std::unique_ptr<CodecKernel> generate_codec_kernel(const CodecKernelDesc& d) {
   as.sub_ri(kIters, 1);
   as.cmp_ri(kIters, 0);
   as.jcc_back(Cond::g, top);
+  as.vzeroupper();
   as.ret();
 
   buf.finalize();

@@ -247,6 +247,7 @@ std::unique_ptr<ConvKernel> generate_conv_kernel(const ConvKernelDesc& d) {
   for (int p = 0; p < d.rbp; ++p)
     for (int q = 0; q < d.rbq; ++q)
       as.vmovups_store(vw, Mem{kOut, out_off(p, q)}, acc(p, q));
+  as.vzeroupper();
   as.ret();
 
   buf.finalize();

@@ -77,6 +77,7 @@ std::unique_ptr<GemmKernel> generate_gemm_kernel(const GemmKernelDesc& d) {
 
   for (int r = 0; r < d.n; ++r)
     as.vmovups_store(vw, Mem{kC, r * d.ldc * 4}, Vec{r});
+  as.vzeroupper();
   as.ret();
 
   buf.finalize();

@@ -157,6 +157,7 @@ std::unique_ptr<QConvKernel> generate_qconv_kernel(
   emit_flush();
   for (int q = 0; q < rbq; ++q)
     as.vmovups_store(vw, Mem{kOut, q * ocs * 4}, facc(q));
+  as.vzeroupper();
   as.ret();
 
   buf.finalize();

@@ -115,6 +115,7 @@ std::unique_ptr<UpdKernel> generate_upd_kernel(const UpdKernelDesc& d) {
 
   for (int c = 0; c < n_store; ++c)
     as.vmovups_store(vw, Mem{kDw, c * d.vlen * 4}, Vec{c});
+  as.vzeroupper();
   as.ret();
 
   buf.finalize();
@@ -186,6 +187,7 @@ std::unique_ptr<ReduceKernel> generate_reduce_kernel(
   as.sub_ri(iters, 1);
   as.cmp_ri(iters, 0);
   as.jcc_back(Cond::g, top);
+  as.vzeroupper();
   as.ret();
 
   buf.finalize();

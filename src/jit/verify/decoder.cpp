@@ -14,6 +14,7 @@ namespace {
 // indexes this table by Op, so the list can never drift from the enum.
 const char* const kCoveredAssemblerOps[] = {
     "ret",
+    "vzeroupper",
     "push",
     "pop",
     "mov_ri",
@@ -294,6 +295,12 @@ bool decode_one(Reader& rd, Insn* out, std::string* err) {
 
   if (b == 0xC3 && rexb41 == 0) {
     out->op = Op::ret;
+  } else if (b == 0xC5 && rexb41 == 0) {
+    // The only VEX2 encoding emitted: vzeroupper (C5 F8 77).
+    if (rd.u8() != 0xF8 || rd.u8() != 0x77)
+      return fail("VEX2 encoding other than vzeroupper");
+    out->op = Op::vzeroupper;
+    out->min_isa = platform::Isa::avx2;
   } else if (b >= 0x50 && b <= 0x57) {
     out->op = Op::push;
     out->gpr_dst = (b - 0x50) | (rexb41 << 3);
@@ -404,6 +411,7 @@ bool decode_one(Reader& rd, Insn* out, std::string* err) {
       return fail("VEX encoding the assembler never emits");
     out->op = s.op;
     out->min_isa = s.min_isa;
+    out->vex256 = l256;
     out->vvvv = vvvv;
     if (is_rr) {
       rd.u8();  // consume modrm
@@ -533,6 +541,7 @@ std::string format_insn(const Insn& insn) {
 
   switch (insn.op) {
     case Op::ret:
+    case Op::vzeroupper:
       break;
     case Op::push:
     case Op::pop:

@@ -1,9 +1,9 @@
 // Decoder for the exact x86-64 subset the runtime Assembler emits
 // (src/jit/assembler.cpp). This is deliberately NOT a general x86 decoder:
 // it accepts precisely the encodings our generators produce — GPR
-// moves/arith, push/pop/ret, backward rel32 jcc, the VEX.256 / EVEX.512
-// vector ops of the conv/upd/reduce/codec/gemm/qconv kernels — and treats
-// every other byte sequence as a decode failure. That strictness is the
+// moves/arith, push/pop/ret, vzeroupper, backward rel32 jcc, the VEX.256 /
+// EVEX.512 vector ops of the conv/upd/reduce/codec/gemm/qconv kernels — and
+// treats every other byte sequence as a decode failure. That strictness is the
 // point: a kernel containing anything the emitter cannot have produced is
 // corrupt by definition, and the verifier (verifier.hpp) wants to reason
 // over a closed instruction set.
@@ -29,6 +29,7 @@ namespace xconv::jit::verify {
 enum class Op {
   // control flow / GPR
   ret,
+  vzeroupper,
   push,
   pop,
   mov_ri,
@@ -105,6 +106,7 @@ struct Insn {
   int vrm = -1;   ///< modrm.rm vector for reg-reg forms
   int mask = 0;   ///< EVEX.aaa opmask (0 = unmasked)
   bool evex = false;
+  bool vex256 = false;  ///< VEX.L=1 (256-bit) form: dirties the upper state
   bool bcast = false;  ///< EVEX.b embedded-broadcast memory operand
 
   // Memory operand ([base + disp]); prefetches carry size 0 and are exempt

@@ -308,6 +308,17 @@ bool dump_enabled() {
 
 // --- descriptor-derived contracts -------------------------------------------
 
+namespace {
+/// Contract skeleton for a generator's kernel: its ISA tier, and the
+/// `vzeroupper; ret` exit every generator emits.
+Contract generated_kernel(platform::Isa isa) {
+  Contract c;
+  c.isa = isa;
+  c.clean_upper_exit = true;
+  return c;
+}
+}  // namespace
+
 Contract contract_for(const ConvKernelDesc& d) {
   const int ocs = d.out_col_stride > 0 ? d.out_col_stride : d.vlen;
   const std::int64_t vb = static_cast<std::int64_t>(d.vlen) * 4;
@@ -329,8 +340,7 @@ Contract contract_for(const ConvKernelDesc& d) {
   const std::int64_t out_top =
       static_cast<std::int64_t>(d.rbp - 1) * d.out_row_stride * 4 +
       static_cast<std::int64_t>(d.rbq - 1) * ocs * 4 + vb;
-  Contract c;
-  c.isa = d.isa;
+  Contract c = generated_kernel(d.isa);
   c.regions = {{"in", kRdi, in_top, 0, false},
                {"wt", kRsi, wt_top, 0, false},
                {"out", kRdx, out_top, 0, true}};
@@ -355,8 +365,7 @@ Contract contract_for(const UpdKernelDesc& d) {
           4 +
       vb;
   const std::int64_t dw_top = static_cast<std::int64_t>(n_store) * vb;
-  Contract c;
-  c.isa = d.isa;
+  Contract c = generated_kernel(d.isa);
   c.regions = {{"in", kRdi, in_top, 0, false},
                {"dO", kRsi, do_top, 0, false},
                {"dW", kRdx, dw_top, 0, true}};
@@ -366,8 +375,7 @@ Contract contract_for(const UpdKernelDesc& d) {
 Contract contract_for(const ReduceKernelDesc& d) {
   const std::int64_t vb = static_cast<std::int64_t>(d.vlen) * 4;
   const std::int64_t chunk = static_cast<std::int64_t>(d.unroll) * vb;
-  Contract c;
-  c.isa = d.isa;
+  Contract c = generated_kernel(d.isa);
   c.iters_gpr = kRdx;
   c.regions = {
       {"src", kRdi, static_cast<std::int64_t>(d.copies - 1) * d.copy_stride * 4,
@@ -377,8 +385,7 @@ Contract contract_for(const ReduceKernelDesc& d) {
 }
 
 Contract contract_for(const CodecKernelDesc& d) {
-  Contract c;
-  c.isa = d.isa;
+  Contract c = generated_kernel(d.isa);
   c.iters_gpr = kRcx;
   auto a = [&](std::int64_t per, bool w) {
     c.regions.push_back({"a", kRdi, 0, per, w});
@@ -432,8 +439,7 @@ Contract contract_for(const CodecKernelDesc& d) {
 
 Contract contract_for(const GemmKernelDesc& d) {
   const std::int64_t vb = static_cast<std::int64_t>(d.vlen) * 4;
-  Contract c;
-  c.isa = d.isa;
+  Contract c = generated_kernel(d.isa);
   c.regions = {
       {"B", kRdi,
        (static_cast<std::int64_t>(d.n - 1) * d.ldb + (d.k - 1)) * 4 + 4, 0,
@@ -465,8 +471,8 @@ Contract contract_for(const quant::QKernelDesc& d) {
   const std::int64_t out_top =
       static_cast<std::int64_t>(d.rbq - 1) * ocs * 4 +
       static_cast<std::int64_t>(d.vlen) * 4;
-  Contract c;
-  c.isa = platform::Isa::avx512_vnni;  // qconv kernels are VNNI by definition
+  // qconv kernels are VNNI by definition.
+  Contract c = generated_kernel(platform::Isa::avx512_vnni);
   c.regions = {{"in", kRdi, in_top, 0, false},
                {"wt", kRsi, wt_top, 0, false},
                {"out", kRdx, out_top, 0, true},
@@ -492,7 +498,9 @@ void verify(const Contract& c, const std::uint8_t* code, std::size_t size,
 
   Interp interp(c, dr.insns, what);
 
-  // Pass 2: structure — exactly one ret, and it terminates the kernel.
+  // Pass 2: structure — exactly one ret, it terminates the kernel, and (for
+  // generated kernels) a kernel that touched ymm/zmm state clears it with
+  // vzeroupper first.
   std::size_t rets = 0;
   for (const Insn& in : dr.insns)
     if (in.op == Op::ret) ++rets;
@@ -500,6 +508,15 @@ void verify(const Contract& c, const std::uint8_t* code, std::size_t size,
   if (rets > 1 || dr.insns.back().op != Op::ret)
     interp.fail(dr.insns.size() - 1,
                 "ret is not the unique final instruction");
+  const bool dirties_upper =
+      std::any_of(dr.insns.begin(), dr.insns.end(),
+                  [](const Insn& in) { return in.evex || in.vex256; });
+  // ret is last and another instruction dirtied the state, so size >= 2.
+  if (c.clean_upper_exit && dirties_upper &&
+      dr.insns[dr.insns.size() - 2].op != Op::vzeroupper)
+    interp.fail(dr.insns.size() - 1,
+                "kernel uses VEX.256/EVEX instructions but does not execute "
+                "vzeroupper before ret");
   for (std::size_t i = 0; i < dr.insns.size(); ++i)
     if (dr.insns[i].op == Op::jcc_back &&
         interp.index_at.find(dr.insns[i].target) == interp.index_at.end())

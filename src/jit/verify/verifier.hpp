@@ -5,9 +5,14 @@
 //   1. decode    — every byte must parse as an instruction the Assembler can
 //                  emit (decoder.hpp); an undecodable byte is a failure.
 //   2. structure — exactly one `ret`, and it is the last instruction (no
-//                  fall-through past the buffer); every jcc target lands on
-//                  an instruction boundary; push/pop balance and callee-saved
-//                  preservation are proven by pass 4's abstract stack.
+//                  fall-through past the buffer); a generated kernel
+//                  containing any VEX.256 or EVEX instruction executes
+//                  `vzeroupper` as the instruction before that `ret`, so the
+//                  caller's legacy-SSE code never pays the dirty-upper-state
+//                  transition penalty (Contract::clean_upper_exit);
+//                  every jcc target lands on an instruction boundary;
+//                  push/pop balance and callee-saved preservation are proven
+//                  by pass 4's abstract stack.
 //   3. ISA gate  — each instruction's minimum ISA tier must not exceed the
 //                  descriptor's ISA: an AVX2 kernel must contain no
 //                  EVEX/ZMM encodings, a non-VNNI kernel no vpdpwssd.
@@ -64,6 +69,10 @@ struct Contract {
   platform::Isa isa = platform::Isa::avx512;  ///< max ISA tier allowed
   std::vector<Region> regions;
   int iters_gpr = -1;  ///< GPR carrying the runtime iteration count, or -1
+  /// Require `vzeroupper` right before `ret` when the kernel uses any
+  /// VEX.256/EVEX instruction. Every contract_for() sets it; a hand-built
+  /// contract (e.g. a measurement probe) opts in.
+  bool clean_upper_exit = false;
 };
 
 class VerifyError : public std::runtime_error {

@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 
+#include "jit/conv_kernel_gen.hpp"
 #include "test_helpers.hpp"
 #include "topo/resnet50.hpp"
 
@@ -87,6 +88,25 @@ TEST(Bwd, GemmFallbackScalarBackend) {
   o.isa = platform::Isa::scalar;
   core::ConvLayer layer(p, o);
   expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "scalar gemm");
+}
+
+TEST(Bwd, GemmFallbackAvx2Conv1) {
+  // ResNet-50 conv1 (7x7/2, 224 input, Q = 112) on the AVX2 JIT: each GEMM
+  // call's Q-chunk must fit AVX2's 12 accumulators, not AVX-512's 28.
+  if (static_cast<int>(platform::max_isa()) <
+      static_cast<int>(platform::Isa::avx2))
+    GTEST_SKIP() << "host lacks AVX2";
+  const auto p = topo::table1_params(topo::resnet50_table1()[0], 1);
+  ConvProblem pr(p, 11);
+  core::ConvOptions o;
+  o.isa = platform::Isa::avx2;
+  o.backend = kernels::BackendPref::jit;
+  core::ConvLayer layer(p, o);
+  EXPECT_EQ(layer.bwd_algo(), BwdAlgo::gemm_fallback);
+  EXPECT_EQ(layer.vlen(), 8);
+  EXPECT_LE(layer.plan().bwd_gemm_qc,
+            jit::ConvKernelDesc::max_accumulators(platform::Isa::avx2));
+  expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "avx2 conv1");
 }
 
 TEST(Bwd, DualLayerReusesForwardMachinery) {

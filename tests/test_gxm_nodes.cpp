@@ -1,9 +1,16 @@
 // Individual GxM node semantics, including a finite-difference gradient check
 // through a complete small graph — the strongest end-to-end property of the
-// backward implementations (conv duality, BN, pooling, FC, softmax).
+// backward implementations (conv duality, BN, pooling, FC, softmax) — and
+// bitwise equivalence of the threaded glue nodes to serial references.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "gxm/graph.hpp"
 #include "test_helpers.hpp"
@@ -225,4 +232,360 @@ layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
     for (int l = 0; l < 16; ++l)
       EXPECT_NEAR(*(gsum.at(0, 0, h, 0) + l),
                   *(g0.at(0, 0, h, 0) + l) + *(g1.at(0, 0, h, 0) + l), 1e-5);
+}
+
+// ---------------------------------------------------------------------------
+// Glue-node equivalence: the threaded, lane-contiguous BatchNorm / Eltwise /
+// Split loops against serial references, bit for bit. Nodes are wired by
+// hand (no Graph), so vlen 8 and 16 both run on any host.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using gxm::Port;
+using gxm::PortShape;
+
+void fill(tensor::ActTensor& t, unsigned seed) {
+  const std::vector<float> v = xconv::testing::random_vec(t.size(), seed);
+  std::copy(v.begin(), v.end(), t.data());
+}
+
+void expect_same(const tensor::ActTensor& got, const tensor::ActTensor& want,
+                 const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(std::memcmp(got.data() + i, want.data() + i, sizeof(float)), 0)
+        << what << " diverges at element " << i << ": " << got.data()[i]
+        << " vs " << want.data()[i];
+}
+
+void expect_same(const std::vector<float>& got, const std::vector<float>& want,
+                 const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what;
+}
+
+/// Wires a node to hand-made ports, shapes and allocates its tops, and
+/// runs setup() at the given vlen / thread count.
+std::unique_ptr<gxm::Node> wire(const std::string& type,
+                                const std::map<std::string, int>& iparams,
+                                const std::vector<Port*>& bottoms,
+                                const std::vector<Port*>& tops, int vlen,
+                                int threads) {
+  gxm::NodeSpec s;
+  s.name = type;
+  s.type = type;
+  s.iparams = iparams;
+  auto node = gxm::make_node(s);
+  node->bottoms = bottoms;
+  node->tops = tops;
+  node->infer_shapes();
+  for (Port* t : tops) t->allocate(vlen);
+  node->setup(vlen, threads);
+  return node;
+}
+
+/// BatchNorm as one channel lane at a time over (n, h, w), serially: the
+/// loop order the node used before the lane became its innermost loop.
+struct RefBatchNorm {
+  bool relu;
+  std::vector<float> gamma, beta, dgamma, dbeta, vg, vb, mean, invstd,
+      run_mean, run_var;
+
+  RefBatchNorm(int cpad, bool r)
+      : relu(r), gamma(cpad, 1.0f), beta(cpad, 0.0f), dgamma(cpad, 0.0f),
+        dbeta(cpad, 0.0f), vg(cpad, 0.0f), vb(cpad, 0.0f), mean(cpad, 0.0f),
+        invstd(cpad, 0.0f), run_mean(cpad, 0.0f), run_var(cpad, 1.0f) {}
+
+  void forward(const tensor::ActTensor& x, tensor::ActTensor& y,
+               bool training) {
+    const int N = x.n(), CB = x.blocks(), H = x.h(), W = x.w(), v = x.vlen();
+    const double count = static_cast<double>(N) * H * W;
+    constexpr float eps = 1e-5f;
+    for (int cb = 0; cb < CB; ++cb) {
+      for (int lane = 0; lane < v; ++lane) {
+        const int c = cb * v + lane;
+        double sum = 0, sum2 = 0;
+        for (int n = 0; n < N; ++n)
+          for (int h = 0; h < H; ++h) {
+            const float* row = x.at(n, cb, h, 0);
+            for (int w = 0; w < W; ++w) {
+              const double val = row[static_cast<std::size_t>(w) * v + lane];
+              sum += val;
+              sum2 += val * val;
+            }
+          }
+        float mu, var;
+        if (training) {
+          mu = static_cast<float>(sum / count);
+          var = static_cast<float>(sum2 / count - mu * static_cast<double>(mu));
+          if (var < 0) var = 0;
+          run_mean[c] = 0.9f * run_mean[c] + 0.1f * mu;
+          run_var[c] = 0.9f * run_var[c] + 0.1f * var;
+        } else {
+          mu = run_mean[c];
+          var = run_var[c];
+        }
+        mean[c] = mu;
+        invstd[c] = 1.0f / std::sqrt(var + eps);
+        const float g = gamma[c], b = beta[c], is = invstd[c];
+        for (int n = 0; n < N; ++n)
+          for (int h = 0; h < H; ++h) {
+            const float* row = x.at(n, cb, h, 0);
+            float* orow = y.at(n, cb, h, 0);
+            for (int w = 0; w < W; ++w) {
+              float val =
+                  g * (row[static_cast<std::size_t>(w) * v + lane] - mu) * is +
+                  b;
+              if (relu && val < 0) val = 0;
+              orow[static_cast<std::size_t>(w) * v + lane] = val;
+            }
+          }
+      }
+    }
+  }
+
+  void backward(const tensor::ActTensor& x, const tensor::ActTensor& y,
+                const tensor::ActTensor& dy, tensor::ActTensor& dx) {
+    const int N = x.n(), CB = x.blocks(), H = x.h(), W = x.w(), v = x.vlen();
+    const double count = static_cast<double>(N) * H * W;
+    for (int cb = 0; cb < CB; ++cb) {
+      for (int lane = 0; lane < v; ++lane) {
+        const int c = cb * v + lane;
+        const float mu = mean[c], is = invstd[c], g = gamma[c];
+        double sdg = 0, sdb = 0;
+        for (int n = 0; n < N; ++n)
+          for (int h = 0; h < H; ++h) {
+            const float* xr = x.at(n, cb, h, 0);
+            const float* yr = y.at(n, cb, h, 0);
+            const float* gr = dy.at(n, cb, h, 0);
+            for (int w = 0; w < W; ++w) {
+              const std::size_t i = static_cast<std::size_t>(w) * v + lane;
+              float gy = gr[i];
+              if (relu && yr[i] <= 0.0f) gy = 0.0f;
+              sdg += gy * (xr[i] - mu) * is;
+              sdb += gy;
+            }
+          }
+        dgamma[c] = static_cast<float>(sdg);
+        dbeta[c] = static_cast<float>(sdb);
+        const float k1 = g * is;
+        const float m_db = static_cast<float>(sdb / count);
+        const float m_dg = static_cast<float>(sdg / count);
+        for (int n = 0; n < N; ++n)
+          for (int h = 0; h < H; ++h) {
+            const float* xr = x.at(n, cb, h, 0);
+            const float* yr = y.at(n, cb, h, 0);
+            const float* gr = dy.at(n, cb, h, 0);
+            float* dr = dx.at(n, cb, h, 0);
+            for (int w = 0; w < W; ++w) {
+              const std::size_t i = static_cast<std::size_t>(w) * v + lane;
+              float gy = gr[i];
+              if (relu && yr[i] <= 0.0f) gy = 0.0f;
+              const float xhat = (xr[i] - mu) * is;
+              dr[i] = k1 * (gy - m_db - xhat * m_dg);
+            }
+          }
+      }
+    }
+  }
+
+  void apply_update(const gxm::Solver& s) {
+    for (std::size_t c = 0; c < gamma.size(); ++c) {
+      vg[c] = s.momentum * vg[c] - s.lr * dgamma[c];
+      gamma[c] += vg[c];
+      vb[c] = s.momentum * vb[c] - s.lr * dbeta[c];
+      beta[c] += vb[c];
+    }
+  }
+};
+
+struct GlueCase {
+  int vlen;
+  int channels;
+  int threads;
+  bool relu;
+};
+
+std::string label(const GlueCase& k) {
+  return "vlen=" + std::to_string(k.vlen) + " C=" + std::to_string(k.channels) +
+         " threads=" + std::to_string(k.threads) +
+         " relu=" + std::to_string(k.relu);
+}
+
+std::vector<GlueCase> glue_cases() {
+  std::vector<GlueCase> out;
+  for (int vlen : {8, 16})
+    for (int c : {vlen, 20, 3 * vlen})  // 20: not a multiple of either vlen
+      for (int threads : {1, 3, 4})
+        for (bool relu : {false, true}) out.push_back({vlen, c, threads, relu});
+  return out;
+}
+
+}  // namespace
+
+TEST(GlueNodes, BatchNormMatchesPerLaneReferenceBitwise) {
+  for (const GlueCase& k : glue_cases()) {
+    SCOPED_TRACE(label(k));
+    Port bottom, top;
+    bottom.shape = {3, k.channels, 5, 7, 1, 2};
+    bottom.allocate(k.vlen);
+    fill(bottom.act, 11);
+    auto node = wire("BatchNorm", {{"relu", k.relu}}, {&bottom}, {&top}, k.vlen,
+                     k.threads);
+    auto* bn = dynamic_cast<gxm::BatchNormNode*>(node.get());
+    ASSERT_NE(bn, nullptr);
+    const int cpad = bottom.act.blocks() * k.vlen;
+    RefBatchNorm ref(cpad, k.relu);
+    gxm::Solver sgd;
+    sgd.lr = 0.5f;
+
+    // Two training steps (the second with updated gamma/beta and running
+    // stats), then an inference forward off the running statistics.
+    for (int step = 0; step < 2; ++step) {
+      fill(top.grad, 20 + step);
+      tensor::ActTensor y_ref = top.act;
+      ref.forward(bottom.act, y_ref, /*training=*/true);
+      node->forward(true);
+      expect_same(top.act, y_ref, "train forward");
+      expect_same(bn->running_mean(), ref.run_mean, "running mean");
+      expect_same(bn->running_var(), ref.run_var, "running var");
+
+      tensor::ActTensor dx_ref = bottom.grad;
+      ref.backward(bottom.act, top.act, top.grad, dx_ref);
+      node->backward();
+      expect_same(bottom.grad, dx_ref, "backward dx");
+      std::vector<float> grads(bn->param_count());
+      bn->export_grads(grads.data());
+      expect_same({grads.begin(), grads.begin() + cpad}, ref.dgamma, "dgamma");
+      expect_same({grads.begin() + cpad, grads.end()}, ref.dbeta, "dbeta");
+
+      node->apply_update(sgd);
+      ref.apply_update(sgd);
+    }
+    tensor::ActTensor y_ref = top.act;
+    ref.forward(bottom.act, y_ref, /*training=*/false);
+    node->forward(false);
+    expect_same(top.act, y_ref, "inference forward");
+    expect_same(bn->running_mean(), ref.run_mean, "running mean (inference)");
+  }
+}
+
+TEST(GlueNodes, EltwiseThreadedMatchesSerialBitwise) {
+  for (const GlueCase& k : glue_cases()) {
+    SCOPED_TRACE(label(k));
+    Port a, b, top;
+    a.shape = {3, k.channels, 4, 6, 1, 1};
+    b.shape = {3, k.channels, 4, 6, 0, 0};
+    a.allocate(k.vlen);
+    b.allocate(k.vlen);
+    fill(a.act, 31);
+    fill(b.act, 32);
+    fill(a.grad, 33);  // backward overwrites the interior; halos must survive
+    fill(b.grad, 34);
+    auto node = wire("Eltwise", {{"relu", k.relu}}, {&a, &b}, {&top}, k.vlen,
+                     k.threads);
+    fill(top.grad, 35);
+
+    // Serial reference over every interior element.
+    tensor::ActTensor y_ref = top.act, da_ref = a.grad, db_ref = b.grad;
+    for (int n = 0; n < y_ref.n(); ++n)
+      for (int cb = 0; cb < y_ref.blocks(); ++cb)
+        for (int h = 0; h < y_ref.h(); ++h)
+          for (int i = 0; i < y_ref.w() * k.vlen; ++i) {
+            float s = a.act.at(n, cb, h, 0)[i] + b.act.at(n, cb, h, 0)[i];
+            if (k.relu && s < 0) s = 0;
+            y_ref.at(n, cb, h, 0)[i] = s;
+            const float g = (k.relu && s <= 0.0f) ? 0.0f
+                                                  : top.grad.at(n, cb, h, 0)[i];
+            da_ref.at(n, cb, h, 0)[i] = g;
+            db_ref.at(n, cb, h, 0)[i] = g;
+          }
+    node->forward(true);
+    expect_same(top.act, y_ref, "eltwise forward");
+    node->backward();
+    expect_same(a.grad, da_ref, "eltwise backward (a)");
+    expect_same(b.grad, db_ref, "eltwise backward (b)");
+  }
+}
+
+TEST(GlueNodes, SplitThreadedMatchesSerialBitwise) {
+  for (const GlueCase& k : glue_cases()) {
+    for (int branches : {2, 3}) {
+      SCOPED_TRACE(label(k) + " tops=" + std::to_string(branches));
+      Port bottom;
+      bottom.shape = {3, k.channels, 4, 5, 0, 0};
+      bottom.allocate(k.vlen);
+      fill(bottom.act, 41);
+      fill(bottom.grad, 42);
+      std::vector<Port> tops(branches);
+      std::vector<Port*> top_ptrs;
+      for (Port& t : tops) top_ptrs.push_back(&t);
+      auto node = wire("Split", {}, {&bottom}, top_ptrs, k.vlen, k.threads);
+      // Distinct consumer halos, as the graph wiring may produce.
+      for (int t = 0; t < branches; ++t) {
+        tops[t].shape.pad_h = tops[t].shape.pad_w = t;
+        tops[t].allocate(k.vlen);
+        fill(tops[t].grad, 50 + t);
+      }
+
+      std::vector<tensor::ActTensor> y_ref;
+      for (const Port& t : tops) y_ref.push_back(t.act);
+      tensor::ActTensor dx_ref = bottom.grad;
+      const tensor::ActTensor& x = bottom.act;
+      for (int n = 0; n < x.n(); ++n)
+        for (int cb = 0; cb < x.blocks(); ++cb)
+          for (int h = 0; h < x.h(); ++h)
+            for (int i = 0; i < x.w() * k.vlen; ++i) {
+              float sum = 0.0f;
+              for (int t = 0; t < branches; ++t) {
+                y_ref[t].at(n, cb, h, 0)[i] = x.at(n, cb, h, 0)[i];
+                const float g = tops[t].grad.at(n, cb, h, 0)[i];
+                sum = t == 0 ? g : sum + g;
+              }
+              dx_ref.at(n, cb, h, 0)[i] = sum;
+            }
+      node->forward(true);
+      for (int t = 0; t < branches; ++t)
+        expect_same(tops[t].act, y_ref[t], "split forward");
+      node->backward();
+      expect_same(bottom.grad, dx_ref, "split backward");
+    }
+  }
+}
+
+TEST(GlueNodes, AvgPoolThreadedMatchesSerialBitwise) {
+  for (const GlueCase& k : glue_cases()) {
+    if (k.relu) continue;  // global pooling has no fused ReLU
+    SCOPED_TRACE(label(k));
+    Port bottom, top;
+    bottom.shape = {3, k.channels, 5, 6, 1, 1};
+    bottom.allocate(k.vlen);
+    fill(bottom.act, 61);
+    fill(bottom.grad, 62);
+    auto node =
+        wire("AvgPool", {{"global", 1}}, {&bottom}, {&top}, k.vlen, k.threads);
+    fill(top.grad, 63);
+
+    tensor::ActTensor y_ref = top.act, dx_ref = bottom.grad;
+    const tensor::ActTensor& x = bottom.act;
+    const float inv = 1.0f / (static_cast<float>(x.h()) * x.w());
+    for (int n = 0; n < x.n(); ++n)
+      for (int cb = 0; cb < x.blocks(); ++cb)
+        for (int lane = 0; lane < k.vlen; ++lane) {
+          float sum = 0.0f;
+          for (int h = 0; h < x.h(); ++h)
+            for (int w = 0; w < x.w(); ++w) sum += x.at(n, cb, h, w)[lane];
+          y_ref.at(n, cb, 0, 0)[lane] = sum * inv;
+          const float g = top.grad.at(n, cb, 0, 0)[lane] * inv;
+          for (int h = 0; h < x.h(); ++h)
+            for (int w = 0; w < x.w(); ++w) dx_ref.at(n, cb, h, w)[lane] = g;
+        }
+    node->forward(true);
+    expect_same(top.act, y_ref, "avgpool forward");
+    node->backward();
+    expect_same(bottom.grad, dx_ref, "avgpool backward");
+  }
 }

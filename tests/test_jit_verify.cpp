@@ -41,10 +41,12 @@ std::string verify_message(const jv::Contract& c, const CodeBuffer& b) {
 }
 
 /// A permissive contract for structural fixtures: one writable 64-byte
-/// output region behind rdx, read-only 256-byte regions behind rdi/rsi.
+/// output region behind rdx, read-only 256-byte regions behind rdi/rsi, and
+/// the generated-kernel `vzeroupper; ret` exit rule.
 jv::Contract fixture_contract(platform::Isa isa = platform::Isa::avx512) {
   jv::Contract c;
   c.isa = isa;
+  c.clean_upper_exit = true;
   c.regions = {{"in", 7 /*rdi*/, 256, 0, false},
                {"wt", 6 /*rsi*/, 256, 0, false},
                {"out", 2 /*rdx*/, 64, 0, true}};
@@ -71,6 +73,7 @@ std::vector<OpCase> op_cases() {
   const Mem m{Gpr::rdi, 0x40};
   return {
       {Op::ret, [](Assembler& a) { a.ret(); }},
+      {Op::vzeroupper, [](Assembler& a) { a.vzeroupper(); }},
       {Op::push, [](Assembler& a) { a.push(Gpr::rbx); }},
       {Op::push, [](Assembler& a) { a.push(Gpr::r12); }},
       {Op::pop, [](Assembler& a) { a.pop(Gpr::rbx); }},
@@ -192,7 +195,7 @@ TEST(JitDecoder, RoundTripsEveryAssemblerOp) {
     for (const jv::Insn& in : r.insns) seen.insert(in.op);
   }
   // The case table must exercise the full closed instruction set — one case
-  // per Op enumerator (48 as of this writing; the decoder-coverage lint rule
+  // per Op enumerator (49 as of this writing; the decoder-coverage lint rule
   // keeps the enum itself in sync with assembler.hpp).
   EXPECT_EQ(seen.size(),
             static_cast<std::size_t>(jv::Op::prefetcht1) + 1);
@@ -272,6 +275,34 @@ TEST(JitDecoder, RejectsBytesTheAssemblerCannotEmit) {
   EXPECT_EQ(r.insns.size(), 1u);  // the ret before the bad byte decoded
 }
 
+TEST(JitDecoder, DecodesVzeroupperAndNoOtherVex2Encoding) {
+  CodeBuffer b(64);
+  Assembler a(b);
+  a.vzeroupper();
+  a.ret();
+  ASSERT_EQ(b.size(), 4u);
+  EXPECT_EQ(b.data()[0], 0xC5);
+  EXPECT_EQ(b.data()[1], 0xF8);
+  EXPECT_EQ(b.data()[2], 0x77);
+  const jv::DecodeResult r = decode_buf(b);
+  ASSERT_TRUE(r.ok()) << r.error;
+  ASSERT_EQ(r.insns.size(), 2u);
+  EXPECT_EQ(r.insns[0].op, jv::Op::vzeroupper);
+  EXPECT_EQ(r.insns[0].len, 3u);
+  EXPECT_EQ(r.insns[0].min_isa, platform::Isa::avx2);
+  EXPECT_FALSE(r.insns[0].vex256);
+  EXPECT_EQ(jv::format_insn(r.insns[0]), "0x0000: vzeroupper");
+
+  // vzeroall (VEX.L=1) and any other VEX2 opcode are outside the subset.
+  for (const std::uint8_t p1 : {std::uint8_t{0xFC}, std::uint8_t{0xF8}}) {
+    CodeBuffer bad(64);
+    bad.emit8(0xC5);
+    bad.emit8(p1);
+    bad.emit8(p1 == 0xF8 ? 0x58 : 0x77);
+    EXPECT_FALSE(jv::decode(bad.data(), bad.size()).ok());
+  }
+}
+
 TEST(JitDecoder, DisassemblesWithHexTailForUndecodableBytes) {
   CodeBuffer b(64);
   Assembler a(b);
@@ -312,6 +343,7 @@ TEST(JitVerifyFixture, RejectsOutOfBoundsStore) {
   Assembler a(b);
   // Contract grants rdx 64 bytes; this stores [64, 128).
   a.vmovups_store(VecWidth::zmm512, Mem{Gpr::rdx, 64}, Vec{0});
+  a.vzeroupper();
   a.ret();
   const std::string msg = verify_message(fixture_contract(), b);
   EXPECT_NE(msg.find("out-of-bounds store"), std::string::npos) << msg;
@@ -322,6 +354,7 @@ TEST(JitVerifyFixture, RejectsStoreIntoReadOnlyRegion) {
   CodeBuffer b(256);
   Assembler a(b);
   a.vmovups_store(VecWidth::zmm512, Mem{Gpr::rdi, 0}, Vec{0});
+  a.vzeroupper();
   a.ret();
   const std::string msg = verify_message(fixture_contract(), b);
   EXPECT_NE(msg.find("read-only region 'in'"), std::string::npos) << msg;
@@ -331,6 +364,7 @@ TEST(JitVerifyFixture, RejectsAccessOutsideDeclaredRegions) {
   CodeBuffer b(256);
   Assembler a(b);
   a.vmovups_load(VecWidth::zmm512, Vec{0}, Mem{Gpr::rcx, 0});  // no rcx region
+  a.vzeroupper();
   a.ret();
   const std::string msg = verify_message(fixture_contract(), b);
   EXPECT_NE(msg.find("outside every declared"), std::string::npos) << msg;
@@ -340,6 +374,7 @@ TEST(JitVerifyFixture, RejectsEvexInstructionUnderAvx2Contract) {
   CodeBuffer b(256);
   Assembler a(b);
   a.vxorps(VecWidth::zmm512, Vec{0}, Vec{0}, Vec{0});  // EVEX encoding
+  a.vzeroupper();
   a.ret();
   const std::string msg =
       verify_message(fixture_contract(platform::Isa::avx2), b);
@@ -352,10 +387,62 @@ TEST(JitVerifyFixture, RejectsVnniInstructionUnderAvx512Contract) {
   CodeBuffer b(256);
   Assembler a(b);
   a.vpdpwssd(Vec{0}, Vec{1}, Vec{2});
+  a.vzeroupper();
   a.ret();
   const std::string msg =
       verify_message(fixture_contract(platform::Isa::avx512), b);
   EXPECT_NE(msg.find("instruction requires"), std::string::npos) << msg;
+}
+
+TEST(JitVerifyFixture, RejectsVectorKernelThatReturnsWithoutVzeroupper) {
+  // Writes a ymm, then returns with the upper state dirty.
+  CodeBuffer b(256);
+  {
+    Assembler a(b);
+    a.vxorps(VecWidth::ymm256, Vec{0}, Vec{0}, Vec{0});
+    a.ret();
+  }
+  const std::string msg =
+      verify_message(fixture_contract(platform::Isa::avx2), b);
+  EXPECT_NE(msg.find("does not execute vzeroupper before ret"),
+            std::string::npos)
+      << msg;
+  // Only contracts that opt in enforce the rule (every contract_for() does;
+  // a hand-built measurement probe's contract may not).
+  jv::Contract probe = fixture_contract(platform::Isa::avx2);
+  probe.clean_upper_exit = false;
+  EXPECT_EQ(verify_message(probe, b), "");
+
+  // The EVEX form needs it too, and it must be the instruction right before
+  // ret, not merely somewhere in the kernel.
+  CodeBuffer early(256);
+  {
+    Assembler a(early);
+    a.vzeroupper();
+    a.vmovups_load(VecWidth::zmm512, Vec{1}, Mem{Gpr::rdi, 0});
+    a.ret();
+  }
+  EXPECT_NE(verify_message(fixture_contract(), early)
+                .find("does not execute vzeroupper before ret"),
+            std::string::npos);
+
+  // GPR-only kernels never touch the upper state and need no vzeroupper.
+  CodeBuffer gpr(256);
+  {
+    Assembler a(gpr);
+    a.mov_ri(Gpr::r10, 1);
+    a.ret();
+  }
+  EXPECT_EQ(verify_message(fixture_contract(), gpr), "");
+
+  CodeBuffer good(256);
+  {
+    Assembler a(good);
+    a.vxorps(VecWidth::ymm256, Vec{0}, Vec{0}, Vec{0});
+    a.vzeroupper();
+    a.ret();
+  }
+  EXPECT_EQ(verify_message(fixture_contract(platform::Isa::avx2), good), "");
 }
 
 TEST(JitVerifyFixture, RejectsMissingRet) {
@@ -412,6 +499,7 @@ TEST(JitVerifyFixture, RejectsRuntimeLoopOverAdvancingItsRegion) {
     a.sub_ri(Gpr::rdx, 1);
     a.cmp_ri(Gpr::rdx, 0);
     a.jcc_back(Cond::g, top);
+    a.vzeroupper();
     a.ret();
     EXPECT_EQ(verify_message(c, ok), "");
   }
@@ -425,6 +513,7 @@ TEST(JitVerifyFixture, RejectsRuntimeLoopOverAdvancingItsRegion) {
     a.sub_ri(Gpr::rdx, 1);
     a.cmp_ri(Gpr::rdx, 0);
     a.jcc_back(Cond::g, top);
+    a.vzeroupper();
     a.ret();
     const std::string msg = verify_message(c, bad);
     EXPECT_NE(msg.find("advances by"), std::string::npos) << msg;
@@ -441,6 +530,21 @@ TEST(JitVerifyFixture, DiagnosticCarriesContextWindow) {
   EXPECT_NE(msg.find("jit-verify: fixture"), std::string::npos) << msg;
   EXPECT_NE(msg.find("context:"), std::string::npos) << msg;
   EXPECT_NE(msg.find("XCONV_JIT_DUMP"), std::string::npos) << msg;
+}
+
+TEST(JitVerify, EveryContractForRequiresTheCleanExit) {
+  ConvKernelDesc conv;
+  UpdKernelDesc upd;
+  ReduceKernelDesc reduce;
+  CodecKernelDesc codec;
+  GemmKernelDesc gemm;
+  quant::QKernelDesc qconv;
+  EXPECT_TRUE(jv::contract_for(conv).clean_upper_exit);
+  EXPECT_TRUE(jv::contract_for(upd).clean_upper_exit);
+  EXPECT_TRUE(jv::contract_for(reduce).clean_upper_exit);
+  EXPECT_TRUE(jv::contract_for(codec).clean_upper_exit);
+  EXPECT_TRUE(jv::contract_for(gemm).clean_upper_exit);
+  EXPECT_TRUE(jv::contract_for(qconv).clean_upper_exit);
 }
 
 TEST(JitVerify, AcceptsAGeneratedConvKernel) {

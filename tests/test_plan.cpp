@@ -382,7 +382,7 @@ TEST(PlanCrossover, BackwardAlgorithmShapeForced) {
   const ConvPlan pg = core::plan_default(
       core::make_conv(2, 16, 16, 14, 14, 3, 3, 2), req);
   EXPECT_EQ(pg.bwd_algo, BwdAlgo::gemm_fallback);
-  EXPECT_EQ(pg.bwd_gemm_qc, 7);  // pick(Q=7, kBwdGemmMaxCols=28) = 7
+  EXPECT_EQ(pg.bwd_gemm_qc, 7);  // pick(Q=7, max_acc=28) = 7
 }
 
 TEST(PlanCrossover, UpdatePixelBlocking) {
@@ -820,18 +820,22 @@ TEST(PlanExplicit, LayerHonorsExplicitPlanBitwise) {
   core::ConvOptions o;
   o.threads = 1;
   core::ConvLayer def(p, o);
-  ASSERT_EQ(def.fwd_rbq(), 14);
+  // Default rbq is the widest divisor of Q=14 within the accumulator budget:
+  // 14 for 28 accumulators (vlen 16), 7 for 12 (vlen 8).
+  const bool wide = def.vlen() == 16;
+  ASSERT_EQ(def.fwd_rbq(), wide ? 14 : 7);
 
-  // Same decisions, different blocking: rbq 7 instead of 14. Forward
+  // Same decisions, different blocking: another divisor of Q. Forward
   // register blocking partitions the output pixels without changing any
   // accumulation order, so results are bit-identical across plans.
+  const int alt_rbq = wide ? 7 : 2;
   ConvPlan alt = def.plan();
-  alt.rbq = 7;
+  alt.rbq = alt_rbq;
   alt.rbp = 1;
   core::ConvOptions oe = o;
   oe.plan = alt;
   core::ConvLayer exp(p, oe);
-  EXPECT_EQ(exp.fwd_rbq(), 7);
+  EXPECT_EQ(exp.fwd_rbq(), alt_rbq);
   EXPECT_EQ(exp.plan(), alt);
   expect_bitwise(layer_forward(def, pr),
                           layer_forward(exp, pr),

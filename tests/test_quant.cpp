@@ -118,8 +118,9 @@ TEST(Quantize, WeightPairInterleave) {
   tensor::kcrs_to_blocked_fwd(dense.data(), p.K, p.C, wt);
   auto q = quant::quantize_wt(wt);
   // Pair (c0, c1) of output lane k sits at consecutive int16 slots.
-  for (int c2 = 0; c2 < 8; ++c2)
-    for (int k = 0; k < 16; ++k) {
+  const int v = layer.vlen();
+  for (int c2 = 0; c2 < v / 2; ++c2)
+    for (int k = 0; k < v; ++k) {
       EXPECT_EQ(q.el(0, 0, 1, 1, c2, k, 0),
                 quant::quantize_one(wt.el(0, 0, 1, 1, 2 * c2, k), q.scale));
       EXPECT_EQ(q.el(0, 0, 1, 1, c2, k, 1),
@@ -129,13 +130,23 @@ TEST(Quantize, WeightPairInterleave) {
 
 namespace {
 
+/// QConvLayer is 16-lane by definition (int16 VNNI pairs), so the fp32
+/// tensors it reads and writes come from a 16-lane layer whatever the
+/// host's fp32 ISA; the scalar ISA keeps that blocked layout.
+core::ConvOptions qconv_tensor_options() {
+  core::ConvOptions o;
+  o.isa = platform::Isa::scalar;
+  o.backend = kernels::BackendPref::scalar;
+  return o;
+}
+
 struct QRun {
   std::vector<float> fwd, bwd, upd;
 };
 
 QRun run_qconv(const core::ConvParams& p, const ConvProblem& pr,
                bool use_vnni, int flush) {
-  core::ConvLayer ref_layer(p);  // for tensor factories
+  core::ConvLayer ref_layer(p, qconv_tensor_options());  // tensor factories
   auto bin = ref_layer.make_input();
   tensor::nchw_to_blocked(pr.in.data(), bin);
   auto bwt = ref_layer.make_weights();
@@ -219,7 +230,7 @@ TEST(QConv, FlushIntervalDoesNotChangeResultMuch) {
 TEST(QConv, UnsupportedStridedNon1x1BackwardThrows) {
   const auto p = core::make_conv(1, 16, 16, 9, 9, 3, 3, 2);
   quant::QConvLayer q(p, 1, false, 8);
-  core::ConvLayer ref_layer(p);
+  core::ConvLayer ref_layer(p, qconv_tensor_options());
   auto bdout = ref_layer.make_output();
   auto bwt = ref_layer.make_weights();
   const auto qdout = quant::quantize_act(bdout);
@@ -231,7 +242,7 @@ TEST(QConv, UnsupportedStridedNon1x1BackwardThrows) {
 TEST(QConv, BackwardRequiresDualWeights) {
   const auto p = core::make_conv(1, 32, 16, 8, 8, 1, 1, 1, 0);
   quant::QConvLayer q(p);
-  core::ConvLayer ref_layer(p);
+  core::ConvLayer ref_layer(p, qconv_tensor_options());
   auto bdout = ref_layer.make_output();
   auto bwt = ref_layer.make_weights();
   const auto qdout = quant::quantize_act(bdout);

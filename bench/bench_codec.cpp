@@ -40,6 +40,7 @@ struct Buffers {
   std::vector<float> src, io_seed, io;
   std::vector<std::uint8_t> wire_in, wire_out;
   std::vector<std::uint32_t> mag, idx;
+  float amax = 0.0f;  ///< fold_amax running max
 };
 
 Buffers make_buffers(std::int64_t n) {
@@ -75,6 +76,12 @@ CodecCall call_for(jit::CodecOp op, Buffers& b, std::int64_t n) {
       c.f_in = b.src.data();
       c.f_io = b.io.data();
       c.u_out = b.mag.data();
+      break;
+    case jit::CodecOp::fold_amax:
+      b.amax = 0.0f;
+      c.f_in = b.src.data();
+      c.f_io = b.io.data();
+      c.amax = &b.amax;
       break;
     case jit::CodecOp::int16_quant:
       c.f_io = b.io.data();
@@ -136,7 +143,7 @@ Row bench_op(jit::CodecOp op, std::int64_t n, int runs) {
 }
 
 /// Full encode+decode chain for one codec: the acceptance metric. int16 =
-/// fold + quant + dequant_acc; bf16 = pack (folds internally) + unpack_acc.
+/// fold_amax + quant + dequant_acc; bf16 = pack (folds internally) + unpack_acc.
 Row bench_encdec(const char* name, const std::vector<jit::CodecOp>& chain,
                  std::int64_t n, int runs, bool jit) {
   std::vector<std::unique_ptr<CodecMicrokernel>> ks;
@@ -195,7 +202,8 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (const auto op :
-       {xconv::jit::CodecOp::fold_add, xconv::jit::CodecOp::int16_quant,
+       {xconv::jit::CodecOp::fold_add, xconv::jit::CodecOp::fold_amax,
+        xconv::jit::CodecOp::int16_quant,
         xconv::jit::CodecOp::int16_dequant,
         xconv::jit::CodecOp::int16_dequant_acc, xconv::jit::CodecOp::bf16_pack,
         xconv::jit::CodecOp::bf16_unpack,
@@ -210,7 +218,8 @@ int main(int argc, char** argv) {
   using xconv::jit::CodecOp;
   const std::vector<std::pair<const char*, std::vector<CodecOp>>> chains = {
       {"int16_encdec",
-       {CodecOp::fold_add, CodecOp::int16_quant, CodecOp::int16_dequant_acc}},
+       {CodecOp::fold_amax, CodecOp::int16_quant,
+        CodecOp::int16_dequant_acc}},
       {"bf16_encdec", {CodecOp::bf16_pack, CodecOp::bf16_unpack_acc}},
   };
   for (const auto& [name, chain] : chains) {

@@ -23,6 +23,7 @@ constexpr VecWidth kZ = VecWidth::zmm512;
 const char* codec_op_name(CodecOp op) {
   switch (op) {
     case CodecOp::fold_add: return "fold_add";
+    case CodecOp::fold_amax: return "fold_amax";
     case CodecOp::int16_quant: return "int16_quant";
     case CodecOp::int16_dequant: return "int16_dequant";
     case CodecOp::int16_dequant_acc: return "int16_dequant_acc";
@@ -64,7 +65,11 @@ std::unique_ptr<CodecKernel> generate_codec_kernel(const CodecKernelDesc& d) {
 
   // Loop-invariant register-resident constants.
   const Vec scale{24}, posq{25}, negq{26}, thr{24}, iota{30}, step{31};
+  const Vec amax{27};
   switch (d.op) {
+    case CodecOp::fold_amax:
+      as.vxorps(kZ, amax, amax, amax);  // +0, compute_scale's seed
+      break;
     case CodecOp::int16_quant:
       as.vbroadcastss(kZ, scale, Mem{kParams, 0});
       as.vbroadcastss(kZ, posq, Mem{kParams, 4});
@@ -90,6 +95,18 @@ std::unique_ptr<CodecKernel> generate_codec_kernel(const CodecKernelDesc& d) {
       as.vmovups_load(kZ, Vec{0}, Mem{kB, 0});
       as.vaddps_mem(kZ, Vec{0}, Vec{0}, Mem{kA, 0});
       as.vmovups_store(kZ, Mem{kB, 0}, Vec{0});
+      as.add_ri(kA, 64);
+      as.add_ri(kB, 64);
+      break;
+    }
+    case CodecOp::fold_amax: {
+      // fold_add, then amax = vmaxps(|res|, amax): a NaN |res| selects the
+      // second operand, so NaN lanes are skipped like std::max(amax, |res|).
+      as.vmovups_load(kZ, Vec{0}, Mem{kB, 0});
+      as.vaddps_mem(kZ, Vec{0}, Vec{0}, Mem{kA, 0});
+      as.vmovups_store(kZ, Mem{kB, 0}, Vec{0});
+      as.vpandd_bcast(Vec{1}, Vec{0}, Mem{kParams, 0});
+      as.vmaxps(kZ, amax, Vec{1}, amax);
       as.add_ri(kA, 64);
       as.add_ri(kB, 64);
       break;
@@ -196,6 +213,7 @@ std::unique_ptr<CodecKernel> generate_codec_kernel(const CodecKernelDesc& d) {
   as.sub_ri(kIters, 1);
   as.cmp_ri(kIters, 0);
   as.jcc_back(Cond::g, top);
+  if (d.op == CodecOp::fold_amax) as.vmovups_store(kZ, Mem{kC, 0}, amax);
   as.vzeroupper();
   as.ret();
 

@@ -1,10 +1,16 @@
 // Runtime generators for the gradient-compression codec hot loops
-// (src/mlsl/codec.cpp): int16 scale/clamp quantize, bf16 round-to-nearest-even
+// (src/mlsl/codec.cpp): the error-feedback fold (optionally fused with the
+// int16 amax scan), int16 scale/clamp quantize, bf16 round-to-nearest-even
 // pack, and the top-k magnitude/compress-store passes, vectorized over 16
 // fp32 lanes per iteration with AVX-512.
 //
-// Every generated kernel is *bitwise-equal* to the scalar reference loop in
-// the codec (and to `kernels::codec_scalar_span`), proven per-op:
+// Every generated kernel is *bitwise-equal* to the scalar reference loop
+// `kernels::codec_scalar_span`, proven per-op:
+//   * fold_amax: the fold is fold_add's vaddps; the running max is
+//     `vmaxps acc, |res|, acc`, which returns its second source (acc) when
+//     |res| is NaN — exactly `acc = std::max(acc, |res|)`, the scan of
+//     quant::compute_scale — and max is exact, so the 16 lane maxima reduce
+//     to the serial scan's value in any order. ±Inf is kept (Inf scale).
 //   * int16_quant: vdivps == scalar x/s; clamp-then-vcvtps2dq(RNE) equals the
 //     scalar nearbyint-then-clamp for every finite input (both orders yield
 //     the same integer in [-1024, 1024]); the residual uses the same
@@ -23,6 +29,7 @@
 //
 //   op                 a (in)        b             c          params
 //   fold_add           src f32       res f32 rw    -          -
+//   fold_amax          src f32       res f32 rw    max f32    u32 {7fffffff}
 //   int16_quant        res f32 rw    wire i16 out  -          f32 {scale, +1024, -1024}
 //   int16_dequant      wire i16      dst f32 out   -          f32 {scale}
 //   int16_dequant_acc  wire i16      dst f32 +=    -          f32 {scale}
@@ -33,8 +40,10 @@
 //   topk_compress      mag u32       idx u32 out   -          u32 {threshold, iota[16], 16}
 //
 // topk_compress returns the number of indices written; all other ops
-// return 0. `a` for fold_add/int16_quant and `b` for bf16_pack are written
-// through despite the const-void ABI type.
+// return 0. fold_amax stores its 16 lane maxima of |res| (running maxima
+// over every iteration, seeded at +0) to the 16 floats at `c` after the
+// loop. `a` for int16_quant is written through despite the const-void ABI
+// type.
 #pragma once
 
 #include <memory>
@@ -48,6 +57,7 @@ namespace xconv::jit {
 
 enum class CodecOp {
   fold_add,
+  fold_amax,
   int16_quant,
   int16_dequant,
   int16_dequant_acc,

@@ -401,6 +401,12 @@ Contract contract_for(const CodecKernelDesc& d) {
       a(64, false);
       b(64, true);
       break;
+    case CodecOp::fold_amax:
+      a(64, false);
+      b(64, true);
+      c.regions.push_back({"c", kRdx, 64, 0, true});  // 16 lane maxima, once
+      params(4);
+      break;
     case CodecOp::int16_quant:
       a(64, true);   // residual written back
       b(32, true);   // int16 wire

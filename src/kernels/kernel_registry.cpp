@@ -1,5 +1,6 @@
 #include "kernels/kernel_registry.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -105,6 +106,16 @@ class JitCodecKernel final : public CodecMicrokernel {
     switch (desc_.op) {
       case jit::CodecOp::fold_add:
         return (*k_)(call.f_in, call.f_io, nullptr, nv, nullptr);
+      case jit::CodecOp::fold_amax: {
+        // The kernel leaves 16 lane maxima; folding them into the running
+        // max before the scalar tail continues the scan is exact (max does
+        // not round), whatever the lane order.
+        static constexpr std::uint32_t params[1] = {0x7fffffffu};
+        float lanes[16];
+        (*k_)(call.f_in, call.f_io, lanes, nv, params);
+        for (const float m : lanes) *call.amax = std::max(*call.amax, m);
+        return 0;
+      }
       case jit::CodecOp::int16_quant: {
         const float params[3] = {call.scale,
                                  static_cast<float>(quant::kQMax),

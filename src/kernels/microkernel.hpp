@@ -79,6 +79,7 @@ struct CodecCall {
   std::uint8_t* w_out = nullptr;       ///< wire output
   const std::uint32_t* u_in = nullptr; ///< u32 input (mag for compress)
   std::uint32_t* u_out = nullptr;      ///< u32 output (mag / indices)
+  float* amax = nullptr;               ///< fold_amax running max|res| (in/out)
   float scale = 1.0f;                  ///< int16 quantization scale
   std::uint32_t threshold = 0;         ///< top-k compress magnitude pivot
   std::int64_t n = 0;                  ///< element count

@@ -123,9 +123,9 @@ class ScalarCodecKernel final : public CodecMicrokernel {
 
 }  // namespace
 
-// Bitwise ground truth for the codec ops — these loops mirror the codec's
-// own scalar paths (src/mlsl/codec.cpp) statement for statement, so wire
-// bytes and residuals match exactly, NaN behavior included.
+// Bitwise ground truth for the codec ops: the scalar backend runs them for
+// the whole payload and the JIT backend for sub-vector tails, so wire bytes
+// and residuals match exactly across backends, NaN behavior included.
 std::int64_t codec_scalar_span(const jit::CodecKernelDesc& desc,
                                const CodecCall& call, std::int64_t i0,
                                std::int64_t i1, std::int64_t out_pos) {
@@ -133,6 +133,17 @@ std::int64_t codec_scalar_span(const jit::CodecKernelDesc& desc,
     case jit::CodecOp::fold_add:
       for (std::int64_t i = i0; i < i1; ++i) call.f_io[i] += call.f_in[i];
       return 0;
+    case jit::CodecOp::fold_amax: {
+      // quant::compute_scale's scan fused into the fold: a NaN |res| never
+      // wins std::max(amax, |res|).
+      float m = *call.amax;
+      for (std::int64_t i = i0; i < i1; ++i) {
+        call.f_io[i] += call.f_in[i];
+        m = std::max(m, std::abs(call.f_io[i]));
+      }
+      *call.amax = m;
+      return 0;
+    }
     case jit::CodecOp::int16_quant:
       for (std::int64_t i = i0; i < i1; ++i) {
         const float t = call.f_io[i];

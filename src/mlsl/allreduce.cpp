@@ -6,31 +6,10 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "mlsl/envparse.hpp"
+#include "platform/envparse.hpp"
 #include "platform/timer.hpp"
 
 namespace xconv::mlsl {
-
-namespace {
-
-// Gather a bucket's (possibly non-contiguous) flat-vector slices into a
-// contiguous payload, and scatter one back. Codecs see contiguous payloads
-// so per-bucket scales cover every segment of the bucket.
-void gather_bucket(const GradBucket& bk, const float* flat, float* dst) {
-  for (const GradBucket::Segment& seg : bk.segments) {
-    std::memcpy(dst, flat + seg.offset, seg.elems * sizeof(float));
-    dst += seg.elems;
-  }
-}
-
-void scatter_bucket(const GradBucket& bk, const float* src, float* flat) {
-  for (const GradBucket::Segment& seg : bk.segments) {
-    std::memcpy(flat + seg.offset, src, seg.elems * sizeof(float));
-    src += seg.elems;
-  }
-}
-
-}  // namespace
 
 const char* reduce_algorithm_name(ReduceAlgorithm a) {
   return a == ReduceAlgorithm::kHierarchical ? "hierarchical" : "flat";
@@ -349,14 +328,17 @@ void Communicator::allreduce_sum(int rank, std::vector<float*>& bufs,
     // One selection workspace serves every encode this rank performs in
     // this call (R contribution chunks + partials + the sum re-encode).
     CodecWorkspace cws;
+    const auto encode = [&](const float* src, float* res, std::size_t len,
+                            std::uint8_t* w) {
+      const PayloadSegment chunk{0, len};
+      return codec_->encode(src, res, PayloadSegments(&chunk, 1), w, cws);
+    };
     const std::size_t stride = bulk_slot_stride_;
     for (int c = 0; c < R; ++c) {
       const std::size_t cb = chunk_begin(c), ce = chunk_end(c);
       bulk_chunk_bytes_[static_cast<std::size_t>(rank) * R + c] =
-          codec_->encode_scratch(bufs[rank] + cb,
-                                 ef ? residual_[rank].data() + cb : nullptr,
-                                 ce - cb, bulk_wire_[rank].data() + c * stride,
-                                 cws);
+          encode(bufs[rank] + cb, ef ? residual_[rank].data() + cb : nullptr,
+                 ce - cb, bulk_wire_[rank].data() + c * stride);
     }
     barrier();
     const std::size_t b = chunk_begin(rank), e = chunk_end(rank);
@@ -386,9 +368,9 @@ void Communicator::allreduce_sum(int rank, std::vector<float*>& bufs,
                 bulk_chunk_bytes_[static_cast<std::size_t>(r) * R + c],
                 part.data(), clen);
           bulk_partial_bytes_[static_cast<std::size_t>(c) * N + g] =
-              codec_->encode_scratch(
-                  part.data(), ef ? node_residual_[g].data() + cb : nullptr,
-                  clen, bulk_partial_wire_[g].data() + c * stride, cws);
+              encode(part.data(),
+                     ef ? node_residual_[g].data() + cb : nullptr, clen,
+                     bulk_partial_wire_[g].data() + c * stride);
         }
       }
       barrier();
@@ -418,9 +400,8 @@ void Communicator::allreduce_sum(int rank, std::vector<float*>& bufs,
     std::uint8_t* sum_wire =
         bulk_wire_[rank].data() + static_cast<std::size_t>(R) * stride;
     bulk_sum_bytes_[rank] =
-        codec_->encode_scratch(bufs[rank] + b,
-                               ef ? sum_residual_.data() + b : nullptr, e - b,
-                               sum_wire, cws);
+        encode(bufs[rank] + b, ef ? sum_residual_.data() + b : nullptr, e - b,
+               sum_wire);
     codec_->decode(sum_wire, bulk_sum_bytes_[rank], bufs[rank] + b, e - b);
   } else {
     // fp32 (exact codec): each rank sums all ranks' contributions to its
@@ -486,7 +467,7 @@ void Communicator::allreduce_sum(int rank, std::vector<float*>& bufs,
 
 void Communicator::set_buckets(std::vector<GradBucket> buckets) {
   // Size the error-feedback state to the flat-vector extent and the
-  // per-thread codec scratch to the largest bucket — computed on the
+  // per-thread wire scratch to the largest bucket — computed on the
   // argument before installing it, so no guarded state is read unlocked.
   std::size_t flat_elems = 0, max_bucket = 0;
   for (const GradBucket& bk : buckets) {
@@ -509,14 +490,12 @@ void Communicator::set_buckets(std::vector<GradBucket> buckets) {
   ensure_residuals(flat_elems);
   comm_scratch_.resize(cfg_.comm_threads);
   if (cfg_.codec != Codec::kFp32) {  // the fp32 fast path sums in place
-    // Four bucket-sized float areas (contribution, residual, node-partial,
-    // running sum) + one wire payload per comm thread — bounded regardless
-    // of the rank count, so a 64+-rank farm does not scale scratch with R.
+    // One wire payload of the largest bucket per comm thread — bounded
+    // regardless of the rank count, so a 64+-rank farm does not scale
+    // scratch with R. Codecs read and write the rank buffers in place.
     const std::size_t wire_need = codec_->max_encoded_bytes(max_bucket);
-    for (CommScratch& s : comm_scratch_) {
-      if (s.f.size() < 4 * max_bucket) s.f.resize(4 * max_bucket);
+    for (CommScratch& s : comm_scratch_)
       if (s.wire.size() < wire_need) s.wire.resize(wire_need);
-    }
   }
   if (ranks_ > 1)
     while (static_cast<int>(comm_pool_.size()) < cfg_.comm_threads) {
@@ -648,76 +627,55 @@ void Communicator::reduce_bucket(const GradBucket& bk,
     partial_bytes = static_cast<std::size_t>(nnodes_) * payload;
     sum_bytes = payload;
   } else {
-    // Generic variable-rate path: gather each rank's bucket slices into a
-    // contiguous payload (so per-payload codec state — a scale, a top-k
-    // selection — covers the whole bucket), encode it onto the wire with
-    // error feedback, accumulate decoded payloads in canonical order, and
-    // scatter the decoded re-encoded sum to every rank.
+    // Generic variable-rate path, in place: every contribution is encoded
+    // straight from its rank buffer's bucket segments with that rank's
+    // residual, and the decoded contributions accumulate in canonical order
+    // into the accumulating rank's own buffer. Between post and wait the
+    // comm thread owns every rank's bucket slices (post_bucket contract),
+    // and each buffer is encoded before it is overwritten, so the only
+    // scratch is one wire payload.
     const bool ef = codec_->uses_residual();
-    float* x = scratch.f.data();
-    float* res = x + n;
-    float* part = res + n;  // node-partial accumulator (hierarchical only)
-    float* sum = part + n;
+    const PayloadSegments segs(bk.segments);
     std::uint8_t* wire = scratch.wire.data();
+    // One hop: encode `src` with error feedback `res` onto the wire, then
+    // reduce the payload into `acc` (overwrite for the first operand).
+    const auto hop = [&](const float* src, std::vector<float>& res, float* acc,
+                         bool first) {
+      const std::size_t wb = codec_->encode(src, ef ? res.data() : nullptr,
+                                            segs, wire, scratch.ws);
+      if (first)
+        codec_->decode(wire, wb, acc, segs);
+      else
+        codec_->decode_accumulate(wire, wb, acc, segs);
+      return wb;
+    };
     if (hier) {
-      // Two-level pipeline: per node, accumulate the node's contributions
-      // (canonical rank order within the node), re-encode the node-partial
-      // with the node's own error-feedback residual — a genuine third
-      // compression point, what a real leader ring would put on the
-      // inter-node wire — then accumulate the decoded partials in canonical
-      // node order 0..N-1.
+      // Two-level pipeline: each node leader's buffer accumulates its
+      // node's contributions (canonical rank order within the node); the
+      // node-partial is re-encoded with the node's own error-feedback
+      // residual — a genuine third compression point, what a real leader
+      // ring would put on the inter-node wire — and the decoded partials
+      // accumulate into rank 0's buffer in canonical node order 0..N-1.
       const int p = rpn_;
-      const int N = nnodes_;
-      for (int g = 0; g < N; ++g) {
-        for (int j = 0; j < p; ++j) {
-          const int r = g * p + j;
-          gather_bucket(bk, bufs[r], x);
-          if (ef) gather_bucket(bk, residual_[r].data(), res);
-          const std::size_t wb =
-              codec_->encode_scratch(x, ef ? res : nullptr, n, wire,
-                                     scratch.ws);
-          if (ef) scatter_bucket(bk, res, residual_[r].data());
-          contrib_bytes += wb;
-          if (j == 0)
-            codec_->decode(wire, wb, part, n);
-          else
-            codec_->decode_accumulate(wire, wb, part, n);
-        }
-        if (ef) gather_bucket(bk, node_residual_[g].data(), res);
-        const std::size_t pb = codec_->encode_scratch(part, ef ? res : nullptr,
-                                                      n, wire, scratch.ws);
-        if (ef) scatter_bucket(bk, res, node_residual_[g].data());
-        partial_bytes += pb;
-        if (g == 0)
-          codec_->decode(wire, pb, sum, n);
-        else
-          codec_->decode_accumulate(wire, pb, sum, n);
+      for (int g = 0; g < nnodes_; ++g) {
+        float* part = bufs[g * p];
+        for (int j = 0; j < p; ++j)
+          contrib_bytes += hop(bufs[g * p + j], residual_[g * p + j], part,
+                               j == 0);
+        partial_bytes += hop(part, node_residual_[g], bufs[0], g == 0);
       }
     } else {
-      // Flat ring: accumulate the decoded contributions into the running
-      // sum in canonical rank order 0..R-1 (rank 0 decodes by overwrite).
-      for (int r = 0; r < R; ++r) {
-        gather_bucket(bk, bufs[r], x);
-        if (ef) gather_bucket(bk, residual_[r].data(), res);
-        const std::size_t wb =
-            codec_->encode_scratch(x, ef ? res : nullptr, n, wire, scratch.ws);
-        if (ef) scatter_bucket(bk, res, residual_[r].data());
-        contrib_bytes += wb;
-        if (r == 0)
-          codec_->decode(wire, wb, sum, n);
-        else
-          codec_->decode_accumulate(wire, wb, sum, n);
-      }
+      // Flat ring: the decoded contributions accumulate into rank 0's
+      // buffer in canonical rank order 0..R-1.
+      for (int r = 0; r < R; ++r)
+        contrib_bytes += hop(bufs[r], residual_[r], bufs[0], r == 0);
     }
     // Sum re-encode for the allgather/broadcast leg with its own shared
-    // residual; every rank receives the same decoded payload, so replicas
-    // stay in sync under either schedule.
-    if (ef) gather_bucket(bk, sum_residual_.data(), res);
-    sum_bytes =
-        codec_->encode_scratch(sum, ef ? res : nullptr, n, wire, scratch.ws);
-    if (ef) scatter_bucket(bk, res, sum_residual_.data());
-    codec_->decode(wire, sum_bytes, sum, n);
-    for (int r = 0; r < R; ++r) scatter_bucket(bk, sum, bufs[r]);
+    // residual; every rank decodes the same payload, so replicas stay in
+    // sync under either schedule.
+    sum_bytes = codec_->encode(bufs[0], ef ? sum_residual_.data() : nullptr,
+                               segs, wire, scratch.ws);
+    for (int r = 0; r < R; ++r) codec_->decode(wire, sum_bytes, bufs[r], segs);
   }
 
   const WireSplit ws = split_wire(hier, contrib_bytes, partial_bytes,

@@ -26,8 +26,8 @@
 // `parallel` runs ranks on a persistent rank-thread pool (the "rank farm"):
 // R threads are spawned once on first use and re-dispatched per call, so a
 // 64+-rank communicator costs R threads for its lifetime instead of R
-// thread spawns per collective, and comm scratch stays bounded at a few
-// bucket-sized areas per comm thread regardless of R.
+// thread spawns per collective, and comm scratch stays bounded at one
+// encoded bucket payload per comm thread regardless of R.
 //
 // Both paths run their payload through a pluggable variable-rate codec
 // (mlsl/codec.hpp): fp32 passthrough, fixed-rate compressed int16 / bf16
@@ -98,10 +98,7 @@ ReduceAlgorithm reduce_algorithm_from_name(const std::string& s);
 /// — buckets follow the backward completion order of the layers they carry,
 /// while the flat vector keeps the network-list layout.
 struct GradBucket {
-  struct Segment {
-    std::size_t offset = 0;
-    std::size_t elems = 0;
-  };
+  using Segment = PayloadSegment;
   std::vector<Segment> segments;
   std::size_t elems = 0;  ///< total across segments
   /// Per-bucket reduction-schedule override; unset = CommConfig::algorithm.
@@ -212,21 +209,6 @@ class Communicator {
   /// counters_ member note).
   CommStats stats() const;
 
-  // --- deprecated shims (prefer stats()) ----------------------------------
-
-  /// Deprecated shim for stats().bulk_logical_bytes_per_rank.
-  std::size_t last_bytes_per_rank() const {
-    return stats().bulk_logical_bytes_per_rank;
-  }
-  /// Deprecated shim for stats().overlap_logical_bytes_per_rank.
-  std::size_t overlap_bytes_per_rank() const {
-    return stats().overlap_logical_bytes_per_rank;
-  }
-  /// Deprecated shim for stats().wire_bytes_per_rank.
-  std::size_t wire_bytes_per_rank() const {
-    return stats().wire_bytes_per_rank;
-  }
-
   // --- overlapped bucketized allreduce ------------------------------------
 
   /// Install the bucket layout (identical on every rank) and start the
@@ -243,7 +225,9 @@ class Communicator {
   /// claims bucket `b` (buckets are claimed in index order, but a pool may
   /// reduce several concurrently) once all ranks posted it. After posting,
   /// the rank must not touch the bucket's slices of its buffer until
-  /// `wait_bucket(b)` / `wait_all` returns.
+  /// `wait_bucket(b)` / `wait_all` returns: the comm thread reads and writes
+  /// every rank's slices in place (compressed codecs accumulate into a
+  /// rank's own buffer).
   void post_bucket(int rank, std::size_t b);
 
   /// Block until bucket `b` holds the reduced sum in this rank's buffer.
@@ -269,13 +253,12 @@ class Communicator {
   double residual_l2(int r) const;
 
  private:
-  /// Per-comm-thread codec workspace: float areas for the gathered
-  /// contribution, gathered residual, node-partial sum and running global
-  /// sum (the flat schedule uses the first three), plus a byte area for one
-  /// encoded wire payload of the largest bucket. Bounded per comm thread —
-  /// independent of the rank count, which is what lets the farm scale.
+  /// Per-comm-thread codec workspace: one encoded wire payload of the
+  /// largest bucket. The codecs read and write the rank buffers in place
+  /// through the bucket's segment list, so no float staging area exists —
+  /// bounded per comm thread and independent of the rank count, which is
+  /// what lets the farm scale.
   struct CommScratch {
-    std::vector<float> f;
     std::vector<std::uint8_t> wire;
     /// Codec selection workspace (top-k index/magnitude buffers), hoisted
     /// here so each comm thread allocates once and reuses across buckets.

@@ -4,14 +4,13 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "kernels/kernel_registry.hpp"
 #include "platform/cpu.hpp"
-#include "platform/envparse.hpp"
 #include "quant/bfloat16.hpp"
 #include "quant/quantize.hpp"
 
@@ -39,6 +38,32 @@ Codec codec_from_name(const std::string& s) {
                               "' (expected fp32, int16, bf16 or topk)");
 }
 
+std::size_t payload_elems(PayloadSegments segs) {
+  std::size_t n = 0;
+  for (const PayloadSegment& seg : segs) n += seg.elems;
+  return n;
+}
+
+std::size_t PayloadCodec::encode(const float* src, float* residual,
+                                 std::size_t n, std::uint8_t* wire) const {
+  CodecWorkspace ws;
+  const PayloadSegment one{0, n};
+  return encode(src, residual, PayloadSegments(&one, 1), wire, ws);
+}
+
+void PayloadCodec::decode(const std::uint8_t* wire, std::size_t wire_bytes,
+                          float* dst, std::size_t n) const {
+  const PayloadSegment one{0, n};
+  decode(wire, wire_bytes, dst, PayloadSegments(&one, 1));
+}
+
+void PayloadCodec::decode_accumulate(const std::uint8_t* wire,
+                                     std::size_t wire_bytes, float* dst,
+                                     std::size_t n) const {
+  const PayloadSegment one{0, n};
+  decode_accumulate(wire, wire_bytes, dst, PayloadSegments(&one, 1));
+}
+
 void PayloadCodec::transmit(float* x, float* residual, std::size_t n) const {
   std::vector<std::uint8_t> wire(max_encoded_bytes(n));
   const std::size_t wb = encode(x, residual, n, wire.data());
@@ -61,38 +86,60 @@ void store(std::uint8_t* p, T v) {
   std::memcpy(p, &v, sizeof(T));
 }
 
-/// Resolve the generated kernel for a codec hot loop, or nullptr when the
-/// scalar reference loop should run instead. The generated kernels are an
-/// implementation detail: every one is bitwise-equal to the scalar statements
-/// it replaces (the per-op proofs live in jit/codec_kernel_gen.hpp), so
-/// flipping this gate can never change a wire byte. Gate: XCONV_JIT_CODEC
-/// (default on), an AVX-512 host after the XCONV_ISA clamp, and a backend
-/// env that does not force scalar — so the scalar-backend CI leg exercises
-/// the reference loops end to end.
-const kernels::CodecMicrokernel* codec_kernel(jit::CodecOp op) {
-  static const bool enabled = [] {
-    if (!platform::env::flag_or("XCONV_JIT_CODEC", true)) return false;
-    if (kernels::backend_pref_from_env() == kernels::BackendPref::scalar)
-      return false;
-    return platform::effective_isa() >= platform::Isa::avx512;
-  }();
-  if (!enabled) return nullptr;
+/// Resolve the kernel for a codec hot loop: the generated AVX-512 kernel on
+/// an AVX-512 host (after the XCONV_ISA clamp), else the scalar reference
+/// span (kernels::codec_scalar_span). Every generated kernel is
+/// bitwise-equal to that span (the per-op proofs live in
+/// jit/codec_kernel_gen.hpp), so the choice can never change a wire byte;
+/// XCONV_BACKEND=scalar forces the reference loops end to end.
+const kernels::CodecMicrokernel& codec_kernel(jit::CodecOp op) {
+  static const kernels::BackendPref pref =
+      kernels::backend_pref_from_env() != kernels::BackendPref::scalar &&
+              platform::effective_isa() >= platform::Isa::avx512
+          ? kernels::BackendPref::auto_pick
+          : kernels::BackendPref::scalar;
   jit::CodecKernelDesc d;
   d.op = op;
-  return kernels::KernelRegistry::instance().codec(d);
+  return *kernels::KernelRegistry::instance().codec(d, pref);
 }
 
-/// res[i] += src[i] — the error-feedback fold shared by every lossy codec.
-void fold_payload(const float* src, float* res, std::size_t n) {
-  if (const auto* k = codec_kernel(jit::CodecOp::fold_add)) {
+/// res[i] += src[i] over every segment — the error-feedback fold shared by
+/// the lossy codecs. Given `amax`, the same sweep also folds max|res| into
+/// *amax (the fold_amax op).
+void fold_payload(const float* src, float* res, PayloadSegments segs,
+                  float* amax = nullptr) {
+  const kernels::CodecMicrokernel& fold = codec_kernel(
+      amax != nullptr ? jit::CodecOp::fold_amax : jit::CodecOp::fold_add);
+  for (const PayloadSegment& seg : segs) {
     kernels::CodecCall c;
-    c.f_in = src;
-    c.f_io = res;
-    c.n = static_cast<std::int64_t>(n);
-    k->run(c);
-    return;
+    c.f_in = src + seg.offset;
+    c.f_io = res + seg.offset;
+    c.amax = amax;
+    c.n = static_cast<std::int64_t>(seg.elems);
+    fold.run(c);
   }
-  for (std::size_t i = 0; i < n; ++i) res[i] += src[i];
+}
+
+/// Run a streaming wire op (quantize/pack or dequantize/unpack) segment by
+/// segment: `f` is the float operand (f_io) base, and the wire cursor
+/// advances `lane_bytes` per element in segment order.
+template <typename Wire>
+void run_wire_op(jit::CodecOp op, const float* src, float* f, Wire* wire,
+                 std::size_t lane_bytes, float scale, PayloadSegments segs) {
+  const kernels::CodecMicrokernel& k = codec_kernel(op);
+  for (const PayloadSegment& seg : segs) {
+    kernels::CodecCall c;
+    if (src != nullptr) c.f_in = src + seg.offset;
+    c.f_io = f + seg.offset;
+    if constexpr (std::is_const_v<Wire>)
+      c.w_in = wire;
+    else
+      c.w_out = wire;
+    c.scale = scale;
+    c.n = static_cast<std::int64_t>(seg.elems);
+    k.run(c);
+    wire += seg.elems * lane_bytes;
+  }
 }
 
 class Fp32Codec final : public PayloadCodec {
@@ -102,21 +149,33 @@ class Fp32Codec final : public PayloadCodec {
   std::size_t max_encoded_bytes(std::size_t n) const override {
     return n * sizeof(float);
   }
-  std::size_t encode(const float* src, float* /*residual*/, std::size_t n,
-                     std::uint8_t* wire) const override {
+  std::size_t encode(const float* src, float* /*residual*/,
+                     PayloadSegments segs, std::uint8_t* wire,
+                     CodecWorkspace& /*ws*/) const override {
     // Exact passthrough: the wire carries the bits unchanged, so the
     // residual (when a caller keeps one) stays identically zero.
-    std::memcpy(wire, src, n * sizeof(float));
-    return n * sizeof(float);
+    std::uint8_t* w = wire;
+    for (const PayloadSegment& seg : segs) {
+      std::memcpy(w, src + seg.offset, seg.elems * sizeof(float));
+      w += seg.elems * sizeof(float);
+    }
+    return static_cast<std::size_t>(w - wire);
   }
   void decode(const std::uint8_t* wire, std::size_t /*wire_bytes*/,
-              float* dst, std::size_t n) const override {
-    std::memcpy(dst, wire, n * sizeof(float));
+              float* dst, PayloadSegments segs) const override {
+    for (const PayloadSegment& seg : segs) {
+      std::memcpy(dst + seg.offset, wire, seg.elems * sizeof(float));
+      wire += seg.elems * sizeof(float);
+    }
   }
   void decode_accumulate(const std::uint8_t* wire, std::size_t /*wire_bytes*/,
-                         float* dst, std::size_t n) const override {
-    for (std::size_t i = 0; i < n; ++i)
-      dst[i] += load<float>(wire + i * sizeof(float));
+                         float* dst, PayloadSegments segs) const override {
+    for (const PayloadSegment& seg : segs) {
+      float* d = dst + seg.offset;
+      for (std::size_t i = 0; i < seg.elems; ++i)
+        d[i] += load<float>(wire + i * sizeof(float));
+      wire += seg.elems * sizeof(float);
+    }
   }
 };
 
@@ -127,68 +186,32 @@ class Int16Codec final : public PayloadCodec {
   std::size_t max_encoded_bytes(std::size_t n) const override {
     return sizeof(float) + n * sizeof(std::int16_t);
   }
-  std::size_t encode(const float* src, float* res, std::size_t n,
-                     std::uint8_t* wire) const override {
-    // Fold the carried-over error into the residual buffer first so the
-    // quant:: scale covers it too (an element whose residual pushed it past
-    // the raw amax must not clamp).
-    fold_payload(src, res, n);
-    const float s = quant::compute_scale(res, n);
+  std::size_t encode(const float* src, float* res, PayloadSegments segs,
+                     std::uint8_t* wire,
+                     CodecWorkspace& /*ws*/) const override {
+    // Pass 1 folds the carried-over error into the residual buffer and
+    // scans max|res| in the same sweep, so the quant:: scale covers the
+    // folded values (an element whose residual pushed it past the raw amax
+    // must not clamp). Pass 2 quantizes with the one common scale.
+    float amax = 0.0f;
+    fold_payload(src, res, segs, &amax);
+    const float s = quant::scale_for_amax(amax);
     store<float>(wire, s);
-    std::uint8_t* lanes = wire + sizeof(float);
-    if (const auto* k = codec_kernel(jit::CodecOp::int16_quant)) {
-      kernels::CodecCall c;
-      c.f_io = res;
-      c.w_out = lanes;
-      c.scale = s;
-      c.n = static_cast<std::int64_t>(n);
-      k->run(c);
-      return max_encoded_bytes(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const float t = res[i];
-      const std::int16_t q = quant::quantize_one(t, s);
-      res[i] = t - static_cast<float>(q) * s;
-      store<std::int16_t>(lanes + i * sizeof(std::int16_t), q);
-    }
-    return max_encoded_bytes(n);
+    run_wire_op(jit::CodecOp::int16_quant, nullptr, res, wire + sizeof(float),
+                sizeof(std::int16_t), s, segs);
+    return max_encoded_bytes(payload_elems(segs));
   }
   void decode(const std::uint8_t* wire, std::size_t /*wire_bytes*/,
-              float* dst, std::size_t n) const override {
-    const float s = load<float>(wire);
-    if (const auto* k = codec_kernel(jit::CodecOp::int16_dequant)) {
-      kernels::CodecCall c;
-      c.w_in = wire + sizeof(float);
-      c.f_io = dst;
-      c.scale = s;
-      c.n = static_cast<std::int64_t>(n);
-      k->run(c);
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) dst[i] = lane(wire, i, s);
+              float* dst, PayloadSegments segs) const override {
+    run_wire_op(jit::CodecOp::int16_dequant, nullptr, dst,
+                wire + sizeof(float), sizeof(std::int16_t),
+                load<float>(wire), segs);
   }
   void decode_accumulate(const std::uint8_t* wire, std::size_t /*wire_bytes*/,
-                         float* dst, std::size_t n) const override {
-    const float s = load<float>(wire);
-    if (const auto* k = codec_kernel(jit::CodecOp::int16_dequant_acc)) {
-      kernels::CodecCall c;
-      c.w_in = wire + sizeof(float);
-      c.f_io = dst;
-      c.scale = s;
-      c.n = static_cast<std::int64_t>(n);
-      k->run(c);
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) dst[i] += lane(wire, i, s);
-  }
-
- private:
-  /// One dequantized lane; the caller hoists the scale load (dst may alias
-  /// the byte buffer as far as the compiler knows, so it could not).
-  static float lane(const std::uint8_t* wire, std::size_t i, float s) {
-    return static_cast<float>(load<std::int16_t>(
-               wire + sizeof(float) + i * sizeof(std::int16_t))) *
-           s;
+                         float* dst, PayloadSegments segs) const override {
+    run_wire_op(jit::CodecOp::int16_dequant_acc, nullptr, dst,
+                wire + sizeof(float), sizeof(std::int16_t),
+                load<float>(wire), segs);
   }
 };
 
@@ -199,69 +222,54 @@ class Bf16Codec final : public PayloadCodec {
   std::size_t max_encoded_bytes(std::size_t n) const override {
     return n * sizeof(std::uint16_t);
   }
-  std::size_t encode(const float* src, float* res, std::size_t n,
-                     std::uint8_t* wire) const override {
-    if (const auto* k = codec_kernel(jit::CodecOp::bf16_pack)) {
-      kernels::CodecCall c;
-      c.f_in = src;
-      c.f_io = res;
-      c.w_out = wire;
-      c.n = static_cast<std::int64_t>(n);
-      k->run(c);
-      return max_encoded_bytes(n);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const float t = src[i] + res[i];
-      const float d = quant::bf16_round(t);
-      res[i] = t - d;
-      std::uint32_t u;
-      std::memcpy(&u, &d, sizeof(u));
-      store<std::uint16_t>(wire + i * sizeof(std::uint16_t),
-                           static_cast<std::uint16_t>(u >> 16));
-    }
-    return max_encoded_bytes(n);
+  std::size_t encode(const float* src, float* res, PayloadSegments segs,
+                     std::uint8_t* wire,
+                     CodecWorkspace& /*ws*/) const override {
+    run_wire_op(jit::CodecOp::bf16_pack, src, res, wire,
+                sizeof(std::uint16_t), 1.0f, segs);
+    return max_encoded_bytes(payload_elems(segs));
   }
   void decode(const std::uint8_t* wire, std::size_t /*wire_bytes*/,
-              float* dst, std::size_t n) const override {
-    if (const auto* k = codec_kernel(jit::CodecOp::bf16_unpack)) {
-      kernels::CodecCall c;
-      c.w_in = wire;
-      c.f_io = dst;
-      c.n = static_cast<std::int64_t>(n);
-      k->run(c);
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) dst[i] = lane(wire, i);
+              float* dst, PayloadSegments segs) const override {
+    run_wire_op(jit::CodecOp::bf16_unpack, nullptr, dst, wire,
+                sizeof(std::uint16_t), 1.0f, segs);
   }
   void decode_accumulate(const std::uint8_t* wire, std::size_t /*wire_bytes*/,
-                         float* dst, std::size_t n) const override {
-    if (const auto* k = codec_kernel(jit::CodecOp::bf16_unpack_acc)) {
-      kernels::CodecCall c;
-      c.w_in = wire;
-      c.f_io = dst;
-      c.n = static_cast<std::int64_t>(n);
-      k->run(c);
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) dst[i] += lane(wire, i);
-  }
-
- private:
-  static float lane(const std::uint8_t* wire, std::size_t i) {
-    const std::uint32_t u =
-        static_cast<std::uint32_t>(
-            load<std::uint16_t>(wire + i * sizeof(std::uint16_t)))
-        << 16;
-    float f;
-    std::memcpy(&f, &u, sizeof(f));
-    return f;
+                         float* dst, PayloadSegments segs) const override {
+    run_wire_op(jit::CodecOp::bf16_unpack_acc, nullptr, dst, wire,
+                sizeof(std::uint16_t), 1.0f, segs);
   }
 };
 
+/// Maps ascending payload positions (the element numbering in segment
+/// order) onto flat-vector offsets by a merge walk over the segments.
+class SegmentCursor {
+ public:
+  explicit SegmentCursor(PayloadSegments segs) : segs_(segs) {}
+  /// Flat offset of payload position `i`. Positions must arrive in
+  /// ascending order; throws std::out_of_range on one past the payload or
+  /// behind the current segment (a malformed wire must not write out of
+  /// bounds).
+  std::size_t flat(std::size_t i) {
+    while (s_ < segs_.size() && i >= base_ + segs_[s_].elems)
+      base_ += segs_[s_++].elems;
+    if (s_ == segs_.size() || i < base_)
+      throw std::out_of_range(
+          "topk payload: index out of range or not ascending");
+    return segs_[s_].offset + (i - base_);
+  }
+
+ private:
+  PayloadSegments segs_;
+  std::size_t s_ = 0;     ///< current segment
+  std::size_t base_ = 0;  ///< payload position of segs_[s_]'s first element
+};
+
 // Sparsified top-k payload. Wire layout: [u32 k][k x u32 index, ascending]
-// [k x f32 value]. The kept coordinates travel as exact fp32, so their
-// residual is zero; every dropped coordinate lands whole in the residual
-// and is re-injected next round (classic error-feedback sparsification).
+// [k x f32 value]. Indices are payload positions (segment order). The kept
+// coordinates travel as exact fp32, so their residual is zero; every
+// dropped coordinate lands whole in the residual and is re-injected next
+// round (classic error-feedback sparsification).
 class TopKCodec final : public PayloadCodec {
  public:
   explicit TopKCodec(double fraction) : fraction_(fraction) {}
@@ -279,30 +287,21 @@ class TopKCodec final : public PayloadCodec {
         std::llround(fraction_ * static_cast<double>(n)));
     return std::clamp<std::size_t>(k, 1, n);
   }
-  std::size_t encode(const float* src, float* res, std::size_t n,
-                     std::uint8_t* wire) const override {
-    // Workspace-less entry point: selection scratch is per call. Callers
-    // that encode many buckets (the allreduce comm threads) go through
-    // encode_scratch with their CommScratch workspace instead, so the O(n)
-    // selection buffers are allocated once per thread, not per bucket.
-    CodecWorkspace ws;
-    return encode_scratch(src, res, n, wire, ws);
-  }
-  std::size_t encode_scratch(const float* src, float* res, std::size_t n,
-                             std::uint8_t* wire,
-                             CodecWorkspace& ws) const override {
+  std::size_t encode(const float* src, float* res, PayloadSegments segs,
+                     std::uint8_t* wire, CodecWorkspace& ws) const override {
     // Fold the carried-over error first: a coordinate dropped for several
     // rounds grows in the residual until it out-ranks fresher entries.
-    fold_payload(src, res, n);
+    fold_payload(src, res, segs);
+    const std::size_t n = payload_elems(segs);
     const std::size_t k = k_of(n);
     // Selection is a pure function of the folded values: magnitude order
-    // with ties broken by lowest index, so every rank / comm thread / pool
-    // size produces the identical wire payload for identical inputs — and
-    // the vectorized pivot selection below provably picks the same set, so
-    // the wire bytes are also independent of whether the codec kernels are
-    // enabled.
+    // with ties broken by lowest payload position, so every rank / comm
+    // thread / pool size / backend produces the identical wire payload for
+    // identical inputs.
     if (k < n) {
-      if (!select_pivot(res, n, k, ws)) select_reference(res, n, k, ws);
+      ws.mag.resize(n);
+      run_mag(res, segs, ws.mag.data());
+      select(n, k, ws);
     } else {
       ws.idx.resize(n);
       std::iota(ws.idx.begin(), ws.idx.end(), 0u);
@@ -310,82 +309,66 @@ class TopKCodec final : public PayloadCodec {
     store<std::uint32_t>(wire, static_cast<std::uint32_t>(k));
     std::uint8_t* iw = wire + sizeof(std::uint32_t);
     std::uint8_t* vw = iw + k * sizeof(std::uint32_t);
+    SegmentCursor cur(segs);
     for (std::size_t j = 0; j < k; ++j) {
       const std::uint32_t i = ws.idx[j];
+      float& r = res[cur.flat(i)];
       store<std::uint32_t>(iw + j * sizeof(std::uint32_t), i);
-      store<float>(vw + j * sizeof(float), res[i]);
-      res[i] = 0.0f;  // kept coordinates ship exactly: no encoding error
+      store<float>(vw + j * sizeof(float), r);
+      r = 0.0f;  // kept coordinates ship exactly: no encoding error
     }
     return sizeof(std::uint32_t) + k * (sizeof(std::uint32_t) + sizeof(float));
   }
   void decode(const std::uint8_t* wire, std::size_t /*wire_bytes*/,
-              float* dst, std::size_t n) const override {
-    std::memset(dst, 0, n * sizeof(float));
-    decode_accumulate(wire, 0, dst, n);
+              float* dst, PayloadSegments segs) const override {
+    for (const PayloadSegment& seg : segs)
+      std::memset(dst + seg.offset, 0, seg.elems * sizeof(float));
+    decode_accumulate(wire, 0, dst, segs);
   }
   void decode_accumulate(const std::uint8_t* wire, std::size_t /*wire_bytes*/,
-                         float* dst, std::size_t /*n*/) const override {
+                         float* dst, PayloadSegments segs) const override {
     const std::size_t k = load<std::uint32_t>(wire);
     const std::uint8_t* iw = wire + sizeof(std::uint32_t);
     const std::uint8_t* vw = iw + k * sizeof(std::uint32_t);
+    SegmentCursor cur(segs);
     for (std::size_t j = 0; j < k; ++j)
-      dst[load<std::uint32_t>(iw + j * sizeof(std::uint32_t))] +=
+      dst[cur.flat(load<std::uint32_t>(iw + j * sizeof(std::uint32_t)))] +=
           load<float>(vw + j * sizeof(float));
   }
 
  private:
-  /// Reference selection (requires k < n): partial-select the k
-  /// largest-magnitude indices of vals, leaving ws.idx[0..k) ascending. NaN
-  /// magnitudes rank as +inf — they ship first (propagating like the dense
-  /// codecs would) and, crucially, keep the comparator a strict weak
-  /// ordering (a raw `>` on NaN compares false both ways, which is UB in
-  /// nth_element/sort). This is the bitwise ground truth select_pivot is
-  /// tested against, and the path the scalar backend runs.
-  static void select_reference(const float* vals, std::size_t n,
-                               std::size_t k, CodecWorkspace& ws) {
-    ws.idx.resize(n);
-    std::iota(ws.idx.begin(), ws.idx.end(), 0u);
-    const auto mag = [&](std::uint32_t i) {
-      const float m = std::abs(vals[i]);
-      return std::isnan(m) ? std::numeric_limits<float>::infinity() : m;
-    };
-    std::nth_element(ws.idx.begin(), ws.idx.begin() + static_cast<long>(k) - 1,
-                     ws.idx.end(), [&](std::uint32_t a, std::uint32_t b) {
-                       const float ma = mag(a), mb = mag(b);
-                       return ma > mb || (ma == mb && a < b);
-                     });
-    std::sort(ws.idx.begin(), ws.idx.begin() + static_cast<long>(k));
+  /// Magnitude keys of the folded payload, in payload order:
+  /// mag = min(bits & 0x7fffffff, 0x7f800000), strictly monotone in the
+  /// float magnitude with every NaN collapsed onto the +inf key — so NaNs
+  /// ship first (propagating like the dense codecs would) and the key order
+  /// is a strict weak ordering even for NaN payloads.
+  static void run_mag(const float* res, PayloadSegments segs,
+                      std::uint32_t* mag) {
+    const kernels::CodecMicrokernel& k = codec_kernel(jit::CodecOp::topk_mag);
+    for (const PayloadSegment& seg : segs) {
+      kernels::CodecCall c;
+      c.f_in = res + seg.offset;
+      c.u_out = mag;
+      c.n = static_cast<std::int64_t>(seg.elems);
+      k.run(c);
+      mag += seg.elems;
+    }
   }
 
-  /// Vectorized selection (requires k < n): magnitude keys through the
-  /// topk_mag kernel, a pivot from nth_element on a *key copy* (u32 compares,
-  /// no per-compare gather through an index permutation), the
-  /// strictly-greater indices through the topk_compress kernel, and a scalar
-  /// tie fill. mag = min(bits & 0x7fffffff, 0x7f800000) is strictly monotone
-  /// in the reference's NaN-to-inf float magnitude (all NaN payloads collapse
-  /// onto the +inf key, the same equivalence class the reference uses), so
-  /// {key > pivot} ∪ {lowest-index keys == pivot} is exactly the reference's
-  /// selected set; both halves are produced in ascending index order and
-  /// merged. Returns false (caller runs select_reference) when the codec
-  /// kernels are unavailable.
-  static bool select_pivot(const float* vals, std::size_t n, std::size_t k,
-                           CodecWorkspace& ws) {
-    const auto* magk = codec_kernel(jit::CodecOp::topk_mag);
-    const auto* cmpk = codec_kernel(jit::CodecOp::topk_compress);
-    if (magk == nullptr || cmpk == nullptr) return false;
-    ws.mag.resize(n);
-    {
-      kernels::CodecCall c;
-      c.f_in = vals;
-      c.u_out = ws.mag.data();
-      c.n = static_cast<std::int64_t>(n);
-      magk->run(c);
-    }
+  /// Select the k (< n) largest keys of ws.mag, ties to the lowest
+  /// position, into ws.idx[0..k) ascending: a pivot from nth_element on a
+  /// key copy (u32 compares, no per-compare gather through an index
+  /// permutation), the strictly-greater positions through the
+  /// topk_compress op, and a scalar tie fill. {key > pivot} ∪ {lowest
+  /// positions with key == pivot} is exactly the set the reference
+  /// comparator (magnitude desc, position asc) picks; both halves come out
+  /// ascending and are merged.
+  static void select(std::size_t n, std::size_t k, CodecWorkspace& ws) {
     ws.tmp.assign(ws.mag.begin(), ws.mag.end());
     std::nth_element(ws.tmp.begin(), ws.tmp.begin() + static_cast<long>(k) - 1,
                      ws.tmp.end(), std::greater<std::uint32_t>());
     const std::uint32_t pivot = ws.tmp[k - 1];
-    // Strictly-greater indices, ascending. g <= k-1 by definition of the
+    // Strictly-greater positions, ascending. g <= k-1 by definition of the
     // k-th-largest pivot, so idx never overflows its k slots.
     ws.idx.resize(k);
     std::size_t g;
@@ -395,11 +378,12 @@ class TopKCodec final : public PayloadCodec {
       c.u_out = ws.idx.data();
       c.threshold = pivot;
       c.n = static_cast<std::int64_t>(n);
-      g = static_cast<std::size_t>(cmpk->run(c));
+      g = static_cast<std::size_t>(
+          codec_kernel(jit::CodecOp::topk_compress).run(c));
     }
-    // The remaining k-g slots go to the lowest-index keys equal to the
-    // pivot — the reference comparator's tie break. At least k-g such keys
-    // exist, again by definition of the pivot.
+    // The remaining k-g slots go to the lowest positions whose key equals
+    // the pivot — the reference comparator's tie break. At least k-g such
+    // keys exist, again by definition of the pivot.
     ws.tmp.clear();
     std::size_t need = k - g;
     for (std::size_t i = 0; i < n && need > 0; ++i) {
@@ -412,7 +396,6 @@ class TopKCodec final : public PayloadCodec {
               ws.idx.begin() + static_cast<long>(g));
     std::inplace_merge(ws.idx.begin(), ws.idx.begin() + static_cast<long>(g),
                        ws.idx.end());
-    return true;
   }
 
   double fraction_;

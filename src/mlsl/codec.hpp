@@ -39,17 +39,31 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace xconv::mlsl {
 
+/// One slice [offset, offset + elems) of a flat float vector. A payload is
+/// a list of segments over flat base pointers: an allreduce bucket carries
+/// the (possibly non-adjacent) slices of the layers it holds, a contiguous
+/// payload is the single segment {0, n}.
+struct PayloadSegment {
+  std::size_t offset = 0;
+  std::size_t elems = 0;
+};
+using PayloadSegments = std::span<const PayloadSegment>;
+
+/// Element count of a payload (the sum of its segment lengths).
+std::size_t payload_elems(PayloadSegments segs);
+
 /// Reusable encode scratch. Top-k selection needs O(n) index/magnitude
 /// workspaces per encode; a caller that encodes many buckets (the allreduce
 /// comm threads) passes one workspace per thread so the buffers are
 /// allocated once and grow to the largest bucket instead of being
-/// re-allocated per call. Plain encode() without a workspace still works —
-/// it builds a transient one.
+/// re-allocated per call. The contiguous encode() convenience builds a
+/// transient one.
 struct CodecWorkspace {
   std::vector<std::uint32_t> idx;  ///< selected indices (ascending)
   std::vector<std::uint32_t> mag;  ///< magnitude keys (NaN -> +inf key)
@@ -68,6 +82,13 @@ Codec codec_from_name(const std::string& s);
 /// transmitted concurrently by a comm-thread pool. Encoding is deterministic
 /// in its inputs (top-k breaks magnitude ties by lowest index), so replicas
 /// and comm-thread pool sizes can never make wire payloads diverge.
+///
+/// Payloads are segment lists (PayloadSegment): the source, the residual and
+/// the destination of one call share the segment offsets, and the n payload
+/// elements are numbered in segment order. The wire is contiguous in that
+/// order, so a segmented call produces byte for byte the wire of the same
+/// elements gathered into one contiguous payload, and per-payload codec
+/// state (an int16 scale, a top-k selection) covers every segment.
 class PayloadCodec {
  public:
   virtual ~PayloadCodec() = default;
@@ -81,34 +102,35 @@ class PayloadCodec {
   /// wire-buffer sizing contract.
   virtual std::size_t max_encoded_bytes(std::size_t n) const = 0;
 
-  /// Encode src[i] + residual[i] into `wire` and return the actual wire
-  /// byte count (<= max_encoded_bytes(n)). On return residual[i] holds the
-  /// new encoding error (for top-k the entire dropped coordinate), so a
-  /// later decode(wire) + residual reconstructs the folded input exactly.
-  /// `residual` may be nullptr iff !uses_residual(). src is not modified.
-  virtual std::size_t encode(const float* src, float* residual, std::size_t n,
-                             std::uint8_t* wire) const = 0;
+  /// Encode src[i] + residual[i] over the payload `segs` into `wire` and
+  /// return the actual wire byte count (<= max_encoded_bytes(n)). On return
+  /// residual[i] holds the new encoding error (for top-k the entire dropped
+  /// coordinate), so a later decode(wire) + residual reconstructs the folded
+  /// input exactly. `residual` may be nullptr iff !uses_residual(). src is
+  /// not modified; it may alias neither residual nor wire. `ws` is selection
+  /// scratch (see CodecWorkspace).
+  virtual std::size_t encode(const float* src, float* residual,
+                             PayloadSegments segs, std::uint8_t* wire,
+                             CodecWorkspace& ws) const = 0;
 
-  /// encode() reusing the caller's selection workspace (see CodecWorkspace).
-  /// Bitwise-identical output to encode(); the default forwards there for
-  /// codecs that need no scratch.
-  virtual std::size_t encode_scratch(const float* src, float* residual,
-                                     std::size_t n, std::uint8_t* wire,
-                                     CodecWorkspace& ws) const {
-    (void)ws;
-    return encode(src, residual, n, wire);
-  }
-
-  /// Reconstruct an n-element payload from `wire_bytes` of wire into dst
+  /// Reconstruct the payload `segs` of dst from `wire_bytes` of wire
   /// (overwrite; sparse payloads zero the coordinates they dropped).
   virtual void decode(const std::uint8_t* wire, std::size_t wire_bytes,
-                      float* dst, std::size_t n) const = 0;
+                      float* dst, PayloadSegments segs) const = 0;
 
-  /// dst[i] += decoded[i] — the reduction entry point. Sparse payloads touch
-  /// only the coordinates present on the wire.
+  /// dst[i] += decoded[i] over the payload `segs` — the reduction entry
+  /// point. Sparse payloads touch only the coordinates present on the wire.
   virtual void decode_accumulate(const std::uint8_t* wire,
                                  std::size_t wire_bytes, float* dst,
-                                 std::size_t n) const = 0;
+                                 PayloadSegments segs) const = 0;
+
+  // Contiguous n-element payloads: the single segment {0, n}.
+  std::size_t encode(const float* src, float* residual, std::size_t n,
+                     std::uint8_t* wire) const;
+  void decode(const std::uint8_t* wire, std::size_t wire_bytes, float* dst,
+              std::size_t n) const;
+  void decode_accumulate(const std::uint8_t* wire, std::size_t wire_bytes,
+                         float* dst, std::size_t n) const;
 
   /// Convenience in-place wire round trip (encode + decode through a
   /// temporary wire buffer) with error feedback: on return x holds the

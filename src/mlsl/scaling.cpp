@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "mlsl/envparse.hpp"
+#include "platform/envparse.hpp"
 #include "platform/timer.hpp"
 
 namespace xconv::mlsl {

@@ -6,16 +6,18 @@
 
 namespace xconv::quant {
 
+float scale_for_amax(float amax) {
+  return amax > 0.0f ? amax / static_cast<float>(kQMax) : 1.0f;
+}
+
 float compute_scale(const float* x, std::size_t n) {
   float amax = 0.0f;
-  // The amax scan sits on the per-bucket gradient-compress hot path, so
-  // large tensors use an OpenMP max-reduction. fp32 max is associative and
+  // Large tensors use an OpenMP max-reduction. fp32 max is associative and
   // commutative (no rounding), so the result is bit-identical to the serial
   // scan for any thread count. Small inputs stay serial: team startup costs
-  // more than the scan. Note the comm-thread callers spawn their own OMP
-  // team for the microseconds of the scan — a deliberate trade: the paper's
-  // comm cores are dedicated anyway, and the scan is a vanishing fraction
-  // of a bucket's compress+reduce work.
+  // more than the scan. The gradient codec does not call this: its int16
+  // encode fuses the same scan into the error-feedback fold (the fold_amax
+  // codec op), so the allreduce comm threads never start an OpenMP team.
   constexpr std::size_t kParallelMin = std::size_t{1} << 16;
   if (n >= kParallelMin) {
     const std::int64_t ni = static_cast<std::int64_t>(n);
@@ -25,7 +27,7 @@ float compute_scale(const float* x, std::size_t n) {
   } else {
     for (std::size_t i = 0; i < n; ++i) amax = std::max(amax, std::abs(x[i]));
   }
-  return amax > 0.0f ? amax / static_cast<float>(kQMax) : 1.0f;
+  return scale_for_amax(amax);
 }
 
 std::int16_t quantize_one(float x, float scale) {

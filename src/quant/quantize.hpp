@@ -31,7 +31,11 @@ namespace xconv::quant {
 constexpr int kQMax = 1024;
 
 /// Scale such that max|x| maps to kQMax (returns 1.0 for all-zero data).
+/// NaN elements are ignored; an infinite element yields an infinite scale.
 float compute_scale(const float* x, std::size_t n);
+
+/// compute_scale's scale for an already-scanned max|x| (>= +0).
+float scale_for_amax(float amax);
 
 std::int16_t quantize_one(float x, float scale);
 

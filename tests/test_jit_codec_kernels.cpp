@@ -1,10 +1,11 @@
 // Bitwise scalar-vs-JIT equivalence for every generated gradient-codec
 // kernel (jit/codec_kernel_gen.hpp). The contract under test is the one the
-// codec integration relies on: flipping XCONV_JIT_CODEC can never change a
-// wire byte, because each generated op is bit-identical to the scalar
-// reference loop (kernels::codec_scalar_span == the loops in
-// src/mlsl/codec.cpp) for every input it is defined on — including NaN/Inf
-// payloads (bf16/top-k), signed zeros, denormals, and magnitude ties.
+// codec integration relies on: the backend choice (JIT on AVX-512 hosts,
+// the scalar reference under XCONV_BACKEND=scalar or a clamped XCONV_ISA)
+// can never change a wire byte, because each generated op is bit-identical
+// to the scalar reference loop kernels::codec_scalar_span for every input
+// it is defined on — including NaN/Inf payloads (bf16/top-k), signed zeros,
+// denormals, and magnitude ties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -75,6 +76,8 @@ std::vector<float> finite_payload(std::size_t n, unsigned seed) {
 
 void expect_same_bytes(const void* a, const void* b, std::size_t bytes,
                        const char* what) {
+  // Empty buffers may hand over null data pointers, which memcmp forbids.
+  if (bytes == 0) return;
   EXPECT_EQ(0, std::memcmp(a, b, bytes)) << what;
 }
 
@@ -253,6 +256,81 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CodecOpBitwise,
                          ::testing::Values(1, 7, 15, 16, 17, 31, 48, 100, 257,
                                            1000, 4103));
 
+// fold_amax: the int16 encode's fused fold + max|res| scan. The running max
+// is an in/out scalar (the JIT backend folds its 16 lane maxima into it
+// before the scalar tail), so both backends must agree bit for bit on the
+// folded residual and on the max — and the max must be exactly the scan
+// quant::compute_scale runs over the folded residual (NaN lanes ignored,
+// ±Inf kept, -0.0 and denormals ordered like std::max).
+class FoldAmaxBitwise : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FoldAmaxBitwise, MatchesScalarSpanAndComputeScale) {
+  const std::size_t n = GetParam();
+  const auto sk = kernels::make_codec_scalar(desc_for(jit::CodecOp::fold_amax));
+  const auto jk = host_avx512()
+                      ? kernels::make_codec_jit(desc_for(jit::CodecOp::fold_amax))
+                      : nullptr;
+  // Variant 0: finite lanes plus NaN (the max must skip the NaNs, not be
+  // swallowed by them); variant 1: the full special set, ±Inf included.
+  for (const bool with_inf : {false, true}) {
+    auto src = payload(n, 111, /*with_nan=*/true);
+    if (!with_inf && n >= 16) {
+      src[3] = 7.0f;
+      src[4] = -7.5f;
+    }
+    if (n >= 48) {
+      src[40] = -0.0f;                                   // -0 + -0 stays -0
+      src[41] = std::numeric_limits<float>::denorm_min();
+      src[n - 2] = std::numeric_limits<float>::quiet_NaN();  // NaN in the tail
+    }
+    auto res = xconv::testing::random_vec(n, 112, -0.01f, 0.01f);
+    if (n >= 48) {
+      res[40] = -0.0f;
+      res[41] = std::numeric_limits<float>::denorm_min();
+    }
+    auto run = [&](const kernels::CodecMicrokernel& k, std::vector<float>& r) {
+      float amax = 0.0f;
+      kernels::CodecCall c;
+      c.f_in = src.data();
+      c.f_io = r.data();
+      c.amax = &amax;
+      c.n = static_cast<std::int64_t>(n);
+      EXPECT_EQ(k.run(c), 0);
+      return amax;
+    };
+    auto res_s = res;
+    const float amax_s = run(*sk, res_s);
+    // The fold is fold_add's, statement for statement.
+    auto want = res;
+    for (std::size_t i = 0; i < n; ++i) want[i] += src[i];
+    expect_same_bytes(want.data(), res_s.data(), n * sizeof(float),
+                      "scalar fold");
+    // The max is compute_scale's scan over the folded values.
+    float scan = 0.0f;
+    for (const float x : want) scan = std::max(scan, std::abs(x));
+    EXPECT_EQ(0, std::memcmp(&scan, &amax_s, sizeof(float))) << "n=" << n;
+    const float s_fused = quant::scale_for_amax(amax_s);
+    const float s_ref = quant::compute_scale(want.data(), n);
+    EXPECT_EQ(0, std::memcmp(&s_fused, &s_ref, sizeof(float))) << "n=" << n;
+    if (with_inf && n >= 16) {
+      EXPECT_TRUE(std::isinf(amax_s));
+    } else {
+      EXPECT_TRUE(std::isfinite(amax_s));
+    }
+    if (jk == nullptr) continue;
+    auto res_j = res;
+    const float amax_j = run(*jk, res_j);
+    expect_same_bytes(res_s.data(), res_j.data(), n * sizeof(float),
+                      "jit fold");
+    EXPECT_EQ(0, std::memcmp(&amax_s, &amax_j, sizeof(float))) << "n=" << n;
+  }
+}
+
+// 1 << 17 crosses compute_scale's OpenMP-reduction threshold.
+INSTANTIATE_TEST_SUITE_P(Sizes, FoldAmaxBitwise,
+                         ::testing::Values(0, 1, 15, 16, 17, 33, 4099,
+                                           (1u << 17) + 5));
+
 // Registry resolution: auto_pick serves the JIT backend on AVX-512 hosts and
 // the scalar reference under an explicit scalar preference; both land in the
 // cache.
@@ -273,9 +351,9 @@ TEST(CodecKernelRegistry, ResolvesBothBackends) {
 //
 // The mlsl codecs dispatch to the kernels above when enabled; these tests
 // pin the end-to-end wire bytes and residuals against in-test copies of the
-// scalar reference loops, so they hold on any host and under any
-// XCONV_JIT_CODEC / backend setting — the "JIT cannot change a wire byte"
-// property at the PayloadCodec level.
+// scalar reference loops, so they hold on any host and under any backend
+// setting — the "JIT cannot change a wire byte" property at the
+// PayloadCodec level.
 
 TEST(CodecWireEquivalence, Int16MatchesScalarReference) {
   for (const std::size_t n : {1ul, 16ul, 257ul, 5000ul}) {
@@ -398,13 +476,15 @@ TEST(CodecWireEquivalence, TopkMatchesReferenceSelection) {
       expect_same_bytes(wire.data(), want.data(), wb, "topk wire");
       expect_same_bytes(res.data(), res_ref.data(), n * sizeof(float),
                         "topk residual");
-      // encode_scratch with a reused workspace: same bytes again.
+      // A reused workspace: same bytes again.
       mlsl::CodecWorkspace ws;
+      const mlsl::PayloadSegment all{0, n};
       for (int round = 0; round < 2; ++round) {
         auto res2 = xconv::testing::random_vec(n, 102, -0.01f, 0.01f);
         std::vector<std::uint8_t> wire2(codec->max_encoded_bytes(n));
-        const std::size_t wb2 = codec->encode_scratch(
-            src.data(), res2.data(), n, wire2.data(), ws);
+        const std::size_t wb2 =
+            codec->encode(src.data(), res2.data(),
+                          mlsl::PayloadSegments(&all, 1), wire2.data(), ws);
         ASSERT_EQ(wb2, wb);
         expect_same_bytes(wire2.data(), wire.data(), wb, "topk ws wire");
       }

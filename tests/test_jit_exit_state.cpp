@@ -236,6 +236,21 @@ TEST_F(JitExitState, Int16AndBf16CodecKernels) {
   }
 }
 
+TEST_F(JitExitState, FoldAmaxCodecKernel) {
+  if (!at_least(isa_, platform::Isa::avx512))
+    GTEST_SKIP() << "codec kernels are AVX-512 only";
+  constexpr std::int64_t kIters = 3;
+  CodecKernelDesc d;
+  d.op = CodecOp::fold_amax;
+  const auto k = generate_codec_kernel(d);
+  Buffers b(jv::contract_for(d), kIters);
+  const std::uint32_t abs_mask = 0x7fffffffu;
+  std::memcpy(b.f(kR8), &abs_mask, sizeof(abs_mask));
+  expect_clean_exit("fold amax", [&] {
+    (*k)(b.f(kRdi), b.f(kRsi), b.f(kRdx), kIters, b.f(kR8));
+  });
+}
+
 TEST_F(JitExitState, QConvKernel) {
   if (!at_least(isa_, platform::Isa::avx512_vnni))
     GTEST_SKIP() << "qconv kernels need AVX512-VNNI";

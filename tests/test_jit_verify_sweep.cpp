@@ -242,7 +242,8 @@ TEST(JitVerifySweep, GemmKernels) {
 TEST(JitVerifySweep, CodecKernelsAllOps) {
   int verified = 0;
   for (jit::CodecOp op :
-       {jit::CodecOp::fold_add, jit::CodecOp::int16_quant,
+       {jit::CodecOp::fold_add, jit::CodecOp::fold_amax,
+        jit::CodecOp::int16_quant,
         jit::CodecOp::int16_dequant, jit::CodecOp::int16_dequant_acc,
         jit::CodecOp::bf16_pack, jit::CodecOp::bf16_unpack,
         jit::CodecOp::bf16_unpack_acc, jit::CodecOp::topk_mag,
@@ -253,7 +254,7 @@ TEST(JitVerifySweep, CodecKernelsAllOps) {
     d.vlen = 16;
     verified += expect_verified(d, jit::generate_codec_kernel(d), d.key());
   }
-  EXPECT_EQ(verified, 9);
+  EXPECT_EQ(verified, 10);
 }
 
 TEST(JitVerifySweep, QConvKernels) {

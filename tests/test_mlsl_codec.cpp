@@ -7,10 +7,13 @@
 // tracks fp32 within a bounded loss gap on the ResNet-mini topology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "mlsl/allreduce.hpp"
@@ -59,6 +62,178 @@ std::vector<std::vector<float>> overlap_round(
     comm.wait_all(rank);
   });
   return bufs;
+}
+
+/// The codecs under segment-equivalence test: the lossy dense codecs and
+/// top-k both sparse (0.1) and degenerate-dense (1.0).
+struct CodecCase {
+  mlsl::Codec codec;
+  double fraction;
+  std::string name() const {
+    return codec == mlsl::Codec::kTopK
+               ? "topk" + std::to_string(static_cast<int>(fraction * 100))
+               : mlsl::codec_name(codec);
+  }
+};
+
+const CodecCase kSegmentCodecs[] = {{mlsl::Codec::kInt16, 0.1},
+                                    {mlsl::Codec::kBf16, 0.1},
+                                    {mlsl::Codec::kTopK, 0.1},
+                                    {mlsl::Codec::kTopK, 1.0}};
+
+/// Gradient-like data with the edge values the codecs must order
+/// identically however the payload is cut: exact magnitude ties of both
+/// signs (top-k tie break across segment boundaries), signed zeros and
+/// denormals.
+std::vector<float> edgy_vec(std::size_t n, unsigned seed) {
+  std::vector<float> v = random_vec(n, seed);
+  for (std::size_t i = 0; i < n; i += 7) v[i] = (i % 14) ? 0.25f : -0.25f;
+  for (std::size_t i = 3; i < n; i += 29) v[i] = -0.0f;
+  for (std::size_t i = 5; i < n; i += 31)
+    v[i] = std::numeric_limits<float>::denorm_min();
+  return v;
+}
+
+void gather(const std::vector<mlsl::PayloadSegment>& segs, const float* flat,
+            float* dst) {
+  for (const mlsl::PayloadSegment& seg : segs) {
+    std::memcpy(dst, flat + seg.offset, seg.elems * sizeof(float));
+    dst += seg.elems;
+  }
+}
+
+void scatter(const std::vector<mlsl::PayloadSegment>& segs, const float* src,
+             float* flat) {
+  for (const mlsl::PayloadSegment& seg : segs) {
+    std::memcpy(flat + seg.offset, src, seg.elems * sizeof(float));
+    src += seg.elems;
+  }
+}
+
+/// Cut [0, n) into pieces of 1..80 elements (so single elements, sub-vector
+/// and unaligned runs all occur), shuffle them, and deal them onto 1..6
+/// buckets: every bucket gets non-adjacent segments in no address order,
+/// and the buckets still cover the whole flat vector.
+std::vector<mlsl::GradBucket> scattered_partition(std::size_t n,
+                                                  std::mt19937& rng) {
+  std::vector<mlsl::PayloadSegment> pieces;
+  std::uniform_int_distribution<std::size_t> len(1, 80);
+  for (std::size_t off = 0; off < n;) {
+    const std::size_t e = std::min(len(rng), n - off);
+    pieces.push_back({off, e});
+    off += e;
+  }
+  std::shuffle(pieces.begin(), pieces.end(), rng);
+  const std::size_t k = std::uniform_int_distribution<std::size_t>(
+      1, std::min<std::size_t>(6, pieces.size()))(rng);
+  std::vector<mlsl::GradBucket> out(k);
+  std::uniform_int_distribution<std::size_t> pick(0, k - 1);
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    mlsl::GradBucket& b = out[i < k ? i : pick(rng)];
+    b.segments.push_back(pieces[i]);
+    b.elems += pieces[i].elems;
+  }
+  return out;
+}
+
+/// The bucket reduction the Communicator ran before it encoded rank buffers
+/// in place: gather every operand's bucket slices into a contiguous float
+/// payload, make the contiguous codec call, scatter the result back. It owns
+/// its own error-feedback state and traffic counters, and is the bitwise
+/// reference for the in-place, segment-wise reduce_bucket.
+class GatherScatterReference {
+ public:
+  GatherScatterReference(const mlsl::PayloadCodec& codec, int ranks, int rpn,
+                         bool hier, std::size_t n)
+      : residual(ranks, std::vector<float>(n, 0.0f)),
+        sum_residual(n, 0.0f),
+        node_residual(ranks / rpn),
+        codec_(codec),
+        R_(ranks),
+        p_(rpn),
+        N_(ranks / rpn),
+        hier_(hier && rpn > 1 && ranks / rpn > 1) {
+    if (rpn > 1 && N_ > 1)
+      for (std::vector<float>& r : node_residual) r.assign(n, 0.0f);
+  }
+
+  void begin_round() { stats = {}; }
+
+  void reduce(const mlsl::GradBucket& bk,
+              std::vector<std::vector<float>>& bufs) {
+    const std::size_t n = bk.elems;
+    std::vector<float> x(n), res(n), part(n), sum(n);
+    std::vector<std::uint8_t> wire(codec_.max_encoded_bytes(n));
+    const auto encode = [&](const float* src, std::vector<float>& flat_res) {
+      gather(bk.segments, flat_res.data(), res.data());
+      const std::size_t wb = codec_.encode(src, res.data(), n, wire.data());
+      scatter(bk.segments, res.data(), flat_res.data());
+      return wb;
+    };
+    const auto reduce_into = [&](std::size_t wb, float* acc, bool first) {
+      if (first)
+        codec_.decode(wire.data(), wb, acc, n);
+      else
+        codec_.decode_accumulate(wire.data(), wb, acc, n);
+    };
+    std::size_t contrib = 0, partial = 0;
+    if (hier_) {
+      for (int g = 0; g < N_; ++g) {
+        for (int j = 0; j < p_; ++j) {
+          const int r = g * p_ + j;
+          gather(bk.segments, bufs[r].data(), x.data());
+          const std::size_t wb = encode(x.data(), residual[r]);
+          contrib += wb;
+          reduce_into(wb, part.data(), j == 0);
+        }
+        const std::size_t pb = encode(part.data(), node_residual[g]);
+        partial += pb;
+        reduce_into(pb, sum.data(), g == 0);
+      }
+    } else {
+      for (int r = 0; r < R_; ++r) {
+        gather(bk.segments, bufs[r].data(), x.data());
+        const std::size_t wb = encode(x.data(), residual[r]);
+        contrib += wb;
+        reduce_into(wb, sum.data(), r == 0);
+      }
+    }
+    const std::size_t sum_bytes = encode(sum.data(), sum_residual);
+    codec_.decode(wire.data(), sum_bytes, sum.data(), n);
+    for (std::vector<float>& b : bufs) scatter(bk.segments, sum.data(), b.data());
+    // Byte accounting of Communicator::split_wire for the same schedule.
+    const auto R = static_cast<std::size_t>(R_);
+    const auto p = static_cast<std::size_t>(p_);
+    const auto N = static_cast<std::size_t>(N_);
+    stats.overlap_logical_bytes_per_rank += 2 * (R - 1) * n * sizeof(float) / R;
+    if (hier_) {
+      stats.intra_wire_bytes_per_rank += (p - 1) * (contrib / R + sum_bytes) / p;
+      stats.inter_wire_bytes_per_rank +=
+          (N - 1) * (partial / N + sum_bytes) / N;
+    } else {
+      const std::size_t bytes = (R - 1) * (contrib / R + sum_bytes) / R;
+      (N > 1 ? stats.inter_wire_bytes_per_rank
+             : stats.intra_wire_bytes_per_rank) += bytes;
+    }
+    stats.wire_bytes_per_rank =
+        stats.intra_wire_bytes_per_rank + stats.inter_wire_bytes_per_rank;
+  }
+
+  std::vector<std::vector<float>> residual;
+  std::vector<float> sum_residual;
+  std::vector<std::vector<float>> node_residual;
+  mlsl::CommStats stats;
+
+ private:
+  const mlsl::PayloadCodec& codec_;
+  int R_, p_, N_;
+  bool hier_;
+};
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
 gxm::GraphOptions mini_opt(unsigned seed = 5) {
@@ -279,6 +454,190 @@ TEST(TopKCodec, FullFractionDegeneratesToDenseExactPayload) {
   for (const float r : res) ASSERT_EQ(r, 0.0f);
 }
 
+// --- segment-list payloads -------------------------------------------------
+//
+// A segmented codec call must be indistinguishable from gathering the same
+// elements into one contiguous payload: the wire bytes, the residual and
+// the decoded output are bitwise equal to gather -> contiguous call ->
+// scatter, and nothing outside the segments is touched.
+
+TEST(CodecSegments, EncodeDecodeEqualGatherContiguousScatter) {
+  const std::size_t flat = 1200;
+  std::mt19937 rng(404);
+  // A hand-written layout (single element, sub-vector, unaligned, empty,
+  // descending addresses) plus fuzzed ones.
+  std::vector<std::vector<mlsl::PayloadSegment>> layouts = {
+      {{1000, 1}, {3, 13}, {700, 0}, {17, 16}, {500, 37}, {40, 1},
+       {100, 64}, {1100, 17}}};
+  for (int i = 0; i < 4; ++i)
+    for (const mlsl::GradBucket& b : scattered_partition(flat, rng))
+      layouts.push_back(b.segments);
+  for (const CodecCase& cc : kSegmentCodecs) {
+    const auto codec = mlsl::make_codec(cc.codec, cc.fraction);
+    for (std::size_t li = 0; li < layouts.size(); ++li) {
+      const auto& segs = layouts[li];
+      const std::string what = cc.name() + " layout " + std::to_string(li);
+      std::size_t n = 0;
+      for (const auto& seg : segs) n += seg.elems;
+      ASSERT_EQ(n, mlsl::payload_elems(segs)) << what;
+      const std::vector<float> src = edgy_vec(flat, 500 + li);
+      const std::vector<float> res0 = random_vec(flat, 600 + li, -0.01f,
+                                                 0.01f);
+      // Reference: gather, contiguous call, scatter.
+      std::vector<float> xs(n), rs(n);
+      gather(segs, src.data(), xs.data());
+      gather(segs, res0.data(), rs.data());
+      std::vector<std::uint8_t> want(codec->max_encoded_bytes(n));
+      const std::size_t wb_want =
+          codec->encode(xs.data(), rs.data(), n, want.data());
+      std::vector<float> res_want = res0;
+      scatter(segs, rs.data(), res_want.data());
+      // Segmented call over the flat base pointers.
+      std::vector<float> res_got = res0;
+      std::vector<std::uint8_t> got(codec->max_encoded_bytes(n));
+      mlsl::CodecWorkspace ws;
+      const std::size_t wb = codec->encode(src.data(), res_got.data(), segs,
+                                           got.data(), ws);
+      ASSERT_EQ(wb, wb_want) << what;
+      ASSERT_EQ(0, std::memcmp(got.data(), want.data(), wb)) << what;
+      ASSERT_TRUE(same_bits(res_got, res_want)) << what << " residual";
+      // decode / decode_accumulate into a pre-filled flat vector.
+      for (const bool acc : {false, true}) {
+        const std::vector<float> base = random_vec(flat, 700 + li);
+        std::vector<float> ds(n);
+        gather(segs, base.data(), ds.data());
+        if (acc)
+          codec->decode_accumulate(want.data(), wb, ds.data(), n);
+        else
+          codec->decode(want.data(), wb, ds.data(), n);
+        std::vector<float> out_want = base;
+        scatter(segs, ds.data(), out_want.data());
+        std::vector<float> out_got = base;
+        if (acc)
+          codec->decode_accumulate(got.data(), wb, out_got.data(), segs);
+        else
+          codec->decode(got.data(), wb, out_got.data(), segs);
+        ASSERT_TRUE(same_bits(out_got, out_want))
+            << what << (acc ? " decode_accumulate" : " decode");
+      }
+    }
+  }
+}
+
+TEST(CodecSegments, TopkRejectsWireIndicesOutsideThePayload) {
+  // A malformed sparse payload must throw, not write past the segments.
+  const auto codec = mlsl::make_codec(mlsl::Codec::kTopK, 0.5);
+  const std::vector<mlsl::PayloadSegment> segs = {{10, 4}, {0, 4}};
+  std::vector<float> dst(16, 0.0f);
+  const auto wire_with = [](std::uint32_t i0, std::uint32_t i1) {
+    std::vector<std::uint8_t> w(4 + 2 * 8);
+    const std::uint32_t k = 2;
+    const float v = 1.0f;
+    std::memcpy(w.data(), &k, 4);
+    std::memcpy(w.data() + 4, &i0, 4);
+    std::memcpy(w.data() + 8, &i1, 4);
+    std::memcpy(w.data() + 12, &v, 4);
+    std::memcpy(w.data() + 16, &v, 4);
+    return w;
+  };
+  const auto ok = wire_with(3, 4);  // last of segment 0, first of segment 1
+  codec->decode_accumulate(ok.data(), ok.size(), dst.data(), segs);
+  EXPECT_EQ(dst[13], 1.0f);
+  EXPECT_EQ(dst[0], 1.0f);
+  const auto past = wire_with(1, 8);  // one past the 8-element payload
+  EXPECT_THROW(
+      codec->decode_accumulate(past.data(), past.size(), dst.data(), segs),
+      std::out_of_range);
+  const auto back = wire_with(5, 2);  // descending across segments
+  EXPECT_THROW(codec->decode(back.data(), back.size(), dst.data(), segs),
+               std::out_of_range);
+}
+
+// Communicator rounds: the in-place, segment-wise reduce_bucket must leave
+// every rank buffer, every residual and every traffic counter bitwise equal
+// to the gather/scatter reference, over fuzzed non-contiguous partitions,
+// both schedules and both comm-pool sizes, for three error-feedback rounds.
+
+struct SegmentRoundCase {
+  CodecCase codec;
+  bool hier;
+  int comm_threads;
+};
+
+class InPlaceReduceP : public ::testing::TestWithParam<SegmentRoundCase> {};
+
+TEST_P(InPlaceReduceP, MatchesGatherScatterReferenceBitwise) {
+  const SegmentRoundCase& tc = GetParam();
+  // Flat: 3 ranks, one per node. Hierarchical: a 2x2 machine.
+  const int R = tc.hier ? 4 : 3;
+  const int rpn = tc.hier ? 2 : 1;
+  const std::size_t n = 1500;
+  for (unsigned part = 0; part < 2; ++part) {
+    std::mt19937 rng(31 * part + (tc.hier ? 7u : 3u) +
+                     static_cast<unsigned>(tc.comm_threads));
+    const auto buckets = scattered_partition(n, rng);
+    mlsl::CommConfig cfg;
+    cfg.codec = tc.codec.codec;
+    cfg.topk_fraction = tc.codec.fraction;
+    cfg.comm_threads = tc.comm_threads;
+    cfg.algorithm = tc.hier ? mlsl::ReduceAlgorithm::kHierarchical
+                            : mlsl::ReduceAlgorithm::kFlatRing;
+    cfg.topo.ranks_per_node = rpn;
+    mlsl::Communicator comm(R, cfg);
+    comm.set_buckets(buckets);
+    const auto codec = mlsl::make_codec(tc.codec.codec, tc.codec.fraction);
+    GatherScatterReference ref(*codec, R, rpn, tc.hier, n);
+    for (unsigned round = 0; round < 3; ++round) {
+      std::vector<std::vector<float>> data(R);
+      for (int r = 0; r < R; ++r)
+        data[r] = edgy_vec(n, 1000 * part + 10 * round +
+                                  static_cast<unsigned>(r));
+      const auto got = overlap_round(comm, data);
+      std::vector<std::vector<float>> want = data;
+      ref.begin_round();
+      for (const mlsl::GradBucket& bk : buckets) ref.reduce(bk, want);
+      const std::string what = "partition " + std::to_string(part) +
+                               " round " + std::to_string(round);
+      for (int r = 0; r < R; ++r) {
+        ASSERT_TRUE(same_bits(got[r], want[r])) << what << " rank " << r;
+        ASSERT_TRUE(same_bits(comm.residual(r), ref.residual[r]))
+            << what << " residual " << r;
+      }
+      ASSERT_TRUE(same_bits(comm.sum_residual(), ref.sum_residual)) << what;
+      for (int g = 0; g < R / rpn; ++g)
+        ASSERT_TRUE(same_bits(comm.node_residual(g), ref.node_residual[g]))
+            << what << " node " << g;
+      const mlsl::CommStats st = comm.stats();
+      EXPECT_EQ(st.overlap_logical_bytes_per_rank,
+                ref.stats.overlap_logical_bytes_per_rank)
+          << what;
+      EXPECT_EQ(st.wire_bytes_per_rank, ref.stats.wire_bytes_per_rank) << what;
+      EXPECT_EQ(st.intra_wire_bytes_per_rank,
+                ref.stats.intra_wire_bytes_per_rank)
+          << what;
+      EXPECT_EQ(st.inter_wire_bytes_per_rank,
+                ref.stats.inter_wire_bytes_per_rank)
+          << what;
+      EXPECT_EQ(st.bulk_logical_bytes_per_rank, 0u) << what;
+    }
+  }
+}
+
+std::vector<SegmentRoundCase> segment_round_cases() {
+  std::vector<SegmentRoundCase> out;
+  for (const CodecCase& cc : kSegmentCodecs)
+    for (const bool hier : {false, true})
+      for (const int threads : {1, 2}) out.push_back({cc, hier, threads});
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Codecs, InPlaceReduceP, ::testing::ValuesIn(segment_round_cases()),
+    [](const auto& info) {
+      return info.param.codec.name() + (info.param.hier ? "_hier" : "_flat") +
+             "_t" + std::to_string(info.param.comm_threads);
+    });
+
 TEST(CompressedAllreduce, Fp32CodecWithThreadPoolMatchesBulkBitwise) {
   // The fp32 codec through the bucketized pipeline — including a multi-
   // thread comm pool — must reproduce the bulk allreduce bit for bit.
@@ -303,7 +662,8 @@ TEST(CompressedAllreduce, Fp32CodecWithThreadPoolMatchesBulkBitwise) {
     ASSERT_EQ(0, std::memcmp(bulk_bufs[r].data(), got[r].data(),
                              n * sizeof(float)))
         << "rank " << r;
-  EXPECT_EQ(over.wire_bytes_per_rank(), over.overlap_bytes_per_rank());
+  const mlsl::CommStats st = over.stats();
+  EXPECT_EQ(st.wire_bytes_per_rank, st.overlap_logical_bytes_per_rank);
   EXPECT_TRUE(over.residual(0).empty());  // fp32 keeps no residual state
 }
 
@@ -342,9 +702,10 @@ TEST_P(CompressedAllreduceP, ApproximatesSumAndKeepsReplicasIdentical) {
                           : static_cast<double>(R) / 256.0;
   EXPECT_LE(max_err, (R + 1) * step) << mlsl::codec_name(codec);
   // Wire accounting: 2 B/element ring bytes, ~2x compression.
-  EXPECT_LT(comm.wire_bytes_per_rank(), comm.overlap_bytes_per_rank());
-  EXPECT_GE(static_cast<double>(comm.overlap_bytes_per_rank()) /
-                static_cast<double>(comm.wire_bytes_per_rank()),
+  const mlsl::CommStats st = comm.stats();
+  EXPECT_LT(st.wire_bytes_per_rank, st.overlap_logical_bytes_per_rank);
+  EXPECT_GE(static_cast<double>(st.overlap_logical_bytes_per_rank) /
+                static_cast<double>(st.wire_bytes_per_rank),
             1.9);
 }
 
@@ -414,7 +775,7 @@ TEST(TopKAllreduce, SparseWireBytesAndReplicaSync) {
     comm.set_buckets(buckets);
     const auto got = overlap_round(comm, data);
     if (codec == mlsl::Codec::kTopK) {
-      wire_topk = comm.wire_bytes_per_rank();
+      wire_topk = comm.stats().wire_bytes_per_rank;
       for (int r = 1; r < R; ++r)
         ASSERT_EQ(0, std::memcmp(got[0].data(), got[r].data(),
                                  n * sizeof(float)))
@@ -423,7 +784,7 @@ TEST(TopKAllreduce, SparseWireBytesAndReplicaSync) {
       // transmitted contribution reconstructs the input exactly.
       for (int r = 0; r < R; ++r) EXPECT_GT(comm.residual_l2(r), 0.0);
     } else {
-      wire_int16 = comm.wire_bytes_per_rank();
+      wire_int16 = comm.stats().wire_bytes_per_rank;
     }
   }
   ASSERT_GT(wire_int16, 0u);
@@ -572,7 +933,8 @@ TEST(CompressedBulk, ApproximatesSumAndMatchesAcrossRanks) {
     max_err = std::max(
         max_err, static_cast<double>(std::abs(bufs_v[0][i] - want[i])));
   EXPECT_LE(max_err, (R + 1) * static_cast<double>(R) / quant::kQMax);
-  EXPECT_LT(comm.wire_bytes_per_rank(), comm.last_bytes_per_rank());
+  const mlsl::CommStats st = comm.stats();
+  EXPECT_LT(st.wire_bytes_per_rank, st.bulk_logical_bytes_per_rank);
 }
 
 // --- trainer-level guarantees ----------------------------------------------
@@ -683,8 +1045,8 @@ TEST(MultiNodeCodec, SingleNodePublishesZeroBytesNotStaleOnes) {
   std::vector<float> buf(64, 1.0f);
   std::vector<float*> bufs = {buf.data()};
   c1.parallel([&](int rank) { c1.allreduce_sum(rank, bufs, buf.size()); });
-  EXPECT_EQ(c1.last_bytes_per_rank(), 0u);
-  EXPECT_EQ(c1.wire_bytes_per_rank(), 0u);
+  EXPECT_EQ(c1.stats().bulk_logical_bytes_per_rank, 0u);
+  EXPECT_EQ(c1.stats().wire_bytes_per_rank, 0u);
 }
 
 TEST(MultiNodeCodec, StatsReportCodecWireBytesAndPerBucketWaits) {

@@ -13,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "mlsl/allreduce.hpp"
@@ -51,6 +53,24 @@ std::vector<mlsl::GradBucket> fuzzed_partition(std::size_t n, int max_buckets,
     b.segments.push_back({cuts[i], cuts[i + 1] - cuts[i]});
     b.elems = cuts[i + 1] - cuts[i];
     out.push_back(std::move(b));
+  }
+  return out;
+}
+
+/// fuzzed_partition's pieces, shuffled and dealt round-robin onto at most
+/// `k` buckets: each bucket holds non-adjacent slices in no address order,
+/// the layout a backward-ordered trainer bucket has.
+std::vector<mlsl::GradBucket> scattered_partition(std::size_t n,
+                                                  int max_pieces, int k,
+                                                  std::mt19937& rng) {
+  auto pieces = fuzzed_partition(n, max_pieces, rng);
+  std::shuffle(pieces.begin(), pieces.end(), rng);
+  std::vector<mlsl::GradBucket> out(
+      std::min<std::size_t>(static_cast<std::size_t>(k), pieces.size()));
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    mlsl::GradBucket& b = out[i % out.size()];
+    b.segments.push_back(pieces[i].segments[0]);
+    b.elems += pieces[i].elems;
   }
   return out;
 }
@@ -164,6 +184,45 @@ TEST(MlslConcurrencyStress, CompressedCodecRoundsComplete) {
     expect_counters_consistent(st);
     EXPECT_LT(st.wire_bytes_per_rank, st.overlap_logical_bytes_per_rank);
   }
+}
+
+TEST(MlslConcurrencyStress, HierarchicalInt16InPlaceWithRacingStatsReader) {
+  // Compressed codecs reduce in place: the comm threads encode straight from
+  // the rank buffers and write the decoded sum back into every rank's
+  // slices. On a 2x2 machine with two comm threads reducing disjoint
+  // scattered buckets concurrently, interleaved posters and an outside
+  // thread polling stats() nonstop must see completion, identical replicas
+  // and untorn counters — and under TSan, no race on the rank buffers.
+  const int R = 4;
+  const std::size_t n = 3000;
+  mlsl::CommConfig cfg;
+  cfg.comm_threads = 2;
+  cfg.codec = mlsl::Codec::kInt16;
+  cfg.algorithm = mlsl::ReduceAlgorithm::kHierarchical;
+  cfg.topo.ranks_per_node = 2;
+  mlsl::Communicator comm(R, cfg);
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed))
+      expect_counters_consistent(comm.stats());
+  });
+  std::mt19937 rng(4242);
+  for (unsigned round = 0; round < 8; ++round) {
+    comm.set_buckets(scattered_partition(n, 24, 6, rng));
+    std::vector<std::vector<float>> data(R);
+    for (int r = 0; r < R; ++r)
+      data[r] = random_vec(n, 300 + 10 * round + static_cast<unsigned>(r));
+    stress_round(comm, data, 3000 + round);
+    for (int r = 1; r < R; ++r)
+      ASSERT_EQ(0,
+                std::memcmp(data[0].data(), data[r].data(), n * sizeof(float)))
+          << "round " << round << " rank " << r;
+    const auto st = comm.stats();
+    EXPECT_GT(st.inter_wire_bytes_per_rank, 0u);
+    EXPECT_LT(st.wire_bytes_per_rank, st.overlap_logical_bytes_per_rank);
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
 }
 
 TEST(MlslConcurrencyStress, BulkAllreduceWithConcurrentStatsReaders) {

@@ -1,22 +1,29 @@
 // Backward propagation (paper Section II-I).
 //
-// Three paths, selected at setup:
-//   1. stride == 1      — duality: transform the weights (transpose channel
+// Four paths, selected at setup:
+//   1. C < VLEN         — k-dot (jit/kdot_kernel_gen.hpp): the other paths
+//      vectorize over dI channels, which a single padded input block mostly
+//      wastes (conv1: 3 of 16 lanes). This one vectorizes over dO's K
+//      channels, reduces each dI channel to one lane with a shuffle tree,
+//      and covers any stride and filter from weights packed per call into
+//      k-vectors Wp[Kb][R][S][C][VLEN].
+//   2. stride == 1      — duality: transform the weights (transpose channel
 //      blocks, flip taps) and run the *forward* machinery of a dual layer
 //      whose input is dO (with the R-1-pad halo make_output() provides) and
 //      whose output is dI. This literally reuses the forward code generator,
 //      streams, fusion and parallelization ("duality for backward propagation
 //      to reduce number of code generators").
-//   2. R == S == 1, stride > 1, pad == 0 — duality with a fractional stride:
+//   3. R == S == 1, stride > 1, pad == 0 — duality with a fractional stride:
 //      a dense 1x1 forward convolution over dO scattered into dI with
 //      out_col_stride = stride*VLEN (Section II-I scenario 2).
-//   3. everything else  — Algorithm 7: small GEMMs
+//   4. everything else  — Algorithm 7: small GEMMs
 //      GEMM(W'[cb][kb][R-1-r][S-1-s], dO[n][kb][oj][:], dI[n][cb][ij+r][ii+s])
 //      with M = K = VLEN and N = Q, accumulating into a zeroed dI.
 //
-// All three run from weights already in backward-dual form (backward_dual);
-// backward() only adds the threaded duality transform in front. Each path
-// writes every dI element, zeroing inside its own thread partition.
+// All four run from weights already in backward-dual form (backward_dual);
+// backward() only adds the threaded duality transform in front (k-dot packs
+// straight from the forward form instead). Each path writes every dI
+// element, zeroing inside its own thread partition.
 #include <omp.h>
 
 #include <algorithm>
@@ -65,6 +72,18 @@ void check_wt_geometry(const core::ConvLayer& l, const tensor::WtTensor& wt,
                                 ": weight geometry mismatch");
 }
 
+/// The dI columns of one column phase b: ii = first, first + stride_w, ...
+/// (count of them), exactly those with (ii + pad_w) % stride_w == b.
+struct KdotPhase {
+  int first, count;
+};
+KdotPhase kdot_phase(const core::ConvParams& p, int b) {
+  const int sw = p.stride_w;
+  KdotPhase ph{((b - p.pad_w) % sw + sw) % sw, 0};
+  if (ph.first < p.W) ph.count = (p.W - 1 - ph.first) / sw + 1;
+  return ph;
+}
+
 /// One 1x1-strided work item: image n, dI block cbi, dO row oj, q-block qb.
 struct Item1x1 {
   int n, cbi, oj, qb;
@@ -103,6 +122,41 @@ void ConvLayer::setup_backward() {
   // The algorithm choice (shape-forced, Section II-I) and its blocking
   // extents come from the resolved plan.
   bwd_algo_ = plan_.bwd_algo;
+
+  if (bwd_algo_ == BwdAlgo::kdot) {
+    auto& reg = kernels::KernelRegistry::instance();
+    const int rb = plan_.bwd_kdot_rb;
+    const int sh = p.stride_h, sw = p.stride_w;
+    kdot_wp_.resize(static_cast<std::size_t>(kb_) * p.R * p.S * p.C * vlen_);
+    kdot_variants_.assign(static_cast<std::size_t>(sh) * sw * 2, nullptr);
+    for (int a = 0; a < sh; ++a) {
+      for (int b = 0; b < sw; ++b) {
+        const KdotPhase ph = kdot_phase(p, b);
+        for (int rem = 0; rem < 2; ++rem) {
+          const int width = rem ? ph.count % rb : (ph.count >= rb ? rb : 0);
+          if (width == 0) continue;
+          jit::KdotKernelDesc d;
+          d.isa = opt_.isa == platform::Isa::scalar ? platform::Isa::avx512
+                                                    : opt_.isa;
+          d.vlen = vlen_;
+          d.c = p.C;
+          d.rb = width;
+          d.kb = kb_;
+          d.r = p.R;
+          d.s = p.S;
+          d.stride_h = sh;
+          d.stride_w = sw;
+          d.r0 = a;
+          d.s0 = b;
+          d.do_row_stride = out_row_stride_;
+          d.do_kb_stride = static_cast<int>(out_kb_stride_);
+          d.di_px_stride = sw * vlen_;
+          kdot_variants_[(a * sw + b) * 2 + rem] = reg.kdot(d, opt_.backend);
+        }
+      }
+    }
+    return;
+  }
 
   if (bwd_algo_ == BwdAlgo::duality_stride1) {
     ConvParams dual;
@@ -204,6 +258,10 @@ void ConvLayer::backward(const tensor::ActTensor& grad_out,
                          tensor::ActTensor& grad_in) {
   check_bwd_geometry(*this, grad_out, grad_in);
   check_wt_geometry(*this, wt, kb_, cb_, "ConvLayer::backward");
+  if (bwd_algo_ == BwdAlgo::kdot) {
+    backward_kdot(grad_out, wt.data(), /*fwd_form=*/true, grad_in);
+    return;
+  }
   if (bwd_wt_.size() == 0)
     bwd_wt_ = tensor::WtTensor(cb_, kb_, params_.R, params_.S, vlen_);
   tensor::blocked_fwd_to_bwd(wt, bwd_wt_, threads_);
@@ -217,6 +275,9 @@ void ConvLayer::backward_dual(const tensor::ActTensor& grad_out,
   check_wt_geometry(*this, bwd_wt, cb_, kb_, "ConvLayer::backward_dual");
 
   switch (bwd_algo_) {
+    case BwdAlgo::kdot:
+      backward_kdot(grad_out, bwd_wt.data(), /*fwd_form=*/false, grad_in);
+      return;
     case BwdAlgo::duality_stride1: {
       // The dual forward writes the whole interior; only the halo is left.
       bwd_layer_->forward(grad_out, bwd_wt, grad_in);
@@ -232,6 +293,87 @@ void ConvLayer::backward_dual(const tensor::ActTensor& grad_out,
       backward_gemm(grad_out, bwd_wt, grad_in);
       return;
   }
+}
+
+// Work items are (n, dI row); each writes its whole padded row (kernels for
+// the interior, zeros for the halo columns), and the first and last rows of
+// an image also clear the halo rows above and below, so every dI element is
+// written exactly once with no serial zero pass.
+void ConvLayer::backward_kdot(const tensor::ActTensor& grad_out,
+                              const float* wt, bool fwd_form,
+                              tensor::ActTensor& grad_in) {
+  const ConvParams& p = params_;
+  const int C = p.C, R = p.R, S = p.S, v = vlen_;
+  const int sh = p.stride_h, sw = p.stride_w;
+  const int rb = plan_.bwd_kdot_rb;
+  const std::int64_t taps = static_cast<std::int64_t>(kb_) * R * S;
+  const std::int64_t items = static_cast<std::int64_t>(p.N) * p.H;
+  const std::size_t px_bytes = static_cast<std::size_t>(v) * sizeof(float);
+  float* wp = kdot_wp_.data();
+  const float* dout = grad_out.data();
+  float* din = grad_in.data();
+
+  parallel_exact("ConvLayer::backward", [&](int tid) {
+    // Pack Wp[kb][r][s][c][:] = W[kb][c][r][s][:]: the first C rows of the
+    // forward form's (c, k) block, or column c of the backward form's
+    // flipped (k, c) block.
+    const Range pr = thread_chunk(taps, tid, threads_);
+    for (std::int64_t i = pr.begin; i < pr.end; ++i) {
+      float* dst = wp + i * C * v;
+      if (fwd_form) {
+        std::memcpy(dst, wt + i * v * v, C * px_bytes);
+        continue;
+      }
+      const int kbi = static_cast<int>(i / (R * S));
+      const int r = static_cast<int>(i / S % R), s = static_cast<int>(i % S);
+      const float* src =
+          wt + ((static_cast<std::int64_t>(kbi) * R + (R - 1 - r)) * S +
+                (S - 1 - s)) *
+                   v * v;
+      for (int c = 0; c < C; ++c)
+        for (int k = 0; k < v; ++k) dst[c * v + k] = src[k * v + c];
+    }
+#pragma omp barrier
+    const Range rg = thread_chunk(items, tid, threads_);
+    for (std::int64_t it = rg.begin; it < rg.end; ++it) {
+      const int n = static_cast<int>(it / p.H), ij = static_cast<int>(it % p.H);
+      const int a = (ij + p.pad_h) % sh;
+      const int nt = a < R ? (R - 1 - a) / sh + 1 : 0;
+      const int oj_lo = (ij + p.pad_h - a) / sh - (nt - 1);
+      float* img = din + n * in_n_stride_;  // cb_ == 1: one plane
+      float* row = img + static_cast<std::int64_t>(ij + in_halo_h_) *
+                             in_row_stride_;
+      std::memset(row, 0, in_halo_w_ * px_bytes);
+      std::memset(row + static_cast<std::int64_t>(p.W + in_halo_w_) * v, 0,
+                  in_halo_w_ * px_bytes);
+      for (int b = 0; b < sw; ++b) {
+        const KdotPhase ph = kdot_phase(p, b);
+        const int nu = b < S ? (S - 1 - b) / sw + 1 : 0;
+        for (int g = 0; g < ph.count; g += rb) {
+          const bool rem = ph.count - g < rb;
+          const int ii0 = ph.first + g * sw;
+          // dO at the phase's last tap (smallest oj, oi); a phase with no
+          // taps reads nothing.
+          const float* d = dout;
+          if (nt > 0 && nu > 0) {
+            const int oi_lo = (ii0 + p.pad_w - b) / sw - (nu - 1);
+            d += n * out_n_stride_ +
+                 static_cast<std::int64_t>(oj_lo + out_pad_h_) *
+                     out_row_stride_ +
+                 static_cast<std::int64_t>(oi_lo + out_pad_w_) * v;
+          }
+          kdot_variants_[(a * sw + b) * 2 + (rem ? 1 : 0)]->run(
+              d, wp, row + static_cast<std::int64_t>(ii0 + in_halo_w_) * v);
+        }
+      }
+      if (ij == 0)
+        std::memset(img, 0, in_halo_h_ * in_row_stride_ * sizeof(float));
+      if (ij == p.H - 1)
+        std::memset(img + static_cast<std::int64_t>(p.H + in_halo_h_) *
+                              in_row_stride_,
+                    0, in_halo_h_ * in_row_stride_ * sizeof(float));
+    }
+  });
 }
 
 void ConvLayer::backward_1x1_strided(const tensor::ActTensor& grad_out,
@@ -339,8 +481,9 @@ void ConvLayer::backward_1x1_branchy(const float* dout, const float* wtb,
 
 void ConvLayer::dryrun_backward() {
   // The stride-1 duality path needs no recording here: its dual layer owns
-  // forward streams of its own. The GEMM fallback has no stream form (its
-  // kernels take no prefetch operands) and always runs branchy.
+  // forward streams of its own. The k-dot and GEMM-fallback paths have no
+  // stream form (their kernels take no prefetch operands) and always run
+  // branchy.
   if (bwd_algo_ != BwdAlgo::duality_1x1_strided) return;
   bwd1x1_streams_.assign(threads_, KernelStream{});
   backward_1x1_branchy(nullptr, nullptr, nullptr, /*record_streams=*/true);

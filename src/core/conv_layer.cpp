@@ -153,7 +153,9 @@ void ConvLayer::build_fwd_variants() {
           d.stride_w = params_.stride_w;
           d.in_row_stride = in_row_stride_;
           d.out_row_stride = out_row_stride_;
-          d.c_iters = vlen_;
+          // A single input block reduces only its real channels: the
+          // padding lanes are never read (C < vlen, e.g. conv1's C = 3).
+          d.c_iters = cb_ == 1 ? params_.C : vlen_;
           if (cb_in_kernel_) {
             d.c_blocks = cb_;
             d.in_cb_stride = static_cast<int>(in_cb_stride_);
@@ -236,12 +238,8 @@ std::string ConvLayer::describe() const {
       os << " bwd_stream_convs=" << bwd_stream_convs()
          << " upd_stream_calls=" << upd_stream_calls();
   }
-  os << " bwd=";
-  switch (bwd_algo_) {
-    case BwdAlgo::duality_stride1: os << "duality-s1"; break;
-    case BwdAlgo::duality_1x1_strided: os << "duality-1x1-strided"; break;
-    case BwdAlgo::gemm_fallback: os << "gemm-fallback"; break;
-  }
+  os << " bwd=" << bwd_algo_name(bwd_algo_);
+  if (bwd_algo_ == BwdAlgo::kdot) os << " kdot_rb=" << plan_.bwd_kdot_rb;
   os << " upd=" << upd_strategy_name(upd_strategy_) << " upd_b=" << upd_bp_
      << "x" << upd_bq_ << " threads=" << threads_
      << " plan=" << (plan_.tuned ? "tuned" : "default");

@@ -46,7 +46,8 @@ struct ConvOptions {
   platform::Isa isa = platform::effective_isa();
   kernels::BackendPref backend = kernels::backend_pref_from_env();
   /// Replay kernel streams vs branchy loops, for all three passes
-  /// (backward's GEMM fallback has no stream form and stays branchy).
+  /// (backward's k-dot and GEMM-fallback paths have no stream form and stay
+  /// branchy).
   /// Default honors the XCONV_STREAMS environment variable (unset = on).
   bool use_streams = use_streams_from_env();
   bool prefetch = true;      ///< two-level software prefetch in kernels
@@ -145,7 +146,8 @@ class ConvLayer {
   UpdStrategy upd_strategy_used() const { return upd_strategy_; }
   int upd_bp() const { return upd_bp_; }
   int upd_bq() const { return upd_bq_; }
-  /// Which backward algorithm the layer selected (duality vs GEMM fallback).
+  /// Which backward algorithm the layer selected (duality, k-dot or GEMM
+  /// fallback).
   /// The enum itself now lives in plan.hpp; the alias keeps existing
   /// `ConvLayer::BwdAlgo` spellings working.
   using BwdAlgo = core::BwdAlgo;
@@ -176,6 +178,10 @@ class ConvLayer {
                             tensor::ActTensor& grad_in);
   void backward_1x1_branchy(const float* dout, const float* wtb, float* din,
                             bool record_streams);
+  /// k-dot path (C < vlen): packs `wt` — the forward form when `fwd_form`,
+  /// else the backward-dual form — into kdot_wp_, then runs the kernels.
+  void backward_kdot(const tensor::ActTensor& grad_out, const float* wt,
+                     bool fwd_form, tensor::ActTensor& grad_in);
   /// Zero the dI pixels of thread `tid`'s 1x1-strided work items that their
   /// kernels do not write (see conv_backward.cpp).
   void zero_1x1_uncovered(float* din, int tid) const;
@@ -252,6 +258,12 @@ class ConvLayer {
   std::size_t upd_dw_size_ = 0;               ///< elements of one dW copy
   tensor::AlignedBuffer<float> upd_scratch_;  ///< per-copy dW buffers
   std::vector<KernelStream> upd_streams_;     ///< one per thread
+
+  // backward k-dot (C < vlen): one kernel per (row phase, column phase,
+  // remainder width), index (a * stride_w + b) * 2 + is_rem; null where a
+  // phase has no such call.
+  std::vector<const kernels::KdotMicrokernel*> kdot_variants_;
+  tensor::AlignedBuffer<float> kdot_wp_;  ///< packed [Kb][R][S][C][vlen]
 
   // backward 1x1-strided variants: (q_edge) -> kernel
   std::vector<const kernels::ConvMicrokernel*> bwd1x1_variants_;

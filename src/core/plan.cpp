@@ -18,6 +18,7 @@
 #include <stdexcept>
 
 #include "jit/conv_kernel_gen.hpp"
+#include "jit/kdot_kernel_gen.hpp"
 #include "platform/envparse.hpp"
 #include "tensor/layout.hpp"
 
@@ -71,7 +72,7 @@ bool backend_pref_from_name(const std::string& s, kernels::BackendPref* out) {
 
 bool bwd_algo_from_name(const std::string& s, BwdAlgo* out) {
   for (BwdAlgo a : {BwdAlgo::duality_stride1, BwdAlgo::duality_1x1_strided,
-                    BwdAlgo::gemm_fallback}) {
+                    BwdAlgo::gemm_fallback, BwdAlgo::kdot}) {
     if (s == bwd_algo_name(a)) {
       *out = a;
       return true;
@@ -111,6 +112,7 @@ const char* bwd_algo_name(BwdAlgo a) {
     case BwdAlgo::duality_stride1: return "duality-s1";
     case BwdAlgo::duality_1x1_strided: return "duality-1x1-strided";
     case BwdAlgo::gemm_fallback: return "gemm-fallback";
+    case BwdAlgo::kdot: return "kdot";
   }
   return "unknown";
 }
@@ -238,7 +240,13 @@ ConvPlan plan_default(const ConvParams& p, const PlanRequest& req) {
 
   if (!req.fwd_only) {
     // Backward algorithm (Section II-I), forced by layer shape.
-    if (p.stride_h == 1 && p.stride_w == 1) {
+    if (p.C < plan.vlen) {
+      plan.bwd_algo = BwdAlgo::kdot;
+      // One call covers pixels of one column phase: ceil(W / stride) of them.
+      plan.bwd_kdot_rb = pick_block_extent(
+          tensor::ceil_div(p.W, p.stride_w),
+          jit::KdotKernelDesc::max_rb(kernel_isa(req.isa), p.C), kRbMinExtent);
+    } else if (p.stride_h == 1 && p.stride_w == 1) {
       plan.bwd_algo = BwdAlgo::duality_stride1;
     } else if (p.R == 1 && p.S == 1 && p.pad_h == 0 && p.pad_w == 0) {
       plan.bwd_algo = BwdAlgo::duality_1x1_strided;
@@ -320,7 +328,9 @@ void ConvPlan::validate(const ConvParams& p, PlanPass pass) const {
   // The backward algorithm is shape-forced (Section II-I); a plan that
   // disagrees was serialized for a different layer.
   BwdAlgo want;
-  if (p.stride_h == 1 && p.stride_w == 1) {
+  if (p.C < vlen) {
+    want = BwdAlgo::kdot;
+  } else if (p.stride_h == 1 && p.stride_w == 1) {
     want = BwdAlgo::duality_stride1;
   } else if (p.R == 1 && p.S == 1 && p.pad_h == 0 && p.pad_w == 0) {
     want = BwdAlgo::duality_1x1_strided;
@@ -331,6 +341,11 @@ void ConvPlan::validate(const ConvParams& p, PlanPass pass) const {
   if (bwd_algo == BwdAlgo::duality_1x1_strided) {
     if (bwd1x1_rbq < 1 || bwd1x1_rbq > max_acc)
       fail("bwd1x1_rbq outside the register budget");
+  }
+  if (bwd_algo == BwdAlgo::kdot) {
+    if (bwd_kdot_rb < 1 ||
+        bwd_kdot_rb > jit::KdotKernelDesc::max_rb(kernel_isa(isa), p.C))
+      fail("bwd_kdot_rb outside the register budget");
   }
   if (bwd_algo == BwdAlgo::gemm_fallback) {
     if (bwd_gemm_qc < 1 || bwd_gemm_qc > Q) fail("bwd_gemm_qc out of range");
@@ -365,6 +380,7 @@ std::string ConvPlan::to_json(const PlanKey& key) const {
   os << "  \"bwd_algo\": \"" << bwd_algo_name(bwd_algo) << "\",\n";
   os << "  \"bwd1x1_rbq\": " << bwd1x1_rbq << ",\n";
   os << "  \"bwd_gemm_qc\": " << bwd_gemm_qc << ",\n";
+  os << "  \"bwd_kdot_rb\": " << bwd_kdot_rb << ",\n";
   os << "  \"upd_strategy\": \"" << upd_strategy_name(upd_strategy)
      << "\",\n";
   os << "  \"upd_bp\": " << upd_bp << ",\n";
@@ -497,8 +513,8 @@ PlanLoadStatus plan_from_json(const std::string& text, const PlanKey& expect,
 
   ConvPlan plan;
   std::string isa, backend, bwd, upd, ulo;
-  long vlen = 0, threads = 0, rbp = 0, rbq = 0, b1rbq = 0, gqc = 0, ubp = 0,
-       ubq = 0, urun = 0;
+  long vlen = 0, threads = 0, rbp = 0, rbq = 0, b1rbq = 0, gqc = 0, krb = 0,
+       ubp = 0, ubq = 0, urun = 0;
   if (!str("isa", &isa) || !isa_from_name(isa, &plan.isa))
     return PlanLoadStatus::corrupt;
   if (!num("vlen", &vlen) || !num("threads", &threads))
@@ -513,7 +529,8 @@ PlanLoadStatus plan_from_json(const std::string& text, const PlanKey& expect,
       !boolean("tuned", &plan.tuned))
     return PlanLoadStatus::corrupt;
   if (!num("rbp", &rbp) || !num("rbq", &rbq) || !num("bwd1x1_rbq", &b1rbq) ||
-      !num("bwd_gemm_qc", &gqc) || !num("upd_bp", &ubp) ||
+      !num("bwd_gemm_qc", &gqc) || !num("bwd_kdot_rb", &krb) ||
+      !num("upd_bp", &ubp) ||
       !num("upd_bq", &ubq) || !num("upd_reduce_unroll", &urun))
     return PlanLoadStatus::corrupt;
   if (!str("bwd_algo", &bwd) || !bwd_algo_from_name(bwd, &plan.bwd_algo))
@@ -530,6 +547,7 @@ PlanLoadStatus plan_from_json(const std::string& text, const PlanKey& expect,
   plan.rbq = static_cast<int>(rbq);
   plan.bwd1x1_rbq = static_cast<int>(b1rbq);
   plan.bwd_gemm_qc = static_cast<int>(gqc);
+  plan.bwd_kdot_rb = static_cast<int>(krb);
   plan.upd_bp = static_cast<int>(ubp);
   plan.upd_bq = static_cast<int>(ubq);
   plan.upd_reduce_unroll = static_cast<int>(urun);

@@ -98,8 +98,10 @@ inline constexpr int kUpdReduceUnrollDefault = 4;
 // Plan value type
 // ---------------------------------------------------------------------------
 
-/// Backward-pass algorithm (Section II-I), selected by layer shape.
-enum class BwdAlgo { duality_stride1, duality_1x1_strided, gemm_fallback };
+/// Backward-pass algorithm (Section II-I), selected by layer shape. `kdot`
+/// covers every layer with C < VLEN (a single, partly padded input block):
+/// it vectorizes over dO's K channels instead of dI's padded lanes.
+enum class BwdAlgo { duality_stride1, duality_1x1_strided, gemm_fallback, kdot };
 const char* bwd_algo_name(BwdAlgo a);
 
 /// Which passes a plan covers: `fwd` for forward-only layers (the backward
@@ -136,10 +138,11 @@ struct ConvPlan {
   bool cb_in_kernel = false;   ///< 1x1 path: Cb loop inside the kernel
 
   // Backward (Section II-I). Meaningful for pass=train plans; bwd1x1_rbq /
-  // bwd_gemm_qc are 0 unless the respective algorithm is selected.
+  // bwd_gemm_qc / bwd_kdot_rb are 0 unless their algorithm is selected.
   BwdAlgo bwd_algo = BwdAlgo::duality_stride1;
   int bwd1x1_rbq = 0;   ///< register blocking of the 1x1-strided dual path
   int bwd_gemm_qc = 0;  ///< Q-chunk per GEMM call in the Algorithm-7 fallback
+  int bwd_kdot_rb = 0;  ///< dI pixels per k-dot kernel call
 
   // Weight update (Section II-J). upd_strategy is always resolved (never
   // auto_pick) in a materialized plan.
@@ -248,7 +251,7 @@ ConvPlan resolve_plan(const ConvParams& p, const PlanRequest& req,
 /// Bump whenever the serialized field set changes; the lint rule
 /// `plan-schema` (tools/lint/xconv_lint.py) locks fields x version against
 /// tools/lint/plan_schema.json.
-inline constexpr int kPlanSchemaVersion = 2;
+inline constexpr int kPlanSchemaVersion = 3;
 
 enum class PlanLoadStatus {
   ok,

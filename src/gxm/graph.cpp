@@ -99,7 +99,11 @@ void Graph::build_eng(const std::vector<NodeSpec>& enl) {
   // Shape inference in NL order (topologically valid for parser output),
   // then allocation. infer_shapes also raises halo requirements on ports.
   for (auto& up : nodes_) up->infer_shapes();
-  for (auto& [name, port] : ports_) port->allocate(vlen_);
+  for (auto& [name, port] : ports_) {
+    port->needs_grad = !(as_input(port->producer) != nullptr &&
+                         dynamic_cast<ConvNode*>(port->consumer) != nullptr);
+    port->allocate(vlen_);
+  }
   for (auto& up : nodes_) up->setup(vlen_, threads_);
   if (loss_ != nullptr) loss_->set_labels(&input_->labels());
   input_->set_seed(opt_.seed);

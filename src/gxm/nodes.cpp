@@ -148,6 +148,10 @@ tensor::WtTensor& ConvNode::bwd_form() {
 }
 
 void ConvNode::backward() {
+  // A data-fed convolution's dI has no reader (the Input node ignores
+  // gradients), so the Graph gave its bottom no gradient and the pass is
+  // skipped; conv1 of ResNet-50 is the case that matters.
+  if (!bottoms[0]->needs_grad) return;
   if (bwd_stale_) {
     tensor::blocked_fwd_to_bwd(wt_, bwd_form(), threads_);
     bwd_stale_ = false;

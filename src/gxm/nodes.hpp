@@ -31,12 +31,17 @@ struct Port {
   tensor::ActTensor grad;
   class Node* producer = nullptr;
   class Node* consumer = nullptr;
+  /// False when no node reads this port's gradient: the data a convolution
+  /// reads straight from the Input node (see ConvNode::backward). Such a
+  /// port allocates no `grad`.
+  bool needs_grad = true;
 
   void allocate(int vlen) {
     act = tensor::ActTensor(shape.n, shape.c, shape.h, shape.w, shape.pad_h,
                             shape.pad_w, vlen);
-    grad = tensor::ActTensor(shape.n, shape.c, shape.h, shape.w, shape.pad_h,
-                             shape.pad_w, vlen);
+    if (needs_grad)
+      grad = tensor::ActTensor(shape.n, shape.c, shape.h, shape.w,
+                               shape.pad_h, shape.pad_w, vlen);
   }
 };
 

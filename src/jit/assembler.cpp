@@ -296,6 +296,24 @@ void Assembler::vdivps(VecWidth w, Vec dst, Vec a, Vec b) {
   vop_rr(w, 0x5E, kMap0F, kPpNone, dst, a, b);
 }
 
+void Assembler::vshufps(VecWidth w, Vec dst, Vec a, Vec b, int imm) {
+  // VEX.256.0F.WIG C6 /r ib | EVEX.512.0F.W0 C6 /r ib.
+  vop_rr(w, 0xC6, kMap0F, kPpNone, dst, a, b);
+  buf_.emit8(static_cast<std::uint8_t>(imm));
+}
+
+void Assembler::vshuff32x4(Vec dst, Vec a, Vec b, int imm) {
+  // EVEX.512.66.0F3A.W0 23 /r ib.
+  vop_rr(VecWidth::zmm512, 0x23, kMap0F3A, kPp66, dst, a, b);
+  buf_.emit8(static_cast<std::uint8_t>(imm));
+}
+
+void Assembler::vperm2f128(Vec dst, Vec a, Vec b, int imm) {
+  // VEX.256.66.0F3A.W0 06 /r ib.
+  vop_rr(VecWidth::ymm256, 0x06, kMap0F3A, kPp66, dst, a, b);
+  buf_.emit8(static_cast<std::uint8_t>(imm));
+}
+
 // --- AVX-512 integer / mask / pack (codec kernels) ---------------------------
 
 void Assembler::vcvtps2dq(Vec dst, Vec src) {

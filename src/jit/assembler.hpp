@@ -9,6 +9,8 @@
 //     (reg-reg-reg, full-width memory operand, and EVEX embedded-broadcast
 //     memory operand), vxorps, vmaxps, vaddps — in VEX.256 (AVX2) and
 //     EVEX.512 (AVX-512) forms.
+//   * Lane shuffles for horizontal-sum trees: vshufps (VEX.256/EVEX.512),
+//     vshuff32x4 (EVEX.512) and vperm2f128 (VEX.256).
 //   * AVX512-VNNI: vpdpwssd (int16 pair dot-product accumulate).
 //   * AVX-512 integer/mask/pack subset for the codec kernels: vcvtps2dq,
 //     vpaddd/vpandd/vpord/vpminud, immediate shifts, vpmovdw/vpmovsxwd/
@@ -95,6 +97,14 @@ class Assembler {
   void vsubps(VecWidth w, Vec dst, Vec a, Vec b);
   void vmulps(VecWidth w, Vec dst, Vec a, Vec b);
   void vdivps(VecWidth w, Vec dst, Vec a, Vec b);
+  /// Per 128-bit lane: dst = {a[imm0], a[imm1], b[imm2], b[imm3]} (2-bit
+  /// selectors, imm0 lowest).
+  void vshufps(VecWidth w, Vec dst, Vec a, Vec b, int imm);
+  /// 128-bit chunks: dst = {a[imm0], a[imm1], b[imm2], b[imm3]}; zmm512 only.
+  void vshuff32x4(Vec dst, Vec a, Vec b, int imm);
+  /// 128-bit halves: dst.lo/hi = chunk imm[1:0]/imm[5:4] of {a.lo, a.hi,
+  /// b.lo, b.hi}; ymm256 only.
+  void vperm2f128(Vec dst, Vec a, Vec b, int imm);
 
   // --- AVX-512 integer / mask / pack (codec kernels; zmm512 only) -------------
   /// dst(i32) = cvt_rne(src(fp32)) — rounding follows MXCSR (RNE by default),

@@ -30,6 +30,17 @@ struct PrefetchSlot {
 
 // Interleaves one queued prefetch instruction every `interval` FMAs
 // ("sprinkled throughout the FMA instructions", Section II-E).
+//
+// The interval comes from the whole call's FMA count, but an in-kernel Cb
+// loop (c_blocks > 1) emits its body once, with 1/Cb of those FMAs. Such a
+// kernel therefore emits only about (slots + 1) / Cb of the queued slots,
+// the first ones in queue order (input rows first), and re-executes them on
+// every Cb iteration. This looks like a bug but is load-bearing: spacing all
+// slots over the loop body measured slower (forward fell 25-38% on the
+// stride-2 and 1x1 ResNet-50 layers L06, L07, L11, L12 and L16 in a traced
+// conv_table1 pair on a 4-vCPU AVX-512 host, at equal peak-probe readings). The count is pinned by
+// tests/test_jit_kernels.cpp (JitConv.CbInKernelPrefetchCountPinned); change
+// it only with a measurement.
 class PrefetchScheduler {
  public:
   PrefetchScheduler(std::vector<PrefetchSlot> slots, int total_fmas)

@@ -22,6 +22,10 @@ using conv_fn = void (*)(const float* in, const float* wt, float* out,
 /// handles the sub-chunk tail with the scalar reference loop.
 using reduce_fn = void (*)(const float* src, float* dst, std::int64_t iters);
 
+/// k-dot backward kernel (kdot_kernel_gen.hpp): dO at the phase's top-left
+/// tap, the packed k-vector weights, and the call's first dI pixel.
+using kdot_fn = void (*)(const float* dout, const float* wp, float* din);
+
 /// Codec kernels (int16 / bf16 / top-k encode+decode): three operand
 /// pointers whose meaning is per-op (documented in codec_kernel_gen.hpp),
 /// `iters` full 16-lane vectors, and a pointer to a small caller-built array

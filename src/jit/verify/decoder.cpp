@@ -38,6 +38,9 @@ const char* const kCoveredAssemblerOps[] = {
     "vsubps",
     "vmulps",
     "vdivps",
+    "vshufps",
+    "vshuff32x4",
+    "vperm2f128",
     "vcvtps2dq",
     "vpaddd",
     "vpaddd_bcast",
@@ -165,6 +168,7 @@ bool evex_lookup(int map, int pp, std::uint8_t opc, bool is_rr, bool bcast,
       case 0x5D: if (!is_rr) return false; *s = {Op::vminps}; return true;
       case 0x5E: if (!is_rr) return false; *s = {Op::vdivps}; return true;
       case 0x5F: if (!is_rr) return false; *s = {Op::vmaxps}; return true;
+      case 0xC6: if (!is_rr) return false; *s = {Op::vshufps, 1, 0, false, true}; return true;
       default: return false;
     }
   }
@@ -222,6 +226,11 @@ bool evex_lookup(int map, int pp, std::uint8_t opc, bool is_rr, bool bcast,
     }
     return false;
   }
+  if (map == kMap0F3A && pp == kPp66 && opc == 0x23) {
+    if (!is_rr || bcast) return false;
+    *s = {Op::vshuff32x4, 1, 0, false, true};
+    return true;
+  }
   if (map == kMap0F3A && pp == kPp66 && opc == 0x1E) {
     if (is_rr) { *s = {Op::vpcmpud, 1, 0, false, true}; return true; }
     if (!bcast) return false;
@@ -257,8 +266,16 @@ bool vex_lookup(int map, int pp, bool l256, std::uint8_t opc, bool is_rr,
       case 0x5D: if (!is_rr) return false; *s = {Op::vminps, 1, 0, false, false, Isa::avx2}; return true;
       case 0x5E: if (!is_rr) return false; *s = {Op::vdivps, 1, 0, false, false, Isa::avx2}; return true;
       case 0x5F: if (!is_rr) return false; *s = {Op::vmaxps, 1, 0, false, false, Isa::avx2}; return true;
+      case 0xC6: if (!is_rr) return false; *s = {Op::vshufps, 1, 0, false, true, Isa::avx2}; return true;
       default: return false;
     }
+  }
+  if (map == kMap0F3A && pp == kPp66) {
+    if (opc == 0x06 && is_rr) {
+      *s = {Op::vperm2f128, 1, 0, false, true, Isa::avx2};
+      return true;
+    }
+    return false;
   }
   if (map == kMap0F38 && pp == kPp66) {
     if (opc == 0x18 && !is_rr) {
@@ -435,6 +452,7 @@ bool decode_one(Reader& rd, Insn* out, std::string* err) {
       out->mem_size = s.mem_size;
       out->mem_write = s.mem_write;
     }
+    if (s.imm8) out->imm = rd.u8();
   } else if (b == 0x62) {
     // --- EVEX ---------------------------------------------------------------
     const std::uint8_t p0 = rd.u8();
@@ -491,9 +509,8 @@ bool decode_one(Reader& rd, Insn* out, std::string* err) {
     return fail("byte sequence outside the emitted instruction subset");
   }
 
-  // VEX path trailing immediate (vpcmpud has none under VEX; only the EVEX
-  // path sets imm8 specs — handled above). Shift/compare immediates for the
-  // EVEX path were consumed there.
+  // Trailing imm8 operands (shuffle selectors, shift counts, compare
+  // predicates) were consumed by the VEX/EVEX paths above.
   if (!rd.ok) return fail("truncated instruction");
   out->len = static_cast<unsigned>(rd.i - start);
   return true;
@@ -586,6 +603,12 @@ std::string format_insn(const Insn& insn) {
     case Op::vpcompressd_store:
       mem();
       os << "{k" << insn.mask << "}, " << vpfx << insn.vreg;
+      break;
+    case Op::vshufps:
+    case Op::vshuff32x4:
+    case Op::vperm2f128:
+      os << " " << vpfx << insn.vreg << ", " << vpfx << insn.vvvv << ", "
+         << vpfx << insn.vrm << ", " << insn.imm;
       break;
     case Op::vpsrld_i:
     case Op::vpslld_i:

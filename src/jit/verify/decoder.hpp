@@ -54,6 +54,9 @@ enum class Op {
   vsubps,
   vmulps,
   vdivps,
+  vshufps,
+  vshuff32x4,
+  vperm2f128,
   // AVX-512 integer / mask / pack
   vcvtps2dq,
   vpaddd,

@@ -457,6 +457,35 @@ Contract contract_for(const GemmKernelDesc& d) {
   return c;
 }
 
+Contract contract_for(const KdotKernelDesc& d) {
+  const std::int64_t vb = static_cast<std::int64_t>(d.vlen) * 4;
+  const int nt = d.taps_r(), nu = d.taps_s();
+  // dO: the farthest tap is t = u = 0 of the last channel block, read for
+  // the last pixel. Wp: the phase's last tap, channel C-1, last block. A
+  // phase without taps reads neither.
+  std::int64_t do_top = 0, wp_top = 0;
+  if (nt > 0 && nu > 0) {
+    do_top = (static_cast<std::int64_t>(d.kb - 1) * d.do_kb_stride +
+              static_cast<std::int64_t>(nt - 1) * d.do_row_stride +
+              static_cast<std::int64_t>(nu - 1 + d.rb - 1) * d.vlen) *
+                 4 +
+             vb;
+    const std::int64_t r_last = d.r0 + (nt - 1) * d.stride_h;
+    const std::int64_t s_last = d.s0 + (nu - 1) * d.stride_w;
+    wp_top = (static_cast<std::int64_t>(d.kb - 1) * d.r * d.s * d.c +
+              (r_last * d.s + s_last) * d.c + (d.c - 1)) *
+                 vb +
+             vb;
+  }
+  const std::int64_t di_top =
+      static_cast<std::int64_t>(d.rb - 1) * d.di_px_stride * 4 + vb;
+  Contract c = generated_kernel(d.isa);
+  c.regions = {{"dO", kRdi, do_top, 0, false},
+               {"Wp", kRsi, wp_top, 0, false},
+               {"dI", kRdx, di_top, 0, true}};
+  return c;
+}
+
 Contract contract_for(const quant::QKernelDesc& d) {
   const int ocs = d.out_col_stride > 0 ? d.out_col_stride : d.vlen;
   // int16 elements, 2 bytes each; the vpdpwssd broadcast reads one dword.

@@ -46,6 +46,7 @@
 #include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
 #include "jit/gemm_kernel_gen.hpp"
+#include "jit/kdot_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
 #include "platform/cpu.hpp"
 #include "quant/qconv_kernels.hpp"
@@ -90,6 +91,7 @@ Contract contract_for(const UpdKernelDesc& d);
 Contract contract_for(const ReduceKernelDesc& d);
 Contract contract_for(const CodecKernelDesc& d);
 Contract contract_for(const GemmKernelDesc& d);
+Contract contract_for(const KdotKernelDesc& d);
 Contract contract_for(const quant::QKernelDesc& d);
 
 /// Run all four passes; throws VerifyError with a diagnostic that includes

@@ -84,6 +84,22 @@ class JitReduceKernel final : public ReduceMicrokernel {
   std::unique_ptr<jit::ReduceKernel> k_;
 };
 
+class JitKdotKernel final : public KdotMicrokernel {
+ public:
+  explicit JitKdotKernel(const jit::KdotKernelDesc& d)
+      : KdotMicrokernel(d), k_(jit::generate_kdot_kernel(d)) {
+    verified(k_, d);
+  }
+
+  void run(const float* dout, const float* wp, float* din) const override {
+    (*k_)(dout, wp, din);
+  }
+  Backend backend() const override { return Backend::jit; }
+
+ private:
+  std::unique_ptr<jit::KdotKernel> k_;
+};
+
 class JitCodecKernel final : public CodecMicrokernel {
  public:
   explicit JitCodecKernel(const jit::CodecKernelDesc& d)
@@ -226,6 +242,24 @@ std::unique_ptr<ReduceMicrokernel> build_reduce(const jit::ReduceKernelDesc& d,
   return make_reduce_scalar(d);
 }
 
+std::unique_ptr<KdotMicrokernel> build_kdot(const jit::KdotKernelDesc& d,
+                                            BackendPref pref) {
+  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
+  switch (pref) {
+    case BackendPref::jit:
+      if (!simd_ok)
+        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
+      return make_kdot_jit(d);
+    case BackendPref::compiled:
+    case BackendPref::scalar:
+      return make_kdot_scalar(d);
+    case BackendPref::auto_pick:
+      break;
+  }
+  if (simd_ok) return make_kdot_jit(d);
+  return make_kdot_scalar(d);
+}
+
 std::unique_ptr<CodecMicrokernel> build_codec(const jit::CodecKernelDesc& d,
                                               BackendPref pref) {
   // Codec generation is avx512-only (validate() rejects avx2), so the
@@ -337,6 +371,24 @@ const ReduceMicrokernel* KernelRegistry::reduce(
   return reduce_.emplace(key, std::move(built)).first->second.get();
 }
 
+const KdotMicrokernel* KernelRegistry::kdot(const jit::KdotKernelDesc& desc,
+                                            BackendPref pref) {
+  const std::string key =
+      desc.key() + "#" + std::to_string(static_cast<int>(pref));
+  {
+    const platform::MutexLock lock(mu_);
+    auto it = kdot_.find(key);
+    if (it != kdot_.end()) {
+      ++stats_.hits;
+      return it->second.get();
+    }
+    ++stats_.misses;
+  }
+  auto built = build_kdot(desc, pref);  // may throw; cache stays untouched
+  const platform::MutexLock lock(mu_);
+  return kdot_.emplace(key, std::move(built)).first->second.get();
+}
+
 const CodecMicrokernel* KernelRegistry::codec(const jit::CodecKernelDesc& desc,
                                               BackendPref pref) {
   const std::string key =
@@ -357,7 +409,8 @@ const CodecMicrokernel* KernelRegistry::codec(const jit::CodecKernelDesc& desc,
 
 std::size_t KernelRegistry::size() const {
   const platform::MutexLock lock(mu_);
-  return conv_.size() + upd_.size() + reduce_.size() + codec_.size();
+  return conv_.size() + upd_.size() + reduce_.size() + kdot_.size() +
+         codec_.size();
 }
 
 KernelRegistry::Stats KernelRegistry::stats() const {
@@ -381,6 +434,10 @@ std::unique_ptr<UpdMicrokernel> make_upd_jit(const jit::UpdKernelDesc& d) {
 std::unique_ptr<ReduceMicrokernel> make_reduce_jit(
     const jit::ReduceKernelDesc& d) {
   return std::make_unique<JitReduceKernel>(d);
+}
+
+std::unique_ptr<KdotMicrokernel> make_kdot_jit(const jit::KdotKernelDesc& d) {
+  return std::make_unique<JitKdotKernel>(d);
 }
 
 std::unique_ptr<CodecMicrokernel> make_codec_jit(

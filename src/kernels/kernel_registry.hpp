@@ -47,6 +47,10 @@ class KernelRegistry {
   const ReduceMicrokernel* reduce(const jit::ReduceKernelDesc& desc,
                                   BackendPref pref = BackendPref::auto_pick);
 
+  /// Resolve a k-dot backward microkernel (C < VLEN layers).
+  const KdotMicrokernel* kdot(const jit::KdotKernelDesc& desc,
+                              BackendPref pref = BackendPref::auto_pick);
+
   /// Resolve a gradient-codec microkernel.
   const CodecMicrokernel* codec(const jit::CodecKernelDesc& desc,
                                 BackendPref pref = BackendPref::auto_pick);
@@ -80,6 +84,8 @@ class KernelRegistry {
       XCONV_GUARDED_BY(mu_);
   std::unordered_map<std::string, std::unique_ptr<ReduceMicrokernel>> reduce_
       XCONV_GUARDED_BY(mu_);
+  std::unordered_map<std::string, std::unique_ptr<KdotMicrokernel>> kdot_
+      XCONV_GUARDED_BY(mu_);
   std::unordered_map<std::string, std::unique_ptr<CodecMicrokernel>> codec_
       XCONV_GUARDED_BY(mu_);
   Stats stats_ XCONV_GUARDED_BY(mu_);
@@ -94,6 +100,8 @@ std::unique_ptr<ReduceMicrokernel> make_reduce_scalar(
     const jit::ReduceKernelDesc&);
 std::unique_ptr<ReduceMicrokernel> make_reduce_jit(
     const jit::ReduceKernelDesc&);
+std::unique_ptr<KdotMicrokernel> make_kdot_scalar(const jit::KdotKernelDesc&);
+std::unique_ptr<KdotMicrokernel> make_kdot_jit(const jit::KdotKernelDesc&);
 std::unique_ptr<CodecMicrokernel> make_codec_scalar(
     const jit::CodecKernelDesc&);
 std::unique_ptr<CodecMicrokernel> make_codec_jit(const jit::CodecKernelDesc&);

@@ -11,6 +11,7 @@
 
 #include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
+#include "jit/kdot_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
 
 namespace xconv::kernels {
@@ -49,6 +50,21 @@ class UpdMicrokernel {
  protected:
   explicit UpdMicrokernel(const jit::UpdKernelDesc& d) : desc_(d) {}
   jit::UpdKernelDesc desc_;
+};
+
+/// k-dot backward handle for C < VLEN layers (see jit/kdot_kernel_gen.hpp):
+/// desc().rb dI pixels of one row and column phase from dO and the packed
+/// k-vector weights.
+class KdotMicrokernel {
+ public:
+  virtual ~KdotMicrokernel() = default;
+  virtual void run(const float* dout, const float* wp, float* din) const = 0;
+  virtual Backend backend() const = 0;
+  const jit::KdotKernelDesc& desc() const { return desc_; }
+
+ protected:
+  explicit KdotMicrokernel(const jit::KdotKernelDesc& d) : desc_(d) {}
+  jit::KdotKernelDesc desc_;
 };
 
 /// dW-privatization reduce-epilogue handle: sums desc().copies private dW

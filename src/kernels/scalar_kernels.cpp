@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "kernels/kernel_registry.hpp"
 #include "quant/bfloat16.hpp"
@@ -103,6 +104,51 @@ class ScalarReduceKernel final : public ReduceMicrokernel {
       float acc = src[e];
       for (int c = 1; c < d.copies; ++c) acc += src[d.copy_stride * c + e];
       dst[e] = acc;
+    }
+  }
+
+  Backend backend() const override { return Backend::scalar; }
+};
+
+class ScalarKdotKernel final : public KdotMicrokernel {
+ public:
+  explicit ScalarKdotKernel(const jit::KdotKernelDesc& d)
+      : KdotMicrokernel(d) {}
+
+  // Bitwise the JIT's order: each lane k accumulates its fused products over
+  // (kb, r, s) with one rounding per step (std::fma = vfmadd231ps), then the
+  // shuffle tree sums lanes pairwise — adjacent pairs, then adjacent pairs of
+  // those — which is a balanced tree over the lanes in index order.
+  void run(const float* dout, const float* wp, float* din) const override {
+    const auto& d = desc_;
+    const int v = d.vlen, nt = d.taps_r(), nu = d.taps_s();
+    std::vector<float> lanes(v);
+    for (int j = 0; j < d.rb; ++j) {
+      float* px = din + static_cast<std::size_t>(j) * d.di_px_stride;
+      for (int c = 0; c < v; ++c) px[c] = 0.0f;
+      for (int c = 0; c < d.c; ++c) {
+        std::fill(lanes.begin(), lanes.end(), 0.0f);
+        for (int kb = 0; kb < d.kb; ++kb)
+          for (int t = 0; t < nt; ++t)
+            for (int u = 0; u < nu; ++u) {
+              const int r = d.r0 + t * d.stride_h, s = d.s0 + u * d.stride_w;
+              const float* w =
+                  wp + ((static_cast<std::size_t>(kb * d.r + r) * d.s + s) *
+                            d.c +
+                        c) *
+                           v;
+              const float* o =
+                  dout + static_cast<std::size_t>(kb) * d.do_kb_stride +
+                  static_cast<std::size_t>(nt - 1 - t) * d.do_row_stride +
+                  static_cast<std::size_t>(nu - 1 - u + j) * v;
+              for (int k = 0; k < v; ++k)
+                lanes[k] = std::fma(w[k], o[k], lanes[k]);
+            }
+        for (int width = v / 2; width >= 1; width /= 2)
+          for (int k = 0; k < width; ++k)
+            lanes[k] = lanes[2 * k] + lanes[2 * k + 1];
+        px[c] = lanes[0];
+      }
     }
   }
 
@@ -217,6 +263,11 @@ std::unique_ptr<UpdMicrokernel> make_upd_scalar(const jit::UpdKernelDesc& d) {
 std::unique_ptr<ReduceMicrokernel> make_reduce_scalar(
     const jit::ReduceKernelDesc& d) {
   return std::make_unique<ScalarReduceKernel>(d);
+}
+
+std::unique_ptr<KdotMicrokernel> make_kdot_scalar(
+    const jit::KdotKernelDesc& d) {
+  return std::make_unique<ScalarKdotKernel>(d);
 }
 
 std::unique_ptr<CodecMicrokernel> make_codec_scalar(

@@ -1,5 +1,6 @@
-// ConvLayer backward vs Algorithm 6, covering all three implementation paths
-// (stride-1 duality, scattered 1x1 duality, Algorithm-7 GEMM fallback).
+// ConvLayer backward vs Algorithm 6, covering all four implementation paths
+// (k-dot for C < vlen, stride-1 duality, scattered 1x1 duality, Algorithm-7
+// GEMM fallback).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include <string>
 
 #include "jit/conv_kernel_gen.hpp"
+#include "jit/kdot_kernel_gen.hpp"
 #include "test_helpers.hpp"
 #include "topo/resnet50.hpp"
 
@@ -90,9 +92,9 @@ TEST(Bwd, GemmFallbackScalarBackend) {
   expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "scalar gemm");
 }
 
-TEST(Bwd, GemmFallbackAvx2Conv1) {
-  // ResNet-50 conv1 (7x7/2, 224 input, Q = 112) on the AVX2 JIT: each GEMM
-  // call's Q-chunk must fit AVX2's 12 accumulators, not AVX-512's 28.
+TEST(Bwd, KdotAvx2Conv1) {
+  // ResNet-50 conv1 (C = 3, 7x7/2, 224 input) on the AVX2 JIT runs the
+  // k-dot kernels, whose rb must fit AVX2's 16 vector registers.
   if (static_cast<int>(platform::max_isa()) <
       static_cast<int>(platform::Isa::avx2))
     GTEST_SKIP() << "host lacks AVX2";
@@ -102,11 +104,32 @@ TEST(Bwd, GemmFallbackAvx2Conv1) {
   o.isa = platform::Isa::avx2;
   o.backend = kernels::BackendPref::jit;
   core::ConvLayer layer(p, o);
+  EXPECT_EQ(layer.bwd_algo(), BwdAlgo::kdot);
+  EXPECT_EQ(layer.vlen(), 8);
+  EXPECT_GE(layer.plan().bwd_kdot_rb, 1);
+  EXPECT_LE(layer.plan().bwd_kdot_rb,
+            jit::KdotKernelDesc::max_rb(platform::Isa::avx2, p.C));
+  expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "avx2 conv1");
+}
+
+TEST(Bwd, GemmFallbackAvx2SevenBySevenStride2) {
+  // A 7x7/2 layer with a full channel block (C = 16 >= vlen 8) keeps the
+  // GEMM fallback on AVX2: each call's Q-chunk must fit AVX2's 12
+  // accumulators, not AVX-512's 28 (Q = 56 here).
+  if (static_cast<int>(platform::max_isa()) <
+      static_cast<int>(platform::Isa::avx2))
+    GTEST_SKIP() << "host lacks AVX2";
+  const auto p = core::make_conv(1, 16, 16, 112, 112, 7, 7, 2, 3);
+  ConvProblem pr(p, 11);
+  core::ConvOptions o;
+  o.isa = platform::Isa::avx2;
+  o.backend = kernels::BackendPref::jit;
+  core::ConvLayer layer(p, o);
   EXPECT_EQ(layer.bwd_algo(), BwdAlgo::gemm_fallback);
   EXPECT_EQ(layer.vlen(), 8);
   EXPECT_LE(layer.plan().bwd_gemm_qc,
             jit::ConvKernelDesc::max_accumulators(platform::Isa::avx2));
-  expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "avx2 conv1");
+  expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "avx2 7x7/2");
 }
 
 TEST(Bwd, DualLayerReusesForwardMachinery) {
@@ -240,6 +263,17 @@ TEST(Bwd, PoisonedDIGemmFallback) {
                     BwdAlgo::gemm_fallback);
   check_poisoned_dI(core::make_conv(1, 16, 16, 17, 17, 7, 7, 2), 4,
                     BwdAlgo::gemm_fallback);
+}
+
+TEST(Bwd, PoisonedDIKdot) {
+  // C < vlen: conv1-like 7x7/2 with a halo wider than the padding, a
+  // stride-1 3x3 and a strided 1x1 (whose odd rows and columns meet no tap).
+  check_poisoned_dI(core::make_conv(2, 3, 20, 17, 15, 7, 7, 2, 3), 4,
+                    BwdAlgo::kdot);
+  check_poisoned_dI(core::make_conv(1, 5, 16, 9, 11, 3, 3, 1), 1,
+                    BwdAlgo::kdot);
+  check_poisoned_dI(core::make_conv(1, 7, 24, 9, 9, 1, 1, 2, 0), 1,
+                    BwdAlgo::kdot);
 }
 
 TEST(Bwd, BackwardDualRejectsForwardFormWeights) {

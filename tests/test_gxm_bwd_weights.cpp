@@ -17,9 +17,11 @@ using gxm::Solver;
 namespace {
 // One conv per backward algorithm: 3x3 stride 1 (duality), 1x1 stride 2
 // (scattered duality), 3x3 stride 2 (GEMM fallback); odd channel counts.
+// A BatchNorm sits between the data and c1, so c1's dI has a reader.
 const char* kNet = R"(
 layer { name: "data" type: "Input" top: "data" minibatch: 2 channels: 16 height: 12 width: 12 classes: 3 }
-layer { name: "c1" type: "Convolution" bottom: "data" top: "c1" K: 24 R: 3 stride: 1 pad: 1 }
+layer { name: "data_bn" type: "BatchNorm" bottom: "data" top: "data_bn" }
+layer { name: "c1" type: "Convolution" bottom: "data_bn" top: "c1" K: 24 R: 3 stride: 1 pad: 1 }
 layer { name: "c1_bn" type: "BatchNorm" bottom: "c1" top: "c1_bn" relu: 1 }
 layer { name: "c2" type: "Convolution" bottom: "c1_bn" top: "c2" K: 19 R: 1 stride: 2 pad: 0 }
 layer { name: "c3" type: "Convolution" bottom: "c2" top: "c3" K: 16 R: 3 stride: 2 pad: 1 }
@@ -141,6 +143,45 @@ TEST(BwdWeights, MutableWeightsForceFreshTransform) {
               0)
         << c->name();
   }
+}
+
+TEST(BwdWeights, DataFedConvHasNoBottomGradient) {
+  // conv1-like: C = 3 straight from the Input node. Nothing reads its dI, so
+  // the port carries no gradient and ConvNode::backward does nothing; its
+  // weight gradient (the UPD pass) still runs.
+  const char* net = R"(
+layer { name: "data" type: "Input" top: "data" minibatch: 2 channels: 3 height: 13 width: 13 classes: 3 }
+layer { name: "conv1" type: "Convolution" bottom: "data" top: "conv1" K: 16 R: 7 stride: 2 pad: 3 }
+layer { name: "gap" type: "AvgPool" bottom: "conv1" top: "gap" global: 1 }
+layer { name: "fc" type: "InnerProduct" bottom: "gap" top: "fc" K: 3 }
+layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
+)";
+  auto run = [&] {
+    Graph g(gxm::parse_topology(net), opts(2));
+    auto* c = dynamic_cast<gxm::ConvNode*>(g.find("conv1"));
+    EXPECT_NE(c, nullptr);
+    if (c == nullptr) return std::vector<float>{};
+    EXPECT_FALSE(c->bottoms[0]->needs_grad);
+    EXPECT_EQ(c->bottoms[0]->grad.size(), 0u);
+    EXPECT_TRUE(c->tops[0]->needs_grad);
+    std::vector<float> w0(c->weights().data(),
+                          c->weights().data() + c->weights().size());
+    std::vector<float> trace;
+    for (int step = 0; step < 3; ++step) {
+      g.train_step(solver());
+      trace.push_back(g.loss());
+    }
+    // The update pass still moved the data-fed layer's weights.
+    EXPECT_NE(std::memcmp(w0.data(), c->weights().data(),
+                          w0.size() * sizeof(float)),
+              0);
+    trace.insert(trace.end(), c->weights().data(),
+                 c->weights().data() + c->weights().size());
+    return trace;
+  };
+  const std::vector<float> a = run(), b = run();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
 }
 
 TEST(BwdWeights, LossTrajectoryMatchesRetransformEveryStep) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -43,6 +45,23 @@ inline void expect_close(const std::vector<float>& ref,
   const tensor::ErrorNorms e =
       tensor::compare(ref.data(), got.data(), ref.size());
   EXPECT_LT(e.l2_rel, tol) << what << " " << e.to_string();
+}
+
+/// Relative L2 bound for an fp32 sum of `len` products taken in two
+/// different orders: rounding errors grow like sqrt(len) * eps. The same rule
+/// benchsuite's Table I check uses (len = C*R*S fwd, K*R*S bwd).
+inline double reduction_bound(double len) {
+  return 4.0 * std::numeric_limits<float>::epsilon() * std::sqrt(len);
+}
+
+inline void expect_within_reduction_bound(const std::vector<float>& ref,
+                                          const std::vector<float>& got,
+                                          double len, const char* what = "") {
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  const tensor::ErrorNorms e =
+      tensor::compare(ref.data(), got.data(), ref.size());
+  EXPECT_LE(e.l2_rel, reduction_bound(len))
+      << what << " reduction length " << len << " " << e.to_string();
 }
 
 /// Exact (bit-identical) comparison — what stream replay guarantees vs the

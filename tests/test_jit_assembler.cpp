@@ -3,6 +3,8 @@
 // disassembly listing in the repository history / DESIGN.md).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "jit/assembler.hpp"
@@ -175,6 +177,24 @@ TEST(Assembler, VexYmmForms) {
   as.ret();
   b.finalize();
   EXPECT_GT(b.size(), 0u);  // executes below on any AVX2 machine via kernels
+}
+
+TEST(Assembler, ShuffleEncodings) {
+  // Reference bytes from GNU as (vshufps VEX in the 3-byte form the
+  // assembler always emits).
+  CodeBuffer b(256);
+  Assembler as(b);
+  as.vshufps(VecWidth::ymm256, Vec{1}, Vec{2}, Vec{3}, 0x44);
+  as.vshufps(VecWidth::zmm512, Vec{17}, Vec{2}, Vec{25}, 0xEE);
+  as.vshuff32x4(Vec{1}, Vec{2}, Vec{3}, 0x88);
+  as.vperm2f128(Vec{1}, Vec{2}, Vec{11}, 0x31);
+  const std::vector<std::uint8_t> want = {
+      0xC4, 0xE1, 0x6C, 0xC6, 0xCB, 0x44,        // vshufps ymm1,ymm2,ymm3
+      0x62, 0x81, 0x6C, 0x48, 0xC6, 0xC9, 0xEE,  // vshufps zmm17,zmm2,zmm25
+      0x62, 0xF3, 0x6D, 0x48, 0x23, 0xCB, 0x88,  // vshuff32x4 zmm1,zmm2,zmm3
+      0xC4, 0xC3, 0x6D, 0x06, 0xCB, 0x31};       // vperm2f128 ymm1,ymm2,ymm11
+  ASSERT_EQ(b.size(), want.size());
+  EXPECT_EQ(std::memcmp(b.data(), want.data(), want.size()), 0);
 }
 
 TEST(Assembler, VexRejectsHighRegisters) {

@@ -22,6 +22,7 @@
 #include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
 #include "jit/gemm_kernel_gen.hpp"
+#include "jit/kdot_kernel_gen.hpp"
 #include "jit/qconv_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
 #include "jit/verify/verifier.hpp"
@@ -202,6 +203,24 @@ TEST_F(JitExitState, BackwardGemmKernel) {
   const auto k = generate_gemm_kernel(d);
   Buffers b(jv::contract_for(d), 0);
   expect_clean_exit("bwd gemm",
+                    [&] { (*k)(b.f(kRdi), b.f(kRsi), b.f(kRdx)); });
+}
+
+TEST_F(JitExitState, BackwardKdotKernel) {
+  KdotKernelDesc d;
+  d.isa = fp32_isa();
+  d.vlen = platform::vlen_fp32(d.isa);
+  d.c = 3;
+  d.rb = KdotKernelDesc::max_rb(d.isa, d.c);
+  d.kb = 2;
+  d.r = d.s = 7;
+  d.stride_h = d.stride_w = 2;
+  d.do_row_stride = (d.rb + 4) * d.vlen;
+  d.do_kb_stride = 5 * d.do_row_stride;
+  d.di_px_stride = 2 * d.vlen;
+  const auto k = generate_kdot_kernel(d);
+  Buffers b(jv::contract_for(d), 0);
+  expect_clean_exit("bwd kdot",
                     [&] { (*k)(b.f(kRdi), b.f(kRsi), b.f(kRdx)); });
 }
 

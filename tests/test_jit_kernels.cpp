@@ -10,7 +10,9 @@
 
 #include "jit/conv_kernel_gen.hpp"
 #include "jit/gemm_kernel_gen.hpp"
+#include "jit/kdot_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
+#include "jit/verify/decoder.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "platform/cpu.hpp"
 #include "test_helpers.hpp"
@@ -154,6 +156,38 @@ TEST(JitConv, KeyIsInjectiveOverVariants) {
   EXPECT_NE(a.key(), c.key());
   EXPECT_NE(a.key(), d2.key());
   EXPECT_EQ(a.key(), jit::ConvKernelDesc(a).key());
+}
+
+TEST(JitConv, CbInKernelPrefetchCountPinned) {
+  // A 1x1 kernel, 1x14 pixels: 14 input lines + 14 output lines + 16
+  // weight lines = 44 queued prefetch slots. The scheduler spaces them by
+  // the whole call's FMAs (14 * 16 * c_blocks) / 45, but an in-kernel Cb loop
+  // emits its body once: with c_blocks = 4 the interval is 896 / 45 = 19 and
+  // the 224-FMA body reaches only 224 / 19 = 11 slots. Spreading all 44 over
+  // the body measured slower, so any change to these counts is deliberate.
+  auto prefetches = [](int c_blocks) {
+    jit::ConvKernelDesc d;
+    d.isa = platform::Isa::avx512;
+    d.vlen = 16;
+    d.rbq = 14;
+    d.in_row_stride = 14 * 16;
+    d.out_row_stride = 14 * 16;
+    d.c_iters = 16;
+    d.c_blocks = c_blocks;
+    if (c_blocks > 1) {
+      d.in_cb_stride = 14 * 14 * 16;
+      d.wt_cb_stride = 16 * 16;
+    }
+    d.beta0 = true;
+    const auto k = jit::generate_conv_kernel(d);
+    const auto r = jit::verify::decode(k->code(), k->code_size());
+    EXPECT_TRUE(r.ok()) << r.error;
+    int n = 0;
+    for (const auto& in : r.insns) n += in.is_prefetch ? 1 : 0;
+    return n;
+  };
+  EXPECT_EQ(prefetches(1), 44);  // every slot fits the straight-line body
+  EXPECT_EQ(prefetches(4), 11);
 }
 
 TEST(JitConv, LargeFilterUsesLoopAndStaysSmall) {
@@ -435,5 +469,110 @@ TEST(JitReduce, DescValidation) {
   EXPECT_THROW(d.validate(), std::invalid_argument);
   d.unroll = 4;
   d.copy_stride = 8;  // < vlen
+  EXPECT_THROW(d.validate(), std::invalid_argument);
+}
+
+// k-dot backward kernels (C < vlen): the scalar reference replays the JIT's
+// order — per-lane fused multiply-adds over (kb, r, s), then a pairwise lane
+// tree — so the two agree bit for bit, padding lanes (+0) included.
+struct KdotCase {
+  platform::Isa isa;
+  int c, rb, kb, r, stride, r0, s0;
+};
+
+class JitKdotSweep : public ::testing::TestWithParam<KdotCase> {};
+
+TEST_P(JitKdotSweep, BitwiseMatchesScalar) {
+  const auto c = GetParam();
+  if (!host_has(c.isa)) GTEST_SKIP();
+  jit::KdotKernelDesc d;
+  d.isa = c.isa;
+  d.vlen = platform::vlen_fp32(c.isa);
+  d.c = c.c;
+  d.rb = c.rb;
+  d.kb = c.kb;
+  d.r = d.s = c.r;
+  d.stride_h = d.stride_w = c.stride;
+  d.r0 = c.r0;
+  d.s0 = c.s0;
+  const int rows = d.taps_r() + 1, cols = d.taps_s() + c.rb + 2;
+  d.do_row_stride = cols * d.vlen;
+  d.do_kb_stride = rows * d.do_row_stride;
+  d.di_px_stride = c.stride * d.vlen;
+
+  const auto dout = random_vec(
+      static_cast<std::size_t>(c.kb) * d.do_kb_stride, 21, -2.0f, 2.0f);
+  const auto wp = random_vec(
+      static_cast<std::size_t>(c.kb) * c.r * c.r * c.c * d.vlen, 22);
+  std::vector<float> din_ref(
+      static_cast<std::size_t>(c.rb) * d.di_px_stride, -7.0f);
+  auto din_jit = din_ref;
+
+  kernels::make_kdot_scalar(d)->run(dout.data(), wp.data(), din_ref.data());
+  kernels::make_kdot_jit(d)->run(dout.data(), wp.data(), din_jit.data());
+  xconv::testing::expect_bitwise(din_ref, din_jit, "kdot kernel");
+  for (int j = 0; j < c.rb; ++j)
+    for (int lane = c.c; lane < d.vlen; ++lane)
+      ASSERT_EQ(din_jit[j * d.di_px_stride + lane], 0.0f) << j << " " << lane;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, JitKdotSweep,
+    ::testing::Values(
+        // ResNet-50 conv1 phases (C = 3, 7x7/2, rb = 8, Kb = 4)
+        KdotCase{platform::Isa::avx512, 3, 8, 4, 7, 2, 0, 0},
+        KdotCase{platform::Isa::avx512, 3, 8, 4, 7, 2, 1, 0},
+        KdotCase{platform::Isa::avx512, 3, 8, 4, 7, 2, 1, 1},
+        KdotCase{platform::Isa::avx512, 3, 5, 4, 7, 2, 0, 1},  // remainder
+        KdotCase{platform::Isa::avx512, 1, 29, 1, 3, 1, 0, 0},
+        KdotCase{platform::Isa::avx512, 15, 1, 3, 3, 1, 0, 0},
+        KdotCase{platform::Isa::avx512, 7, 3, 2, 1, 2, 1, 0},  // no r taps
+        KdotCase{platform::Isa::avx512, 5, 5, 1, 1, 2, 0, 0},
+        KdotCase{platform::Isa::avx2, 3, 3, 8, 7, 2, 0, 1},
+        KdotCase{platform::Isa::avx2, 1, 13, 2, 3, 1, 0, 0},
+        KdotCase{platform::Isa::avx2, 7, 1, 3, 3, 2, 1, 1},
+        KdotCase{platform::Isa::avx2, 4, 2, 1, 5, 1, 0, 0}));
+
+TEST(JitKdot, RegisterBudget) {
+  using platform::Isa;
+  // rb*C accumulators + C weights + one dO vector, three free for the tree.
+  EXPECT_EQ(jit::KdotKernelDesc::max_rb(Isa::avx512, 3), 9);
+  EXPECT_EQ(jit::KdotKernelDesc::max_rb(Isa::avx512, 1), 29);
+  EXPECT_EQ(jit::KdotKernelDesc::max_rb(Isa::avx512, 15), 1);
+  EXPECT_EQ(jit::KdotKernelDesc::max_rb(Isa::avx2, 3), 4);
+  EXPECT_EQ(jit::KdotKernelDesc::max_rb(Isa::avx2, 7), 1);
+  for (Isa isa : {Isa::avx2, Isa::avx512}) {
+    const int v = platform::vlen_fp32(isa);
+    for (int c = 1; c < v; ++c) {
+      const int rb = jit::KdotKernelDesc::max_rb(isa, c);
+      ASSERT_GE(rb, 1) << c;
+      EXPECT_LE(rb * c + c + 1, isa == Isa::avx2 ? 16 : 32) << c;
+    }
+  }
+}
+
+TEST(JitKdot, DescValidation) {
+  jit::KdotKernelDesc d;
+  d.isa = platform::Isa::avx512;
+  d.vlen = 16;
+  d.c = 3;
+  d.rb = 8;
+  d.kb = 4;
+  d.r = d.s = 7;
+  d.stride_h = d.stride_w = 2;
+  d.do_row_stride = 118 * 16;
+  d.do_kb_stride = 118 * 118 * 16;
+  d.di_px_stride = 32;
+  EXPECT_NO_THROW(d.validate());
+  d.rb = 10;  // 30 accumulators + 3 weights + dO > 32
+  EXPECT_THROW(d.validate(), std::invalid_argument);
+  d.rb = 8;
+  d.c = 16;  // a full block is not a k-dot layer
+  EXPECT_THROW(d.validate(), std::invalid_argument);
+  d.c = 3;
+  d.r0 = 2;  // phase must lie inside the stride
+  EXPECT_THROW(d.validate(), std::invalid_argument);
+  d.r0 = 0;
+  d.vlen = 8;
   EXPECT_THROW(d.validate(), std::invalid_argument);
 }

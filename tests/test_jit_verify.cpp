@@ -128,6 +128,14 @@ std::vector<OpCase> op_cases() {
        [](Assembler& a) { a.vmulps(kZ, Vec{1}, Vec{2}, Vec{3}); }},
       {Op::vdivps,
        [](Assembler& a) { a.vdivps(kZ, Vec{1}, Vec{2}, Vec{3}); }},
+      {Op::vshufps,
+       [](Assembler& a) { a.vshufps(kY, Vec{1}, Vec{2}, Vec{11}, 0x88); }},
+      {Op::vshufps,
+       [](Assembler& a) { a.vshufps(kZ, Vec{17}, Vec{2}, Vec{25}, 0xDD); }},
+      {Op::vshuff32x4,
+       [](Assembler& a) { a.vshuff32x4(Vec{1}, Vec{20}, Vec{3}, 0x88); }},
+      {Op::vperm2f128,
+       [](Assembler& a) { a.vperm2f128(Vec{1}, Vec{2}, Vec{11}, 0x31); }},
       {Op::vcvtps2dq, [](Assembler& a) { a.vcvtps2dq(Vec{4}, Vec{5}); }},
       {Op::vpaddd, [](Assembler& a) { a.vpaddd(Vec{4}, Vec{5}, Vec{6}); }},
       {Op::vpaddd_bcast,
@@ -195,7 +203,7 @@ TEST(JitDecoder, RoundTripsEveryAssemblerOp) {
     for (const jv::Insn& in : r.insns) seen.insert(in.op);
   }
   // The case table must exercise the full closed instruction set — one case
-  // per Op enumerator (49 as of this writing; the decoder-coverage lint rule
+  // per Op enumerator (52 as of this writing; the decoder-coverage lint rule
   // keeps the enum itself in sync with assembler.hpp).
   EXPECT_EQ(seen.size(),
             static_cast<std::size_t>(jv::Op::prefetcht1) + 1);

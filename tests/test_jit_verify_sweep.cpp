@@ -6,6 +6,7 @@
 // which the last test documents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -15,6 +16,7 @@
 #include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
 #include "jit/gemm_kernel_gen.hpp"
+#include "jit/kdot_kernel_gen.hpp"
 #include "jit/qconv_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
 #include "jit/verify/verifier.hpp"
@@ -102,7 +104,7 @@ int sweep_conv_shape(const core::ConvParams& p, platform::Isa isa) {
         d.stride_w = p.stride_w;
         d.in_row_stride = (p.W + 2 * p.pad_w) * vlen;
         d.out_row_stride = Q * vlen;
-        d.c_iters = vlen;
+        d.c_iters = p.C < vlen ? p.C : vlen;  // single block: real lanes
         if (plan.cb_in_kernel) {
           d.c_blocks = ceil_div(p.C, vlen);
           d.in_cb_stride =
@@ -129,6 +131,51 @@ int sweep_conv_shape(const core::ConvParams& p, platform::Isa isa) {
       }
     }
   }
+  return verified;
+}
+
+/// k-dot backward descriptors for one C < vlen layer shape: every (row
+/// phase, column phase) at the planner's rb plus each phase's remainder.
+int sweep_kdot_shape(const core::ConvParams& p, platform::Isa isa) {
+  core::PlanRequest req;
+  req.isa = isa;
+  req.threads = 4;
+  const core::ConvPlan plan = core::plan_default(p, req);
+  if (plan.bwd_algo != core::BwdAlgo::kdot) return 0;
+  const int vlen = platform::vlen_fp32(isa);
+  const int rb = plan.bwd_kdot_rb;
+  const int Q = p.Q() + 2 * (p.S - 1 - p.pad_w);
+  int verified = 0;
+  for (int a = 0; a < p.stride_h; ++a)
+    for (int b = 0; b < p.stride_w; ++b) {
+      const int first = ((b - p.pad_w) % p.stride_w + p.stride_w) % p.stride_w;
+      const int count = first < p.W ? (p.W - 1 - first) / p.stride_w + 1 : 0;
+      for (int width : {std::min(rb, count), count % rb}) {
+        if (width == 0) continue;
+        jit::KdotKernelDesc d;
+        d.isa = isa;
+        d.vlen = vlen;
+        d.c = p.C;
+        d.rb = width;
+        d.kb = ceil_div(p.K, vlen);
+        d.r = p.R;
+        d.s = p.S;
+        d.stride_h = p.stride_h;
+        d.stride_w = p.stride_w;
+        d.r0 = a;
+        d.s0 = b;
+        d.do_row_stride = Q * vlen;
+        d.do_kb_stride = (p.P() + 2 * (p.R - 1 - p.pad_h)) * Q * vlen;
+        d.di_px_stride = p.stride_w * vlen;
+        try {
+          verified +=
+              expect_verified(d, jit::generate_kdot_kernel(d), d.key());
+        } catch (const std::invalid_argument& e) {
+          ADD_FAILURE() << "planner produced an invalid k-dot desc: "
+                        << e.what();
+        }
+      }
+    }
   return verified;
 }
 
@@ -187,6 +234,24 @@ TEST(JitVerifySweep, InceptionV3ForwardKernels) {
     for (const topo::InceptionConv& l : topo::inception_v3_convs())
       verified += sweep_conv_shape(topo::inception_params(l, 4), isa);
   EXPECT_GE(verified, 2 * 20 * 3);
+}
+
+TEST(JitVerifySweep, KdotBackwardKernels) {
+  // ResNet-50 and Inception-v3 first layers (C = 3), plus every small-C
+  // class the property suites cover.
+  std::vector<core::ConvParams> shapes = {
+      topo::table1_params(topo::resnet50_table1()[0], 4),
+      topo::inception_params(topo::inception_v3_convs()[0], 4)};
+  for (int c : {1, 2, 5, 7, 15})
+    for (int stride : {1, 2})
+      for (int r : {1, 3, 7})
+        shapes.push_back(core::make_conv(2, c, 20, 11, 13, r, r, stride,
+                                         (r - 1) / 2));
+  int verified = 0;
+  for (platform::Isa isa : kIsaClamps)
+    for (const core::ConvParams& p : shapes)
+      verified += sweep_kdot_shape(p, isa);
+  EXPECT_GE(verified, 2 * 30) << "sweep unexpectedly thin";
 }
 
 TEST(JitVerifySweep, ResNet50UpdateKernels) {

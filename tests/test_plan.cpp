@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "core/plan.hpp"
+#include "jit/kdot_kernel_gen.hpp"
 #include "test_helpers.hpp"
 #include "topo/inception_v3.hpp"
 #include "topo/resnet50.hpp"
@@ -121,7 +122,7 @@ struct Decisions {
   int rbp = 1, rbq = 1;
   bool cb_in_kernel = false;
   BwdAlgo bwd_algo = BwdAlgo::duality_stride1;
-  int bwd1x1_rbq = 0, bwd_gemm_qc = 0;
+  int bwd1x1_rbq = 0, bwd_gemm_qc = 0, bwd_kdot_rb = 0;
   UpdStrategy upd_strategy = UpdStrategy::task;
   int upd_bp = 0, upd_bq = 0;
 };
@@ -141,8 +142,14 @@ Decisions decide(const core::ConvParams& p, int threads, bool fwd_only) {
   d.cb_in_kernel = (p.R == 1 && p.S == 1 && cb > 1);
   if (fwd_only) return d;
 
-  // setup_backward (conv_backward.cpp)
-  if (p.stride_h == 1 && p.stride_w == 1) {
+  // setup_backward (conv_backward.cpp); C < vlen runs the k-dot kernels,
+  // whose rb*C accumulators, C weights, one dO vector and three tree
+  // registers share the 32 zmm registers.
+  if (p.C < kVlen) {
+    d.bwd_algo = BwdAlgo::kdot;
+    const int budget = std::min((32 - p.C - 1) / p.C, (32 - 3) / p.C);
+    d.bwd_kdot_rb = pick_rb(ceil_div(p.W, p.stride_w), budget);
+  } else if (p.stride_h == 1 && p.stride_w == 1) {
     d.bwd_algo = BwdAlgo::duality_stride1;
   } else if (p.R == 1 && p.S == 1 && p.pad_h == 0 && p.pad_w == 0) {
     d.bwd_algo = BwdAlgo::duality_1x1_strided;
@@ -214,6 +221,7 @@ void expect_matches_legacy(const core::ConvParams& p, int threads,
     EXPECT_EQ(plan.bwd_algo, d.bwd_algo);
     EXPECT_EQ(plan.bwd1x1_rbq, d.bwd1x1_rbq);
     EXPECT_EQ(plan.bwd_gemm_qc, d.bwd_gemm_qc);
+    EXPECT_EQ(plan.bwd_kdot_rb, d.bwd_kdot_rb);
     EXPECT_EQ(plan.upd_strategy, d.upd_strategy);
     EXPECT_EQ(plan.upd_bp, d.upd_bp);
     EXPECT_EQ(plan.upd_bq, d.upd_bq);
@@ -385,6 +393,61 @@ TEST(PlanCrossover, BackwardAlgorithmShapeForced) {
   EXPECT_EQ(pg.bwd_gemm_qc, 7);  // pick(Q=7, max_acc=28) = 7
 }
 
+TEST(PlanCrossover, KdotForLayersNarrowerThanOneBlock) {
+  // C < vlen selects the k-dot backward on both ISAs, for any stride and
+  // filter; rb stays within the vector-register budget and prefers a divisor
+  // of the per-phase pixel count ceil(W / stride).
+  for (platform::Isa isa : {platform::Isa::avx512, platform::Isa::avx2}) {
+    PlanRequest req;
+    req.isa = isa;
+    const int v = platform::vlen_fp32(isa);
+    for (int c : {1, 2, 3, v - 1})
+      for (int stride : {1, 2})
+        for (int r : {1, 3, 7}) {
+          const auto p = core::make_conv(2, c, 32, 28, 28, r, r, stride,
+                                         (r - 1) / 2);
+          SCOPED_TRACE(p.to_string() + " " + platform::isa_name(isa));
+          const ConvPlan plan = core::plan_default(p, req);
+          EXPECT_EQ(plan.bwd_algo, BwdAlgo::kdot);
+          EXPECT_GE(plan.bwd_kdot_rb, 1);
+          EXPECT_LE(plan.bwd_kdot_rb,
+                    jit::KdotKernelDesc::max_rb(isa, c));
+          EXPECT_EQ(plan.bwd1x1_rbq, 0);
+          EXPECT_EQ(plan.bwd_gemm_qc, 0);
+          EXPECT_NO_THROW(plan.validate(p, PlanPass::train));
+        }
+    // A full block keeps the shape-forced algorithms.
+    EXPECT_EQ(core::plan_default(core::make_conv(2, v, 32, 28, 28, 7, 7, 2),
+                                 req)
+                  .bwd_algo,
+              BwdAlgo::gemm_fallback);
+    EXPECT_EQ(core::plan_default(core::make_conv(2, v, 32, 28, 28, 3, 3, 1),
+                                 req)
+                  .bwd_algo,
+              BwdAlgo::duality_stride1);
+  }
+  PlanRequest req;
+  // ResNet-50 conv1 on AVX-512: 112 pixels per column phase, budget 9.
+  const ConvPlan conv1 = core::plan_default(
+      core::make_conv(4, 3, 64, 224, 224, 7, 7, 2, 3), req);
+  EXPECT_EQ(conv1.bwd_algo, BwdAlgo::kdot);
+  EXPECT_EQ(conv1.bwd_kdot_rb, 8);
+  // On AVX2 C = 8 is a full block; C = 7 fits only rb = 1.
+  req.isa = platform::Isa::avx2;
+  EXPECT_EQ(core::plan_default(core::make_conv(1, 8, 16, 9, 9, 3, 3, 2), req)
+                .bwd_algo,
+            BwdAlgo::gemm_fallback);
+  EXPECT_EQ(core::plan_default(core::make_conv(1, 7, 16, 9, 9, 3, 3, 2), req)
+                .bwd_kdot_rb,
+            1);
+  // A plan whose rb exceeds the budget is rejected.
+  ConvPlan bad = conv1;
+  bad.bwd_kdot_rb = 10;
+  EXPECT_THROW(bad.validate(core::make_conv(4, 3, 64, 224, 224, 7, 7, 2, 3),
+                            PlanPass::train),
+               std::invalid_argument);
+}
+
 TEST(PlanCrossover, UpdatePixelBlocking) {
   PlanRequest req;
   // P=Q=56: BP capped at kUpdBpCap=8 (divisor), BQ at the largest divisor
@@ -474,9 +537,9 @@ TEST(PlanKeyTest, TextFormAndHashPinned) {
   // which is exactly what kPlanSchemaVersion (embedded in the text) is for.
   EXPECT_EQ(key.to_string(),
             "conv(N=2,C=64,K=128,H=56,W=56,R=3,S=3,stride=1x1,pad=1x1)"
-            "|pass=train|isa=avx512|vlen=16|threads=4|v2");
-  EXPECT_EQ(key.hash(), 0x9ac43fd6cac21316ull);
-  EXPECT_EQ(key.hash_hex(), "9ac43fd6cac21316");
+            "|pass=train|isa=avx512|vlen=16|threads=4|v3");
+  EXPECT_EQ(key.hash(), 0x9ac440d6cac214c9ull);
+  EXPECT_EQ(key.hash_hex(), "9ac440d6cac214c9");
 }
 
 TEST(PlanKeyTest, HashIsFnv1a64) {
@@ -634,7 +697,8 @@ TEST(PlanSerialization, RejectsCorruptTruncatedVersionAndForeign) {
   // A bumped schema version is version_mismatch (the upgrade path).
   {
     std::string s = good;
-    const std::string needle = "\"plan_schema_version\": 2";
+    const std::string needle = "\"plan_schema_version\": " +
+                               std::to_string(core::kPlanSchemaVersion);
     const auto pos = s.find(needle);
     ASSERT_NE(pos, std::string::npos);
     s.replace(pos, needle.size(), "\"plan_schema_version\": 999");
@@ -752,7 +816,8 @@ TEST(PlanCacheTest, VersionMismatchedDiskEntryFallsBack) {
   cache.put(key, core::plan_default(p, req));
   // Simulate an old-version file in place.
   std::string text = read_file(cache.file_path(key));
-  const std::string needle = "\"plan_schema_version\": 2";
+  const std::string needle = "\"plan_schema_version\": " +
+                             std::to_string(core::kPlanSchemaVersion);
   const auto pos = text.find(needle);
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, needle.size(), "\"plan_schema_version\": 0");

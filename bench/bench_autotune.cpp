@@ -12,7 +12,7 @@
 //   bench_autotune [--layers=2,5,8] [--cache=DIR] [--out=PATH] [--runs=N]
 // --layers takes ResNet-50 Table-1 layer ids. Environment: XCONV_MB
 // (minibatch, default 1), XCONV_BENCH_RUNS (default 3), plus the library-wide
-// XCONV_ISA / XCONV_BACKEND / XCONV_STREAMS knobs.
+// XCONV_ISA knob.
 #include <omp.h>
 
 #include <cstring>
@@ -84,9 +84,6 @@ int main(int argc, char** argv) {
   base.threads = threads;
   core::PlanRequest req;
   req.isa = base.isa;
-  req.backend = base.backend;
-  req.use_streams = base.use_streams;
-  req.prefetch = base.prefetch;
   req.threads = threads;
 
   core::PlanCache cache(cache_dir);
@@ -127,11 +124,6 @@ int main(int argc, char** argv) {
       row.candidates = res.candidates_tried;
       cache.put(key, tuned);
     }
-    // Execution context follows this process (mirrors resolve_plan): a plan
-    // tuned under another stream/backend mode keeps its blocking decisions.
-    tuned.backend = req.backend;
-    tuned.use_streams = req.use_streams;
-    tuned.prefetch = req.prefetch;
     row.plan = tuned;
 
     const core::ConvPlan defplan = core::plan_default(p, req);

@@ -84,7 +84,7 @@ struct BenchResult {
   std::string layer;  ///< stable per-layer label, e.g. "rn50_L04"
   std::string params; ///< human-readable ConvParams string
   std::string pass;   ///< "fwd" | "bwd" | "upd"
-  std::string mode;   ///< "stream" | "branchy"
+  std::string mode;   ///< executor: always "stream"
   double ms = 0;      ///< mean wall-clock per call
   double gflops = 0;
   double pct_peak = 0;  ///< % of measured host peak (1 core x threads)

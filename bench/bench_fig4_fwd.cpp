@@ -1,10 +1,9 @@
 // Figure 4: ResNet-50 forward propagation, per layer — "This work" (JIT
 // direct convolution with kernel streams) vs the paper's comparators:
-// MKL-DNN proxy (same kernels, branchy driver without streams — the paper
-// states MKL-DNN productizes the same core ideas), im2col+GEMM, "libxsmm"
-// (blocked small-GEMM loops), "blas" (packing generic GEMM) and "autovec"
-// (compiler-vectorized loops). Right column: efficiency of this work as % of
-// the host's measured peak, next to the paper's SKX roofline projection.
+// im2col+GEMM, "libxsmm" (blocked small-GEMM loops), "blas" (packing generic
+// GEMM) and "autovec" (compiler-vectorized loops). Right column: efficiency
+// of this work as % of the host's measured peak, next to the paper's SKX
+// roofline projection.
 //
 // Expected shape (paper Section III-A): this work fastest or tied; im2col
 // ~3x slower; libxsmm/blas up to 9x; autovec up to 16x; 3x3 layers more
@@ -20,25 +19,16 @@ int main() {
   const int mb = platform::bench_minibatch(1);
   const int runs = platform::bench_runs(3);
   print_header("Figure 4: ResNet-50 FWD per layer [GFLOPS]", mb, runs);
-  std::printf("%3s %9s %9s %9s %9s %9s %9s | %7s %9s\n", "ID", "thiswork",
-              "MKLproxy", "im2col", "libxsmm", "blas", "autovec", "eff%",
-              "SKXproj%");
+  std::printf("%3s %9s %9s %9s %9s %9s | %7s %9s\n", "ID", "thiswork",
+              "im2col", "libxsmm", "blas", "autovec", "eff%", "SKXproj%");
 
   for (const auto& l : topo::resnet50_table1()) {
     const auto p = topo::table1_params(l, mb);
     const double gflop = static_cast<double>(p.flops());
 
-    core::ConvOptions stream_opt;
-    stream_opt.use_streams = true;
-    core::ConvLayer work(p, stream_opt);
+    core::ConvLayer work(p);
     auto t = make_tensors(work);
     const double g_work = fwd_gflops(work, t, runs);
-
-    core::ConvOptions branchy;
-    branchy.use_streams = false;
-    core::ConvLayer mkl(p, branchy);
-    auto tm = make_tensors(mkl);
-    const double g_mkl = fwd_gflops(mkl, tm, runs);
 
     // im2col on dense arrays.
     std::vector<float> din(p.input_elems(), 0.1f), dwt(p.weight_elems(), 0.1f),
@@ -64,8 +54,8 @@ int main() {
     const double eff = 100.0 * g_work / host_peak_gflops();
     const double proj = 100.0 * platform::skx_model().project_efficiency(
                                     p, platform::Pass::fwd);
-    std::printf("%3d %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f | %7.1f %9.1f\n",
-                l.id, g_work, g_mkl, g_ic, g_xsmm, g_blas, g_avec, eff, proj);
+    std::printf("%3d %9.1f %9.1f %9.1f %9.1f %9.1f | %7.1f %9.1f\n", l.id,
+                g_work, g_ic, g_xsmm, g_blas, g_avec, eff, proj);
     (void)gflop;
   }
   std::printf("\nPaper reference: this work 70-80%% of peak (3x3), ~70%% "

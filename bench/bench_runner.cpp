@@ -1,13 +1,13 @@
-// Unified benchmark runner: times forward / backward / weight-update for the
-// ResNet-50 (Table I) and Inception-v3 layer sets in both kernel-stream
-// replay and branchy-driver mode, prints a table, and writes a
-// BENCH_streams.json trajectory file so successive perf PRs can diff
-// per-layer GFLOPS (ROADMAP: measurable per-PR perf trajectory).
+// Unified benchmark runner: times forward / backward / weight-update (kernel
+// stream replay) for the ResNet-50 (Table I) and Inception-v3 layer sets,
+// prints a table, and writes a BENCH_streams.json trajectory file so
+// successive perf PRs can diff per-layer GFLOPS. Every row's "mode" is
+// "stream", the only executor.
 //
 // Usage:
 //   bench_runner [--set=resnet50|inception|smoke|all] [--out=PATH]
 // Environment: XCONV_MB (minibatch, default 1), XCONV_BENCH_RUNS (default 3),
-// plus the library-wide XCONV_ISA / XCONV_BACKEND / XCONV_STREAMS knobs.
+// plus the library-wide XCONV_ISA knob.
 // --set=smoke runs a single tiny shape (the CI trajectory-capture job).
 #include <omp.h>
 
@@ -84,34 +84,28 @@ int main(int argc, char** argv) {
   const double peak = bench::host_peak_gflops();
   const auto layers = collect_layers(set, mb);
 
-  bench::print_header("bench_runner: fwd/bwd/upd, stream replay vs branchy",
-                      mb, runs);
-  std::printf("%-16s %-5s %-8s %10s %10s %9s\n", "layer", "pass", "mode",
-              "ms", "GFLOPS", "%peak");
+  bench::print_header("bench_runner: fwd/bwd/upd, stream replay", mb, runs);
+  std::printf("%-16s %-5s %10s %10s %9s\n", "layer", "pass", "ms", "GFLOPS",
+              "%peak");
 
   std::vector<bench::BenchResult> results;
   for (const auto& bl : layers) {
-    for (const bool streams : {false, true}) {
-      core::ConvOptions o;
-      o.use_streams = streams;
-      core::ConvLayer layer(bl.p, o);
-      auto t = bench::make_tensors(layer);
-      for (const char* pass : {"fwd", "bwd", "upd"}) {
-        const auto st = bench::time_pass(layer, t, pass, runs);
-        bench::BenchResult r;
-        r.set = bl.set;
-        r.layer = bl.label;
-        r.params = bl.p.to_string();
-        r.pass = pass;
-        r.mode = streams ? "stream" : "branchy";
-        r.ms = st.mean_s * 1e3;
-        r.gflops = st.gflops(bl.p.flops());
-        r.pct_peak = peak > 0 ? 100.0 * r.gflops / (peak * threads) : 0.0;
-        results.push_back(r);
-        std::printf("%-16s %-5s %-8s %10.3f %10.1f %8.1f%%\n",
-                    r.layer.c_str(), r.pass.c_str(), r.mode.c_str(), r.ms,
-                    r.gflops, r.pct_peak);
-      }
+    core::ConvLayer layer(bl.p);
+    auto t = bench::make_tensors(layer);
+    for (const char* pass : {"fwd", "bwd", "upd"}) {
+      const auto st = bench::time_pass(layer, t, pass, runs);
+      bench::BenchResult r;
+      r.set = bl.set;
+      r.layer = bl.label;
+      r.params = bl.p.to_string();
+      r.pass = pass;
+      r.mode = "stream";
+      r.ms = st.mean_s * 1e3;
+      r.gflops = st.gflops(bl.p.flops());
+      r.pct_peak = peak > 0 ? 100.0 * r.gflops / (peak * threads) : 0.0;
+      results.push_back(r);
+      std::printf("%-16s %-5s %10.3f %10.1f %8.1f%%\n", r.layer.c_str(),
+                  r.pass.c_str(), r.ms, r.gflops, r.pct_peak);
     }
   }
 

@@ -23,7 +23,9 @@
 // All four run from weights already in backward-dual form (backward_dual);
 // backward() only adds the threaded duality transform in front (k-dot packs
 // straight from the forward form instead). Each path writes every dI
-// element, zeroing inside its own thread partition.
+// element, zeroing inside its own thread partition. Paths 2 and 3 replay
+// kernel streams recorded at setup; paths 1 and 4 call kernels that take
+// no prefetch operands straight from their loop nests.
 #include <omp.h>
 
 #include <algorithm>
@@ -103,8 +105,7 @@ Item1x1 decode_1x1(std::int64_t it, int n_qb, int P, int cb) {
 struct ConvLayer::BwdGemmPlan {
   int qc = 0;      ///< main chunk of Q pixels per GEMM call
   int q_rem = 0;   ///< remainder chunk
-  // JIT kernels (null when the backend is not JIT-capable; the compiled
-  // gemm_blocked path is used instead).
+  // JIT kernels (null on the scalar ISA, which runs gemm_blocked instead).
   std::unique_ptr<jit::GemmKernel> main, rem;
   int ldc = 0;
 };
@@ -114,10 +115,6 @@ ConvLayer::~ConvLayer() = default;
 
 void ConvLayer::setup_backward() {
   const ConvParams& p = params_;
-
-  const bool jit_capable = opt_.isa != platform::Isa::scalar &&
-                           opt_.backend != kernels::BackendPref::scalar &&
-                           opt_.backend != kernels::BackendPref::compiled;
 
   // The algorithm choice (shape-forced, Section II-I) and its blocking
   // extents come from the resolved plan.
@@ -136,8 +133,7 @@ void ConvLayer::setup_backward() {
           const int width = rem ? ph.count % rb : (ph.count >= rb ? rb : 0);
           if (width == 0) continue;
           jit::KdotKernelDesc d;
-          d.isa = opt_.isa == platform::Isa::scalar ? platform::Isa::avx512
-                                                    : opt_.isa;
+          d.isa = kernel_isa(opt_.isa);
           d.vlen = vlen_;
           d.c = p.C;
           d.rb = width;
@@ -151,7 +147,7 @@ void ConvLayer::setup_backward() {
           d.do_row_stride = out_row_stride_;
           d.do_kb_stride = static_cast<int>(out_kb_stride_);
           d.di_px_stride = sw * vlen_;
-          kdot_variants_[(a * sw + b) * 2 + rem] = reg.kdot(d, opt_.backend);
+          kdot_variants_[(a * sw + b) * 2 + rem] = reg.kdot(d, backend_pref());
         }
       }
     }
@@ -202,8 +198,7 @@ void ConvLayer::setup_backward() {
     for (int qe = 0; qe < 2; ++qe) {
       if (qe == 1 && bwd1x1_qrem_ == 0) continue;
       jit::ConvKernelDesc d;
-      d.isa = opt_.isa == platform::Isa::scalar ? platform::Isa::avx512
-                                                : opt_.isa;
+      d.isa = kernel_isa(opt_.isa);
       d.vlen = vlen_;
       d.rbp = 1;
       d.rbq = qe ? bwd1x1_qrem_ : bwd1x1_rbq_;
@@ -219,8 +214,7 @@ void ConvLayer::setup_backward() {
         d.wt_cb_stride = vlen_ * vlen_;
       }
       d.beta0 = true;
-      d.prefetch = opt_.prefetch;
-      bwd1x1_variants_.push_back(reg.conv(d, opt_.backend));
+      bwd1x1_variants_.push_back(reg.conv(d, backend_pref()));
     }
     return;
   }
@@ -229,7 +223,8 @@ void ConvLayer::setup_backward() {
   bwd_gemm_->qc = plan_.bwd_gemm_qc;
   bwd_gemm_->q_rem = p.Q() % bwd_gemm_->qc;
   bwd_gemm_->ldc = p.stride_w * vlen_;
-  if (jit_capable && vlen_ == platform::vlen_fp32(opt_.isa)) {
+  if (opt_.isa != platform::Isa::scalar &&
+      vlen_ == platform::vlen_fp32(opt_.isa)) {
     jit::GemmKernelDesc g;
     g.isa = opt_.isa;
     g.vlen = vlen_;
@@ -379,16 +374,11 @@ void ConvLayer::backward_kdot(const tensor::ActTensor& grad_out,
 void ConvLayer::backward_1x1_strided(const tensor::ActTensor& grad_out,
                                      const tensor::WtTensor& bwd_wt,
                                      tensor::ActTensor& grad_in) {
-  if (opt_.use_streams && !bwd1x1_streams_.empty()) {
-    parallel_exact("ConvLayer::backward", [&](int tid) {
-      zero_1x1_uncovered(grad_in.data(), tid);
-      bwd1x1_streams_[tid].replay(bwd1x1_variants_, grad_out.data(),
-                                  bwd_wt.data(), grad_in.data(), {});
-    });
-    return;
-  }
-  backward_1x1_branchy(grad_out.data(), bwd_wt.data(), grad_in.data(),
-                       /*record_streams=*/false);
+  parallel_exact("ConvLayer::backward", [&](int tid) {
+    zero_1x1_uncovered(grad_in.data(), tid);
+    bwd1x1_streams_[tid].replay(bwd1x1_variants_, grad_out.data(),
+                                bwd_wt.data(), grad_in.data(), {});
+  });
 }
 
 // Each work item owns a tile of its dI plane in the padded frame: rows from
@@ -433,8 +423,12 @@ void ConvLayer::zero_1x1_uncovered(float* din, int tid) const {
   }
 }
 
-void ConvLayer::backward_1x1_branchy(const float* dout, const float* wtb,
-                                     float* din, bool record_streams) {
+// The stride-1 duality path needs no recording here: its dual layer owns
+// forward streams of its own. The k-dot and GEMM-fallback paths have no
+// stream form (their kernels take no prefetch operands) and call their
+// kernels straight from their loop nests.
+void ConvLayer::record_backward_1x1() {
+  if (bwd_algo_ != BwdAlgo::duality_1x1_strided) return;
   const ConvParams& p = params_;
   const int n_qb = bwd1x1_qfull_ + (bwd1x1_qrem_ > 0 ? 1 : 0);
   // One work item per (n, cb, oj, q-block); every item writes disjoint dI
@@ -445,9 +439,9 @@ void ConvLayer::backward_1x1_branchy(const float* dout, const float* wtb,
   // The backward form is [Cb][Kb][1][1][k][c]: one outer block spans Kb.
   const std::int64_t wt_cb_stride = wt_cb_stride_ * kb_;
 
+  bwd1x1_streams_.assign(threads_, KernelStream{});
   parallel_exact("ConvLayer::backward", [&](int tid) {
-    KernelStream* stream = record_streams ? &bwd1x1_streams_[tid] : nullptr;
-    if (stream == nullptr) zero_1x1_uncovered(din, tid);
+    KernelStream& stream = bwd1x1_streams_[tid];
     const Range rg = thread_chunk(total, tid, threads_);
     for (std::int64_t it = rg.begin; it < rg.end; ++it) {
       const Item1x1 w = decode_1x1(it, n_qb, p.P(), cb_);
@@ -465,28 +459,9 @@ void ConvLayer::backward_1x1_branchy(const float* dout, const float* wtb,
           static_cast<std::int64_t>(w.oj * p.stride_h + in_halo_h_) *
               in_row_stride_ +
           static_cast<std::int64_t>(oi0 * p.stride_w + in_halo_w_) * vlen_;
-
-      const int v = q_edge ? 1 : 0;
-      if (stream != nullptr) {
-        stream->record_conv(static_cast<std::uint16_t>(v), dout_off, wt_off,
-                            din_off);
-      } else {
-        bwd1x1_variants_[v]->run(dout + dout_off, wtb + wt_off, din + din_off,
-                                 dout + dout_off, wtb + wt_off,
-                                 din + din_off);
-      }
+      stream.record_conv(q_edge ? 1 : 0, dout_off, wt_off, din_off);
     }
   });
-}
-
-void ConvLayer::dryrun_backward() {
-  // The stride-1 duality path needs no recording here: its dual layer owns
-  // forward streams of its own. The k-dot and GEMM-fallback paths have no
-  // stream form (their kernels take no prefetch operands) and always run
-  // branchy.
-  if (bwd_algo_ != BwdAlgo::duality_1x1_strided) return;
-  bwd1x1_streams_.assign(threads_, KernelStream{});
-  backward_1x1_branchy(nullptr, nullptr, nullptr, /*record_streams=*/true);
   for (auto& s : bwd1x1_streams_) s.finish();
 }
 

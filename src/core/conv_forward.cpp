@@ -2,11 +2,9 @@
 //
 // Work is flattened (n, kb, spatial-block) and chunked across threads
 // (Section II-F priority: minibatch, then output feature blocks, then the
-// spatial domain). Each thread either executes the loop nest directly
-// ("branchy" mode — also the dryrun recorder) or replays its pre-recorded
-// kernel stream (Algorithm 5).
-#include <omp.h>
-
+// spatial domain). At setup the loop nest runs once as the dryrun recorder;
+// every forward call then replays each thread's kernel stream
+// (Algorithm 5).
 #include <algorithm>
 #include <stdexcept>
 
@@ -33,8 +31,7 @@ void check_geometry(const ConvLayer& l, const tensor::ActTensor& in,
 }
 }  // namespace
 
-void ConvLayer::forward_branchy(const float* in, const float* wt, float* out,
-                                const FusionArgs& fargs, bool record_streams) {
+void ConvLayer::record_forward() {
   const int n_pb = p_full_ + (p_rem_ > 0 ? 1 : 0);
   const int n_qb = q_full_ + (q_rem_ > 0 ? 1 : 0);
   const std::int64_t n_sb = static_cast<std::int64_t>(n_pb) * n_qb;
@@ -44,29 +41,9 @@ void ConvLayer::forward_branchy(const float* in, const float* wt, float* out,
   const bool relu_in_kernel = (opt_.fuse == FusedOp::relu);
   const bool apply_fusion = needs_apply(opt_.fuse);
 
+  fwd_streams_.assign(threads_, KernelStream{});
   parallel_exact("ConvLayer::forward", [&](int tid) {
-    KernelStream* stream = record_streams ? &fwd_streams_[tid] : nullptr;
-
-    auto emit_conv = [&](int variant, std::int64_t in_off, std::int64_t wt_off,
-                         std::int64_t out_off) {
-      if (stream != nullptr) {
-        stream->record_conv(static_cast<std::uint16_t>(variant), in_off,
-                            wt_off, out_off);
-      } else {
-        // Branchy mode cannot cheaply know the next call's sub-tensors; it
-        // passes the current ones (a no-op prefetch) — exactly the problem
-        // kernel streams solve (Section II-H).
-        fwd_variants_[variant]->run(in + in_off, wt + wt_off, out + out_off,
-                                    in + in_off, wt + wt_off, out + out_off);
-      }
-    };
-    auto emit_apply = [&](const ApplyRecord& rec) {
-      if (stream != nullptr)
-        stream->record_apply(rec);
-      else
-        apply_fused_op(rec, out, fargs);
-    };
-
+    KernelStream& stream = fwd_streams_[tid];
     const Range rg = thread_chunk(total, tid, threads_);
     std::int64_t i = rg.begin;
     while (i < rg.end) {
@@ -105,9 +82,10 @@ void ConvLayer::forward_branchy(const float* in, const float* wt, float* out,
               static_cast<std::int64_t>(oi0 + out_pad_w_) * vlen_;
 
           const bool relu_here = relu_in_kernel && last;
-          emit_conv(variant_for(p_edge, q_edge, single_pass || first,
-                                relu_here),
-                    in_off, wt_off, out_off);
+          stream.record_conv(
+              static_cast<std::uint16_t>(variant_for(
+                  p_edge, q_edge, single_pass || first, relu_here)),
+              in_off, wt_off, out_off);
 
           if (last && apply_fusion) {
             ApplyRecord rec;
@@ -118,19 +96,13 @@ void ConvLayer::forward_branchy(const float* in, const float* wt, float* out,
             rec.row_stride = out_row_stride_;
             rec.kb = kbi;
             rec.vlen = vlen_;
-            emit_apply(rec);
+            stream.record_apply(rec);
           }
         }
       }
       i += (sb_end - sb_begin);
     }
   });
-}
-
-void ConvLayer::dryrun_forward() {
-  fwd_streams_.assign(threads_, KernelStream{});
-  forward_branchy(nullptr, nullptr, nullptr, FusionArgs{},
-                  /*record_streams=*/true);
   for (auto& s : fwd_streams_) s.finish();
 }
 
@@ -138,15 +110,10 @@ void ConvLayer::forward(const tensor::ActTensor& in,
                         const tensor::WtTensor& wt, tensor::ActTensor& out,
                         const FusionArgs& fargs) {
   check_geometry(*this, in, wt, out);
-  if (opt_.use_streams) {
-    parallel_exact("ConvLayer::forward", [&](int tid) {
-      fwd_streams_[tid].replay(fwd_variants_, in.data(), wt.data(),
-                               out.data(), fargs);
-    });
-  } else {
-    forward_branchy(in.data(), wt.data(), out.data(), fargs,
-                    /*record_streams=*/false);
-  }
+  parallel_exact("ConvLayer::forward", [&](int tid) {
+    fwd_streams_[tid].replay(fwd_variants_, in.data(), wt.data(), out.data(),
+                             fargs);
+  });
 }
 
 }  // namespace xconv::core

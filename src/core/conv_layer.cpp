@@ -18,9 +18,6 @@ ConvLayer::ConvLayer(const ConvParams& params, const ConvOptions& opt)
   // plan > ablation overrides > PlanCache (disk/autotune/default).
   PlanRequest req;
   req.isa = opt_.isa;
-  req.backend = opt_.backend;
-  req.use_streams = opt_.use_streams;
-  req.prefetch = opt_.prefetch;
   req.threads = threads_;
   req.fwd_only = opt_.fwd_only;
   req.rbp = opt_.rbp;
@@ -29,12 +26,9 @@ ConvLayer::ConvLayer(const ConvParams& params, const ConvOptions& opt)
   req.upd_bq = opt_.upd_bq;
   req.upd_strategy = opt_.upd_strategy;
   plan_ = resolve_plan(params_, req, opt_.plan);
-  // The plan is authoritative for execution context from here on (an
-  // explicit plan may pin backend/stream mode; cache hits inherit ours).
+  // The plan is authoritative for the ISA from here on (an explicit plan
+  // may pin it; cache hits inherit ours).
   opt_.isa = plan_.isa;
-  opt_.backend = plan_.backend;
-  opt_.use_streams = plan_.use_streams;
-  opt_.prefetch = plan_.prefetch;
 
   vlen_ = plan_.vlen;
   cb_ = tensor::ceil_div(params_.C, vlen_);
@@ -42,17 +36,19 @@ ConvLayer::ConvLayer(const ConvParams& params, const ConvOptions& opt)
 
   choose_blocking();
   build_fwd_variants();
-  if (opt_.use_streams) dryrun_forward();
+  record_forward();
   if (!opt_.fwd_only) {
     setup_backward();
     setup_update();
-    if (opt_.use_streams) {
-      dryrun_backward();
-      dryrun_update();
-    }
+    record_backward_1x1();
+    record_update();
   }
 }
 
+kernels::BackendPref ConvLayer::backend_pref() const {
+  return opt_.isa == platform::Isa::scalar ? kernels::BackendPref::scalar
+                                           : kernels::BackendPref::auto_pick;
+}
 
 void ConvLayer::choose_blocking() {
   const ConvParams& p = params_;
@@ -142,8 +138,7 @@ void ConvLayer::build_fwd_variants() {
           if (rl == 1 && !last_pass_kernel) continue;
 
           jit::ConvKernelDesc d;
-          d.isa = opt_.isa == platform::Isa::scalar ? platform::Isa::avx512
-                                                    : opt_.isa;
+          d.isa = kernel_isa(opt_.isa);
           d.vlen = vlen_;
           d.rbp = rbp;
           d.rbq = rbq;
@@ -163,9 +158,8 @@ void ConvLayer::build_fwd_variants() {
           }
           d.beta0 = (b0 == 1);
           d.fuse_relu = (rl == 1);
-          d.prefetch = opt_.prefetch;
 
-          fwd_variants_.push_back(reg.conv(d, opt_.backend));
+          fwd_variants_.push_back(reg.conv(d, backend_pref()));
           fwd_vmap_[vmap_index(pe, qe, b0, rl)] =
               static_cast<int>(fwd_variants_.size() - 1);
         }
@@ -231,13 +225,10 @@ std::string ConvLayer::describe() const {
      << " vlen=" << vlen_ << " rb=" << rbp_ << "x" << rbq_
      << (cb_in_kernel_ ? " cb-in-kernel" : "")
      << " variants=" << fwd_variants_.size()
-     << " streams=" << (opt_.use_streams ? "on" : "off");
-  if (opt_.use_streams) {
-    os << " stream_convs=" << fwd_stream_convs();
-    if (!opt_.fwd_only)
-      os << " bwd_stream_convs=" << bwd_stream_convs()
-         << " upd_stream_calls=" << upd_stream_calls();
-  }
+     << " stream_convs=" << fwd_stream_convs();
+  if (!opt_.fwd_only)
+    os << " bwd_stream_convs=" << bwd_stream_convs()
+       << " upd_stream_calls=" << upd_stream_calls();
   os << " bwd=" << bwd_algo_name(bwd_algo_);
   if (bwd_algo_ == BwdAlgo::kdot) os << " kdot_rb=" << plan_.bwd_kdot_rb;
   os << " upd=" << upd_strategy_name(upd_strategy_) << " upd_b=" << upd_bp_

@@ -17,7 +17,13 @@
 // sizing — so a persisted plan makes steady-state construction decision-free.
 //
 // The per-iteration calls (`forward`, `backward`, `update`) then only replay
-// streams / run tight loops — no compilation, no tuning, no branchy logic.
+// the recorded streams (the loop nests run once, at setup, as recorders) —
+// no compilation, no tuning, no boundary logic. The two backward paths
+// whose kernels take no prefetch operands (k-dot and the GEMM fallback)
+// call them straight from their loop nests.
+//
+// The execution context is just the ISA and the thread count: SIMD ISAs
+// run JIT'ed kernels, Isa::scalar runs the scalar reference kernels.
 //
 // Tensors use the blocked layouts of tensor/layout.hpp; use the make_*
 // factories to get correctly-shaped/padded instances and
@@ -43,14 +49,9 @@
 namespace xconv::core {
 
 struct ConvOptions {
+  /// Kernel ISA: JIT kernels for the SIMD ISAs, the scalar reference
+  /// kernels for Isa::scalar. Default honors XCONV_ISA.
   platform::Isa isa = platform::effective_isa();
-  kernels::BackendPref backend = kernels::backend_pref_from_env();
-  /// Replay kernel streams vs branchy loops, for all three passes
-  /// (backward's k-dot and GEMM-fallback paths have no stream form and stay
-  /// branchy).
-  /// Default honors the XCONV_STREAMS environment variable (unset = on).
-  bool use_streams = use_streams_from_env();
-  bool prefetch = true;      ///< two-level software prefetch in kernels
   FusedOp fuse = FusedOp::none;
   int threads = 0;           ///< 0 = omp_get_max_threads()
   UpdStrategy upd_strategy = UpdStrategy::auto_pick;
@@ -139,8 +140,8 @@ class ConvLayer {
   int n_fwd_variants() const { return static_cast<int>(fwd_variants_.size()); }
   std::size_t fwd_stream_convs() const;
   /// Backward stream kernel calls: the dual layer's forward streams for the
-  /// stride-1 duality path, the 1x1-strided streams otherwise (0 when the
-  /// pass runs branchy, e.g. the GEMM fallback or use_streams=false).
+  /// stride-1 duality path, the 1x1-strided streams otherwise (0 for the
+  /// k-dot and GEMM-fallback paths, which have no stream form).
   std::size_t bwd_stream_convs() const;
   std::size_t upd_stream_calls() const;
   UpdStrategy upd_strategy_used() const { return upd_strategy_; }
@@ -161,23 +162,25 @@ class ConvLayer {
   // setup helpers (conv_layer.cpp)
   void choose_blocking();
   void build_fwd_variants();
-  void dryrun_forward();
   void setup_backward();
   void setup_update();
-  void dryrun_backward();  ///< records bwd1x1_streams_ (1x1-strided path)
-  void dryrun_update();    ///< records upd_streams_ (all three strategies)
+  /// Registry request for this layer's kernels: scalar exactly when the
+  /// ISA is scalar. Descriptors are stamped with kernel_isa(opt_.isa).
+  kernels::BackendPref backend_pref() const;
 
-  // drivers
-  void forward_branchy(const float* in, const float* wt, float* out,
-                       const FusionArgs& fargs, bool record_streams);
+  // Dryrun recorders (Section II-H): each walks its pass's loop nest once
+  // and records the per-thread kernel streams every call then replays.
+  void record_forward();       ///< fwd_streams_
+  void record_backward_1x1();  ///< bwd1x1_streams_ (1x1-strided path)
+  void record_update();        ///< upd_streams_ (all three strategies)
+
+  // backward paths (the k-dot and GEMM ones have no stream form)
   void backward_gemm(const tensor::ActTensor& grad_out,
                      const tensor::WtTensor& bwd_wt,
                      tensor::ActTensor& grad_in);
   void backward_1x1_strided(const tensor::ActTensor& grad_out,
                             const tensor::WtTensor& bwd_wt,
                             tensor::ActTensor& grad_in);
-  void backward_1x1_branchy(const float* dout, const float* wtb, float* din,
-                            bool record_streams);
   /// k-dot path (C < vlen): packs `wt` — the forward form when `fwd_form`,
   /// else the backward-dual form — into kdot_wp_, then runs the kernels.
   void backward_kdot(const tensor::ActTensor& grad_out, const float* wt,
@@ -185,8 +188,6 @@ class ConvLayer {
   /// Zero the dI pixels of thread `tid`'s 1x1-strided work items that their
   /// kernels do not write (see conv_backward.cpp).
   void zero_1x1_uncovered(float* din, int tid) const;
-  void update_branchy(const float* in, const float* dout, float* dw,
-                      bool record_streams);
   float* upd_dw_base(int tid, float* dw);  ///< strategy-dependent target
   /// Run `body(tid)` on exactly the `threads_`-sized team every driver and
   /// stream was planned for. Work partitioning, per-thread streams and the
@@ -250,8 +251,8 @@ class ConvLayer {
     return ((c_edge * 2 + p_edge) * 2 + q_edge) * 2 + beta0;
   }
   int upd_c_rem_ = 0;  ///< C % vlen (0 when divisible: no c-edge variants)
-  /// Generated reduce-epilogue kernel for the privatized-dW sum (null when
-  /// the strategy doesn't privatize, the plan disables it, or no SIMD).
+  /// Reduce-epilogue kernel for the privatized-dW sum (null when the
+  /// strategy doesn't privatize or the plan disables it).
   const kernels::ReduceMicrokernel* upd_reduce_ = nullptr;
   int upd_pb_full_ = 0, upd_pb_rem_ = 0, upd_qb_full_ = 0, upd_qb_rem_ = 0;
   int upd_groups_ = 0;  ///< hybrid thread-group count (0 unless hybrid)

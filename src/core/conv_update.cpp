@@ -12,17 +12,13 @@
 // The dryrun-time decision models the bandwidth trade-off the paper derives
 // (activation re-reads vs 2T extra dW volumes); see pick_upd_strategy().
 //
-// Like forward, the driver either executes directly ("branchy" mode — also
-// the dryrun recorder) or replays pre-recorded per-thread kernel streams
-// (Section II-H): UPD streaks with exact next-call prefetch offsets, plus
-// ZERO / BARRIER / REDUCE records covering the dW privatization of the
-// minibatch and hybrid strategies. Replay accumulates in the exact order of
-// the branchy driver, so both modes produce bit-identical dW.
-#include <omp.h>
-
+// Like forward, the loop nest runs once at setup as the dryrun recorder, and
+// every update call replays the per-thread kernel streams (Section II-H):
+// UPD streaks with exact next-call prefetch offsets, plus ZERO / BARRIER /
+// REDUCE records covering the dW privatization of the minibatch and hybrid
+// strategies.
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 
 #include "core/conv_layer.hpp"
@@ -82,8 +78,7 @@ void ConvLayer::setup_update() {
         if (bq == 0) continue;
         for (int b0 = 0; b0 < 2; ++b0) {
           jit::UpdKernelDesc d;
-          d.isa = opt_.isa == platform::Isa::scalar ? platform::Isa::avx512
-                                                    : opt_.isa;
+          d.isa = kernel_isa(opt_.isa);
           d.vlen = vlen_;
           d.bp = bp;
           d.bq = bq;
@@ -92,9 +87,8 @@ void ConvLayer::setup_update() {
           d.in_row_stride = in_row_stride_;
           d.out_row_stride = out_row_stride_;
           d.beta0 = (b0 == 1);
-          d.prefetch = opt_.prefetch;
           d.cmin = ce ? upd_c_rem_ : 0;
-          upd_variants_.push_back(reg.upd(d, opt_.backend));
+          upd_variants_.push_back(reg.upd(d, backend_pref()));
           upd_vmap_[upd_vmap_index(ce, pe, qe, b0)] =
               static_cast<int>(upd_variants_.size() - 1);
         }
@@ -107,8 +101,7 @@ void ConvLayer::setup_update() {
   upd_strategy_ = plan_.upd_strategy;
 
   // Privatization geometry is fully known at setup: size the per-copy dW
-  // scratch arena here so branchy runs, dryrun recording and stream replay
-  // all share one allocation.
+  // scratch arena here, before recording.
   upd_dw_size_ = static_cast<std::size_t>(wt_kb_stride_) * kb_;
   upd_groups_ = 0;
   if (upd_strategy_ == UpdStrategy::hybrid) {
@@ -134,8 +127,7 @@ void ConvLayer::setup_update() {
       upd_strategy_ == UpdStrategy::minibatch ? threads_ : upd_groups_;
   if (red_copies >= 2 && plan_.upd_reduce_jit) {
     jit::ReduceKernelDesc rd;
-    rd.isa = opt_.isa == platform::Isa::scalar ? platform::Isa::avx512
-                                               : opt_.isa;
+    rd.isa = kernel_isa(opt_.isa);
     rd.vlen = vlen_;
     rd.copies = red_copies;
     rd.copy_stride = static_cast<std::int64_t>(upd_dw_size_);
@@ -144,7 +136,7 @@ void ConvLayer::setup_update() {
         (static_cast<std::int64_t>(red_copies - 1) * rd.copy_stride +
          static_cast<std::int64_t>(rd.unroll) * vlen_) *
         4;
-    if (span <= INT32_MAX) upd_reduce_ = reg.reduce(rd, opt_.backend);
+    if (span <= INT32_MAX) upd_reduce_ = reg.reduce(rd, backend_pref());
   }
 }
 
@@ -156,8 +148,7 @@ float* ConvLayer::upd_dw_base(int tid, float* dw) {
   return dw;  // task (and degenerate hybrid): the shared dW tensor
 }
 
-void ConvLayer::update_branchy(const float* in_b, const float* do_b,
-                               float* dw, bool record_streams) {
+void ConvLayer::record_update() {
   const ConvParams& p = params_;
   const int n_pb = upd_pb_full_ + (upd_pb_rem_ > 0 ? 1 : 0);
   const int n_qb = upd_qb_full_ + (upd_qb_rem_ > 0 ? 1 : 0);
@@ -177,22 +168,9 @@ void ConvLayer::update_branchy(const float* in_b, const float* do_b,
            static_cast<std::int64_t>(r * p.S + s) * vlen_ * vlen_;
   };
 
+  upd_streams_.assign(threads_, KernelStream{});
   parallel_exact("ConvLayer::update", [&](int tid) {
-    KernelStream* stream = record_streams ? &upd_streams_[tid] : nullptr;
-    float* dw_base = upd_dw_base(tid, dw);
-
-    auto emit_upd = [&](int v, std::int64_t in_off, std::int64_t do_off,
-                        std::int64_t dw_off) {
-      if (stream != nullptr) {
-        stream->record_upd(static_cast<std::uint16_t>(v), in_off, do_off,
-                           dw_off);
-      } else {
-        // Branchy mode passes the current sub-tensors as (no-op) prefetch
-        // args — exactly the problem kernel streams solve (Section II-H).
-        upd_variants_[v]->run(in_b + in_off, do_b + do_off, dw_base + dw_off,
-                              in_b + in_off, do_b + do_off, dw_base + dw_off);
-      }
-    };
+    KernelStream& stream = upd_streams_[tid];
 
     // One pixel block (n, pjb, qib) of minibatch contribution into the dW
     // block (kbi, cbi, r, s) at dw_off. `first` selects the beta0 kernel so
@@ -217,7 +195,7 @@ void ConvLayer::update_branchy(const float* in_b, const float* do_b,
       const bool c_edge = (upd_c_rem_ > 0 && cbi == cb_ - 1);
       const int v = upd_vmap_[upd_vmap_index(c_edge ? 1 : 0, p_edge ? 1 : 0,
                                              q_edge ? 1 : 0, first ? 1 : 0)];
-      emit_upd(v, in_off, do_off, dw_off);
+      stream.record_upd(static_cast<std::uint16_t>(v), in_off, do_off, dw_off);
     };
 
     // Accumulate every pixel block of minibatch range [n0, n1) into one dW
@@ -262,29 +240,12 @@ void ConvLayer::update_branchy(const float* in_b, const float* do_b,
     };
 
     // Privatized copies: barrier, then each thread sums a contiguous slice
-    // of the dW element space over all copies (copy 0 first — the order the
-    // REDUCE replay reproduces bit-identically).
+    // of the dW element space over all copies (KernelStream::replay_upd).
     auto reduce_phase = [&](int copies) {
-      if (stream != nullptr) stream->record_barrier();
-#pragma omp barrier
+      stream.record_barrier();
       const Range er = thread_chunk(dw_size, tid, threads_);
-      if (er.empty()) return;
-      if (stream != nullptr) {
-        stream->record_reduce({er.begin, er.size(), copies, dw_size});
-        return;
-      }
-      const float* src = upd_scratch_.data();
-      // The generated kernel keeps the exact per-element copy order of the
-      // scalar loop below, so dispatching through it changes no bits.
-      if (upd_reduce_ != nullptr && upd_reduce_->desc().copies == copies) {
-        upd_reduce_->run(src + er.begin, dw + er.begin, er.size());
-        return;
-      }
-      for (std::int64_t e = er.begin; e < er.end; ++e) {
-        float acc = src[e];
-        for (int c = 1; c < copies; ++c) acc += src[dw_size * c + e];
-        dw[e] = acc;
-      }
+      if (!er.empty())
+        stream.record_reduce({er.begin, er.size(), copies, dw_size});
     };
 
     const bool task_style =
@@ -299,11 +260,7 @@ void ConvLayer::update_branchy(const float* in_b, const float* do_b,
       if (nr.empty()) {
         // More threads than minibatch: this thread's copy never receives a
         // beta0 write; blank it so the reduction reads zeros.
-        if (stream != nullptr)
-          stream->record_zero(0, dw_size);
-        else
-          std::memset(dw_base, 0,
-                      static_cast<std::size_t>(dw_size) * sizeof(float));
+        stream.record_zero(0, dw_size);
       } else {
         run_tasks(0, tasks, static_cast<int>(nr.begin),
                   static_cast<int>(nr.end));
@@ -324,11 +281,6 @@ void ConvLayer::update_branchy(const float* in_b, const float* do_b,
       reduce_phase(upd_groups_);
     }
   });
-}
-
-void ConvLayer::dryrun_update() {
-  upd_streams_.assign(threads_, KernelStream{});
-  update_branchy(nullptr, nullptr, nullptr, /*record_streams=*/true);
   for (auto& s : upd_streams_) s.finish();
 }
 
@@ -340,15 +292,11 @@ void ConvLayer::update(const tensor::ActTensor& in,
   const float* do_b = grad_out.data();
   float* dw = grad_wt.data();
 
-  if (opt_.use_streams && !upd_streams_.empty()) {
-    parallel_exact("ConvLayer::update", [&](int tid) {
-      upd_streams_[tid].replay_upd(upd_variants_, in_b, do_b,
-                                   upd_dw_base(tid, dw),
-                                   upd_scratch_.data(), dw, upd_reduce_);
-    });
-    return;
-  }
-  update_branchy(in_b, do_b, dw, /*record_streams=*/false);
+  parallel_exact("ConvLayer::update", [&](int tid) {
+    upd_streams_[tid].replay_upd(upd_variants_, in_b, do_b,
+                                 upd_dw_base(tid, dw), upd_scratch_.data(),
+                                 dw, upd_reduce_);
+  });
 }
 
 }  // namespace xconv::core

@@ -28,13 +28,7 @@ namespace {
 
 int resolved_vlen(platform::Isa isa) {
   const int v = platform::vlen_fp32(isa);
-  return v == 1 ? 16 : v;  // scalar backend keeps the blocked layout
-}
-
-// The register budget is always quoted in terms of the ISA the kernels are
-// generated for; the scalar backend emulates avx512-shaped kernels.
-platform::Isa kernel_isa(platform::Isa isa) {
-  return isa == platform::Isa::scalar ? platform::Isa::avx512 : isa;
+  return v == 1 ? 16 : v;  // the scalar ISA keeps the blocked layout
 }
 
 bool isa_from_name(const std::string& s, platform::Isa* out) {
@@ -42,28 +36,6 @@ bool isa_from_name(const std::string& s, platform::Isa* out) {
   for (Isa isa : {Isa::scalar, Isa::avx2, Isa::avx512, Isa::avx512_vnni}) {
     if (s == platform::isa_name(isa)) {
       *out = isa;
-      return true;
-    }
-  }
-  return false;
-}
-
-const char* backend_pref_name(kernels::BackendPref b) {
-  switch (b) {
-    case kernels::BackendPref::auto_pick: return "auto";
-    case kernels::BackendPref::jit: return "jit";
-    case kernels::BackendPref::compiled: return "compiled";
-    case kernels::BackendPref::scalar: return "scalar";
-  }
-  return "unknown";
-}
-
-bool backend_pref_from_name(const std::string& s, kernels::BackendPref* out) {
-  using kernels::BackendPref;
-  for (BackendPref b : {BackendPref::auto_pick, BackendPref::jit,
-                        BackendPref::compiled, BackendPref::scalar}) {
-    if (s == backend_pref_name(b)) {
-      *out = b;
       return true;
     }
   }
@@ -106,6 +78,10 @@ bool upd_loop_order_from_name(const std::string& s, UpdLoopOrder* out) {
 thread_local bool g_autotune_in_progress = false;
 
 }  // namespace
+
+platform::Isa kernel_isa(platform::Isa isa) {
+  return isa == platform::Isa::scalar ? platform::Isa::avx512 : isa;
+}
 
 const char* bwd_algo_name(BwdAlgo a) {
   switch (a) {
@@ -206,9 +182,6 @@ ConvPlan plan_default(const ConvParams& p, const PlanRequest& req) {
   plan.isa = req.isa;
   plan.vlen = resolved_vlen(req.isa);
   plan.threads = req.threads < 1 ? 1 : req.threads;
-  plan.backend = req.backend;
-  plan.use_streams = req.use_streams;
-  plan.prefetch = req.prefetch;
 
   const int P = p.P(), Q = p.Q();
   const int cb = tensor::ceil_div(p.C, plan.vlen);
@@ -371,9 +344,6 @@ std::string ConvPlan::to_json(const PlanKey& key) const {
   os << "  \"isa\": \"" << platform::isa_name(isa) << "\",\n";
   os << "  \"vlen\": " << vlen << ",\n";
   os << "  \"threads\": " << threads << ",\n";
-  os << "  \"backend\": \"" << backend_pref_name(backend) << "\",\n";
-  os << "  \"use_streams\": " << (use_streams ? "true" : "false") << ",\n";
-  os << "  \"prefetch\": " << (prefetch ? "true" : "false") << ",\n";
   os << "  \"rbp\": " << rbp << ",\n";
   os << "  \"rbq\": " << rbq << ",\n";
   os << "  \"cb_in_kernel\": " << (cb_in_kernel ? "true" : "false") << ",\n";
@@ -512,19 +482,14 @@ PlanLoadStatus plan_from_json(const std::string& text, const PlanKey& expect,
   if (key != expect.to_string()) return PlanLoadStatus::key_mismatch;
 
   ConvPlan plan;
-  std::string isa, backend, bwd, upd, ulo;
+  std::string isa, bwd, upd, ulo;
   long vlen = 0, threads = 0, rbp = 0, rbq = 0, b1rbq = 0, gqc = 0, krb = 0,
        ubp = 0, ubq = 0, urun = 0;
   if (!str("isa", &isa) || !isa_from_name(isa, &plan.isa))
     return PlanLoadStatus::corrupt;
   if (!num("vlen", &vlen) || !num("threads", &threads))
     return PlanLoadStatus::corrupt;
-  if (!str("backend", &backend) ||
-      !backend_pref_from_name(backend, &plan.backend))
-    return PlanLoadStatus::corrupt;
-  if (!boolean("use_streams", &plan.use_streams) ||
-      !boolean("prefetch", &plan.prefetch) ||
-      !boolean("cb_in_kernel", &plan.cb_in_kernel) ||
+  if (!boolean("cb_in_kernel", &plan.cb_in_kernel) ||
       !boolean("upd_reduce_jit", &plan.upd_reduce_jit) ||
       !boolean("tuned", &plan.tuned))
     return PlanLoadStatus::corrupt;
@@ -763,15 +728,9 @@ ConvPlan resolve_plan(const ConvParams& p, const PlanRequest& req,
   // plan closed-form or the search would recurse.
   const bool tune = pass == PlanPass::train && autotune_enabled_from_env() &&
                     !autotune_in_progress();
-  ConvPlan plan = PlanCache::instance().get_or_create(key, [&] {
+  return PlanCache::instance().get_or_create(key, [&] {
     return tune ? autotune_plan(p, req).plan : plan_default(p, req);
   });
-  // Tuned decisions persist across processes; execution context (backend,
-  // stream mode, prefetch) always follows the constructing caller.
-  plan.backend = req.backend;
-  plan.use_streams = req.use_streams;
-  plan.prefetch = req.prefetch;
-  return plan;
 }
 
 }  // namespace xconv::core

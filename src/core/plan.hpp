@@ -38,7 +38,6 @@
 
 #include "core/conv_params.hpp"
 #include "core/partition.hpp"
-#include "kernels/kernel_registry.hpp"
 #include "platform/cpu.hpp"
 #include "platform/sync.hpp"
 #include "platform/thread_annotations.hpp"
@@ -120,18 +119,20 @@ const char* upd_loop_order_name(UpdLoopOrder o);
 
 struct PlanKey;
 
+/// The ISA a layer's kernels are generated for: Isa::scalar runs scalar
+/// kernels that emulate the avx512-shaped (vlen 16) ones, so register
+/// budgets are quoted for avx512.
+platform::Isa kernel_isa(platform::Isa isa);
+
 /// The complete set of planning decisions for one ConvLayer. Execution
-/// context (isa/vlen/threads/backend/streams/prefetch) is carried for
-/// provenance and validated on cache load; the remaining fields are the
-/// tuned decisions ConvLayer executes.
+/// context (isa/vlen/threads) is carried for provenance and validated on
+/// cache load; the remaining fields are the tuned decisions ConvLayer
+/// executes.
 struct ConvPlan {
   // Execution context.
   platform::Isa isa = platform::Isa::avx512;
   int vlen = 16;
   int threads = 1;
-  kernels::BackendPref backend = kernels::BackendPref::auto_pick;
-  bool use_streams = true;
-  bool prefetch = true;
 
   // Forward (Sections II-B/II-C).
   int rbp = 1, rbq = 1;        ///< register blocking
@@ -181,9 +182,6 @@ struct ConvPlan {
 std::uint64_t fnv1a64(const std::string& s);
 
 /// Cache identity of a plan: layer shape x pass x ISA x vlen x threads.
-/// Everything else (backend, streams, prefetch) is execution context the
-/// caller re-imposes — a tuned blocking is equally valid under either
-/// stream mode.
 struct PlanKey {
   ConvParams params;
   PlanPass pass = PlanPass::train;
@@ -210,9 +208,6 @@ struct PlanKey {
 /// overrides ConvOptions exposes (0 / auto_pick = derive).
 struct PlanRequest {
   platform::Isa isa = platform::Isa::avx512;
-  kernels::BackendPref backend = kernels::BackendPref::auto_pick;
-  bool use_streams = true;
-  bool prefetch = true;
   int threads = 1;  ///< resolved thread count (>= 1)
   bool fwd_only = false;
   int rbp = 0, rbq = 0;
@@ -251,7 +246,7 @@ ConvPlan resolve_plan(const ConvParams& p, const PlanRequest& req,
 /// Bump whenever the serialized field set changes; the lint rule
 /// `plan-schema` (tools/lint/xconv_lint.py) locks fields x version against
 /// tools/lint/plan_schema.json.
-inline constexpr int kPlanSchemaVersion = 3;
+inline constexpr int kPlanSchemaVersion = 4;
 
 enum class PlanLoadStatus {
   ok,

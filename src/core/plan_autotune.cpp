@@ -35,10 +35,6 @@ namespace xconv::core {
 
 namespace {
 
-platform::Isa kernel_isa(platform::Isa isa) {
-  return isa == platform::Isa::scalar ? platform::Isa::avx512 : isa;
-}
-
 // Deterministic tensor fill (no <random> to keep construction cheap); the
 // values only need to be nonzero and varied so timing reflects real FMA work.
 void fill_pseudorandom(float* p, std::size_t n, std::uint32_t seed) {
@@ -52,9 +48,6 @@ void fill_pseudorandom(float* p, std::size_t n, std::uint32_t seed) {
 ConvOptions exec_options(const PlanRequest& req, bool fwd_only) {
   ConvOptions o;
   o.isa = req.isa;
-  o.backend = req.backend;
-  o.use_streams = req.use_streams;
-  o.prefetch = req.prefetch;
   o.threads = req.threads;
   o.fwd_only = fwd_only;
   return o;

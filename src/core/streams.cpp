@@ -4,13 +4,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "platform/envparse.hpp"
-
 namespace xconv::core {
-
-bool use_streams_from_env() {
-  return platform::env::flag_or("XCONV_STREAMS", true);
-}
 
 void KernelStream::record_call(SegmentType streak, std::uint16_t variant,
                                std::int64_t off_a, std::int64_t off_b,
@@ -136,8 +130,8 @@ void KernelStream::replay_upd(
         break;
       }
       case SegmentType::reduce: {
-        // Same summation order as the branchy reduction: copy 0 first, then
-        // copies 1..C-1 in order — bit-identical accumulation. The generated
+        // Per-element summation order: copy 0 first, then copies 1..C-1 in
+        // order. The generated
         // kernel keeps that exact per-element copy order, so replaying a
         // matching record through it changes no bits.
         const ReduceRecord& r = reduces_[seg.info];

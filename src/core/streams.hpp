@@ -7,7 +7,7 @@
 // Consecutive kernel invocations are run-length encoded as streak segments.
 //
 // During *replay* (Algorithm 5) the segment program is executed with no
-// branchy boundary logic; the prefetch arguments of call i are simply the
+// boundary logic; the prefetch arguments of call i are simply the
 // offsets of call i+1 — the property Figure 1 derives (pi_off_i = i_off_{i+1}).
 // Offsets (not pointers) are recorded so one stream replays against any
 // tensor instances with the same geometry.
@@ -27,12 +27,6 @@
 #include "kernels/microkernel.hpp"
 
 namespace xconv::core {
-
-/// Default for ConvOptions::use_streams: the XCONV_STREAMS environment
-/// variable ("0"/"off"/"false" disable replay, anything else enables it;
-/// unset = enabled). Lets every binary flip stream vs branchy mode without a
-/// code change.
-bool use_streams_from_env();
 
 enum class SegmentType : std::uint8_t {
   conv_streak,  ///< `info` convolution microkernel calls

@@ -1,5 +1,5 @@
-// The microkernel ABI shared by every backend (JIT, compiled intrinsics,
-// scalar): six pointer arguments, as introduced when the paper extends the
+// The microkernel ABI shared by both backends (JIT and scalar): six pointer
+// arguments, as introduced when the paper extends the
 // kernel API for two-level prefetching (Section II-E):
 //   (in, wt, out)          — sub-tensors of the current invocation
 //   (pf_in, pf_wt, pf_out) — sub-tensors of a *future* invocation, prefetched

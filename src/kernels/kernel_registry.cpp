@@ -1,11 +1,9 @@
 #include "kernels/kernel_registry.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 #include "jit/verify/verifier.hpp"
-#include "platform/envparse.hpp"
 #include "quant/quantize.hpp"
 
 namespace xconv::kernels {
@@ -186,24 +184,13 @@ std::unique_ptr<ConvMicrokernel> build_conv(const jit::ConvKernelDesc& d,
       if (!simd_ok)
         throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
       return std::make_unique<JitConvKernel>(d);
-    case BackendPref::compiled: {
-      std::unique_ptr<ConvMicrokernel> k;
-#if XCONV_BUILD_AVX512
-      if (d.vlen == 16 && simd_ok) k = make_conv_avx512(d);
-#endif
-#if XCONV_BUILD_AVX2
-      if (!k && d.vlen == 8 && simd_ok) k = make_conv_avx2(d);
-#endif
-      if (!k) k = make_conv_scalar(d);
-      return k;
-    }
     case BackendPref::scalar:
       return make_conv_scalar(d);
     case BackendPref::auto_pick:
       break;
   }
   if (simd_ok) return std::make_unique<JitConvKernel>(d);
-  return build_conv(d, BackendPref::compiled);
+  return make_conv_scalar(d);
 }
 
 std::unique_ptr<UpdMicrokernel> build_upd(const jit::UpdKernelDesc& d,
@@ -214,7 +201,6 @@ std::unique_ptr<UpdMicrokernel> build_upd(const jit::UpdKernelDesc& d,
       if (!simd_ok)
         throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
       return std::make_unique<JitUpdKernel>(d);
-    case BackendPref::compiled:
     case BackendPref::scalar:
       return make_upd_scalar(d);
     case BackendPref::auto_pick:
@@ -232,7 +218,6 @@ std::unique_ptr<ReduceMicrokernel> build_reduce(const jit::ReduceKernelDesc& d,
       if (!simd_ok)
         throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
       return make_reduce_jit(d);
-    case BackendPref::compiled:
     case BackendPref::scalar:
       return make_reduce_scalar(d);
     case BackendPref::auto_pick:
@@ -250,7 +235,6 @@ std::unique_ptr<KdotMicrokernel> build_kdot(const jit::KdotKernelDesc& d,
       if (!simd_ok)
         throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
       return make_kdot_jit(d);
-    case BackendPref::compiled:
     case BackendPref::scalar:
       return make_kdot_scalar(d);
     case BackendPref::auto_pick:
@@ -272,7 +256,6 @@ std::unique_ptr<CodecMicrokernel> build_codec(const jit::CodecKernelDesc& d,
       if (!simd_ok)
         throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
       return make_codec_jit(d);
-    case BackendPref::compiled:
     case BackendPref::scalar:
       return make_codec_scalar(d);
     case BackendPref::auto_pick:
@@ -287,21 +270,9 @@ std::unique_ptr<CodecMicrokernel> build_codec(const jit::CodecKernelDesc& d,
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::jit: return "jit";
-    case Backend::compiled: return "compiled";
     case Backend::scalar: return "scalar";
   }
   return "unknown";
-}
-
-// Lenient by contract (pinned in test_kernel_registry): an unrecognized
-// XCONV_BACKEND value means auto_pick, not an error.
-BackendPref backend_pref_from_env() {
-  if (const char* v = platform::env::get("XCONV_BACKEND")) {
-    if (std::strcmp(v, "jit") == 0) return BackendPref::jit;
-    if (std::strcmp(v, "compiled") == 0) return BackendPref::compiled;
-    if (std::strcmp(v, "scalar") == 0) return BackendPref::scalar;
-  }
-  return BackendPref::auto_pick;
 }
 
 KernelRegistry& KernelRegistry::instance() {

@@ -22,12 +22,11 @@
 
 namespace xconv::kernels {
 
-/// Preferred backend resolution: `auto_pick` = JIT when the ISA supports it,
-/// otherwise compiled intrinsics, otherwise scalar. Explicit values force a
-/// family (used by tests and the backend ablation).
-enum class BackendPref { auto_pick, jit, compiled, scalar };
-
-BackendPref backend_pref_from_env();  ///< honors XCONV_BACKEND
+/// Preferred backend resolution: `auto_pick` = JIT when the descriptor's
+/// ISA is a SIMD ISA the host supports, otherwise scalar. Explicit values
+/// force a family (ConvLayer asks for `scalar` on Isa::scalar; tests compare
+/// JIT against it).
+enum class BackendPref { auto_pick, jit, scalar };
 
 class KernelRegistry {
  public:
@@ -35,7 +34,7 @@ class KernelRegistry {
   static KernelRegistry& instance();
 
   /// Resolve a forward microkernel. For Backend::scalar any vlen is accepted;
-  /// JIT/compiled require the desc's ISA/vlen pairing to be valid.
+  /// JIT requires the desc's ISA/vlen pairing to be valid.
   const ConvMicrokernel* conv(const jit::ConvKernelDesc& desc,
                               BackendPref pref = BackendPref::auto_pick);
 
@@ -91,7 +90,7 @@ class KernelRegistry {
   Stats stats_ XCONV_GUARDED_BY(mu_);
 };
 
-// Backend constructors (exposed for direct use in tests/ablation benches).
+// Backend constructors (exposed for direct use in tests).
 std::unique_ptr<ConvMicrokernel> make_conv_scalar(const jit::ConvKernelDesc&);
 std::unique_ptr<UpdMicrokernel> make_upd_scalar(const jit::UpdKernelDesc&);
 std::unique_ptr<ConvMicrokernel> make_conv_jit(const jit::ConvKernelDesc&);
@@ -105,9 +104,5 @@ std::unique_ptr<KdotMicrokernel> make_kdot_jit(const jit::KdotKernelDesc&);
 std::unique_ptr<CodecMicrokernel> make_codec_scalar(
     const jit::CodecKernelDesc&);
 std::unique_ptr<CodecMicrokernel> make_codec_jit(const jit::CodecKernelDesc&);
-// Compiled intrinsics backends; return nullptr when the TU was not built for
-// the requested ISA.
-std::unique_ptr<ConvMicrokernel> make_conv_avx512(const jit::ConvKernelDesc&);
-std::unique_ptr<ConvMicrokernel> make_conv_avx2(const jit::ConvKernelDesc&);
 
 }  // namespace xconv::kernels

@@ -1,8 +1,6 @@
 // Backend-neutral microkernel handles. The convolution drivers in src/core
 // call microkernels through this interface so the same driver runs:
-//   * the runtime-JIT'ed kernels (the paper's contribution),
-//   * compiled intrinsics kernels (portable cross-check, and the unit of the
-//     JIT-vs-compiled ablation), and
+//   * the runtime-JIT'ed kernels (the paper's contribution), and
 //   * scalar kernels (correctness oracle, any vlen).
 #pragma once
 
@@ -17,7 +15,7 @@
 namespace xconv::kernels {
 
 /// Which implementation family backs a microkernel.
-enum class Backend { jit, compiled, scalar };
+enum class Backend { jit, scalar };
 
 const char* backend_name(Backend b);
 

@@ -91,11 +91,10 @@ void store(std::uint8_t* p, T v) {
 /// span (kernels::codec_scalar_span). Every generated kernel is
 /// bitwise-equal to that span (the per-op proofs live in
 /// jit/codec_kernel_gen.hpp), so the choice can never change a wire byte;
-/// XCONV_BACKEND=scalar forces the reference loops end to end.
+/// XCONV_ISA=scalar (or avx2) runs the reference loops end to end.
 const kernels::CodecMicrokernel& codec_kernel(jit::CodecOp op) {
   static const kernels::BackendPref pref =
-      kernels::backend_pref_from_env() != kernels::BackendPref::scalar &&
-              platform::effective_isa() >= platform::Isa::avx512
+      platform::effective_isa() >= platform::Isa::avx512
           ? kernels::BackendPref::auto_pick
           : kernels::BackendPref::scalar;
   jit::CodecKernelDesc d;

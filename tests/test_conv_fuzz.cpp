@@ -1,10 +1,10 @@
 // Randomized parameter fuzzing: all three passes vs the naive oracle over a
 // reproducible sample of the convolution parameter space (channel counts
 // that are not vector multiples, rectangular filters/images, every stride /
-// padding combination the layer supports). Execution mode is fuzzed too:
-// stream replay vs branchy drivers, thread counts, fused operators and
-// register/pixel-block overrides that force edge-block (p_rem_/q_rem_ > 0)
-// kernels into the streams.
+// padding combination the layer supports). Execution is fuzzed too: thread
+// counts, update strategies, fused operators and register/pixel-block
+// overrides that force edge-block (p_rem_/q_rem_ > 0) kernels into the
+// replayed streams.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,8 +14,8 @@
 
 using namespace xconv;
 using xconv::testing::ConvProblem;
-using xconv::testing::expect_bitwise;
 using xconv::testing::expect_close;
+using xconv::testing::expect_within_reduction_bound;
 
 namespace {
 
@@ -48,12 +48,13 @@ core::ConvParams random_params(unsigned seed) {
   return core::make_conv(1, 16, 16, 8, 8, 3, 3, 1);
 }
 
-// Randomized execution mode: stream vs branchy, thread count, update
-// strategy, and occasional blocking overrides that force edge kernels.
+// Randomized execution: thread count, update strategy, and occasional
+// blocking overrides that force edge kernels. The first draw is discarded so
+// each seed keeps the options it has always drawn.
 core::ConvOptions random_options(unsigned seed) {
   std::mt19937 rng(seed * 7919u + 13u);
   core::ConvOptions o;
-  o.use_streams = (rng() % 2) == 0;
+  rng();
   o.threads = 1 + static_cast<int>(rng() % 3);
   switch (rng() % 4) {
     case 0: o.upd_strategy = core::UpdStrategy::task; break;
@@ -117,29 +118,30 @@ TEST_P(ConvFuzz, AdjointPropertyHolds) {
   EXPECT_NEAR(lhs, rhs, 2e-3 * std::max(1.0, std::abs(lhs)));
 }
 
-TEST_P(ConvFuzz, StreamReplayMatchesBranchyBitwise) {
-  // The defining property of replay (old fwd path and the new bwd/upd
-  // paths): the same kernel-call sequence as the branchy driver, hence
-  // bit-identical results — over random shapes, thread counts, update
-  // strategies, blocking overrides and the in-kernel fused ReLU.
+TEST_P(ConvFuzz, StreamReplayMatchesNaiveOnPoisonedOutputs) {
+  // Replay of the recorded kernel streams (every pass but the k-dot and
+  // GEMM-fallback backwards) against the naive oracle within the
+  // reduction-length bound, over random shapes, thread counts, update
+  // strategies, blocking overrides and the in-kernel fused ReLU. The layer
+  // helpers poison out/dI/dW with NaN first, so a dropped call fails.
   const auto p = random_params(GetParam());
   auto o = random_options(GetParam() + 800);
   std::mt19937 rng(GetParam() * 31u + 7u);
-  o.fuse = (rng() % 2 == 0) ? core::FusedOp::relu : core::FusedOp::none;
+  const bool relu = rng() % 2 == 0;
+  o.fuse = relu ? core::FusedOp::relu : core::FusedOp::none;
   SCOPED_TRACE(p.to_string());
   ConvProblem pr(p, GetParam() + 4000);
+  core::ConvLayer layer(p, o);
 
-  o.use_streams = false;
-  core::ConvLayer branchy(p, o);
-  o.use_streams = true;
-  core::ConvLayer stream(p, o);
-
-  expect_bitwise(layer_forward(branchy, pr), layer_forward(stream, pr),
-                 "fwd stream-vs-branchy");
-  expect_bitwise(layer_backward(branchy, pr), layer_backward(stream, pr),
-                 "bwd stream-vs-branchy");
-  expect_bitwise(layer_update(branchy, pr), layer_update(stream, pr),
-                 "upd stream-vs-branchy");
+  auto ref = naive_fwd(pr);
+  if (relu)
+    for (float& v : ref) v = v > 0.0f ? v : 0.0f;
+  expect_within_reduction_bound(ref, layer_forward(layer, pr),
+                                double(p.C) * p.R * p.S, "fwd replay");
+  expect_within_reduction_bound(naive_bwd(pr), layer_backward(layer, pr),
+                                double(p.K) * p.R * p.S, "bwd replay");
+  expect_within_reduction_bound(naive_upd(pr), layer_update(layer, pr),
+                                double(p.N) * p.P() * p.Q(), "upd replay");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConvFuzz, ::testing::Range(0u, 24u));

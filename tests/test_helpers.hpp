@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -64,14 +65,23 @@ inline void expect_within_reduction_bound(const std::vector<float>& ref,
       << what << " reduction length " << len << " " << e.to_string();
 }
 
-/// Exact (bit-identical) comparison — what stream replay guarantees vs the
-/// branchy drivers: the same kernel-call sequence, hence the same floats.
+/// Exact (bit-identical) comparison: two runs of the same kernel-call
+/// sequence per output element give the same floats.
 inline void expect_bitwise(const std::vector<float>& a,
                            const std::vector<float>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   if (std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0) return;
   for (std::size_t i = 0; i < a.size(); ++i)
     ASSERT_EQ(a[i], b[i]) << what << " diverges at element " << i;
+}
+
+/// Fill a blocked tensor with quiet NaN. The layer helpers below poison
+/// every buffer a pass writes, so a kernel call the pass drops (e.g. one its
+/// stream recorder missed) leaves a NaN in the result and fails any bound.
+template <class Tensor>
+void poison(Tensor& t) {
+  std::fill(t.data(), t.data() + t.size(),
+            std::numeric_limits<float>::quiet_NaN());
 }
 
 /// Run ConvLayer forward on dense data; returns dense output.
@@ -82,6 +92,7 @@ inline std::vector<float> layer_forward(core::ConvLayer& layer,
   auto bwt = layer.make_weights();
   tensor::kcrs_to_blocked_fwd(pr.wt.data(), pr.p.K, pr.p.C, bwt);
   auto bout = layer.make_output();
+  poison(bout);
   layer.forward(bin, bwt, bout);
   std::vector<float> out(pr.p.output_elems());
   tensor::blocked_to_nchw(bout, out.data());
@@ -95,6 +106,7 @@ inline std::vector<float> layer_backward(core::ConvLayer& layer,
   auto bwt = layer.make_weights();
   tensor::kcrs_to_blocked_fwd(pr.wt.data(), pr.p.K, pr.p.C, bwt);
   auto bdin = layer.make_input();
+  poison(bdin);
   layer.backward(bdout, bwt, bdin);
   std::vector<float> din(pr.p.input_elems());
   tensor::blocked_to_nchw(bdin, din.data());
@@ -108,6 +120,7 @@ inline std::vector<float> layer_update(core::ConvLayer& layer,
   auto bdout = layer.make_output();
   tensor::nchw_to_blocked(pr.dout.data(), bdout);
   auto bdwt = layer.make_weights();
+  poison(bdwt);
   layer.update(bin, bdout, bdwt);
   std::vector<float> dwt(pr.p.weight_elems());
   tensor::blocked_fwd_to_kcrs(bdwt, pr.p.K, pr.p.C, dwt.data());

@@ -1,7 +1,7 @@
 // Bitwise scalar-vs-JIT equivalence for every generated gradient-codec
 // kernel (jit/codec_kernel_gen.hpp). The contract under test is the one the
 // codec integration relies on: the backend choice (JIT on AVX-512 hosts,
-// the scalar reference under XCONV_BACKEND=scalar or a clamped XCONV_ISA)
+// the scalar reference under a clamped XCONV_ISA)
 // can never change a wire byte, because each generated op is bit-identical
 // to the scalar reference loop kernels::codec_scalar_span for every input
 // it is defined on — including NaN/Inf payloads (bf16/top-k), signed zeros,

@@ -441,7 +441,7 @@ TEST(JitVerifySweep, FuzzedUpdAndGemmDescriptors) {
 }
 
 TEST(JitVerifySweep, ScalarClampGeneratesNoJitKernels) {
-  // The scalar ISA clamp runs compiled kernels only; the generators refuse
+  // The scalar ISA clamp runs scalar kernels only; the generators refuse
   // to emit for it, so there is nothing for the verifier to accept there.
   jit::ConvKernelDesc d;
   d.isa = platform::Isa::scalar;

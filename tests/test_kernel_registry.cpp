@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdlib>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -55,16 +56,6 @@ TEST(Registry, BackendPreferenceIsHonored) {
   }
 }
 
-TEST(Registry, CompiledBackendFallsBackGracefully) {
-  auto& reg = kernels::KernelRegistry::instance();
-  const auto d = small_desc();
-  const auto* k = reg.conv(d, BackendPref::compiled);
-  // Either a real compiled kernel or the scalar fallback — never null.
-  ASSERT_NE(k, nullptr);
-  EXPECT_TRUE(k->backend() == Backend::compiled ||
-              k->backend() == Backend::scalar);
-}
-
 TEST(Registry, AllBackendsAgree) {
   auto& reg = kernels::KernelRegistry::instance();
   const auto d = small_desc();
@@ -80,15 +71,13 @@ TEST(Registry, AllBackendsAgree) {
   const auto base = random_vec(out_sz, 3);
 
   std::vector<std::vector<float>> outs;
-  for (BackendPref pref :
-       {BackendPref::scalar, BackendPref::compiled, BackendPref::auto_pick}) {
+  for (BackendPref pref : {BackendPref::scalar, BackendPref::auto_pick}) {
     auto out = base;
     reg.conv(d, pref)->run(in.data(), wt.data(), out.data(), in.data(),
                            wt.data(), out.data());
     outs.push_back(std::move(out));
   }
-  xconv::testing::expect_close(outs[0], outs[1], 1e-4, "scalar-vs-compiled");
-  xconv::testing::expect_close(outs[0], outs[2], 1e-4, "scalar-vs-auto");
+  xconv::testing::expect_close(outs[0], outs[1], 1e-4, "scalar-vs-auto");
 }
 
 TEST(Registry, UpdBackendsAgree) {
@@ -117,18 +106,6 @@ TEST(Registry, UpdBackendsAgree) {
       ->run(in.data(), dout.data(), b.data(), in.data(), dout.data(),
             b.data());
   xconv::testing::expect_close(a, b, 1e-4, "upd scalar-vs-auto");
-}
-
-TEST(Registry, EnvBackendOverride) {
-  ::setenv("XCONV_BACKEND", "scalar", 1);
-  EXPECT_EQ(kernels::backend_pref_from_env(), BackendPref::scalar);
-  ::setenv("XCONV_BACKEND", "jit", 1);
-  EXPECT_EQ(kernels::backend_pref_from_env(), BackendPref::jit);
-  ::setenv("XCONV_BACKEND", "compiled", 1);
-  EXPECT_EQ(kernels::backend_pref_from_env(), BackendPref::compiled);
-  ::setenv("XCONV_BACKEND", "bogus", 1);
-  EXPECT_EQ(kernels::backend_pref_from_env(), BackendPref::auto_pick);
-  ::unsetenv("XCONV_BACKEND");
 }
 
 // Hammer the registry from many threads on overlapping keys: every thread
@@ -174,6 +151,119 @@ TEST(Registry, ConcurrentFirstUseResolution) {
 
 TEST(Registry, BackendNames) {
   EXPECT_STREQ(kernels::backend_name(Backend::jit), "jit");
-  EXPECT_STREQ(kernels::backend_name(Backend::compiled), "compiled");
   EXPECT_STREQ(kernels::backend_name(Backend::scalar), "scalar");
+}
+
+namespace xconv::core {
+// Reads the kernels a layer resolved from the registry.
+struct ConvLayerTestPeer {
+  struct Kernels {
+    std::vector<kernels::Backend> backends;
+    int fwd = 0, bwd1x1 = 0, kdot = 0, upd = 0, reduce = 0;
+  };
+  // Every kernel of `l` and of its backward dual layer.
+  static void collect(const ConvLayer& l, Kernels& k) {
+    for (const auto* m : l.fwd_variants_) k.backends.push_back(m->backend());
+    for (const auto* m : l.bwd1x1_variants_)
+      k.backends.push_back(m->backend());
+    for (const auto* m : l.kdot_variants_)
+      if (m != nullptr) {
+        k.backends.push_back(m->backend());
+        ++k.kdot;
+      }
+    for (const auto* m : l.upd_variants_) k.backends.push_back(m->backend());
+    if (l.upd_reduce_ != nullptr) {
+      k.backends.push_back(l.upd_reduce_->backend());
+      ++k.reduce;
+    }
+    k.fwd += static_cast<int>(l.fwd_variants_.size());
+    k.bwd1x1 += static_cast<int>(l.bwd1x1_variants_.size());
+    k.upd += static_cast<int>(l.upd_variants_.size());
+    if (l.bwd_layer_ != nullptr) collect(*l.bwd_layer_, k);
+  }
+};
+}  // namespace xconv::core
+
+namespace {
+std::uint64_t bits_hash(const std::vector<float>& v) {
+  std::string bytes(v.size() * sizeof(float), '\0');
+  std::memcpy(bytes.data(), v.data(), bytes.size());
+  return core::fnv1a64(bytes);
+}
+}  // namespace
+
+// A layer built for Isa::scalar runs only scalar kernels: forward variants,
+// the 1x1-strided backward, k-dot, update and the dW reduce. Its results are
+// pinned to those of the scalar kernels driven at the scalar ISA's plan
+// (vlen 16, avx512-shaped blocking, 2 threads).
+TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
+  struct Case {
+    core::ConvParams p;
+    core::UpdStrategy upd;
+    int rbq;
+    std::uint64_t fwd, bwd, upd_bits;
+  };
+  const Case cases[] = {
+      // duality stride-1 with edge blocks; minibatch update -> dW reduce
+      {core::make_conv(2, 16, 32, 9, 9, 3, 3, 1), core::UpdStrategy::minibatch,
+       4, 0x91de1d78607f57beull, 0x508b792d9a383d6cull,
+       0xed15875915eb4f94ull},
+      // duality 1x1-strided
+      {core::make_conv(1, 16, 16, 5, 57, 1, 1, 2, 0), core::UpdStrategy::task,
+       0, 0x407e56e3aa0684bbull, 0x67c62454525f864aull,
+       0xa2fab1056ea71caaull},
+      // k-dot (C = 3); hybrid update -> dW reduce
+      {core::make_conv(2, 3, 32, 15, 15, 7, 7, 2, 3), core::UpdStrategy::hybrid,
+       0, 0xf944b4bcc6643407ull, 0xa5ac1a2fced6f018ull,
+       0x80dbd1b0c12bb3d7ull},
+      // GEMM fallback (gemm_blocked on the scalar ISA)
+      {core::make_conv(1, 16, 16, 9, 9, 3, 3, 2), core::UpdStrategy::task, 0,
+       0x59497defe052ee8dull, 0x60926d5999650800ull,
+       0x0c9d43200c2b958cull},
+  };
+  core::ConvLayerTestPeer::Kernels total;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.p.to_string());
+    core::ConvOptions o;
+    o.isa = platform::Isa::scalar;
+    o.threads = 2;
+    o.upd_strategy = c.upd;
+    o.rbq = c.rbq;
+    core::ConvLayer layer(c.p, o);
+    core::ConvLayerTestPeer::Kernels k;
+    core::ConvLayerTestPeer::collect(layer, k);
+    for (const Backend b : k.backends)
+      EXPECT_EQ(b, Backend::scalar) << kernels::backend_name(b);
+    total.fwd += k.fwd;
+    total.bwd1x1 += k.bwd1x1;
+    total.kdot += k.kdot;
+    total.upd += k.upd;
+    total.reduce += k.reduce;
+
+    xconv::testing::ConvProblem pr(c.p, 7);
+    const auto fwd = layer_forward(layer, pr);
+    const auto bwd = layer_backward(layer, pr);
+    const auto upd = layer_update(layer, pr);
+    xconv::testing::expect_within_reduction_bound(
+        xconv::testing::naive_fwd(pr), fwd, double(c.p.C) * c.p.R * c.p.S,
+        "scalar fwd");
+    xconv::testing::expect_within_reduction_bound(
+        xconv::testing::naive_bwd(pr), bwd, double(c.p.K) * c.p.R * c.p.S,
+        "scalar bwd");
+    xconv::testing::expect_within_reduction_bound(
+        xconv::testing::naive_upd(pr), upd,
+        double(c.p.N) * c.p.P() * c.p.Q(), "scalar upd");
+#if defined(__x86_64__) && !defined(__FMA__)
+    // Without FMA contraction the scalar kernels' bits are fixed.
+    EXPECT_EQ(bits_hash(fwd), c.fwd);
+    EXPECT_EQ(bits_hash(bwd), c.bwd);
+    EXPECT_EQ(bits_hash(upd), c.upd_bits);
+#endif
+  }
+  // Every kernel family really was exercised.
+  EXPECT_GT(total.fwd, 0);
+  EXPECT_GT(total.bwd1x1, 0);
+  EXPECT_GT(total.kdot, 0);
+  EXPECT_GT(total.upd, 0);
+  EXPECT_EQ(total.reduce, 2);
 }

@@ -537,9 +537,9 @@ TEST(PlanKeyTest, TextFormAndHashPinned) {
   // which is exactly what kPlanSchemaVersion (embedded in the text) is for.
   EXPECT_EQ(key.to_string(),
             "conv(N=2,C=64,K=128,H=56,W=56,R=3,S=3,stride=1x1,pad=1x1)"
-            "|pass=train|isa=avx512|vlen=16|threads=4|v3");
-  EXPECT_EQ(key.hash(), 0x9ac440d6cac214c9ull);
-  EXPECT_EQ(key.hash_hex(), "9ac440d6cac214c9");
+            "|pass=train|isa=avx512|vlen=16|threads=4|v4");
+  EXPECT_EQ(key.hash(), 0x9ac441d6cac2167cull);
+  EXPECT_EQ(key.hash_hex(), "9ac441d6cac2167c");
 }
 
 TEST(PlanKeyTest, HashIsFnv1a64) {
@@ -570,12 +570,6 @@ TEST(PlanKeyTest, DistinctContextsDistinctKeys) {
   PlanRequest d;
   d.isa = platform::Isa::avx2;
   EXPECT_NE(a.key(p).to_string(), d.key(p).to_string());
-  // Backend / streams / prefetch are execution context, not identity.
-  PlanRequest e;
-  e.use_streams = false;
-  e.prefetch = false;
-  e.backend = kernels::BackendPref::scalar;
-  EXPECT_EQ(a.key(p).to_string(), e.key(p).to_string());
 }
 
 // ===========================================================================
@@ -584,8 +578,8 @@ TEST(PlanKeyTest, DistinctContextsDistinctKeys) {
 
 TEST(PlanSerialization, RoundTripEveryField) {
   // Vary every serialized field across the sample: isa/vlen (avx2=8),
-  // threads, backend, streams/prefetch, all three bwd algos, strategies,
-  // blocking overrides and the tuned flag.
+  // threads, all three bwd algos, strategies, blocking overrides and the
+  // tuned flag.
   struct Case {
     core::ConvParams p;
     PlanRequest req;
@@ -599,21 +593,18 @@ TEST(PlanSerialization, RoundTripEveryField) {
   {
     Case c{core::make_conv(2, 64, 64, 14, 14, 1, 1, 2, 0), {}, true};
     c.req.threads = 4;
-    c.req.use_streams = false;
     cases.push_back(c);  // duality_1x1_strided, cb_in_kernel
   }
   {
     Case c{core::make_conv(2, 16, 16, 14, 14, 3, 3, 2), {}, false};
     c.req.threads = 8;
-    c.req.prefetch = false;
-    c.req.backend = kernels::BackendPref::scalar;
+    c.req.isa = platform::Isa::scalar;  // vlen 16, avx512-shaped kernels
     cases.push_back(c);  // gemm_fallback
   }
   {
     Case c{core::make_conv(4, 32, 32, 28, 28, 3, 3, 1), {}, true};
     c.req.isa = platform::Isa::avx2;  // vlen 8
     c.req.threads = 2;
-    c.req.backend = kernels::BackendPref::compiled;
     cases.push_back(c);
   }
   {
@@ -635,7 +626,6 @@ TEST(PlanSerialization, RoundTripEveryField) {
     Case c{core::make_conv(4, 64, 64, 28, 28, 3, 3, 1), {}, false};
     c.req.threads = 4;
     c.req.upd_strategy = UpdStrategy::minibatch;
-    c.req.backend = kernels::BackendPref::jit;
     cases.push_back(c);
   }
 

@@ -136,7 +136,6 @@ namespace {
 core::ConvOptions qconv_tensor_options() {
   core::ConvOptions o;
   o.isa = platform::Isa::scalar;
-  o.backend = kernels::BackendPref::scalar;
   return o;
 }
 

@@ -1,9 +1,9 @@
 // Figure 4: ResNet-50 forward propagation, per layer — "This work" (JIT
 // direct convolution with kernel streams) vs the paper's comparators:
 // im2col+GEMM, "libxsmm" (blocked small-GEMM loops), "blas" (packing generic
-// GEMM) and "autovec" (compiler-vectorized loops). Right column: efficiency
-// of this work as % of the host's measured peak, next to the paper's SKX
-// roofline projection.
+// GEMM) and "autovec" (compiler-vectorized loops). Right column: the paper's
+// SKX roofline projection. (Measured % of peak per layer comes from the
+// benchsuite conv_table1 workload, which divides by a verified FMA peak.)
 //
 // Expected shape (paper Section III-A): this work fastest or tied; im2col
 // ~3x slower; libxsmm/blas up to 9x; autovec up to 16x; 3x3 layers more
@@ -19,12 +19,11 @@ int main() {
   const int mb = platform::bench_minibatch(1);
   const int runs = platform::bench_runs(3);
   print_header("Figure 4: ResNet-50 FWD per layer [GFLOPS]", mb, runs);
-  std::printf("%3s %9s %9s %9s %9s %9s | %7s %9s\n", "ID", "thiswork",
-              "im2col", "libxsmm", "blas", "autovec", "eff%", "SKXproj%");
+  std::printf("%3s %9s %9s %9s %9s %9s | %9s\n", "ID", "thiswork", "im2col",
+              "libxsmm", "blas", "autovec", "SKXproj%");
 
   for (const auto& l : topo::resnet50_table1()) {
     const auto p = topo::table1_params(l, mb);
-    const double gflop = static_cast<double>(p.flops());
 
     core::ConvLayer work(p);
     auto t = make_tensors(work);
@@ -51,12 +50,10 @@ int main() {
     const double g_blas = run_engine(baselines::GemmEngine::packed);
     const double g_avec = run_engine(baselines::GemmEngine::ref);
 
-    const double eff = 100.0 * g_work / host_peak_gflops();
     const double proj = 100.0 * platform::skx_model().project_efficiency(
                                     p, platform::Pass::fwd);
-    std::printf("%3d %9.1f %9.1f %9.1f %9.1f %9.1f | %7.1f %9.1f\n", l.id,
-                g_work, g_ic, g_xsmm, g_blas, g_avec, eff, proj);
-    (void)gflop;
+    std::printf("%3d %9.1f %9.1f %9.1f %9.1f %9.1f | %9.1f\n", l.id, g_work,
+                g_ic, g_xsmm, g_blas, g_avec, proj);
   }
   std::printf("\nPaper reference: this work 70-80%% of peak (3x3), ~70%% "
               "(1x1), ~55%% (layers 2-3); speedups up to 3x vs im2col, 9x vs "

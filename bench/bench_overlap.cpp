@@ -1,17 +1,16 @@
 // Multi-node gradient-sync benchmark: sweeps payload codec (fp32 | int16 |
 // bf16 | topk) x sync mode (bulk | overlap) x comm-thread count on the
-// ResNet-mini and ResNet-50 GxM topologies and writes a BENCH_overlap.json
-// trajectory file (schema v4) — per-run img/s, exposed-comm seconds,
+// ResNet-mini and ResNet-50 GxM topologies and writes a JSON file (schema
+// v5, default bench_overlap.json) — per-run img/s, exposed-comm seconds,
 // *measured* per-codec wire bytes (actual encode() payload sizes, which is
 // what makes the variable-rate top-k row meaningful) split by topology
-// level, compression ratio, and the reduction schedule — alongside the
-// existing streams trajectory.
+// level, compression ratio, and the reduction schedule.
 //
 // Each topology's bulk/fp32 run doubles as the calibration anchor for
 // mlsl::project_scaling's analytic overlap model: its measured allreduce
 // time yields an effective NetworkModel (NetworkModel::from_measured), and
-// every row then carries a `projected_exposed_comm_s` column next to the
-// measured one — the ROADMAP's measured-vs-projected reconciliation.
+// every sweep row then carries a `projected_exposed_comm_s` column next to
+// the measured one — the ROADMAP's measured-vs-projected reconciliation.
 // Overlap rows feed the projection the *measured per-bucket wait histogram*
 // (MultiNodeStats::bucket_wait_seconds) instead of the scalar
 // backward-fraction window, so the projection knows which buckets the
@@ -26,7 +25,8 @@
 // (recovering bandwidth and per-message latency separately from two bulk
 // allreduce timings), and races the flat ring against the hierarchical
 // schedule per codec — hierarchical must beat flat on exposed comm at the
-// largest rank count, which CI gates.
+// largest rank count, which CI gates. Farm rows carry no projection (no
+// calibrated compute time), so they omit `projected_exposed_comm_s`.
 //
 // The simulated wire (XCONV_MN_WIRE_GBS / --wire-gbs, default 0.1 GB/s
 // here; 0 disables) makes reductions wait out their ring transmission time,
@@ -45,6 +45,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,7 +69,8 @@ struct OverlapResult {
   int comm_threads = 1;
   double img_s = 0;
   double exposed_comm_s = 0;  ///< per run (iters iterations), rank 0
-  double projected_exposed_comm_s = 0;  ///< analytic model, same window
+  /// Analytic model, same window; unset on farm rows, which omit the field.
+  std::optional<double> projected_exposed_comm_s;
   std::size_t bucket_count = 0;
   std::size_t bucket_bytes = 0;    ///< largest overlap bucket; 0 in bulk
   std::size_t gradient_bytes = 0;  ///< whole flat gradient, fp32 bytes
@@ -84,12 +86,17 @@ struct OverlapResult {
 void write_result_rows(std::FILE* f, const std::vector<OverlapResult>& rows) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const OverlapResult& r = rows[i];
+    char projected[64] = "";
+    if (r.projected_exposed_comm_s)
+      std::snprintf(projected, sizeof(projected),
+                    "\"projected_exposed_comm_s\": %.6f, ",
+                    *r.projected_exposed_comm_s);
     std::fprintf(
         f,
         "%s\n    {\"topology\": \"%s\", \"mode\": \"%s\", \"codec\": \"%s\", "
         "\"algorithm\": \"%s\", \"ranks\": %d, \"ranks_per_node\": %d, "
         "\"comm_threads\": %d, \"img_s\": %.3f, \"exposed_comm_s\": %.6f, "
-        "\"projected_exposed_comm_s\": %.6f, \"bucket_count\": %zu, "
+        "%s\"bucket_count\": %zu, "
         "\"bucket_bytes\": %zu, \"gradient_bytes\": %zu, "
         "\"allreduce_bytes_per_rank\": %zu, "
         "\"wire_bytes_per_rank\": %zu, \"intra_wire_bytes_per_rank\": %zu, "
@@ -99,7 +106,7 @@ void write_result_rows(std::FILE* f, const std::vector<OverlapResult>& rows) {
         bench::json_escape(r.mode).c_str(),
         bench::json_escape(r.codec).c_str(),
         bench::json_escape(r.algorithm).c_str(), r.ranks, r.ranks_per_node,
-        r.comm_threads, r.img_s, r.exposed_comm_s, r.projected_exposed_comm_s,
+        r.comm_threads, r.img_s, r.exposed_comm_s, projected,
         r.bucket_count, r.bucket_bytes, r.gradient_bytes,
         r.allreduce_bytes_per_rank, r.wire_bytes_per_rank,
         r.intra_wire_bytes_per_rank, r.inter_wire_bytes_per_rank,
@@ -117,7 +124,7 @@ bool write_overlap_json(const std::string& path, int nodes, int iters, int mb,
   if (f == nullptr) return false;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"overlap\",\n");
-  std::fprintf(f, "  \"schema_version\": 4,\n");
+  std::fprintf(f, "  \"schema_version\": 5,\n");
   std::fprintf(f, "  \"isa\": \"%s\",\n",
                platform::isa_name(platform::effective_isa()));
   std::fprintf(f, "  \"nodes\": %d,\n", nodes);
@@ -141,7 +148,8 @@ bool write_overlap_json(const std::string& path, int nodes, int iters, int mb,
 }
 
 OverlapResult row_from_stats(const char* topology_name, int ranks,
-                             const mlsl::MultiNodeStats& st, double proj_s) {
+                             const mlsl::MultiNodeStats& st,
+                             std::optional<double> proj_s) {
   OverlapResult r;
   r.topology = topology_name;
   r.mode = st.mode;
@@ -167,12 +175,15 @@ OverlapResult row_from_stats(const char* topology_name, int ranks,
 }
 
 void print_row(const OverlapResult& r) {
-  std::printf("%-12s %-8s %-6s %-5s %4d %3d %9.1f %11.3f %11.3f %12zu %6.2f\n",
+  char projected[32] = "-";
+  if (r.projected_exposed_comm_s)
+    std::snprintf(projected, sizeof(projected), "%.3f",
+                  1e3 * *r.projected_exposed_comm_s);
+  std::printf("%-12s %-8s %-6s %-5s %4d %3d %9.1f %11.3f %11s %12zu %6.2f\n",
               r.topology.c_str(), r.mode.c_str(), r.codec.c_str(),
               r.algorithm == "hierarchical" ? "hier" : r.algorithm.c_str(),
               r.ranks, r.comm_threads, r.img_s, 1e3 * r.exposed_comm_s,
-              1e3 * r.projected_exposed_comm_s, r.wire_bytes_per_rank,
-              r.compression_ratio);
+              projected, r.wire_bytes_per_rank, r.compression_ratio);
 }
 
 /// Wall time of one bulk fp32 allreduce of `elems` floats on `comm` — the
@@ -192,7 +203,7 @@ double time_bulk_allreduce(mlsl::Communicator& comm, std::size_t elems) {
 
 int main(int argc, char** argv) {
   std::string set = "mini";
-  std::string out = "BENCH_overlap.json";
+  std::string out = "bench_overlap.json";
   int nodes = 2, iters = 10;
   double wire_gbs = 0.1;
   bool farm = true;
@@ -399,7 +410,8 @@ int main(int argc, char** argv) {
           solver.lr = 0.01f;
           trainer.train(1, solver);  // warmup
           const auto st = trainer.train(farm_iters, solver);
-          const OverlapResult r = row_from_stats("farm_mini", ranks, st, 0.0);
+          const OverlapResult r =
+              row_from_stats("farm_mini", ranks, st, std::nullopt);
           farm_results.push_back(r);
           print_row(r);
         }

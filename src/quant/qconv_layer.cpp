@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "jit/verify/verifier.hpp"
+#include "platform/cpu.hpp"
 
 namespace xconv::quant {
 
@@ -34,10 +35,9 @@ QConvLayer::QConvLayer(const core::ConvParams& p, int threads, bool use_vnni,
   kb_ = tensor::ceil_div(p_.K, vlen_);
   threads_ = threads > 0 ? threads : omp_get_max_threads();
   if (use_vnni) {
-    vnni_fwd_ = qconv_block_vnni();
+    // The JIT fwd kernel emits vpdpwssd; the scalar block covers other hosts.
+    use_jit_ = platform::max_isa() == platform::Isa::avx512_vnni;
     vnni_upd_ = qupd_block_vnni();
-    // The JIT fwd kernel needs AVX512-VNNI too (it emits vpdpwssd).
-    use_jit_ = vnni_fwd_ != nullptr;
   }
 }
 
@@ -64,7 +64,6 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
   const int rbq = pick_rbq(Q, 13);  // 13 = JIT register budget
   const int q_full = Q / rbq, q_rem = Q % rbq;
   const int n_qb = q_full + (q_rem > 0 ? 1 : 0);
-  const qconv_block_fn f = vnni_fwd_ ? vnni_fwd_ : &qconv_block_scalar;
   const float scale = qin.scale * qwt.scale;
 
   QKernelDesc d;
@@ -123,11 +122,10 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
                    ? out.at_padded(n, kbi, oj * p_.stride_h,
                                    oi0 * p_.stride_w)
                    : out.at(n, kbi, oj, oi0);
-    const jit::QConvKernel* jk = q_edge ? jk_edge : jk_main;
-    if (jk != nullptr)
-      (*jk)(inp, wtp, o, scale);
+    if (use_jit_)
+      (*(q_edge ? jk_edge : jk_main))(inp, wtp, o, scale);
     else
-      f(dd, inp, wtp, o, scale);
+      qconv_block_scalar(dd, inp, wtp, o, scale);
   }
 }
 

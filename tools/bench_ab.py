@@ -2,11 +2,11 @@
 """A/B gate over benchsuite workloads: run two sides, compare them, pass on the verdict.
 
     python3 tools/bench_ab.py --workload conv_table1 --workload rn50_mn \\
-        --a-root ../base --b-root . --seeds 1 2 3 4 5 --out ab
+        --a-root ../base --b-root . --out ab
 
 A side is a repository root plus an environment overlay (``--a-env NAME=VALUE``,
 repeatable; ``--b-env`` likewise), so one root against itself with different
-knobs is an A/B too. For each workload and seed both sides run
+knobs is an A/B too. For each workload and each of the ten SEEDS both sides run
 ``benchsuite/run.py --workload W --seed S --seconds T`` in their own root
 (run.py builds ``.bench_build/`` there), T being side B's
 ``BENCHMARK.json`` ``run_seconds``. The side that runs first alternates
@@ -39,8 +39,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Workloads whose traced per-layer rows the tripwire checks.
-TRIPWIRE_ROWS = {"conv_table1": re.compile(r"core\.rn50_L\d+\.(fwd|bwd|upd)_gflops")}
+# Ten pairs: with five, compare_runs.py's upper quartile lies halfway between
+# the 4th and 5th values, so one slow process widens a side's spread past the
+# bound (UNRESOLVED); with ten it lies between the 8th and 9th and one slow
+# process does not move it.
+SEEDS = tuple(range(1, 11))
+# conv_table1's traced per-layer rows, which the tripwire checks.
+TRIPWIRE_ROW = re.compile(r"core\.rn50_L\d+\.(fwd|bwd|upd)_gflops")
 TRACE_RUNS = 3  # traced passes per side; the tripwire compares their medians
 FLOOR = 0.5  # a row fails below FLOOR x the median B/A ratio
 
@@ -80,7 +85,7 @@ def run_once(root: Path, env: dict, workload: str, seed: int, seconds: float,
     return result
 
 
-def run_pairs(sides: list, workload: str, seeds: list[int], seconds: float,
+def run_pairs(sides: list, workload: str, seeds: tuple, seconds: float,
               trace: bool, out: Path) -> dict:
     """Run every seed on both sides, alternating which goes first.
 
@@ -96,14 +101,13 @@ def run_pairs(sides: list, workload: str, seeds: list[int], seconds: float,
     return results
 
 
-def tripwire(a_runs: list[dict], b_runs: list[dict],
-             pattern: re.Pattern) -> tuple[bool, list[str]]:
+def tripwire(a_runs: list[dict], b_runs: list[dict]) -> tuple[bool, list[str]]:
     """Per-row B/A ratio of per-side medians against FLOOR x median ratio."""
     def medians(runs):
         rows: dict = {}
         for r in runs:
             for name, m in r["metrics"].items():
-                if pattern.fullmatch(name):
+                if TRIPWIRE_ROW.fullmatch(name):
                     rows.setdefault(name, []).append(m["value"])
         return {k: statistics.median(v) for k, v in rows.items()}
 
@@ -151,7 +155,6 @@ def compare(b_root: Path, a_files: list[Path], b_files: list[Path],
 def main(argv: list[str]) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     ap.add_argument("--a-root", type=Path, required=True)
     ap.add_argument("--b-root", type=Path, required=True)
     ap.add_argument("--a-env", action="append", default=[])
@@ -159,8 +162,6 @@ def main(argv: list[str]) -> int:
     ap.add_argument("--out", type=Path, default=Path("bench_ab"))
     ap.add_argument("--waive", action="append", default=[])
     a = ap.parse_args(argv)
-    if len(a.seeds) < 2:
-        ap.error("compare_runs.py needs at least two seeds per side")
 
     sides = [("A", a.a_root.resolve(), env_overlay(a.a_env)),
              ("B", a.b_root.resolve(), env_overlay(a.b_env))]
@@ -169,19 +170,18 @@ def main(argv: list[str]) -> int:
     tripped = False
     try:
         for w in a.workload:
-            run_pairs(sides, w, a.seeds, seconds, False, a.out)
-            if w in TRIPWIRE_ROWS:
-                traced = run_pairs(sides, w, a.seeds[:TRACE_RUNS], seconds,
-                                   True, a.out)
-                ok, lines = tripwire(traced["A"], traced["B"],
-                                     TRIPWIRE_ROWS[w])
+            run_pairs(sides, w, SEEDS, seconds, False, a.out)
+            if w == "conv_table1":
+                traced = run_pairs(sides, w, SEEDS[:TRACE_RUNS], seconds, True,
+                                   a.out)
+                ok, lines = tripwire(traced["A"], traced["B"])
                 print(f"{w} per-layer tripwire", *lines, sep="\n", flush=True)
                 tripped |= not ok
     except RuntimeError as e:
         log(str(e))
         return 1
     files = {name: [a.out / name / f"{w}.{s}.json"
-                    for w in a.workload for s in a.seeds]
+                    for w in a.workload for s in SEEDS]
              for name, _, _ in sides}
     rc = compare(sides[1][1], files["A"], files["B"], set(a.waive))
     return rc if rc else int(tripped)

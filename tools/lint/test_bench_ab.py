@@ -65,15 +65,17 @@ class BenchAbTest(unittest.TestCase):
         self.log = self.tmp / "calls.log"
         self._env = dict(os.environ)
         os.environ["FAKE_LOG"] = str(self.log)
+        self._seeds = bench_ab.SEEDS
+        bench_ab.SEEDS = (1, 2, 3)
 
     def tearDown(self):
+        bench_ab.SEEDS = self._seeds
         os.environ.clear()
         os.environ.update(self._env)
         self._tmp.cleanup()
 
-    def run_ab(self, *extra, workload="rn50_mn", seeds=("1", "2", "3"),
-               b_env=()):
-        argv = ["--workload", workload, "--seeds", *seeds,
+    def run_ab(self, *extra, workload="rn50_mn", b_env=()):
+        argv = ["--workload", workload,
                 "--a-root", str(self.tmp / "a"), "--b-root", str(self.tmp / "b"),
                 "--a-env", "FAKE_SIDE=A", "--b-env", "FAKE_SIDE=B",
                 "--out", str(self.tmp / "out"), *extra]
@@ -121,8 +123,8 @@ class BenchAbTest(unittest.TestCase):
         self.assertEqual(self.run_ab("--waive", "img_s"), 1)
 
     def test_traced_passes_only_for_conv_table1(self):
-        self.assertEqual(self.run_ab(workload="conv_table1",
-                                     seeds=("1", "2", "3", "4")), 0)
+        bench_ab.SEEDS = (1, 2, 3, 4)
+        self.assertEqual(self.run_ab(workload="conv_table1"), 0)
         traced = [c for c in self.calls() if c[3] == "1"]
         self.assertEqual([c[:3] for c in traced],
                          [["A", "conv_table1", "1"], ["B", "conv_table1", "1"],
@@ -143,8 +145,6 @@ class BenchAbTest(unittest.TestCase):
                                      b_env=["FAKE_SCALE=0.6"]), 0)
 
     def test_tripwire_rows(self):
-        pat = bench_ab.TRIPWIRE_ROWS["conv_table1"]
-
         def run(scale, cliff=None):
             m = {f"core.rn50_L{i:02d}.fwd_gflops":
                  {"value": 100.0 * i * scale * (0.3 if i == cliff else 1)}
@@ -152,15 +152,15 @@ class BenchAbTest(unittest.TestCase):
             m["conv_gflops"] = {"value": 1.0}  # not a tripwire row
             return {"correct": True, "failed": 0, "metrics": m}
 
-        ok, lines = bench_ab.tripwire([run(1)], [run(1, cliff=4)], pat)
+        ok, lines = bench_ab.tripwire([run(1)], [run(1, cliff=4)])
         self.assertFalse(ok)
         self.assertEqual(sum("FAIL: core.rn50_L04.fwd" in l for l in lines), 1)
-        ok, lines = bench_ab.tripwire([run(1)], [run(0.6)], pat)
+        ok, lines = bench_ab.tripwire([run(1)], [run(0.6)])
         self.assertTrue(ok, lines)
         self.assertIn("20 rows", lines[-1])
         # Per-side medians: one cliff run of three on a side does not fire.
         ok, _ = bench_ab.tripwire([run(1)] * 3,
-                                  [run(1, cliff=4), run(1), run(1)], pat)
+                                  [run(1, cliff=4), run(1), run(1)])
         self.assertTrue(ok)
 
 

@@ -1,17 +1,20 @@
 // Multi-node gradient-sync benchmark: sweeps payload codec (fp32 | int16 |
-// bf16 | topk) x sync mode (bulk | overlap) x comm-thread count on the
-// ResNet-mini and ResNet-50 GxM topologies and writes a JSON file (schema
-// v5, default bench_overlap.json) — per-run img/s, exposed-comm seconds,
-// *measured* per-codec wire bytes (actual encode() payload sizes, which is
-// what makes the variable-rate top-k row meaningful) split by topology
-// level, compression ratio, and the reduction schedule.
+// bf16 | topk) x bucket layout x comm-thread count on the ResNet-mini and
+// ResNet-50 GxM topologies and writes a JSON file (schema v5, default
+// bench_overlap.json) — per-run img/s, exposed-comm seconds, *measured*
+// per-codec wire bytes (actual encode() payload sizes, which is what makes
+// the variable-rate top-k row meaningful) split by topology level,
+// compression ratio, and the reduction schedule. Rows labelled "bulk" run
+// one bucket holding the whole gradient, posted after backward (the
+// bulk-synchronous baseline); "overlap" rows run the size-capped buckets
+// posted during backward.
 //
 // Each topology's bulk/fp32 run doubles as the calibration anchor for
 // mlsl::project_scaling's analytic overlap model: its measured allreduce
 // time yields an effective NetworkModel (NetworkModel::from_measured), and
 // every sweep row then carries a `projected_exposed_comm_s` column next to
 // the measured one — the ROADMAP's measured-vs-projected reconciliation.
-// Overlap rows feed the projection the *measured per-bucket wait histogram*
+// Every row feeds the projection its *measured per-bucket wait histogram*
 // (MultiNodeStats::bucket_wait_seconds) instead of the scalar
 // backward-fraction window, so the projection knows which buckets the
 // backward pass actually hid. Gaps between the two are the model's
@@ -22,11 +25,12 @@
 // it scales the in-process harness to 64 ranks on a heterogeneous two-level
 // wire (fast intra-node fabric, slow high-latency inter-node links),
 // calibrates that wire with the two-point NetworkModel::from_measured
-// (recovering bandwidth and per-message latency separately from two bulk
-// allreduce timings), and races the flat ring against the hierarchical
-// schedule per codec — hierarchical must beat flat on exposed comm at the
-// largest rank count, which CI gates. Farm rows carry no projection (no
-// calibrated compute time), so they omit `projected_exposed_comm_s`.
+// (recovering bandwidth and per-message latency separately from two
+// one-bucket allreduce timings), and races the flat ring against the
+// hierarchical schedule per codec — hierarchical must beat flat on exposed
+// comm at the largest rank count, which CI gates. Farm rows carry no
+// projection (no calibrated compute time), so they omit
+// `projected_exposed_comm_s`.
 //
 // The simulated wire (XCONV_MN_WIRE_GBS / --wire-gbs, default 0.1 GB/s
 // here; 0 disables) makes reductions wait out their ring transmission time,
@@ -39,17 +43,19 @@
 //   bench_overlap [--set=mini|resnet50|all] [--nodes=N] [--iters=K]
 //                 [--wire-gbs=G] [--out=PATH] [--no-farm]
 // Environment: XCONV_MB (minibatch per rank, default 4), XCONV_MN_BUCKET_KB
-// (overlap bucket cap, default 256), XCONV_MN_WIRE_GBS (overrides
-// --wire-gbs), XCONV_MN_TOPK (top-k kept fraction for the topk rows,
-// default 0.1), plus the library-wide knobs.
+// (bucket cap of the overlap rows, default 256), XCONV_MN_WIRE_GBS
+// (overrides --wire-gbs), XCONV_MN_TOPK (top-k kept fraction for the topk
+// rows, default 0.1), plus the library-wide knobs.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "mlsl/allreduce.hpp"
 #include "mlsl/netmodel.hpp"
 #include "mlsl/scaling.hpp"
 #include "platform/timer.hpp"
@@ -72,7 +78,7 @@ struct OverlapResult {
   /// Analytic model, same window; unset on farm rows, which omit the field.
   std::optional<double> projected_exposed_comm_s;
   std::size_t bucket_count = 0;
-  std::size_t bucket_bytes = 0;    ///< largest overlap bucket; 0 in bulk
+  std::size_t bucket_bytes = 0;    ///< largest bucket
   std::size_t gradient_bytes = 0;  ///< whole flat gradient, fp32 bytes
   std::size_t allreduce_bytes_per_rank = 0;
   std::size_t wire_bytes_per_rank = 0;
@@ -147,12 +153,12 @@ bool write_overlap_json(const std::string& path, int nodes, int iters, int mb,
   return true;
 }
 
-OverlapResult row_from_stats(const char* topology_name, int ranks,
-                             const mlsl::MultiNodeStats& st,
+OverlapResult row_from_stats(const char* topology_name, const char* mode,
+                             int ranks, const mlsl::MultiNodeStats& st,
                              std::optional<double> proj_s) {
   OverlapResult r;
   r.topology = topology_name;
-  r.mode = st.mode;
+  r.mode = mode;
   r.codec = st.codec;
   r.algorithm = st.algorithm;
   r.ranks = ranks;
@@ -186,16 +192,23 @@ void print_row(const OverlapResult& r) {
               projected, r.wire_bytes_per_rank, r.compression_ratio);
 }
 
-/// Wall time of one bulk fp32 allreduce of `elems` floats on `comm` — the
-/// measurement the two-point NetworkModel::from_measured consumes.
-double time_bulk_allreduce(mlsl::Communicator& comm, std::size_t elems) {
-  const int R = comm.ranks();
-  std::vector<std::vector<float>> data(
-      static_cast<std::size_t>(R), std::vector<float>(elems, 1.0f));
-  std::vector<float*> bufs(static_cast<std::size_t>(R));
-  for (int r = 0; r < R; ++r) bufs[static_cast<std::size_t>(r)] = data[r].data();
+/// Wall time of one fp32 round of a single bucket of `elems` floats on
+/// `comm` (installed here, replacing the previous layout) — the measurement
+/// the two-point NetworkModel::from_measured consumes.
+double time_one_bucket_allreduce(mlsl::Communicator& comm,
+                                 std::size_t elems) {
+  mlsl::GradBucket bucket;
+  bucket.segments.push_back({0, elems});
+  bucket.elems = elems;
+  comm.set_buckets({bucket});
+  std::vector<std::vector<float>> data(static_cast<std::size_t>(comm.ranks()),
+                                       std::vector<float>(elems, 1.0f));
   platform::Timer t;
-  comm.parallel([&](int rank) { comm.allreduce_sum(rank, bufs, elems); });
+  comm.parallel([&](int rank) {
+    comm.overlap_begin(rank, data[static_cast<std::size_t>(rank)].data());
+    comm.post_bucket(rank, 0);
+    comm.wait_all(rank);
+  });
   return t.seconds();
 }
 
@@ -252,7 +265,7 @@ int main(int argc, char** argv) {
     // Reduced resolution keeps the full 53-conv topology tractable on CI.
     topos.push_back({"resnet50", topo::resnet50_topology(mb, 56, 100)});
 
-  std::printf("bench_overlap: codec x mode x comm-threads sweep | nodes=%d "
+  std::printf("bench_overlap: codec x layout x comm-threads sweep | nodes=%d "
               "iters=%d mb=%d bucket_cap=%zu KiB wire=%.3f GB/s topk=%.3f\n",
               nodes, iters, mb, mn_base.bucket_cap_bytes >> 10,
               mn_base.comm.wire_gbs, mn_base.comm.topk_fraction);
@@ -260,19 +273,21 @@ int main(int argc, char** argv) {
               "topology", "mode", "codec", "algo", "rank", "thr", "img/s",
               "exposed ms", "proj ms", "wire B/rank", "ratio");
 
+  // "bulk" rows: one bucket holding the whole gradient. "overlap" rows: the
+  // configured bucket cap.
   struct Run {
-    mlsl::SyncMode mode;
+    bool bulk;
     mlsl::Codec codec;
     int threads;
   };
   std::vector<Run> runs;
   for (const mlsl::Codec c : {mlsl::Codec::kFp32, mlsl::Codec::kInt16,
                               mlsl::Codec::kBf16, mlsl::Codec::kTopK})
-    runs.push_back({mlsl::SyncMode::kBulk, c, 1});
+    runs.push_back({true, c, 1});
   for (const mlsl::Codec c : {mlsl::Codec::kFp32, mlsl::Codec::kInt16,
                               mlsl::Codec::kBf16, mlsl::Codec::kTopK})
     for (const int thr : {1, 2})
-      runs.push_back({mlsl::SyncMode::kOverlap, c, thr});
+      runs.push_back({false, c, thr});
 
   std::vector<OverlapResult> results;
   for (const Topology& tp : topos) {
@@ -285,7 +300,8 @@ int main(int argc, char** argv) {
       gxm::GraphOptions gopt;
       gopt.threads = 1;  // ranks are threads; avoid nested-OMP oversubscribe
       mlsl::MultiNodeOptions mn = mn_base;
-      mn.mode = run.mode;
+      if (run.bulk)
+        mn.bucket_cap_bytes = std::numeric_limits<std::size_t>::max();
       mn.comm.codec = run.codec;
       mn.comm.comm_threads = run.threads;
       mlsl::MultiNodeTrainer trainer(nl, nodes, gopt, mn);
@@ -296,14 +312,14 @@ int main(int argc, char** argv) {
 
       const double t_iter = st.seconds / iters;
       const double t_ar = st.exposed_comm_seconds / iters;
-      if (run.mode == mlsl::SyncMode::kBulk &&
-          run.codec == mlsl::Codec::kFp32) {
+      if (run.bulk && run.codec == mlsl::Codec::kFp32) {
         // Calibrate the analytic model on the measured bulk fp32 allreduce:
-        // bulk exposes the entire allreduce, so its per-iteration exposed
-        // time *is* the ring time of the fp32 gradient payload. (One-point
-        // calibration folds latency into bandwidth, which matches the
-        // latency-free legacy wire this sweep runs on; the farm section
-        // uses the two-point overload on its latency-bearing wire.)
+        // the one bucket is posted after backward and exposes the entire
+        // allreduce, so its per-iteration exposed time *is* the ring time
+        // of the fp32 gradient payload. (One-point calibration folds
+        // latency into bandwidth, which matches the latency-free legacy
+        // wire this sweep runs on; the farm section uses the two-point
+        // overload on its latency-bearing wire.)
         measured_net =
             mlsl::NetworkModel::from_measured(st.gradient_bytes, nodes, t_ar);
         t_compute = t_iter > t_ar ? t_iter - t_ar : t_iter;
@@ -314,7 +330,7 @@ int main(int argc, char** argv) {
       // bytes (the counters publish the ring share 2(R-1)/R of the encoded
       // payload, so un-apply that factor to recover the payload the model
       // expects — with a per-element byte table this would be wrong for the
-      // data-dependent top-k row). Overlap rows hand the model the measured
+      // data-dependent top-k row). Every row hands the model its measured
       // per-bucket wait histogram (wire-payload bytes per bucket + mean
       // blocked wait), so hiding is per-bucket-measured instead of assumed.
       mlsl::ScalingConfig cfg;
@@ -326,8 +342,7 @@ int main(int argc, char** argv) {
                     : st.gradient_bytes;
       cfg.comm_core_penalty = 1.0;
       cfg.sync_overhead_frac = 0.0;
-      if (run.mode == mlsl::SyncMode::kBulk) cfg.backward_fraction = 0.0;
-      if (run.mode == mlsl::SyncMode::kOverlap && nodes > 1) {
+      if (nodes > 1) {
         cfg.measured_nodes = nodes;
         for (std::size_t b = 0; b < st.bucket_payload_bytes.size(); ++b) {
           // Approximate this bucket's wire payload from its fp32 payload
@@ -343,8 +358,9 @@ int main(int argc, char** argv) {
       cfg.net = measured_net;
       const auto pt = mlsl::project_scaling(cfg, nodes);
 
-      const OverlapResult r = row_from_stats(tp.name, nodes, st,
-                                             pt.exposed_comm_ms * 1e-3 * iters);
+      const OverlapResult r =
+          row_from_stats(tp.name, run.bulk ? "bulk" : "overlap", nodes, st,
+                         pt.exposed_comm_ms * 1e-3 * iters);
       results.push_back(r);
       print_row(r);
     }
@@ -369,8 +385,8 @@ int main(int argc, char** argv) {
     farm_topo.inter = mlsl::NetworkModel{0.02, 200.0};
     const auto nl = gxm::parse_topology(topo::resnet_mini_topology(1, 32, 4));
 
-    // Two-point wire calibration on the largest farm: time two bulk fp32
-    // allreduces of different sizes over the flat schedule and recover
+    // Two-point wire calibration on the largest farm: time two one-bucket
+    // fp32 allreduces of different sizes over the flat schedule and recover
     // bandwidth and per-message latency *separately* (the one-point
     // calibration would fold the 12.6 ms of step latency into a bogus
     // effective bandwidth).
@@ -379,8 +395,8 @@ int main(int argc, char** argv) {
       cc.topo = farm_topo;
       mlsl::Communicator comm(64, cc);
       const std::size_t small_elems = 16 << 10, large_elems = 256 << 10;
-      const double t_small = time_bulk_allreduce(comm, small_elems);
-      const double t_large = time_bulk_allreduce(comm, large_elems);
+      const double t_small = time_one_bucket_allreduce(comm, small_elems);
+      const double t_large = time_one_bucket_allreduce(comm, large_elems);
       farm_calibrated = mlsl::NetworkModel::from_measured(
           small_elems * sizeof(float), t_small, large_elems * sizeof(float),
           t_large, 64);
@@ -399,7 +415,6 @@ int main(int argc, char** argv) {
           gxm::GraphOptions gopt;
           gopt.threads = 1;
           mlsl::MultiNodeOptions mn;
-          mn.mode = mlsl::SyncMode::kOverlap;
           mn.bucket_cap_bytes = std::size_t{32} << 10;
           mn.comm.codec = codec;
           mn.comm.comm_threads = 2;
@@ -411,7 +426,7 @@ int main(int argc, char** argv) {
           trainer.train(1, solver);  // warmup
           const auto st = trainer.train(farm_iters, solver);
           const OverlapResult r =
-              row_from_stats("farm_mini", ranks, st, std::nullopt);
+              row_from_stats("farm_mini", "overlap", ranks, st, std::nullopt);
           farm_results.push_back(r);
           print_row(r);
         }

@@ -1,14 +1,15 @@
 // Simulated multi-node data-parallel training (paper Section III-C /
 // Figure 9): N node replicas train synchronously with weight gradients
-// averaged through a ring allreduce (the in-process MLSL substitute), then
-// the analytic Omni-Path model projects strong scaling on the paper's
-// 16-node clusters.
+// averaged through the overlapped bucketized allreduce (the in-process MLSL
+// substitute), then the analytic Omni-Path model projects strong scaling on
+// the paper's 16-node clusters.
 //
 // Usage: ./examples/multinode_training [ranks] [iters]
-// Environment: XCONV_MN_MODE=bulk|overlap selects the gradient-sync path
-// (overlap posts size-capped buckets during backward — the paper's
-// overlapped allreduce — and applies each bucket's update as it completes),
-// XCONV_MN_BUCKET_KB caps the bucket payload,
+// Environment: XCONV_MN_BUCKET_KB caps the bucket payload (size-capped
+// buckets are posted during backward — the paper's overlapped allreduce —
+// and each bucket's update is applied as it completes; a cap of at least the
+// gradient size, e.g. 1048576, gives one bucket: the bulk-synchronous
+// baseline),
 // XCONV_MN_CODEC=fp32|int16|bf16|topk picks the wire codec (fixed-rate
 // compressed codecs halve wire bytes; the sparsified top-k payload keeps
 // only the XCONV_MN_TOPK fraction of each bucket's coordinates — all with
@@ -46,17 +47,16 @@ int main(int argc, char** argv) {
 
   const mlsl::Topology& topo = trainer.comm().topology();
   std::printf("synchronous SGD on %d simulated nodes (ResNet-mini, distinct "
-              "data shards, %s-mode allreduce on %zu gradient elements, "
-              "%s wire payload, %s schedule over %dx%d topology",
-              ranks, mlsl::sync_mode_name(mn.mode),
-              trainer.rank_graph(0).grad_elems(),
+              "data shards, allreduce on %zu gradient elements in %zu "
+              "bucket%s, %s wire payload, %s schedule over %dx%d topology, "
+              "%d comm thread%s)\n",
+              ranks, trainer.rank_graph(0).grad_elems(),
+              trainer.buckets().size(),
+              trainer.buckets().size() == 1 ? "" : "s",
               mlsl::codec_name(mn.comm.codec),
               mlsl::reduce_algorithm_name(mn.comm.algorithm),
-              topo.ranks_per_node, topo.nodes);
-  if (mn.mode == mlsl::SyncMode::kOverlap)
-    std::printf(", %zu buckets, %d comm thread%s", trainer.buckets().size(),
-                mn.comm.comm_threads, mn.comm.comm_threads == 1 ? "" : "s");
-  std::printf(")\n");
+              topo.ranks_per_node, topo.nodes, mn.comm.comm_threads,
+              mn.comm.comm_threads == 1 ? "" : "s");
 
   // Report in chunks of up to 5 iterations; the final chunk carries the
   // remainder (a `iters / 5` loop used to drop `iters % 5` iterations and

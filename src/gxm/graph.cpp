@@ -153,7 +153,7 @@ void Graph::build_etg() {
     if (t.pass == Pass::UPD) upd_tasks_.push_back(t);
   }
 
-  // Flat gradient-vector offsets (network-list order, matching export_grads)
+  // Flat gradient-vector offsets (network-list order, matching export_params)
   // and the parameter segments in backward completion order — the contract
   // the overlapped allreduce buckets are built on.
   std::size_t off = 0;
@@ -215,24 +215,6 @@ std::size_t Graph::grad_elems() const {
   std::size_t total = 0;
   for (const auto& up : nodes_) total += up->param_count();
   return total;
-}
-
-void Graph::export_grads(float* buf) const {
-  std::size_t off = 0;
-  for (const auto& up : nodes_) {
-    if (up->param_count() == 0) continue;
-    up->export_grads(buf + off);
-    off += up->param_count();
-  }
-}
-
-void Graph::import_grads(const float* buf) {
-  std::size_t off = 0;
-  for (auto& up : nodes_) {
-    if (up->param_count() == 0) continue;
-    up->import_grads(buf + off);
-    off += up->param_count();
-  }
 }
 
 void Graph::export_params(float* buf) const {

@@ -33,7 +33,8 @@ struct Task {
 };
 
 /// One parameter-owning node's slice of the flat gradient vector (the
-/// export_grads/import_grads layout, which follows network-list order).
+/// export_params / export_node_grads layout, which follows network-list
+/// order).
 struct GradSegment {
   Node* node = nullptr;
   std::size_t offset = 0;  ///< into the flat gradient vector
@@ -82,8 +83,6 @@ class Graph {
   Node* find(const std::string& name);
   /// Total parameter gradient elements (for the MLSL allreduce buffer).
   std::size_t grad_elems() const;
-  void export_grads(float* buf) const;
-  void import_grads(const float* buf);
   /// Serialize all parameters (same layout/offsets as the gradient vector).
   void export_params(float* buf) const;
   /// Nodes owning parameters, in schedule order.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "platform/envparse.hpp"
@@ -197,7 +196,6 @@ double Communicator::residual_l2(int r) const {
 CommStats Communicator::stats() const {
   const platform::MutexLock lock(stats_mu_);
   CommStats s;
-  s.bulk_logical_bytes_per_rank = counters_.bulk_logical;
   s.overlap_logical_bytes_per_rank = counters_.overlap_logical;
   s.wire_bytes_per_rank = counters_.wire;
   s.intra_wire_bytes_per_rank = counters_.intra;
@@ -267,202 +265,6 @@ void Communicator::wait_out_wire(double delay, double elapsed) const {
   std::this_thread::sleep_for(std::chrono::duration<double>(delay - elapsed));
 }
 
-void Communicator::allreduce_sum(int rank, std::vector<float*>& bufs,
-                                 std::size_t n) {
-  if (ranks_ == 1) {
-    // Single node: nothing moves. Publish zeros (not stale values from an
-    // earlier round/configuration) so MultiNodeStats byte counters and the
-    // compression ratio derived from them stay truthful.
-    const platform::MutexLock lock(stats_mu_);
-    counters_.bulk_logical = 0;
-    counters_.wire = 0;
-    counters_.intra = 0;
-    counters_.inter = 0;
-    return;
-  }
-  const int R = ranks_;
-  const bool hier = hier_effective(cfg_.algorithm);
-  const int p = rpn_;
-  const int N = nnodes_;
-  // Chunk layout: R near-equal chunks, chunk c owned by rank c.
-  auto chunk_begin = [&](int c) { return n * c / R; };
-  auto chunk_end = [&](int c) { return n * (c + 1) / R; };
-  const bool compressed = cfg_.codec != Codec::kFp32;
-  const bool ef = codec_->uses_residual();
-  platform::Timer tx;
-  std::size_t contrib_total = 0, partial_total = 0, sum_total = 0;
-
-  barrier();
-  if (compressed) {
-    // Compressed bulk allreduce, chunk-granular codec payloads. Each rank
-    // writes only its own wire buffer / owner chunk / byte-count slots
-    // between barriers, and the error-feedback residuals partition cleanly:
-    // contribution-leg residuals are per rank, sum-leg residuals per owner
-    // chunk, and (hierarchical only) partial-leg residuals per node.
-    if (rank == 0) {
-      ensure_residuals(n);
-      std::size_t max_chunk = 0;
-      for (int c = 0; c < R; ++c)
-        max_chunk = std::max(max_chunk, chunk_end(c) - chunk_begin(c));
-      bulk_slot_stride_ = codec_->max_encoded_bytes(max_chunk);
-      bulk_wire_.resize(R);
-      const std::size_t need =
-          (static_cast<std::size_t>(R) + 1) * bulk_slot_stride_;
-      for (std::vector<std::uint8_t>& w : bulk_wire_)
-        if (w.size() < need) w.resize(need);
-      bulk_chunk_bytes_.assign(static_cast<std::size_t>(R) * R, 0);
-      bulk_sum_bytes_.assign(R, 0);
-      if (hier) {
-        bulk_partial_wire_.resize(N);
-        const std::size_t pneed =
-            static_cast<std::size_t>(R) * bulk_slot_stride_;
-        for (std::vector<std::uint8_t>& w : bulk_partial_wire_)
-          if (w.size() < pneed) w.resize(pneed);
-        bulk_partial_bytes_.assign(static_cast<std::size_t>(R) * N, 0);
-      }
-    }
-    barrier();
-    // Reduce-scatter leg: this rank's contribution goes on the wire in R
-    // chunk payloads (one per owner), each encoded independently into a
-    // fixed-stride slot with its measured byte count published alongside.
-    // One selection workspace serves every encode this rank performs in
-    // this call (R contribution chunks + partials + the sum re-encode).
-    CodecWorkspace cws;
-    const auto encode = [&](const float* src, float* res, std::size_t len,
-                            std::uint8_t* w) {
-      const PayloadSegment chunk{0, len};
-      return codec_->encode(src, res, PayloadSegments(&chunk, 1), w, cws);
-    };
-    const std::size_t stride = bulk_slot_stride_;
-    for (int c = 0; c < R; ++c) {
-      const std::size_t cb = chunk_begin(c), ce = chunk_end(c);
-      bulk_chunk_bytes_[static_cast<std::size_t>(rank) * R + c] =
-          encode(bufs[rank] + cb, ef ? residual_[rank].data() + cb : nullptr,
-                 ce - cb, bulk_wire_[rank].data() + c * stride);
-    }
-    barrier();
-    const std::size_t b = chunk_begin(rank), e = chunk_end(rank);
-    const std::size_t own = static_cast<std::size_t>(rank);
-    if (hier) {
-      // Intra-node reduce: each node leader accumulates its node's p
-      // contribution payloads per chunk (canonical rank order within the
-      // node) and re-encodes the node-partial — with the node's own
-      // error-feedback residual, so the re-encode error is re-injected next
-      // iteration — for the leader ring.
-      if (rank % p == 0) {
-        const int g = rank / p;
-        std::size_t max_chunk = 0;
-        for (int c = 0; c < R; ++c)
-          max_chunk = std::max(max_chunk, chunk_end(c) - chunk_begin(c));
-        std::vector<float> part(max_chunk);
-        for (int c = 0; c < R; ++c) {
-          const std::size_t cb = chunk_begin(c);
-          const std::size_t clen = chunk_end(c) - cb;
-          const int r0 = g * p;
-          codec_->decode(bulk_wire_[r0].data() + c * stride,
-                         bulk_chunk_bytes_[static_cast<std::size_t>(r0) * R + c],
-                         part.data(), clen);
-          for (int r = r0 + 1; r < r0 + p; ++r)
-            codec_->decode_accumulate(
-                bulk_wire_[r].data() + c * stride,
-                bulk_chunk_bytes_[static_cast<std::size_t>(r) * R + c],
-                part.data(), clen);
-          bulk_partial_bytes_[static_cast<std::size_t>(c) * N + g] =
-              encode(part.data(),
-                     ef ? node_residual_[g].data() + cb : nullptr, clen,
-                     bulk_partial_wire_[g].data() + c * stride);
-        }
-      }
-      barrier();
-      // Leader-ring leg: the chunk owner accumulates the N node-partial
-      // payloads in canonical node order 0..N-1 — every rank decodes the
-      // same payload sequence, so replicas cannot diverge.
-      codec_->decode(bulk_partial_wire_[0].data() + own * stride,
-                     bulk_partial_bytes_[own * N], bufs[rank] + b, e - b);
-      for (int g = 1; g < N; ++g)
-        codec_->decode_accumulate(bulk_partial_wire_[g].data() + own * stride,
-                                  bulk_partial_bytes_[own * N + g],
-                                  bufs[rank] + b, e - b);
-    } else {
-      // Owner accumulates its chunk from the encoded payloads in canonical
-      // rank order.
-      codec_->decode(bulk_wire_[0].data() + own * stride,
-                     bulk_chunk_bytes_[own], bufs[rank] + b, e - b);
-      for (int r = 1; r < R; ++r)
-        codec_->decode_accumulate(
-            bulk_wire_[r].data() + own * stride,
-            bulk_chunk_bytes_[static_cast<std::size_t>(r) * R + own],
-            bufs[rank] + b, e - b);
-    }
-    // Sum re-encode for the allgather/broadcast leg (with its own error
-    // feedback, so the re-encode error is re-injected next time), decoded
-    // in place so every rank gathers wire-faithful values.
-    std::uint8_t* sum_wire =
-        bulk_wire_[rank].data() + static_cast<std::size_t>(R) * stride;
-    bulk_sum_bytes_[rank] =
-        encode(bufs[rank] + b, ef ? sum_residual_.data() + b : nullptr, e - b,
-               sum_wire);
-    codec_->decode(sum_wire, bulk_sum_bytes_[rank], bufs[rank] + b, e - b);
-  } else {
-    // fp32 (exact codec): each rank sums all ranks' contributions to its
-    // own chunk in canonical rank order 0..R-1 — the same per-element order
-    // the overlapped bucket path uses, so bulk and overlapped training stay
-    // bit-for-bit comparable. The *same* arithmetic serves both schedules:
-    // fp32 wire hops are exact memcpys, so a physically two-level data
-    // movement would reproduce these bits anyway — the hierarchy shows up
-    // only in the byte accounting and the simulated-wire delay below,
-    // which is what makes flat-vs-hierarchical bitwise equality a testable
-    // invariant instead of a numerical accident.
-    const std::size_t b = chunk_begin(rank), e = chunk_end(rank);
-    for (std::size_t i = b; i < e; ++i) {
-      float acc = bufs[0][i];
-      for (int r = 1; r < R; ++r) acc += bufs[r][i];
-      bufs[rank][i] = acc;
-    }
-  }
-  barrier();
-  // Allgather: every rank copies the reduced owner-chunks from their owners.
-  for (int c = 0; c < R; ++c) {
-    if (c == rank) continue;
-    const std::size_t cb = chunk_begin(c), ce = chunk_end(c);
-    std::memcpy(bufs[rank] + cb, bufs[c] + cb, (ce - cb) * sizeof(float));
-  }
-  // Per-rank wire bytes from the *measured* encoded payload sizes (every
-  // rank computes the same value from the shared byte-count tables, all
-  // published before the pre-allgather barriers). fp32 synthesizes the
-  // equivalent exact-payload totals.
-  if (compressed) {
-    for (const std::size_t bb : bulk_chunk_bytes_) contrib_total += bb;
-    for (const std::size_t bb : bulk_sum_bytes_) sum_total += bb;
-    if (hier)
-      for (const std::size_t bb : bulk_partial_bytes_) partial_total += bb;
-  } else {
-    const std::size_t payload = codec_->max_encoded_bytes(n);
-    contrib_total = static_cast<std::size_t>(R) * payload;
-    partial_total = static_cast<std::size_t>(N) * payload;
-    sum_total = payload;
-  }
-  const WireSplit ws = split_wire(hier, contrib_total, partial_total,
-                                  sum_total);
-  // Publish the traffic counts *before* the final barrier (they used to be
-  // written after, racing with ranks already inside a subsequent call), all
-  // under the one counter lock so a concurrent stats() reader can never see
-  // a torn intra/inter/wire split.
-  if (rank == 0) {
-    const platform::MutexLock lock(stats_mu_);
-    counters_.bulk_logical = ring_bytes(n, sizeof(float));
-    counters_.wire = ws.total();
-    counters_.intra = ws.intra_bytes;
-    counters_.inter = ws.inter_bytes;
-  }
-  // Simulated wire: every rank waits out the per-level transmission time of
-  // exactly the byte split published above, so compression and topology
-  // show up in wall time, not just counters — and the two can never drift
-  // apart.
-  wait_out_wire(wire_seconds(ws), tx.seconds());
-  barrier();
-}
-
 // --- overlapped bucketized allreduce ---------------------------------------
 
 void Communicator::set_buckets(std::vector<GradBucket> buckets) {
@@ -478,15 +280,22 @@ void Communicator::set_buckets(std::vector<GradBucket> buckets) {
   const std::size_t n_buckets = buckets.size();
   {
     const platform::MutexLock lock(mu_);
+    // A round is in flight while any of its buckets is unreduced: the comm
+    // pool may be reading buckets_ and the residuals resized below.
+    for (const char d : done_)
+      if (d == 0)
+        throw std::logic_error(
+            "Communicator::set_buckets: a round is in flight");
     buckets_ = std::move(buckets);
     posted_.assign(n_buckets, 0);
     // Nothing outstanding until overlap_begin opens a round.
     done_.assign(n_buckets, 1);
     next_bucket_ = n_buckets;
   }
-  // The residual/scratch sizing below is safe outside the lock: the contract
-  // forbids calling set_buckets with a round in flight, so the comm pool is
-  // idle and never touches this state while we resize it.
+  // The residual/scratch sizing below is safe outside the lock: no round is
+  // in flight (checked above) and set_buckets is not called concurrently
+  // with overlap_begin, so the comm pool is idle and never touches this
+  // state while we resize it.
   ensure_residuals(flat_elems);
   comm_scratch_.resize(cfg_.comm_threads);
   if (cfg_.codec != Codec::kFp32) {  // the fp32 fast path sums in place
@@ -606,8 +415,8 @@ void Communicator::reduce_bucket(const GradBucket& bk,
   const std::size_t n = bk.elems;
   std::size_t contrib_bytes = 0, partial_bytes = 0, sum_bytes = 0;
   if (cfg_.codec == Codec::kFp32) {
-    // Exact-codec fast path (mirroring the bulk path's split): fp32's
-    // encode/decode are memcpys, so sum in place across the rank buffers —
+    // Exact-codec fast path: fp32's encode/decode are memcpys, so sum in
+    // place across the rank buffers —
     // one fused pass, no scratch traffic on the comm threads whose
     // bandwidth the overlap is supposed to leave to backward compute. The
     // canonical rank order 0..R-1 matches the generic path bit for bit, and

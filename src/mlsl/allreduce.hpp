@@ -1,27 +1,32 @@
 // In-process data-parallel communication substrate standing in for Intel
 // MLSL (DESIGN.md substitution; paper Section II-L / III-C). Ranks are
-// threads sharing an address space; the allreduce is a real chunked
-// ring-allreduce (reduce-scatter + allgather) with the same traffic pattern
-// a multi-node MLSL run performs, so gradient averaging across simulated
-// nodes is numerically and structurally faithful.
+// threads sharing an address space, and the gradient reduction is the
+// bucketized overlapped allreduce the paper describes ("the allreduce of the
+// gradient weights in the backward pass is completely overlapped"):
+// size-capped buckets are installed once (set_buckets), each rank opens a
+// round (overlap_begin), posts buckets in backward order as their gradients
+// become ready (post_bucket), and a pool of background communication threads
+// — the stand-in for the paper's dedicated MLSL comm cores — reduces every
+// fully posted bucket while the ranks keep computing (wait_bucket /
+// wait_all). A bulk-synchronous allreduce is the degenerate layout: one
+// bucket spanning the whole gradient, posted after backward.
 //
-// Since the topology-aware redesign the Communicator knows the *shape* of
-// the machine it simulates: a Topology (mlsl/netmodel.hpp) groups
-// `ranks_per_node` ranks onto each of `nodes` nodes with one NetworkModel
-// per level, and a ReduceAlgorithm picks the reduction schedule — the flat
-// ring over all R ranks, or the two-level hierarchical schedule (intra-node
-// reduce -> inter-node ring over node leaders -> intra-node broadcast) that
-// real MLSL deployments use once R outgrows a single ring. The algorithm is
-// a per-communicator default and can be overridden per bucket.
+// The data movement is an in-place canonical bucket sum: the comm thread
+// that claims a bucket accumulates every rank's slices in rank order
+// 0..R-1 (through the codec's wire payloads for compressed codecs) and
+// writes the result back to all ranks. No ring moves data. The ring exists
+// only in the byte accounting (split_wire / ring_bytes) and in the
+// simulated wire delay, which charge each bucket what a ring over the
+// Topology would put on the wire.
 //
-// Two gradient-reduction paths are offered:
-//   * allreduce_sum — bulk synchronous allreduce over the whole vector.
-//   * the bucketized async API (set_buckets / overlap_begin / post_bucket /
-//     wait_bucket / wait_all) — size-capped buckets posted in backward order
-//     and reduced by a pool of background communication threads (the
-//     stand-in for the paper's dedicated MLSL comm cores) while ranks keep
-//     computing. This is the mechanism behind the paper's "the allreduce of
-//     the gradient weights in the backward pass is completely overlapped".
+// The Communicator knows the *shape* of the machine it simulates: a
+// Topology (mlsl/netmodel.hpp) groups `ranks_per_node` ranks onto each of
+// `nodes` nodes with one NetworkModel per level, and a ReduceAlgorithm picks
+// the reduction schedule — the flat ring over all R ranks, or the two-level
+// hierarchical schedule (intra-node reduce -> inter-node ring over node
+// leaders -> intra-node broadcast) that real MLSL deployments use once R
+// outgrows a single ring. The algorithm is a per-communicator default and
+// can be overridden per bucket.
 //
 // `parallel` runs ranks on a persistent rank-thread pool (the "rank farm"):
 // R threads are spawned once on first use and re-dispatched per call, so a
@@ -29,19 +34,19 @@
 // thread spawns per collective, and comm scratch stays bounded at one
 // encoded bucket payload per comm thread regardless of R.
 //
-// Both paths run their payload through a pluggable variable-rate codec
-// (mlsl/codec.hpp): fp32 passthrough, fixed-rate compressed int16 / bf16
-// payloads, or the sparsified top-k index+value payload, with per-rank
-// error-feedback residuals at both compression points (contribution and
-// reduced-sum legs). Every contribution is encoded into an explicit wire
-// buffer whose byte count the codec reports per payload, decoded
-// contributions are accumulated in canonical rank order 0..R-1, so (a)
-// every rank ends up with bit-identical reduced values and (b) with the
-// fp32 codec (whose encode/decode are exact memcpys) bulk and overlapped
-// training trajectories match bit for bit regardless of bucket layout.
-// Compressed payloads keep property (a) — replicas never diverge — while
-// trading bit-exactness against fp32 for less wire traffic (2x fixed for
-// int16/bf16, sparsity-dependent for top-k).
+// Payloads run through a pluggable variable-rate codec (mlsl/codec.hpp):
+// fp32 passthrough, fixed-rate compressed int16 / bf16 payloads, or the
+// sparsified top-k index+value payload, with per-rank error-feedback
+// residuals at both compression points (contribution and reduced-sum legs).
+// Every compressed contribution is encoded into an explicit wire buffer
+// whose byte count the codec reports per payload, and decoded contributions
+// are accumulated in canonical rank order, so (a) every rank ends up with
+// bit-identical reduced values and (b) with the fp32 codec (whose
+// encode/decode are exact memcpys) training trajectories match bit for bit
+// regardless of bucket layout — one bucket or many. Compressed payloads
+// keep property (a) — replicas never diverge — while trading bit-exactness
+// against fp32 for less wire traffic (2x fixed for int16/bf16,
+// sparsity-dependent for top-k).
 //
 // Bitwise flat == hierarchical under fp32: the fp32 data plane performs the
 // *same* canonical in-place accumulation for both algorithms (fp32 wire
@@ -55,13 +60,14 @@
 // final sum payload.
 //
 // The wire counters publish *measured* encoded bytes split by level. When a
-// level's bandwidth is positive, every reduction additionally waits out the
-// transmission time of exactly the published byte count at that level's
-// bandwidth plus its per-message latency for the schedule's step count, so
-// compression and topology measurably shrink exposed communication and the
-// delay can never drift from the counters. The legacy scalar
-// CommConfig::wire_gbs seeds both levels (latency 0) when the Topology
-// carries no bandwidths of its own, reproducing the old homogeneous wire.
+// level's bandwidth is positive, every bucket reduction additionally waits
+// out the transmission time of exactly the published byte count at that
+// level's bandwidth plus its per-message latency for the schedule's step
+// count, so compression and topology measurably shrink exposed
+// communication and the delay can never drift from the counters. The
+// legacy scalar CommConfig::wire_gbs seeds both levels (latency 0) when the
+// Topology carries no bandwidths of its own, reproducing the old
+// homogeneous wire.
 #pragma once
 
 #include <barrier>
@@ -111,7 +117,7 @@ struct GradBucket {
 /// Communication-substrate configuration (fixed for the Communicator's
 /// lifetime, like an MLSL environment).
 struct CommConfig {
-  /// Wire payload codec for both the bulk and bucketized paths.
+  /// Wire payload codec of every bucket reduction.
   Codec codec = Codec::kFp32;
   /// Background comm threads servicing the bucket queue — the stand-in for
   /// >1 dedicated MLSL comm cores. Must be >= 1.
@@ -152,19 +158,18 @@ struct CommConfig {
   static CommConfig from_env() { return from_env(CommConfig{}); }
 };
 
-/// One-stop traffic snapshot, returned by value from Communicator::stats().
-/// Naming is explicit about the long-standing logical-vs-measured split:
-/// "logical" counts codec-independent fp32 ring bytes (what an uncompressed
-/// flat ring would move — the numerator of the compression ratio); "wire"
-/// counts measured encoded payload bytes (what the simulated wire actually
-/// delays on), split by topology level. Snapshots are internally consistent:
-/// all five counters are published under one lock, so
-/// `intra + inter == wire` holds in every snapshot, including mid-round.
+/// One-stop traffic snapshot of the current/last round, returned by value
+/// from Communicator::stats(). Naming is explicit about the long-standing
+/// logical-vs-measured split: "logical" counts codec-independent fp32 ring
+/// bytes (what an uncompressed flat ring would move — the numerator of the
+/// compression ratio); "wire" counts measured encoded payload bytes (what
+/// the simulated wire actually delays on), split by topology level.
+/// Snapshots are internally consistent: all four counters are published
+/// under one lock, so `intra + inter == wire` holds in every snapshot,
+/// including mid-round.
 struct CommStats {
-  /// Logical fp32 ring bytes per rank of the last *bulk* allreduce.
-  std::size_t bulk_logical_bytes_per_rank = 0;
   /// Logical fp32 ring bytes per rank accumulated over the current/last
-  /// *overlapped* round.
+  /// round.
   std::size_t overlap_logical_bytes_per_rank = 0;
   /// Measured (codec-encoded) wire bytes per rank — always equals
   /// intra + inter below.
@@ -192,16 +197,6 @@ class Communicator {
   /// caller after all ranks finish the call.
   void parallel(const std::function<void(int)>& fn);
 
-  /// Ring allreduce (sum) over per-rank buffers of `n` floats. `bufs[r]` is
-  /// rank r's gradient buffer; on return every buffer holds the sum (the
-  /// codec's wire-faithful reconstruction of it for compressed codecs).
-  /// Must be called from within `parallel` by every rank with the same
-  /// arguments. Uses CommConfig::algorithm for the schedule.
-  void allreduce_sum(int rank, std::vector<float*>& bufs, std::size_t n);
-
-  /// Rank barrier (callable from within `parallel`).
-  void barrier();
-
   /// Traffic counters as one value snapshot, taken under the counter lock —
   /// concurrent readers are well-defined and every snapshot satisfies
   /// `intra + inter == wire` (a mid-round read of the overlap counters still
@@ -212,8 +207,12 @@ class Communicator {
   // --- overlapped bucketized allreduce ------------------------------------
 
   /// Install the bucket layout (identical on every rank) and start the
-  /// background comm-thread pool. Not a collective: call once, outside
-  /// `parallel`, before the first overlapped round.
+  /// background comm-thread pool. Not a collective: call it before the
+  /// first round, and again whenever the layout changes, as long as no
+  /// round is in flight (every round opened by `overlap_begin` has had all
+  /// its buckets reduced). Throws std::logic_error, leaving the installed
+  /// layout untouched, when a bucket of the current round is still
+  /// outstanding.
   void set_buckets(std::vector<GradBucket> buckets);
 
   /// Begin an overlapped round (collective): registers this rank's flat
@@ -278,6 +277,8 @@ class Communicator {
   };
 
   void rank_worker(int rank);
+  /// Rank barrier (called from within `parallel` by every rank).
+  void barrier();
   void comm_loop(int tid);
   /// Reduce one claimed bucket. `bufs` is a snapshot of overlap_bufs_ taken
   /// under mu_ by the claiming comm thread — reduce_bucket itself runs
@@ -314,6 +315,8 @@ class Communicator {
     return (r - 1) * (contrib_bytes_total / r + sum_bytes) / r;
   }
 
+  // Fixed by the constructor and only read afterwards (std::barrier is
+  // itself thread-safe), so shared by every thread without a lock.
   int ranks_;
   CommConfig cfg_;
   Topology topo_;  ///< resolved (nodes derived, legacy wire seeded)
@@ -340,26 +343,17 @@ class Communicator {
   bool pool_stop_ XCONV_GUARDED_BY(pool_mu_) = false;
   std::exception_ptr pool_err_ XCONV_GUARDED_BY(pool_mu_);
 
-  // Error-feedback state (sized lazily to the flat vector; empty for exact
-  // codecs, i.e. fp32). node_residual_ is sized only on hierarchical-capable
-  // topologies.
+  // Error-feedback state (sized to the flat vector by set_buckets; empty
+  // for exact codecs, i.e. fp32). node_residual_ is sized only on
+  // hierarchical-capable topologies. Unannotated by single ownership, like
+  // the rank buffers themselves: set_buckets resizes the vectors only with
+  // no round in flight, and during a round the comm thread that claimed
+  // bucket b is the sole toucher of bucket b's slices (buckets are disjoint
+  // and claimed once, under mu_). The const accessors above read them only
+  // between rounds.
   std::vector<std::vector<float>> residual_;
   std::vector<float> sum_residual_;
   std::vector<std::vector<float>> node_residual_;
-  // Compressed bulk-path shared state: per-rank encoded wire buffers (R
-  // fixed-stride chunk slots + 1 sum slot each) and the measured per-slot
-  // byte counts, all written in disjoint per-rank slices between barriers.
-  // The hierarchical schedule adds per-node partial-payload buffers (R
-  // fixed-stride chunk slots each) written by node leaders. Deliberately NOT
-  // lock-annotated: the synchronization here is barrier *phasing* (disjoint
-  // per-rank writes, barrier, shared reads), which the thread-safety
-  // analysis cannot express — the TSan CI lane covers this state instead.
-  std::vector<std::vector<std::uint8_t>> bulk_wire_;
-  std::vector<std::size_t> bulk_chunk_bytes_;  ///< [rank * R + chunk]
-  std::vector<std::size_t> bulk_sum_bytes_;    ///< [owner chunk]
-  std::vector<std::vector<std::uint8_t>> bulk_partial_wire_;  ///< [node]
-  std::vector<std::size_t> bulk_partial_bytes_;  ///< [chunk * N + node]
-  std::size_t bulk_slot_stride_ = 0;
 
   // Overlap state, guarded by `mu_` (machine-checked): bucket payload data
   // is handed off through the mutex (post -> claim -> reduce -> wait), so
@@ -380,7 +374,7 @@ class Communicator {
   std::vector<std::thread> comm_pool_;
   std::vector<CommScratch> comm_scratch_;  ///< per comm thread
 
-  // Traffic counters. One lock guards all five so the per-level split can
+  // Traffic counters. One lock guards all four so the per-level split can
   // never tear: the previous implementation used independent relaxed
   // atomics, which let a concurrent stats() reader observe
   // intra + inter != wire between two fetch_adds of the same reduction.
@@ -388,8 +382,7 @@ class Communicator {
   // multi-word invariant — that is exactly what a mutex is for, and the
   // GUARDED_BY annotation makes the compiler enforce it.
   struct Counters {
-    std::size_t bulk_logical = 0;    ///< last bulk round, logical fp32 bytes
-    std::size_t overlap_logical = 0; ///< current/last overlap round
+    std::size_t overlap_logical = 0; ///< current/last round, fp32 ring bytes
     std::size_t wire = 0;            ///< measured encoded bytes (intra+inter)
     std::size_t intra = 0;
     std::size_t inter = 0;

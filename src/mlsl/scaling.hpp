@@ -1,27 +1,25 @@
 // Multi-node data-parallel training harness: N simulated nodes (ranks), each
 // with its own Graph replica, training synchronously with gradient averaging
-// through the ring allreduce — the execution structure behind Figure 9.
+// through the bucketized allreduce — the execution structure behind
+// Figure 9.
 //
-// Two synchronization modes:
-//   * bulk    — backward + UPD complete, then one blocking allreduce over the
-//               whole gradient vector (the baseline pattern).
-//   * overlap — gradients are packed into size-capped buckets in backward
-//               completion order and posted to the background comm-thread
-//               pool as soon as their last layer's dW is ready; the epilogue
-//               then imports and applies each bucket as it completes, so
-//               ranks only ever block on the next unfinished bucket — and
-//               the optimizer step of bucket b overlaps the reduction of
-//               bucket b+1. This is the paper's "allreduce ... completely
-//               overlapped" with the backward pass (Figure 9, ~90% parallel
-//               efficiency at 16 nodes).
+// Gradients are packed into size-capped buckets in backward completion order
+// and posted to the background comm-thread pool as soon as their last
+// layer's dW is ready; the epilogue then imports and applies each bucket as
+// it completes, so ranks only ever block on the next unfinished bucket — and
+// the optimizer step of bucket b overlaps the reduction of bucket b+1. This
+// is the paper's "allreduce ... completely overlapped" with the backward
+// pass (Figure 9, ~90% parallel efficiency at 16 nodes). The bulk-synchronous
+// baseline is the same path with bucket_cap_bytes >= the gradient size: one
+// bucket, posted after backward, whose whole reduction is exposed.
 //
 // The wire payload runs through a pluggable variable-rate codec (fp32 |
 // int16 | bf16 | topk, see mlsl/codec.hpp): weights stay fp32 masters on
 // every rank; compressed codecs shrink wire bytes (2x fixed-rate for
 // int16/bf16, sparsity-scaled for the top-k index+value payload) and carry
 // error-feedback residuals so compressed trajectories stay within a bounded
-// loss gap of fp32. Under the fp32 codec bulk and overlap trajectories are
-// bit-for-bit identical.
+// loss gap of fp32. Under the fp32 codec trajectories are bit-for-bit
+// identical for every bucket cap.
 #pragma once
 
 #include <memory>
@@ -33,12 +31,16 @@
 
 namespace xconv::mlsl {
 
-enum class SyncMode { kBulk, kOverlap };
+/// The trainer has one gradient-sync path; see MultiNodeOptions::mode.
+enum class SyncMode { kOverlap };
 
 struct MultiNodeOptions {
-  SyncMode mode = SyncMode::kBulk;
-  /// Overlap-mode bucket payload cap. Buckets hold at least one layer; a
-  /// layer larger than the cap gets a bucket of its own.
+  /// Read by nothing. It exists only because benchsuite/bench_suite.cpp
+  /// still assigns it; drop that assignment, then this field and SyncMode.
+  SyncMode mode = SyncMode::kOverlap;
+  /// Bucket payload cap. Buckets hold at least one layer; a layer larger
+  /// than the cap gets a bucket of its own. A cap of at least the gradient
+  /// size gives one bucket: the bulk-synchronous baseline.
   std::size_t bucket_cap_bytes = std::size_t{4} << 20;
   /// Communication-substrate configuration, passed to the Communicator
   /// verbatim: codec, topk fraction, comm threads, wire models, topology
@@ -46,8 +48,7 @@ struct MultiNodeOptions {
   /// loose fields on this struct).
   CommConfig comm;
 
-  /// Environment overrides on top of `defaults`. The trainer-level knobs:
-  ///   XCONV_MN_MODE         = bulk | overlap
+  /// Environment overrides on top of `defaults`. The trainer-level knob:
   ///   XCONV_MN_BUCKET_KB    = bucket cap in KiB (positive integer)
   /// plus every communicator knob of CommConfig::from_env (XCONV_MN_CODEC,
   /// _TOPK, _COMM_THREADS, _WIRE_GBS, _ALGO, _RANKS_PER_NODE, _INTRA_GBS,
@@ -56,8 +57,6 @@ struct MultiNodeOptions {
   static MultiNodeOptions from_env(const MultiNodeOptions& defaults);
   static MultiNodeOptions from_env() { return from_env(MultiNodeOptions{}); }
 };
-
-const char* sync_mode_name(SyncMode m);
 
 struct MultiNodeStats {
   int nodes = 0;
@@ -78,7 +77,6 @@ struct MultiNodeStats {
   /// allreduce_bytes_per_rank / wire_bytes_per_rank (1.0 for fp32 and for
   /// single-node runs, where both byte counts are zero).
   double compression_ratio = 1.0;
-  const char* mode = "bulk";
   const char* codec = "fp32";
   /// Reduction schedule ("flat" | "hierarchical") and the resolved topology
   /// it ran over.
@@ -87,24 +85,23 @@ struct MultiNodeStats {
   int topo_nodes = 1;
   int comm_threads = 1;
   /// Rank-0 wall time blocked on gradient communication, summed over the
-  /// run's iterations: the full allreduce in bulk mode, only the per-bucket
-  /// wait tails in overlap mode.
+  /// run's iterations: the per-bucket wait tails (the whole reduction with
+  /// a single bucket).
   double exposed_comm_seconds = 0;
-  /// Rank-0 blocked wait per bucket, summed over the run (overlap mode;
-  /// empty in bulk mode). Sums to exposed_comm_seconds.
+  /// Rank-0 blocked wait per bucket, summed over the run. Sums to
+  /// exposed_comm_seconds.
   std::vector<double> bucket_wait_seconds;
-  /// Per-bucket fp32 payload bytes (overlap mode; empty in bulk mode) —
-  /// together with bucket_wait_seconds this is the measured overlap profile
-  /// ScalingConfig consumes for histogram-based projection.
+  /// Per-bucket fp32 payload bytes — together with bucket_wait_seconds this
+  /// is the measured overlap profile ScalingConfig consumes for
+  /// histogram-based projection.
   std::vector<std::size_t> bucket_payload_bytes;
   /// Rank-0 error-feedback residual L2 norm after the run (0 for fp32).
   double residual_l2 = 0;
-  std::size_t bucket_count = 0;  ///< buckets per iteration (0 in bulk mode)
-  /// Largest bucket's fp32 payload bytes in overlap mode; 0 in bulk mode,
-  /// which has no buckets. (Used to misreport the whole flat gradient in
-  /// both modes — use `gradient_bytes` for that.)
+  std::size_t bucket_count = 0;  ///< buckets per iteration
+  /// Largest bucket's fp32 payload bytes (gradient_bytes with one bucket).
   std::size_t bucket_bytes = 0;
-  /// Whole flat gradient vector in fp32 bytes (mode- and codec-independent).
+  /// Whole flat gradient vector in fp32 bytes (bucket- and
+  /// codec-independent).
   std::size_t gradient_bytes = 0;
 };
 
@@ -117,16 +114,16 @@ class MultiNodeTrainer {
                    const MultiNodeOptions& mn = {});
 
   /// Synchronous data-parallel SGD: every iteration each rank runs
-  /// fwd + bwd, gradients are allreduce-averaged (bulk or overlapped per
-  /// MultiNodeOptions::mode, through the configured codec), then every rank
-  /// applies the same update — replicas stay bit-wise in sync. Throws
-  /// std::invalid_argument for non-positive `iters`.
+  /// fwd + bwd, gradients are allreduce-averaged bucket by bucket (through
+  /// the configured codec), then every rank applies the same update —
+  /// replicas stay bit-wise in sync. Throws std::invalid_argument for
+  /// non-positive `iters`.
   MultiNodeStats train(int iters, const gxm::Solver& solver);
 
   gxm::Graph& rank_graph(int r) { return *graphs_[r]; }
   const MultiNodeOptions& options() const { return mn_; }
   const Communicator& comm() const { return comm_; }
-  /// Overlap-mode bucket layout (backward order, cap-respecting).
+  /// Bucket layout (backward order, cap-respecting).
   const std::vector<GradBucket>& buckets() const { return buckets_; }
 
  private:

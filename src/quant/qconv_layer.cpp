@@ -5,25 +5,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/plan.hpp"
 #include "jit/verify/verifier.hpp"
 #include "platform/cpu.hpp"
 
 namespace xconv::quant {
-
-namespace {
-int pick_rbq(int q, int cap) {
-  if (q <= cap) return q;
-  int best = std::min(q, cap), best_score = -1;
-  for (int rb = std::min(q, cap); rb >= 2; --rb) {
-    const int score = (q % rb == 0 ? 1000 : 0) + rb;
-    if (score > best_score) {
-      best_score = score;
-      best = rb;
-    }
-  }
-  return best;
-}
-}  // namespace
 
 QConvLayer::QConvLayer(const core::ConvParams& p, int threads, bool use_vnni,
                        int flush_interval)
@@ -61,7 +47,7 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
   const int P = p.P(), Q = p.Q();
   const int in_cb = tensor::ceil_div(p.C, v);
   const int out_kb = tensor::ceil_div(p.K, v);
-  const int rbq = pick_rbq(Q, 13);  // 13 = JIT register budget
+  const int rbq = core::pick_block_extent(Q, 13, 2);  // 13 = JIT registers
   const int q_full = Q / rbq, q_rem = Q % rbq;
   const int n_qb = q_full + (q_rem > 0 ? 1 : 0);
   const float scale = qin.scale * qwt.scale;

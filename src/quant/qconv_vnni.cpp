@@ -28,7 +28,10 @@ void qupd_block_vnni_impl(const QUpdKernelDesc& d, const std::int16_t* in,
   int chain = 0;
   auto flush = [&]() {
     for (int c = 0; c < 16; ++c) {
-      facc[c] = _mm512_fmadd_ps(_mm512_cvtepi32_ps(iacc[c]), vs, facc[c]);
+      // The all-ones mask form converts the same 16 lanes; the unmasked
+      // intrinsic's _mm512_undefined_ps() source makes GCC warn.
+      facc[c] = _mm512_fmadd_ps(_mm512_maskz_cvtepi32_ps(0xFFFF, iacc[c]), vs,
+                                facc[c]);
       iacc[c] = _mm512_setzero_si512();
     }
     chain = 0;

@@ -116,9 +116,9 @@ TEST(GraphRun, GradExportImportRoundTrip) {
   const std::size_t n = g.grad_elems();
   ASSERT_GT(n, 0u);
   std::vector<float> a(n), b(n);
-  g.export_grads(a.data());
-  g.import_grads(a.data());
-  g.export_grads(b.data());
+  for (gxm::Node* p : g.param_nodes()) g.export_node_grads(p, a.data());
+  for (gxm::Node* p : g.param_nodes()) g.import_node_grads(p, a.data());
+  for (gxm::Node* p : g.param_nodes()) g.export_node_grads(p, b.data());
   EXPECT_EQ(a, b);
 }
 

@@ -152,9 +152,9 @@ layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
   for (const auto& t : g.bwd_schedule()) t.node->backward();
   for (const auto& t : g.upd_schedule()) t.node->compute_grads();
   std::vector<float> grads(g.grad_elems());
-  g.export_grads(grads.data());
+  g.export_node_grads(conv, grads.data());
 
-  // Conv gradients come first in export order (schedule order); check a few
+  // Conv gradients come first in the flat layout (schedule order); check a few
   // weight entries by central difference. The edits go through
   // mutable_weights(), so every loss_at() backward sees the edited weights.
   auto& wt = conv->mutable_weights();

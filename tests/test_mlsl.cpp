@@ -1,6 +1,6 @@
-// Simulated MLSL (Section II-L / Figure 9 substrate): ring allreduce
-// correctness, the network model, scaling projection and synchronous
-// multi-node data-parallel training.
+// Simulated MLSL (Section II-L / Figure 9 substrate): one-bucket allreduce
+// correctness and ring traffic accounting, the network model, scaling
+// projection and synchronous multi-node data-parallel training.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,10 +9,12 @@
 #include "mlsl/allreduce.hpp"
 #include "mlsl/netmodel.hpp"
 #include "mlsl/scaling.hpp"
+#include "mlsl_test_helpers.hpp"
 #include "test_helpers.hpp"
 #include "topo/resnet50.hpp"
 
 using namespace xconv;
+using xconv::testing::one_bucket_round;
 using xconv::testing::random_vec;
 
 class AllreduceRanks : public ::testing::TestWithParam<int> {};
@@ -27,11 +29,9 @@ TEST_P(AllreduceRanks, SumsMatchSerialReduction) {
     data[r] = random_vec(n, 100 + r);
     for (std::size_t i = 0; i < n; ++i) want[i] += data[r][i];
   }
-  std::vector<float*> bufs(R);
-  for (int r = 0; r < R; ++r) bufs[r] = data[r].data();
-  comm.parallel([&](int rank) { comm.allreduce_sum(rank, bufs, n); });
+  const auto got = one_bucket_round(comm, data);
   for (int r = 0; r < R; ++r)
-    xconv::testing::expect_close(want, data[r], 1e-4,
+    xconv::testing::expect_close(want, got[r], 1e-4,
                                  ("rank " + std::to_string(r)).c_str());
 }
 
@@ -42,11 +42,9 @@ TEST(Allreduce, TrafficMatchesRingFormula) {
   const int R = 4;
   const std::size_t n = 1024;
   mlsl::Communicator comm(R);
-  std::vector<std::vector<float>> data(R, std::vector<float>(n, 1.0f));
-  std::vector<float*> bufs(R);
-  for (int r = 0; r < R; ++r) bufs[r] = data[r].data();
-  comm.parallel([&](int rank) { comm.allreduce_sum(rank, bufs, n); });
-  EXPECT_EQ(comm.stats().bulk_logical_bytes_per_rank,
+  one_bucket_round(comm,
+                   std::vector<std::vector<float>>(R, std::vector<float>(n)));
+  EXPECT_EQ(comm.stats().overlap_logical_bytes_per_rank,
             2 * (R - 1) * n * sizeof(float) / R);
 }
 
@@ -76,30 +74,29 @@ TEST(Allreduce, ConcurrentThrowsFromAllRanksAreSerialized) {
     }
   }
   // Still functional after repeated failure storms.
-  std::vector<std::vector<float>> data(R, std::vector<float>(64, 1.0f));
-  std::vector<float*> bufs(R);
-  for (int r = 0; r < R; ++r) bufs[r] = data[r].data();
-  comm.parallel([&](int rank) { comm.allreduce_sum(rank, bufs, 64); });
+  const auto got = one_bucket_round(
+      comm, std::vector<std::vector<float>>(R, std::vector<float>(64, 1.0f)));
   for (int r = 0; r < R; ++r)
-    EXPECT_FLOAT_EQ(data[r][0], static_cast<float>(R));
+    EXPECT_FLOAT_EQ(got[r][0], static_cast<float>(R));
 }
 
 TEST(Allreduce, TrafficCountReadableWhileRanksRace) {
-  // Regression: last_bytes_ used to be written by rank 0 *after* the final
+  // Regression: the traffic count used to be published after the final
   // barrier, racing with ranks already inside the next allreduce. Back-to-
-  // back collectives with interleaved reads must stay well-defined (the
-  // sanitizer jobs catch the data race on the pre-fix code).
+  // back rounds with interleaved reads must stay well-defined (the
+  // sanitizer jobs catch such a data race), and a count read after
+  // wait_all is the finished round's: the next overlap_begin cannot reset
+  // it before every rank has arrived.
   const int R = 4;
   const std::size_t n = 512;
   mlsl::Communicator comm(R);
+  xconv::testing::set_one_bucket(comm, n);
   std::vector<std::vector<float>> data(R, std::vector<float>(n, 1.0f));
-  std::vector<float*> bufs(R);
-  for (int r = 0; r < R; ++r) bufs[r] = data[r].data();
   comm.parallel([&](int rank) {
     for (int iter = 0; iter < 20; ++iter) {
-      comm.allreduce_sum(rank, bufs, n);
+      xconv::testing::rank_round(comm, rank, data[rank].data());
       // Every rank reads the published count without synchronizing first.
-      const std::size_t got = comm.stats().bulk_logical_bytes_per_rank;
+      const std::size_t got = comm.stats().overlap_logical_bytes_per_rank;
       EXPECT_EQ(got, 2 * (R - 1) * n * sizeof(float) / R);
     }
   });

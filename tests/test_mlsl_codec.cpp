@@ -2,7 +2,8 @@
 // Section II-K quantization extended from compute to communication): the
 // pluggable payload codecs, error-feedback residuals at both compression
 // points, the comm-thread pool, and the trainer-level guarantees — fp32
-// stays bit-identical to the bulk path, compressed replicas never diverge
+// stays bit-identical to the one-bucket layout, compressed replicas never
+// diverge
 // from each other, residuals drain/stay bounded, and compressed training
 // tracks fp32 within a bounded loss gap on the ResNet-mini topology.
 #include <gtest/gtest.h>
@@ -19,50 +20,23 @@
 #include "mlsl/allreduce.hpp"
 #include "mlsl/codec.hpp"
 #include "mlsl/scaling.hpp"
+#include "mlsl_test_helpers.hpp"
+#include "platform/timer.hpp"
 #include "quant/quantize.hpp"
 #include "test_helpers.hpp"
 #include "topo/resnet50.hpp"
 
 using namespace xconv;
+using xconv::testing::all_params;
+using xconv::testing::canonical_sum;
+using xconv::testing::kOneBucketCap;
+using xconv::testing::make_buckets;
+using xconv::testing::mini_opt;
+using xconv::testing::one_bucket_round;
+using xconv::testing::overlap_round;
 using xconv::testing::random_vec;
 
 namespace {
-
-std::vector<float> canonical_sum(const std::vector<std::vector<float>>& data) {
-  std::vector<float> want(data[0].size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    float acc = data[0][i];
-    for (std::size_t r = 1; r < data.size(); ++r) acc += data[r][i];
-    want[i] = acc;
-  }
-  return want;
-}
-
-std::vector<mlsl::GradBucket> make_buckets(
-    const std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
-  std::vector<mlsl::GradBucket> out;
-  for (const auto& [off, elems] : ranges) {
-    mlsl::GradBucket b;
-    b.segments.push_back({off, elems});
-    b.elems = elems;
-    out.push_back(std::move(b));
-  }
-  return out;
-}
-
-// One overlapped round over fresh copies of `data`; returns rank buffers
-// after the reduction.
-std::vector<std::vector<float>> overlap_round(
-    mlsl::Communicator& comm, const std::vector<std::vector<float>>& data) {
-  std::vector<std::vector<float>> bufs = data;
-  comm.parallel([&](int rank) {
-    comm.overlap_begin(rank, bufs[rank].data());
-    for (std::size_t b = 0; b < comm.bucket_count(); ++b)
-      comm.post_bucket(rank, b);
-    comm.wait_all(rank);
-  });
-  return bufs;
-}
 
 /// The codecs under segment-equivalence test: the lossy dense codecs and
 /// top-k both sparse (0.1) and degenerate-dense (1.0).
@@ -234,19 +208,6 @@ bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-gxm::GraphOptions mini_opt(unsigned seed = 5) {
-  gxm::GraphOptions opt;
-  opt.threads = 1;
-  opt.seed = seed;
-  return opt;
-}
-
-std::vector<float> all_params(gxm::Graph& g) {
-  std::vector<float> out(g.grad_elems());
-  g.export_params(out.data());
-  return out;
 }
 
 }  // namespace
@@ -618,7 +579,6 @@ TEST_P(InPlaceReduceP, MatchesGatherScatterReferenceBitwise) {
       EXPECT_EQ(st.inter_wire_bytes_per_rank,
                 ref.stats.inter_wire_bytes_per_rank)
           << what;
-      EXPECT_EQ(st.bulk_logical_bytes_per_rank, 0u) << what;
     }
   }
 }
@@ -638,19 +598,16 @@ INSTANTIATE_TEST_SUITE_P(
              "_t" + std::to_string(info.param.comm_threads);
     });
 
-TEST(CompressedAllreduce, Fp32CodecWithThreadPoolMatchesBulkBitwise) {
-  // The fp32 codec through the bucketized pipeline — including a multi-
-  // thread comm pool — must reproduce the bulk allreduce bit for bit.
+TEST(CompressedAllreduce, Fp32CodecWithThreadPoolMatchesOneBucketBitwise) {
+  // The fp32 codec through several buckets on a multi-thread comm pool must
+  // reproduce the one-bucket round bit for bit.
   const int R = 3;
   const std::size_t n = 1537;
   std::vector<std::vector<float>> data(R);
   for (int r = 0; r < R; ++r) data[r] = random_vec(n, 17 + r);
 
-  std::vector<std::vector<float>> bulk_bufs = data;
-  mlsl::Communicator bulk(R);
-  std::vector<float*> bufs(R);
-  for (int r = 0; r < R; ++r) bufs[r] = bulk_bufs[r].data();
-  bulk.parallel([&](int rank) { bulk.allreduce_sum(rank, bufs, n); });
+  mlsl::Communicator one(R);
+  const auto one_bufs = one_bucket_round(one, data);
 
   mlsl::CommConfig cfg;
   cfg.codec = mlsl::Codec::kFp32;
@@ -659,7 +616,7 @@ TEST(CompressedAllreduce, Fp32CodecWithThreadPoolMatchesBulkBitwise) {
   over.set_buckets(make_buckets({{0, 200}, {200, 800}, {1000, 537}}));
   const auto got = overlap_round(over, data);
   for (int r = 0; r < R; ++r)
-    ASSERT_EQ(0, std::memcmp(bulk_bufs[r].data(), got[r].data(),
+    ASSERT_EQ(0, std::memcmp(one_bufs[r].data(), got[r].data(),
                              n * sizeof(float)))
         << "rank " << r;
   const mlsl::CommStats st = over.stats();
@@ -910,7 +867,7 @@ INSTANTIATE_TEST_SUITE_P(Codecs, ErrorFeedbackP,
                            return std::string(mlsl::codec_name(info.param));
                          });
 
-TEST(CompressedBulk, ApproximatesSumAndMatchesAcrossRanks) {
+TEST(CompressedOneBucket, ApproximatesSumAndMatchesAcrossRanks) {
   const int R = 3;
   const std::size_t n = 4001;
   std::vector<std::vector<float>> data(R);
@@ -920,10 +877,7 @@ TEST(CompressedBulk, ApproximatesSumAndMatchesAcrossRanks) {
   mlsl::CommConfig cfg;
   cfg.codec = mlsl::Codec::kInt16;
   mlsl::Communicator comm(R, cfg);
-  std::vector<std::vector<float>> bufs_v = data;
-  std::vector<float*> bufs(R);
-  for (int r = 0; r < R; ++r) bufs[r] = bufs_v[r].data();
-  comm.parallel([&](int rank) { comm.allreduce_sum(rank, bufs, n); });
+  const auto bufs_v = one_bucket_round(comm, data);
 
   for (int r = 1; r < R; ++r)
     ASSERT_EQ(0, std::memcmp(bufs_v[0].data(), bufs_v[r].data(),
@@ -934,7 +888,7 @@ TEST(CompressedBulk, ApproximatesSumAndMatchesAcrossRanks) {
         max_err, static_cast<double>(std::abs(bufs_v[0][i] - want[i])));
   EXPECT_LE(max_err, (R + 1) * static_cast<double>(R) / quant::kQMax);
   const mlsl::CommStats st = comm.stats();
-  EXPECT_LT(st.wire_bytes_per_rank, st.bulk_logical_bytes_per_rank);
+  EXPECT_LT(st.wire_bytes_per_rank, st.overlap_logical_bytes_per_rank);
 }
 
 // --- trainer-level guarantees ----------------------------------------------
@@ -945,13 +899,11 @@ TEST(MultiNodeCodec, CompressedReplicasStayBitwiseInSync) {
   s.lr = 0.01f;
   for (const mlsl::Codec codec :
        {mlsl::Codec::kInt16, mlsl::Codec::kBf16, mlsl::Codec::kTopK}) {
-    for (const mlsl::SyncMode mode :
-         {mlsl::SyncMode::kBulk, mlsl::SyncMode::kOverlap}) {
+    for (const std::size_t cap : {kOneBucketCap, std::size_t{32} << 10}) {
       mlsl::MultiNodeOptions mn;
-      mn.mode = mode;
       mn.comm.codec = codec;
       mn.comm.comm_threads = 2;
-      mn.bucket_cap_bytes = 32 << 10;
+      mn.bucket_cap_bytes = cap;
       mlsl::MultiNodeTrainer mt(nl, 3, mini_opt(), mn);
       mt.train(3, s);
       const auto w0 = all_params(mt.rank_graph(0));
@@ -959,8 +911,7 @@ TEST(MultiNodeCodec, CompressedReplicasStayBitwiseInSync) {
         const auto wr = all_params(mt.rank_graph(r));
         ASSERT_EQ(0, std::memcmp(w0.data(), wr.data(),
                                  w0.size() * sizeof(float)))
-            << mlsl::codec_name(codec) << " " << mlsl::sync_mode_name(mode)
-            << " rank " << r;
+            << mlsl::codec_name(codec) << " cap " << cap << " rank " << r;
       }
     }
   }
@@ -976,7 +927,6 @@ TEST(MultiNodeCodec, CompressedLossGapVsFp32Bounded) {
   const int R = 2, iters = 6;
 
   mlsl::MultiNodeOptions fp;
-  fp.mode = mlsl::SyncMode::kOverlap;
   fp.bucket_cap_bytes = 32 << 10;
   mlsl::MultiNodeTrainer ref(nl, R, mini_opt(11), fp);
   std::vector<float> ref_losses;
@@ -1023,9 +973,9 @@ TEST(MultiNodeCodec, CompressedLossGapVsFp32Bounded) {
 }
 
 TEST(MultiNodeCodec, SingleNodePublishesZeroBytesNotStaleOnes) {
-  // Regression: the ranks==1 early return in allreduce_sum used to skip the
-  // byte counters entirely, so single-node stats could report stale bytes
-  // and a bogus compression ratio. A lone rank moves nothing.
+  // Regression: a single-rank reduction used to skip the byte counters
+  // entirely, so single-node stats could report stale bytes and a bogus
+  // compression ratio. A lone rank moves nothing.
   const auto nl = gxm::parse_topology(topo::resnet_mini_topology(4, 32, 4));
   gxm::Solver s;
   s.lr = 0.01f;
@@ -1038,14 +988,11 @@ TEST(MultiNodeCodec, SingleNodePublishesZeroBytesNotStaleOnes) {
     EXPECT_EQ(st.wire_bytes_per_rank, 0u) << mlsl::codec_name(codec);
     EXPECT_EQ(st.compression_ratio, 1.0) << mlsl::codec_name(codec);
   }
-  // Directly on the Communicator: a populated counter from a multi-rank
-  // collective must not leak into a later single-rank reading — and the
-  // single-rank path itself must publish zeros.
+  // Directly on the Communicator: the single-rank round itself must
+  // publish zeros.
   mlsl::Communicator c1(1);
-  std::vector<float> buf(64, 1.0f);
-  std::vector<float*> bufs = {buf.data()};
-  c1.parallel([&](int rank) { c1.allreduce_sum(rank, bufs, buf.size()); });
-  EXPECT_EQ(c1.stats().bulk_logical_bytes_per_rank, 0u);
+  one_bucket_round(c1, {std::vector<float>(64, 1.0f)});
+  EXPECT_EQ(c1.stats().overlap_logical_bytes_per_rank, 0u);
   EXPECT_EQ(c1.stats().wire_bytes_per_rank, 0u);
 }
 
@@ -1054,7 +1001,6 @@ TEST(MultiNodeCodec, StatsReportCodecWireBytesAndPerBucketWaits) {
   gxm::Solver s;
   s.lr = 0.01f;
   mlsl::MultiNodeOptions mn;
-  mn.mode = mlsl::SyncMode::kOverlap;
   mn.comm.codec = mlsl::Codec::kInt16;
   mn.comm.comm_threads = 2;
   mn.bucket_cap_bytes = 8 << 10;
@@ -1071,8 +1017,8 @@ TEST(MultiNodeCodec, StatsReportCodecWireBytesAndPerBucketWaits) {
   for (const double w : st.bucket_wait_seconds) wait_sum += w;
   EXPECT_NEAR(wait_sum, st.exposed_comm_seconds, 1e-9);
   EXPECT_GE(st.residual_l2, 0.0);
-  // bucket_bytes reports the *largest bucket* in overlap mode (it used to
-  // misreport the whole flat gradient); gradient_bytes carries that now.
+  // bucket_bytes reports the *largest bucket*; gradient_bytes is the whole
+  // flat gradient.
   std::size_t largest = 0;
   for (const auto& bk : mt.buckets()) largest = std::max(largest, bk.bytes());
   EXPECT_EQ(st.bucket_bytes, largest);
@@ -1091,44 +1037,52 @@ TEST(MultiNodeCodec, StatsReportCodecWireBytesAndPerBucketWaits) {
   EXPECT_EQ(fs.compression_ratio, 1.0);
   EXPECT_EQ(fs.residual_l2, 0.0);
 
-  // Bulk mode has no buckets: bucket_bytes is 0, gradient_bytes unchanged.
+  // One bucket: bucket_bytes is the whole gradient, gradient_bytes
+  // unchanged.
   mlsl::MultiNodeOptions bk = mn;
-  bk.mode = mlsl::SyncMode::kBulk;
+  bk.bucket_cap_bytes = kOneBucketCap;
   mlsl::MultiNodeTrainer bt(nl, 2, mini_opt(), bk);
   const auto bs = bt.train(1, s);
-  EXPECT_EQ(bs.bucket_count, 0u);
-  EXPECT_EQ(bs.bucket_bytes, 0u);
+  EXPECT_EQ(bs.bucket_count, 1u);
+  EXPECT_EQ(bs.bucket_bytes, bs.gradient_bytes);
   EXPECT_EQ(bs.gradient_bytes, st.gradient_bytes);
 }
 
 TEST(MultiNodeCodec, SimulatedWireDelayConsumesPublishedWireBytes) {
   // Regression for the counter/delay mismatch: the slept-out wire time must
   // cover the *published* wire byte count — which includes the per-payload
-  // scale overhead the old delay computation dropped. Bulk mode is the
-  // observable surface: it exposes the entire allreduce (overlap mode runs
-  // the same wire_seconds(published) code, but legitimately hides the delay
-  // behind backward compute).
-  const auto nl = gxm::parse_topology(topo::resnet_mini_topology(4, 32, 4));
-  gxm::Solver s;
-  s.lr = 0.01f;
-  mlsl::MultiNodeOptions mn;
-  mn.comm.codec = mlsl::Codec::kInt16;
-  mn.comm.wire_gbs = 0.05;  // slow wire so the delay dominates timer noise
-  mlsl::MultiNodeTrainer mt(nl, 2, mini_opt(), mn);
-  const auto st = mt.train(1, s);
-  const double modeled =
-      static_cast<double>(st.wire_bytes_per_rank) / (0.05 * 1e9);
-  EXPECT_GT(st.wire_bytes_per_rank, 0u);
-  EXPECT_GE(st.exposed_comm_seconds, modeled * 0.9);
+  // scale overhead the old delay computation dropped. A whole one-bucket
+  // round, timed from before the posts, is the observable surface: it
+  // contains the entire delay. (A rank's exposed wait need not: a rank
+  // preempted right after posting — e.g. by the comm thread it just woke,
+  // encoding int16 on the scalar ISA — is neither computing nor waiting.)
+  const int R = 2;
+  const std::size_t n = 200000;  // about ResNet-mini's gradient
+  mlsl::CommConfig cfg;
+  cfg.codec = mlsl::Codec::kInt16;
+  cfg.wire_gbs = 0.05;  // slow wire so the delay dominates timer noise
+  mlsl::Communicator comm(R, cfg);
+  xconv::testing::set_one_bucket(comm, n);
+  std::vector<std::vector<float>> data(R);
+  for (int r = 0; r < R; ++r) data[r] = random_vec(n, 60 + r);
+  platform::Timer t;
+  comm.parallel([&](int rank) {
+    xconv::testing::rank_round(comm, rank, data[rank].data());
+  });
+  const double round_s = t.seconds();
+  const std::size_t wire = comm.stats().wire_bytes_per_rank;
+  EXPECT_GT(wire, 0u);
+  EXPECT_GE(round_s, static_cast<double>(wire) / (0.05 * 1e9) * 0.9);
 }
 
-TEST(MultiNodeCodec, SimulatedWireSlowsBulkAndChargesOverlapTails) {
-  // With the wire model on, bulk exposed-comm must cover at least the
+TEST(MultiNodeCodec, SimulatedWireSlowsOneBucketRound) {
+  // With the wire model on, one-bucket exposed-comm must cover at least the
   // modeled transmission time of the whole gradient vector.
   const auto nl = gxm::parse_topology(topo::resnet_mini_topology(4, 32, 4));
   gxm::Solver s;
   s.lr = 0.01f;
   mlsl::MultiNodeOptions mn;
+  mn.bucket_cap_bytes = kOneBucketCap;
   mn.comm.wire_gbs = 0.05;  // slow wire so the delay dominates timer noise
   mlsl::MultiNodeTrainer mt(nl, 2, mini_opt(), mn);
   const auto st = mt.train(1, s);

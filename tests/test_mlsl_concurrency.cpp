@@ -21,22 +21,14 @@
 #include <vector>
 
 #include "mlsl/allreduce.hpp"
+#include "mlsl_test_helpers.hpp"
 #include "test_helpers.hpp"
 
 using namespace xconv;
+using xconv::testing::canonical_sum;
 using xconv::testing::random_vec;
 
 namespace {
-
-std::vector<float> canonical_sum(const std::vector<std::vector<float>>& data) {
-  std::vector<float> want(data[0].size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    float acc = data[0][i];
-    for (std::size_t r = 1; r < data.size(); ++r) acc += data[r][i];
-    want[i] = acc;
-  }
-  return want;
-}
 
 /// Cut [0, n) into 1..max_buckets contiguous buckets at random boundaries.
 std::vector<mlsl::GradBucket> fuzzed_partition(std::size_t n, int max_buckets,
@@ -225,23 +217,22 @@ TEST(MlslConcurrencyStress, HierarchicalInt16InPlaceWithRacingStatsReader) {
   reader.join();
 }
 
-TEST(MlslConcurrencyStress, BulkAllreduceWithConcurrentStatsReaders) {
-  // The bulk barrier-phased path with every rank polling stats() between
-  // rounds: snapshots race the rank-0 counter publication and must never
-  // tear (intra + inter == wire in every observation).
+TEST(MlslConcurrencyStress, OneBucketRoundsWithConcurrentStatsReaders) {
+  // One bucket over the whole vector (the bulk-synchronous layout) with
+  // every rank polling stats() right after its round, while other ranks
+  // are still leaving it: snapshots must never tear (intra + inter == wire
+  // in every observation).
   const int R = 6;
   const std::size_t n = 3000;
   mlsl::Communicator comm(R);
+  xconv::testing::set_one_bucket(comm, n);
   std::vector<std::vector<float>> data(R);
-  std::vector<float*> bufs(R);
   for (unsigned round = 0; round < 8; ++round) {
-    for (int r = 0; r < R; ++r) {
+    for (int r = 0; r < R; ++r)
       data[r] = random_vec(n, 7 * round + static_cast<unsigned>(r));
-      bufs[r] = data[r].data();
-    }
     const auto want = canonical_sum(data);
     comm.parallel([&](int rank) {
-      comm.allreduce_sum(rank, bufs, n);
+      xconv::testing::rank_round(comm, rank, data[rank].data());
       expect_counters_consistent(comm.stats());
     });
     for (int r = 0; r < R; ++r)

@@ -1,51 +1,33 @@
 // Overlapped bucketized gradient allreduce (paper: "the allreduce of the
 // gradient weights in the backward pass is completely overlapped"): async
-// bucket API correctness, the backward-order bucket layout, and the
-// multi-node replica-sync invariant — after k iterations in bulk and overlap
-// modes all rank weights are bitwise identical, and overlap-mode training
-// matches bulk-mode training bit for bit under fuzzed bucket-size caps.
+// bucket API correctness, the set_buckets re-install contract, the
+// backward-order bucket layout, and the multi-node replica-sync invariant —
+// after k iterations all rank weights are bitwise identical, and training
+// matches the one-bucket (bulk-synchronous) layout bit for bit under fuzzed
+// bucket-size caps.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "gxm/trainer.hpp"
 #include "mlsl/allreduce.hpp"
 #include "mlsl/scaling.hpp"
+#include "mlsl_test_helpers.hpp"
 #include "test_helpers.hpp"
 #include "topo/resnet50.hpp"
 
 using namespace xconv;
+using xconv::testing::all_params;
+using xconv::testing::canonical_sum;
+using xconv::testing::kOneBucketCap;
+using xconv::testing::make_buckets;
+using xconv::testing::mini_opt;
+using xconv::testing::one_bucket_round;
+using xconv::testing::overlap_round;
 using xconv::testing::random_vec;
-
-namespace {
-
-// Canonical rank-order serial sum — the bit pattern both allreduce paths
-// must produce on every rank.
-std::vector<float> canonical_sum(const std::vector<std::vector<float>>& data) {
-  std::vector<float> want(data[0].size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    float acc = data[0][i];
-    for (std::size_t r = 1; r < data.size(); ++r) acc += data[r][i];
-    want[i] = acc;
-  }
-  return want;
-}
-
-std::vector<mlsl::GradBucket> make_buckets(
-    const std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
-  std::vector<mlsl::GradBucket> out;
-  for (const auto& [off, elems] : ranges) {
-    mlsl::GradBucket b;
-    b.segments.push_back({off, elems});
-    b.elems = elems;
-    out.push_back(std::move(b));
-  }
-  return out;
-}
-
-}  // namespace
 
 TEST(OverlapAllreduce, BucketSumsMatchCanonicalOrderBitwise) {
   const int R = 4;
@@ -55,41 +37,67 @@ TEST(OverlapAllreduce, BucketSumsMatchCanonicalOrderBitwise) {
   std::vector<std::vector<float>> data(R);
   for (int r = 0; r < R; ++r) data[r] = random_vec(n, 40 + r);
   const auto want = canonical_sum(data);
-  comm.parallel([&](int rank) {
-    comm.overlap_begin(rank, data[rank].data());
-    for (std::size_t b = 0; b < comm.bucket_count(); ++b)
-      comm.post_bucket(rank, b);
-    comm.wait_all(rank);
-  });
+  const auto got = overlap_round(comm, data);
   for (int r = 0; r < R; ++r)
-    ASSERT_EQ(0, std::memcmp(want.data(), data[r].data(), n * sizeof(float)))
+    ASSERT_EQ(0, std::memcmp(want.data(), got[r].data(), n * sizeof(float)))
         << "rank " << r;
 }
 
-TEST(OverlapAllreduce, MatchesBulkAllreduceBitwise) {
-  // The whole point of the canonical reduction order: a bucketized async
-  // round and one bulk allreduce_sum over the same inputs agree bit for bit.
+TEST(OverlapAllreduce, MatchesOneBucketRoundBitwise) {
+  // The whole point of the canonical reduction order: a three-bucket round
+  // and a one-bucket round over the same inputs agree bit for bit.
   const int R = 3;
   const std::size_t n = 1537;
-  std::vector<std::vector<float>> a(R), b(R);
-  for (int r = 0; r < R; ++r) a[r] = b[r] = random_vec(n, 7 + r);
+  std::vector<std::vector<float>> data(R);
+  for (int r = 0; r < R; ++r) data[r] = random_vec(n, 7 + r);
 
-  mlsl::Communicator bulk(R);
-  std::vector<float*> bufs(R);
-  for (int r = 0; r < R; ++r) bufs[r] = a[r].data();
-  bulk.parallel([&](int rank) { bulk.allreduce_sum(rank, bufs, n); });
+  mlsl::Communicator one(R);
+  const auto a = one_bucket_round(one, data);
 
   mlsl::Communicator over(R);
   over.set_buckets(make_buckets({{0, 512}, {512, 512}, {1024, 513}}));
-  over.parallel([&](int rank) {
-    over.overlap_begin(rank, b[rank].data());
-    for (std::size_t k = 0; k < over.bucket_count(); ++k)
-      over.post_bucket(rank, k);
-    over.wait_all(rank);
-  });
+  const auto b = overlap_round(over, data);
   for (int r = 0; r < R; ++r)
     ASSERT_EQ(0, std::memcmp(a[r].data(), b[r].data(), n * sizeof(float)))
         << "rank " << r;
+}
+
+TEST(OverlapAllreduce, SetBucketsReinstallsBetweenRoundsAndThrowsMidRound) {
+  // set_buckets may be called again once a round has drained, but throws
+  // (leaving the installed layout alone) while any bucket is outstanding.
+  const int R = 2;
+  const std::size_t n = 96;
+  mlsl::Communicator comm(R);
+  comm.set_buckets(make_buckets({{0, 32}, {32, 64}}));
+  std::vector<std::vector<float>> data(R, std::vector<float>(n, 1.0f));
+  int throws = 0;
+  comm.parallel([&](int rank) {
+    comm.overlap_begin(rank, data[rank].data());
+    // overlap_begin ends in a barrier after the round's reset, so no
+    // bucket is reduced yet: every done flag is still 0.
+    if (rank == 0) {
+      EXPECT_THROW(comm.set_buckets(make_buckets({{0, n}})), std::logic_error);
+      ++throws;
+    }
+    comm.post_bucket(rank, 0);
+    comm.wait_bucket(rank, 0);
+    // Bucket 1 is still outstanding.
+    if (rank == 0) {
+      EXPECT_THROW(comm.set_buckets(make_buckets({{0, n}})), std::logic_error);
+      ++throws;
+    }
+    comm.post_bucket(rank, 1);
+    comm.wait_all(rank);
+  });
+  EXPECT_EQ(throws, 2);
+  EXPECT_EQ(comm.bucket_count(), 2u);  // the throws left the layout alone
+  for (int r = 0; r < R; ++r)
+    EXPECT_EQ(data[r], std::vector<float>(n, 2.0f)) << "rank " << r;
+  // Drained: a new layout installs and runs.
+  const auto got = one_bucket_round(comm, data);
+  EXPECT_EQ(comm.bucket_count(), 1u);
+  for (int r = 0; r < R; ++r)
+    EXPECT_EQ(got[r], std::vector<float>(n, 4.0f)) << "rank " << r;
 }
 
 TEST(OverlapAllreduce, PerBucketWaitAndReuseAcrossRounds) {
@@ -124,28 +132,9 @@ TEST(OverlapAllreduce, SingleRankCompletesImmediately) {
   EXPECT_EQ(0, std::memcmp(orig.data(), v.data(), v.size() * sizeof(float)));
 }
 
-namespace {
-
-gxm::GraphOptions mini_opt(unsigned seed = 5) {
-  gxm::GraphOptions opt;
-  opt.threads = 1;
-  opt.seed = seed;
-  return opt;
-}
-
-// Weights of every parameter-owning node, serialized in the flat layout.
-std::vector<float> all_params(gxm::Graph& g) {
-  std::vector<float> out(g.grad_elems());
-  g.export_params(out.data());
-  return out;
-}
-
-}  // namespace
-
 TEST(MultiNodeOverlap, BucketLayoutRespectsCapAndBackwardOrder) {
   const auto nl = gxm::parse_topology(topo::resnet_mini_topology(4, 32, 4));
   mlsl::MultiNodeOptions mn;
-  mn.mode = mlsl::SyncMode::kOverlap;
   mn.bucket_cap_bytes = 16 << 10;
   mlsl::MultiNodeTrainer mt(nl, 2, mini_opt(), mn);
 
@@ -176,15 +165,13 @@ TEST(MultiNodeOverlap, BucketLayoutRespectsCapAndBackwardOrder) {
   EXPECT_NE(buckets.front().segments.front().offset, 0u);
 }
 
-TEST(MultiNodeOverlap, ReplicasStayBitwiseInSyncInBothModes) {
+TEST(MultiNodeOverlap, ReplicasStayBitwiseInSyncForOneAndManyBuckets) {
   const auto nl = gxm::parse_topology(topo::resnet_mini_topology(4, 32, 4));
   gxm::Solver s;
   s.lr = 0.01f;
-  for (const mlsl::SyncMode mode :
-       {mlsl::SyncMode::kBulk, mlsl::SyncMode::kOverlap}) {
+  for (const std::size_t cap : {kOneBucketCap, std::size_t{32} << 10}) {
     mlsl::MultiNodeOptions mn;
-    mn.mode = mode;
-    mn.bucket_cap_bytes = 32 << 10;
+    mn.bucket_cap_bytes = cap;
     mlsl::MultiNodeTrainer mt(nl, 3, mini_opt(), mn);
     mt.train(3, s);
     const auto w0 = all_params(mt.rank_graph(0));
@@ -192,21 +179,68 @@ TEST(MultiNodeOverlap, ReplicasStayBitwiseInSyncInBothModes) {
       const auto wr = all_params(mt.rank_graph(r));
       ASSERT_EQ(0,
                 std::memcmp(w0.data(), wr.data(), w0.size() * sizeof(float)))
-          << mlsl::sync_mode_name(mode) << " rank " << r;
+          << "cap " << cap << " rank " << r;
     }
   }
 }
 
-TEST(MultiNodeOverlap, MatchesBulkBitwiseUnderFuzzedBucketCaps) {
-  // The equivalence the canonical reduction order buys: overlap-mode losses
-  // and weights match bulk mode bit for bit on the same seeds, regardless of
-  // how the gradient vector is cut into buckets.
+TEST(MultiNodeOverlap, GradientSizedCapIsOneBucketAndMatchesDefaultBitwise) {
+  // The bulk-synchronous baseline is the one-bucket layout: a cap of at
+  // least the gradient size builds exactly one bucket, and its fp32
+  // trajectory (every step's loss, every rank's final weights) equals the
+  // default-cap run and a many-bucket run bit for bit.
+  const auto nl = gxm::parse_topology(topo::resnet_mini_topology(4, 32, 4));
+  gxm::Solver s;
+  s.lr = 0.01f;
+  const int iters = 3;
+  for (const int R : {2, 4}) {
+    const std::size_t grad_bytes =
+        gxm::Graph(nl, mini_opt(13)).grad_elems() * sizeof(float);
+    struct Run {
+      std::size_t buckets = 0;
+      std::vector<float> losses;
+      std::vector<std::vector<float>> params;
+    };
+    const auto run = [&](const mlsl::MultiNodeOptions& mn) {
+      mlsl::MultiNodeTrainer mt(nl, R, mini_opt(13), mn);
+      Run out;
+      out.buckets = mt.buckets().size();
+      for (int i = 0; i < iters; ++i)
+        out.losses.push_back(mt.train(1, s).last_loss);
+      for (int r = 0; r < R; ++r)
+        out.params.push_back(all_params(mt.rank_graph(r)));
+      return out;
+    };
+    mlsl::MultiNodeOptions one_opt, many_opt;
+    one_opt.bucket_cap_bytes = grad_bytes;
+    many_opt.bucket_cap_bytes = std::size_t{8} << 10;
+    const Run one = run(one_opt);
+    ASSERT_EQ(one.buckets, 1u) << "R=" << R;
+    const Run dflt = run(mlsl::MultiNodeOptions{});
+    const Run many = run(many_opt);
+    ASSERT_GT(many.buckets, 1u) << "R=" << R;
+    for (const Run* other : {&dflt, &many}) {
+      ASSERT_EQ(one.losses, other->losses) << "R=" << R;
+      for (int r = 0; r < R; ++r)
+        ASSERT_EQ(0, std::memcmp(one.params[r].data(), other->params[r].data(),
+                                 one.params[r].size() * sizeof(float)))
+            << "R=" << R << " rank " << r;
+    }
+  }
+}
+
+TEST(MultiNodeOverlap, MatchesOneBucketBitwiseUnderFuzzedBucketCaps) {
+  // The equivalence the canonical reduction order buys: losses and weights
+  // match the one-bucket (bulk) layout bit for bit on the same seeds,
+  // regardless of how the gradient vector is cut into buckets.
   const auto nl = gxm::parse_topology(topo::resnet_mini_topology(4, 32, 4));
   gxm::Solver s;
   s.lr = 0.01f;
   const int R = 2, iters = 3;
 
-  mlsl::MultiNodeTrainer bulk(nl, R, mini_opt(11));
+  mlsl::MultiNodeOptions one;
+  one.bucket_cap_bytes = kOneBucketCap;
+  mlsl::MultiNodeTrainer bulk(nl, R, mini_opt(11), one);
   std::vector<float> bulk_losses;
   for (int i = 0; i < iters; ++i)
     bulk_losses.push_back(bulk.train(1, s).last_loss);
@@ -219,7 +253,6 @@ TEST(MultiNodeOverlap, MatchesBulkBitwiseUnderFuzzedBucketCaps) {
 
   for (const std::size_t cap : caps) {
     mlsl::MultiNodeOptions mn;
-    mn.mode = mlsl::SyncMode::kOverlap;
     mn.bucket_cap_bytes = cap;
     mlsl::MultiNodeTrainer over(nl, R, mini_opt(11), mn);
     for (int i = 0; i < iters; ++i) {
@@ -239,15 +272,13 @@ TEST(MultiNodeOverlap, StatsReportBucketsAndExposedComm) {
   gxm::Solver s;
   s.lr = 0.01f;
   mlsl::MultiNodeOptions mn;
-  mn.mode = mlsl::SyncMode::kOverlap;
   mn.bucket_cap_bytes = 8 << 10;
   mlsl::MultiNodeTrainer mt(nl, 2, mini_opt(), mn);
   const auto st = mt.train(2, s);
-  EXPECT_STREQ(st.mode, "overlap");
   EXPECT_EQ(st.bucket_count, mt.buckets().size());
   EXPECT_GT(st.bucket_count, 1u);
-  // bucket_bytes is the largest bucket's payload (it used to misreport the
-  // whole flat gradient in both modes); gradient_bytes carries the latter.
+  // bucket_bytes is the largest bucket's payload; gradient_bytes is the
+  // whole flat gradient.
   std::size_t largest = 0;
   for (const auto& bk : mt.buckets())
     largest = std::max(largest, bk.bytes());
@@ -257,11 +288,12 @@ TEST(MultiNodeOverlap, StatsReportBucketsAndExposedComm) {
   EXPECT_GE(st.exposed_comm_seconds, 0.0);
   EXPECT_GT(st.allreduce_bytes_per_rank, 0u);
 
-  mlsl::MultiNodeTrainer bk(nl, 2, mini_opt());
+  mlsl::MultiNodeOptions one = mn;
+  one.bucket_cap_bytes = kOneBucketCap;
+  mlsl::MultiNodeTrainer bk(nl, 2, mini_opt(), one);
   const auto bst = bk.train(2, s);
-  EXPECT_STREQ(bst.mode, "bulk");
-  EXPECT_EQ(bst.bucket_count, 0u);
-  EXPECT_EQ(bst.bucket_bytes, 0u);  // no buckets in bulk mode
+  EXPECT_EQ(bst.bucket_count, 1u);
+  EXPECT_EQ(bst.bucket_bytes, bst.gradient_bytes);  // the whole gradient
   EXPECT_EQ(bst.gradient_bytes, st.gradient_bytes);  // same payload
   EXPECT_GT(bst.exposed_comm_seconds, 0.0);
 }
@@ -276,21 +308,14 @@ TEST(MultiNodeOverlap, NonPositiveItersThrows) {
 
 TEST(MultiNodeOptions, EnvOverrides) {
   mlsl::MultiNodeOptions defaults;
-  ::setenv("XCONV_MN_MODE", "overlap", 1);
   ::setenv("XCONV_MN_BUCKET_KB", "64", 1);
   const auto o = mlsl::MultiNodeOptions::from_env(defaults);
-  EXPECT_EQ(o.mode, mlsl::SyncMode::kOverlap);
   EXPECT_EQ(o.bucket_cap_bytes, std::size_t{64} << 10);
-  ::setenv("XCONV_MN_MODE", "sideways", 1);
-  EXPECT_THROW(mlsl::MultiNodeOptions::from_env(defaults),
-               std::invalid_argument);
-  ::setenv("XCONV_MN_MODE", "bulk", 1);
   ::setenv("XCONV_MN_BUCKET_KB", "0", 1);
   EXPECT_THROW(mlsl::MultiNodeOptions::from_env(defaults),
                std::invalid_argument);
   ::setenv("XCONV_MN_BUCKET_KB", "1e3", 1);  // trailing garbage, not 1 KiB
   EXPECT_THROW(mlsl::MultiNodeOptions::from_env(defaults),
                std::invalid_argument);
-  ::unsetenv("XCONV_MN_MODE");
   ::unsetenv("XCONV_MN_BUCKET_KB");
 }

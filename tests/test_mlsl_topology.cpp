@@ -2,7 +2,7 @@
 // allreduce): Topology validation and resolution against the rank count, the
 // two-point NetworkModel calibration that separates bandwidth from
 // per-message latency, the hierarchical schedule's invariants — fp32 is
-// bitwise identical to the flat ring on both the bulk and overlapped paths,
+// bitwise identical to the flat ring for one bucket and for many,
 // compressed replicas never diverge even at 64 ranks — the per-level wire
 // byte split, per-bucket schedule overrides, the topology environment knobs,
 // and the histogram-driven scaling projection.
@@ -15,76 +15,27 @@
 #include "mlsl/allreduce.hpp"
 #include "mlsl/netmodel.hpp"
 #include "mlsl/scaling.hpp"
+#include "mlsl_test_helpers.hpp"
 #include "test_helpers.hpp"
 #include "topo/resnet50.hpp"
 
 using namespace xconv;
+using xconv::testing::all_params;
+using xconv::testing::canonical_sum;
+using xconv::testing::kOneBucketCap;
+using xconv::testing::make_buckets;
+using xconv::testing::mini_opt;
+using xconv::testing::one_bucket_round;
+using xconv::testing::overlap_round;
 using xconv::testing::random_vec;
 
 namespace {
-
-std::vector<float> canonical_sum(const std::vector<std::vector<float>>& data) {
-  std::vector<float> want(data[0].size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    float acc = data[0][i];
-    for (std::size_t r = 1; r < data.size(); ++r) acc += data[r][i];
-    want[i] = acc;
-  }
-  return want;
-}
 
 std::vector<std::vector<float>> rank_data(int ranks, std::size_t n) {
   std::vector<std::vector<float>> data;
   for (int r = 0; r < ranks; ++r)
     data.push_back(random_vec(n, 100 + static_cast<unsigned>(r)));
   return data;
-}
-
-std::vector<std::vector<float>> bulk_round(
-    mlsl::Communicator& comm, const std::vector<std::vector<float>>& data) {
-  std::vector<std::vector<float>> bufs = data;
-  std::vector<float*> ptrs(bufs.size());
-  for (std::size_t r = 0; r < bufs.size(); ++r) ptrs[r] = bufs[r].data();
-  comm.parallel(
-      [&](int rank) { comm.allreduce_sum(rank, ptrs, data[0].size()); });
-  return bufs;
-}
-
-std::vector<std::vector<float>> overlap_round(
-    mlsl::Communicator& comm, const std::vector<std::vector<float>>& data) {
-  std::vector<std::vector<float>> bufs = data;
-  comm.parallel([&](int rank) {
-    comm.overlap_begin(rank, bufs[rank].data());
-    for (std::size_t b = 0; b < comm.bucket_count(); ++b)
-      comm.post_bucket(rank, b);
-    comm.wait_all(rank);
-  });
-  return bufs;
-}
-
-std::vector<mlsl::GradBucket> make_buckets(
-    const std::vector<std::pair<std::size_t, std::size_t>>& ranges) {
-  std::vector<mlsl::GradBucket> out;
-  for (const auto& [off, elems] : ranges) {
-    mlsl::GradBucket b;
-    b.segments.push_back({off, elems});
-    b.elems = elems;
-    out.push_back(std::move(b));
-  }
-  return out;
-}
-
-gxm::GraphOptions mini_opt(unsigned seed = 5) {
-  gxm::GraphOptions opt;
-  opt.threads = 1;
-  opt.seed = seed;
-  return opt;
-}
-
-std::vector<float> all_params(gxm::Graph& g) {
-  std::vector<float> out(g.grad_elems());
-  g.export_params(out.data());
-  return out;
 }
 
 }  // namespace
@@ -217,21 +168,21 @@ TEST(NetModelCalibration, TwoPointSeparatesBandwidthFromLatency) {
   EXPECT_EQ(nonmono.latency_us, 0.0);
 }
 
-TEST(HierarchicalAllreduce, Fp32BulkBitwiseMatchesFlatAt64Ranks) {
+TEST(HierarchicalAllreduce, Fp32OneBucketBitwiseMatchesFlatAt64Ranks) {
   const int R = 64;
-  const std::size_t n = 4099;  // not divisible by R: ragged chunks
+  const std::size_t n = 4099;  // not divisible by R
   const auto data = rank_data(R, n);
   const std::vector<float> want = canonical_sum(data);
 
   mlsl::CommConfig flat_cc;
   flat_cc.topo.ranks_per_node = 8;
   mlsl::Communicator flat_comm(R, flat_cc);
-  const auto flat = bulk_round(flat_comm, data);
+  const auto flat = one_bucket_round(flat_comm, data);
 
   mlsl::CommConfig hier_cc = flat_cc;
   hier_cc.algorithm = mlsl::ReduceAlgorithm::kHierarchical;
   mlsl::Communicator hier_comm(R, hier_cc);
-  const auto hier = bulk_round(hier_comm, data);
+  const auto hier = one_bucket_round(hier_comm, data);
 
   for (int r = 0; r < R; ++r)
     for (std::size_t i = 0; i < n; ++i) {
@@ -269,7 +220,8 @@ TEST(HierarchicalAllreduce, Fp32OverlapBitwiseMatchesFlatAt64Ranks) {
 // Compressed hierarchical reductions re-quantize per-node partial sums (a
 // third compression point), so they legitimately differ from the flat ring —
 // but replicas must never diverge from *each other*: every rank decodes the
-// same final sum payload. 64 ranks, both paths, every compressed codec.
+// same final sum payload. 64 ranks, one bucket and two, every compressed
+// codec.
 TEST(HierarchicalAllreduce, CompressedReplicasStayInSyncAt64Ranks) {
   const int R = 64;
   const std::size_t n = 2048;
@@ -283,11 +235,11 @@ TEST(HierarchicalAllreduce, CompressedReplicasStayInSyncAt64Ranks) {
     cc.topo.ranks_per_node = 8;
     {
       mlsl::Communicator comm(R, cc);
-      const auto out = bulk_round(comm, data);
+      const auto out = one_bucket_round(comm, data);
       for (int r = 1; r < R; ++r)
         for (std::size_t i = 0; i < n; ++i)
           ASSERT_EQ(out[r][i], out[0][i])
-              << mlsl::codec_name(codec) << " bulk rank " << r;
+              << mlsl::codec_name(codec) << " one-bucket rank " << r;
       const mlsl::CommStats cs = comm.stats();
       EXPECT_GT(cs.intra_wire_bytes_per_rank, 0u);
       EXPECT_GT(cs.inter_wire_bytes_per_rank, 0u);
@@ -319,17 +271,17 @@ TEST(HierarchicalAllreduce, WireCountersSplitByLevel) {
   cc.topo.ranks_per_node = p;
 
   mlsl::Communicator flat_comm(R, cc);
-  bulk_round(flat_comm, data);
+  one_bucket_round(flat_comm, data);
   const mlsl::CommStats fs = flat_comm.stats();
   // Flat: (R-1)*(contrib_mean + sum)/R with fp32 payloads = 2(R-1)n4/R.
   EXPECT_EQ(fs.inter_wire_bytes_per_rank, 2 * (R - 1) * n4 / R);
   EXPECT_EQ(fs.intra_wire_bytes_per_rank, 0u);
-  EXPECT_EQ(fs.wire_bytes_per_rank, fs.bulk_logical_bytes_per_rank);
+  EXPECT_EQ(fs.wire_bytes_per_rank, fs.overlap_logical_bytes_per_rank);
 
   mlsl::CommConfig hc = cc;
   hc.algorithm = mlsl::ReduceAlgorithm::kHierarchical;
   mlsl::Communicator hier_comm(R, hc);
-  bulk_round(hier_comm, data);
+  one_bucket_round(hier_comm, data);
   const mlsl::CommStats hs = hier_comm.stats();
   EXPECT_EQ(hs.intra_wire_bytes_per_rank, (p - 1) * (n4 + n4) / p);
   EXPECT_EQ(hs.inter_wire_bytes_per_rank, (N - 1) * (n4 + n4) / N);
@@ -337,7 +289,8 @@ TEST(HierarchicalAllreduce, WireCountersSplitByLevel) {
             hs.intra_wire_bytes_per_rank + hs.inter_wire_bytes_per_rank);
   EXPECT_LT(hs.inter_wire_bytes_per_rank, fs.inter_wire_bytes_per_rank);
   // Logical bytes are schedule-independent.
-  EXPECT_EQ(hs.bulk_logical_bytes_per_rank, fs.bulk_logical_bytes_per_rank);
+  EXPECT_EQ(hs.overlap_logical_bytes_per_rank,
+            fs.overlap_logical_bytes_per_rank);
 
   // A hierarchical request degenerates to the flat ring when the topology
   // cannot support it (single node, or one rank per node) — including in
@@ -345,7 +298,7 @@ TEST(HierarchicalAllreduce, WireCountersSplitByLevel) {
   mlsl::CommConfig dc;
   dc.algorithm = mlsl::ReduceAlgorithm::kHierarchical;  // rpn = 1
   mlsl::Communicator degen(R, dc);
-  bulk_round(degen, data);
+  one_bucket_round(degen, data);
   EXPECT_EQ(degen.stats().inter_wire_bytes_per_rank, 2 * (R - 1) * n4 / R);
   EXPECT_EQ(degen.stats().intra_wire_bytes_per_rank, 0u);
 }
@@ -377,49 +330,43 @@ TEST(HierarchicalAllreduce, PerBucketAlgorithmOverride) {
 }
 
 // Trainer-level tentpole invariant: under fp32 the hierarchical schedule
-// produces bit-identical *training trajectories* to the flat ring — both
-// sync modes, fuzzed bucket caps (ragged layouts), comm-thread pool >= 2.
+// produces bit-identical *training trajectories* to the flat ring — one
+// bucket and fuzzed bucket caps (ragged layouts), comm-thread pool >= 2.
 TEST(MultiNodeHierarchical, TrainerFp32FlatVsHierBitwise) {
   const auto nl = gxm::parse_topology(topo::resnet_mini_topology(2, 32, 4));
   gxm::Solver solver;
   solver.lr = 0.01f;
-  for (const std::size_t cap_kb : {1, 3, 17}) {
-    for (const mlsl::SyncMode mode :
-         {mlsl::SyncMode::kBulk, mlsl::SyncMode::kOverlap}) {
-      std::vector<std::vector<float>> params;
-      std::vector<float> losses;
-      for (const mlsl::ReduceAlgorithm algo :
-           {mlsl::ReduceAlgorithm::kFlatRing,
-            mlsl::ReduceAlgorithm::kHierarchical}) {
-        mlsl::MultiNodeOptions mn;
-        mn.mode = mode;
-        mn.bucket_cap_bytes = cap_kb << 10;
-        mn.comm.comm_threads = 2;
-        mn.comm.algorithm = algo;
-        mn.comm.topo.ranks_per_node = 2;
-        mlsl::MultiNodeTrainer trainer(nl, 8, mini_opt(), mn);
-        const auto st = trainer.train(2, solver);
-        losses.push_back(st.last_loss);
-        params.push_back(all_params(trainer.rank_graph(0)));
-        // Replicas stay bitwise in sync under either schedule.
-        const auto p0 = all_params(trainer.rank_graph(0));
-        for (int r = 1; r < 8; ++r) {
-          const auto pr = all_params(trainer.rank_graph(r));
-          ASSERT_EQ(pr, p0) << "replica divergence, rank " << r;
-        }
+  for (const std::size_t cap : {std::size_t{1} << 10, std::size_t{3} << 10,
+                                std::size_t{17} << 10, kOneBucketCap}) {
+    std::vector<std::vector<float>> params;
+    std::vector<float> losses;
+    for (const mlsl::ReduceAlgorithm algo :
+         {mlsl::ReduceAlgorithm::kFlatRing,
+          mlsl::ReduceAlgorithm::kHierarchical}) {
+      mlsl::MultiNodeOptions mn;
+      mn.bucket_cap_bytes = cap;
+      mn.comm.comm_threads = 2;
+      mn.comm.algorithm = algo;
+      mn.comm.topo.ranks_per_node = 2;
+      mlsl::MultiNodeTrainer trainer(nl, 8, mini_opt(), mn);
+      const auto st = trainer.train(2, solver);
+      losses.push_back(st.last_loss);
+      params.push_back(all_params(trainer.rank_graph(0)));
+      // Replicas stay bitwise in sync under either schedule.
+      const auto p0 = all_params(trainer.rank_graph(0));
+      for (int r = 1; r < 8; ++r) {
+        const auto pr = all_params(trainer.rank_graph(r));
+        ASSERT_EQ(pr, p0) << "replica divergence, rank " << r;
       }
-      ASSERT_EQ(losses[0], losses[1])
-          << "cap " << cap_kb << "KB mode " << static_cast<int>(mode);
-      ASSERT_EQ(params[0], params[1])
-          << "cap " << cap_kb << "KB mode " << static_cast<int>(mode);
     }
+    ASSERT_EQ(losses[0], losses[1]) << "cap " << cap;
+    ASSERT_EQ(params[0], params[1]) << "cap " << cap;
   }
 }
 
 TEST(MultiNodeHierarchical, StatsReportScheduleAndTopology) {
   const auto nl = gxm::parse_topology(topo::resnet_mini_topology(2, 32, 4));
   mlsl::MultiNodeOptions mn;
-  mn.mode = mlsl::SyncMode::kOverlap;
   mn.bucket_cap_bytes = 8 << 10;
   mn.comm.algorithm = mlsl::ReduceAlgorithm::kHierarchical;
   mn.comm.topo.ranks_per_node = 2;

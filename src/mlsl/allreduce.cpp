@@ -280,8 +280,10 @@ void Communicator::set_buckets(std::vector<GradBucket> buckets) {
   const std::size_t n_buckets = buckets.size();
   {
     const platform::MutexLock lock(mu_);
-    // A round is in flight while any of its buckets is unreduced: the comm
-    // pool may be reading buckets_ and the residuals resized below.
+    // Best-effort diagnostic of a call from inside a round: while any of
+    // its buckets is unreduced the comm pool may be reading buckets_ and
+    // the residuals resized below. (It cannot see ranks still on their way
+    // out of wait_all; the contract is "outside `parallel`".)
     for (const char d : done_)
       if (d == 0)
         throw std::logic_error(
@@ -292,10 +294,9 @@ void Communicator::set_buckets(std::vector<GradBucket> buckets) {
     done_.assign(n_buckets, 1);
     next_bucket_ = n_buckets;
   }
-  // The residual/scratch sizing below is safe outside the lock: no round is
-  // in flight (checked above) and set_buckets is not called concurrently
-  // with overlap_begin, so the comm pool is idle and never touches this
-  // state while we resize it.
+  // The residual/scratch sizing below is safe outside the lock: set_buckets
+  // runs outside `parallel`, so no rank is in a round and the comm pool is
+  // idle and never touches this state while we resize it.
   ensure_residuals(flat_elems);
   comm_scratch_.resize(cfg_.comm_threads);
   if (cfg_.codec != Codec::kFp32) {  // the fp32 fast path sums in place

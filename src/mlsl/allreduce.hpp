@@ -207,12 +207,13 @@ class Communicator {
   // --- overlapped bucketized allreduce ------------------------------------
 
   /// Install the bucket layout (identical on every rank) and start the
-  /// background comm-thread pool. Not a collective: call it before the
-  /// first round, and again whenever the layout changes, as long as no
-  /// round is in flight (every round opened by `overlap_begin` has had all
-  /// its buckets reduced). Throws std::logic_error, leaving the installed
-  /// layout untouched, when a bucket of the current round is still
-  /// outstanding.
+  /// background comm-thread pool. Not a collective, and callable only
+  /// outside `parallel`: before the first round, and again whenever the
+  /// layout changes once every rank has returned from the last round's
+  /// `wait_all`. A call from inside a round is a contract violation; while
+  /// a bucket of the current round is still outstanding it is detected,
+  /// best effort, by a std::logic_error that leaves the installed layout
+  /// untouched.
   void set_buckets(std::vector<GradBucket> buckets);
 
   /// Begin an overlapped round (collective): registers this rank's flat
@@ -346,8 +347,8 @@ class Communicator {
   // Error-feedback state (sized to the flat vector by set_buckets; empty
   // for exact codecs, i.e. fp32). node_residual_ is sized only on
   // hierarchical-capable topologies. Unannotated by single ownership, like
-  // the rank buffers themselves: set_buckets resizes the vectors only with
-  // no round in flight, and during a round the comm thread that claimed
+  // the rank buffers themselves: set_buckets resizes the vectors only
+  // outside `parallel`, and during a round the comm thread that claimed
   // bucket b is the sole toucher of bucket b's slices (buckets are disjoint
   // and claimed once, under mu_). The const accessors above read them only
   // between rounds.
@@ -369,7 +370,7 @@ class Communicator {
   std::size_t next_bucket_ XCONV_GUARDED_BY(mu_) = 0;
   bool stop_comm_ XCONV_GUARDED_BY(mu_) = false;
   // comm_pool_/comm_scratch_ are unannotated by contract: the pool vector is
-  // mutated only by set_buckets (no round in flight), and comm thread `tid`
+  // mutated only by set_buckets (outside `parallel`), and comm thread `tid`
   // is the sole toucher of comm_scratch_[tid].
   std::vector<std::thread> comm_pool_;
   std::vector<CommScratch> comm_scratch_;  ///< per comm thread

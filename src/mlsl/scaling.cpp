@@ -92,7 +92,17 @@ MultiNodeStats MultiNodeTrainer::train(int iters, const gxm::Solver& solver) {
         ++param_idx;
         if (bucket < buckets_.size() &&
             param_idx == bucket_last_param_[bucket]) {
+          // A post can block too: the comm thread woken by the last rank's
+          // post may take that rank's core for the bucket's encode, and
+          // the post returns only when the encode yields it back. That is
+          // exposed communication, so it counts with the bucket's wait.
+          platform::Timer tp;
           comm_.post_bucket(rank, bucket);
+          if (rank == 0) {
+            const double p = tp.seconds();
+            st.bucket_wait_seconds[bucket] += p;
+            st.exposed_comm_seconds += p;
+          }
           ++bucket;
         }
       });

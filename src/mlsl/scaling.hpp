@@ -85,11 +85,12 @@ struct MultiNodeStats {
   int topo_nodes = 1;
   int comm_threads = 1;
   /// Rank-0 wall time blocked on gradient communication, summed over the
-  /// run's iterations: the per-bucket wait tails (the whole reduction with
-  /// a single bucket).
+  /// run's iterations: the time inside each bucket's post and wait calls
+  /// (the whole reduction with a single bucket). A post blocks when the
+  /// comm thread it wakes takes the rank's core for the encode.
   double exposed_comm_seconds = 0;
-  /// Rank-0 blocked wait per bucket, summed over the run. Sums to
-  /// exposed_comm_seconds.
+  /// Rank-0 blocked post + wait time per bucket, summed over the run. Sums
+  /// to exposed_comm_seconds.
   std::vector<double> bucket_wait_seconds;
   /// Per-bucket fp32 payload bytes — together with bucket_wait_seconds this
   /// is the measured overlap profile ScalingConfig consumes for

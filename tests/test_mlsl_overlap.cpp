@@ -63,8 +63,10 @@ TEST(OverlapAllreduce, MatchesOneBucketRoundBitwise) {
 }
 
 TEST(OverlapAllreduce, SetBucketsReinstallsBetweenRoundsAndThrowsMidRound) {
-  // set_buckets may be called again once a round has drained, but throws
-  // (leaving the installed layout alone) while any bucket is outstanding.
+  // set_buckets may be called again outside `parallel`. Calling it inside
+  // a round breaks that contract; the calls below exist only to show that
+  // the violation throws (leaving the installed layout alone) while any
+  // bucket is outstanding.
   const int R = 2;
   const std::size_t n = 96;
   mlsl::Communicator comm(R);
@@ -93,7 +95,7 @@ TEST(OverlapAllreduce, SetBucketsReinstallsBetweenRoundsAndThrowsMidRound) {
   EXPECT_EQ(comm.bucket_count(), 2u);  // the throws left the layout alone
   for (int r = 0; r < R; ++r)
     EXPECT_EQ(data[r], std::vector<float>(n, 2.0f)) << "rank " << r;
-  // Drained: a new layout installs and runs.
+  // Outside `parallel`: a new layout installs and runs.
   const auto got = one_bucket_round(comm, data);
   EXPECT_EQ(comm.bucket_count(), 1u);
   for (int r = 0; r < R; ++r)
@@ -184,86 +186,50 @@ TEST(MultiNodeOverlap, ReplicasStayBitwiseInSyncForOneAndManyBuckets) {
   }
 }
 
-TEST(MultiNodeOverlap, GradientSizedCapIsOneBucketAndMatchesDefaultBitwise) {
-  // The bulk-synchronous baseline is the one-bucket layout: a cap of at
-  // least the gradient size builds exactly one bucket, and its fp32
-  // trajectory (every step's loss, every rank's final weights) equals the
-  // default-cap run and a many-bucket run bit for bit.
+TEST(MultiNodeOverlap, MatchesOneBucketBitwiseUnderFuzzedBucketCaps) {
+  // The equivalence the canonical reduction order buys: a cap of the
+  // gradient size builds exactly one bucket (the bulk-synchronous
+  // baseline), and every step's loss and every rank's final weights match
+  // it bit for bit on the same seeds, regardless of how the gradient
+  // vector is cut into buckets.
   const auto nl = gxm::parse_topology(topo::resnet_mini_topology(4, 32, 4));
   gxm::Solver s;
   s.lr = 0.01f;
   const int iters = 3;
-  for (const int R : {2, 4}) {
-    const std::size_t grad_bytes =
-        gxm::Graph(nl, mini_opt(13)).grad_elems() * sizeof(float);
-    struct Run {
-      std::size_t buckets = 0;
-      std::vector<float> losses;
-      std::vector<std::vector<float>> params;
-    };
-    const auto run = [&](const mlsl::MultiNodeOptions& mn) {
-      mlsl::MultiNodeTrainer mt(nl, R, mini_opt(13), mn);
-      Run out;
-      out.buckets = mt.buckets().size();
-      for (int i = 0; i < iters; ++i)
-        out.losses.push_back(mt.train(1, s).last_loss);
-      for (int r = 0; r < R; ++r)
-        out.params.push_back(all_params(mt.rank_graph(r)));
-      return out;
-    };
-    mlsl::MultiNodeOptions one_opt, many_opt;
-    one_opt.bucket_cap_bytes = grad_bytes;
-    many_opt.bucket_cap_bytes = std::size_t{8} << 10;
-    const Run one = run(one_opt);
-    ASSERT_EQ(one.buckets, 1u) << "R=" << R;
-    const Run dflt = run(mlsl::MultiNodeOptions{});
-    const Run many = run(many_opt);
-    ASSERT_GT(many.buckets, 1u) << "R=" << R;
-    for (const Run* other : {&dflt, &many}) {
-      ASSERT_EQ(one.losses, other->losses) << "R=" << R;
-      for (int r = 0; r < R; ++r)
-        ASSERT_EQ(0, std::memcmp(one.params[r].data(), other->params[r].data(),
-                                 one.params[r].size() * sizeof(float)))
-            << "R=" << R << " rank " << r;
-    }
-  }
-}
-
-TEST(MultiNodeOverlap, MatchesOneBucketBitwiseUnderFuzzedBucketCaps) {
-  // The equivalence the canonical reduction order buys: losses and weights
-  // match the one-bucket (bulk) layout bit for bit on the same seeds,
-  // regardless of how the gradient vector is cut into buckets.
-  const auto nl = gxm::parse_topology(topo::resnet_mini_topology(4, 32, 4));
-  gxm::Solver s;
-  s.lr = 0.01f;
-  const int R = 2, iters = 3;
-
-  mlsl::MultiNodeOptions one;
-  one.bucket_cap_bytes = kOneBucketCap;
-  mlsl::MultiNodeTrainer bulk(nl, R, mini_opt(11), one);
-  std::vector<float> bulk_losses;
-  for (int i = 0; i < iters; ++i)
-    bulk_losses.push_back(bulk.train(1, s).last_loss);
-  const auto bulk_w = all_params(bulk.rank_graph(0));
+  const std::size_t grad_bytes =
+      gxm::Graph(nl, mini_opt(11)).grad_elems() * sizeof(float);
 
   std::mt19937 rng(2026);
   std::uniform_int_distribution<std::size_t> cap_dist(64, 96 << 10);
   std::vector<std::size_t> caps = {64, 4 << 10, 1 << 30};  // 1-per, mid, all
   for (int f = 0; f < 3; ++f) caps.push_back(cap_dist(rng));
 
-  for (const std::size_t cap : caps) {
-    mlsl::MultiNodeOptions mn;
-    mn.bucket_cap_bytes = cap;
-    mlsl::MultiNodeTrainer over(nl, R, mini_opt(11), mn);
-    for (int i = 0; i < iters; ++i) {
-      const auto st = over.train(1, s);
-      ASSERT_EQ(bulk_losses[i], st.last_loss)
-          << "cap=" << cap << " iter=" << i;
+  for (const int R : {2, 4}) {
+    mlsl::MultiNodeOptions one;
+    one.bucket_cap_bytes = grad_bytes;
+    mlsl::MultiNodeTrainer bulk(nl, R, mini_opt(11), one);
+    ASSERT_EQ(bulk.buckets().size(), 1u) << "R=" << R;
+    std::vector<float> bulk_losses;
+    for (int i = 0; i < iters; ++i)
+      bulk_losses.push_back(bulk.train(1, s).last_loss);
+
+    for (const std::size_t cap : caps) {
+      mlsl::MultiNodeOptions mn;
+      mn.bucket_cap_bytes = cap;
+      mlsl::MultiNodeTrainer over(nl, R, mini_opt(11), mn);
+      for (int i = 0; i < iters; ++i) {
+        const auto st = over.train(1, s);
+        ASSERT_EQ(bulk_losses[i], st.last_loss)
+            << "R=" << R << " cap=" << cap << " iter=" << i;
+      }
+      for (int r = 0; r < R; ++r) {
+        const auto bulk_w = all_params(bulk.rank_graph(r));
+        const auto over_w = all_params(over.rank_graph(r));
+        ASSERT_EQ(0, std::memcmp(bulk_w.data(), over_w.data(),
+                                 bulk_w.size() * sizeof(float)))
+            << "R=" << R << " cap=" << cap << " rank " << r;
+      }
     }
-    const auto over_w = all_params(over.rank_graph(0));
-    ASSERT_EQ(0, std::memcmp(bulk_w.data(), over_w.data(),
-                             bulk_w.size() * sizeof(float)))
-        << "cap=" << cap;
   }
 }
 

@@ -14,12 +14,13 @@ using namespace xconv::bench;
 int main() {
   const int mb = platform::bench_minibatch(1);
   const int runs = platform::bench_runs(3);
-  const bool have_vnni = platform::max_isa() == platform::Isa::avx512_vnni;
+  const bool have_vnni =
+      platform::effective_isa() == platform::Isa::avx512_vnni;
   print_header("Figure 8: int16 (qi16f32) vs fp32, ResNet-50 layers 2-20",
                mb, runs);
   if (!have_vnni)
-    std::printf("NOTE: host lacks AVX512-VNNI; int16 kernels run the scalar "
-                "path (speedups below 1 expected).\n");
+    std::printf("NOTE: effective ISA lacks AVX512-VNNI; int16 kernels run "
+                "the scalar path (speedups below 1 expected).\n");
   std::printf("%3s | %9s %9s %7s | %9s %9s %7s | %9s %9s %7s\n", "ID",
               "fwd32", "fwd16", "spd", "bwd32", "bwd16", "spd", "upd32",
               "upd16", "spd");
@@ -35,7 +36,7 @@ int main() {
     const double g_b32 = bwd_gflops(f32, t, runs);
     const double g_u32 = upd_gflops(f32, t, runs);
 
-    quant::QConvLayer q(p, 0, /*use_vnni=*/true);
+    quant::QConvLayer q(p);
     const auto qin = quant::quantize_act(t.in);
     const auto qwt = quant::quantize_wt(t.wt);
     const auto qdout = quant::quantize_act(t.dout);

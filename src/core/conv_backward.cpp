@@ -34,9 +34,6 @@
 #include <string>
 
 #include "core/conv_layer.hpp"
-#include "gemm/gemm.hpp"
-#include "jit/gemm_kernel_gen.hpp"
-#include "jit/verify/verifier.hpp"
 #include "tensor/transform.hpp"
 
 namespace xconv::core {
@@ -102,26 +99,15 @@ Item1x1 decode_1x1(std::int64_t it, int n_qb, int P, int cb) {
 }
 }  // namespace
 
-struct ConvLayer::BwdGemmPlan {
-  int qc = 0;      ///< main chunk of Q pixels per GEMM call
-  int q_rem = 0;   ///< remainder chunk
-  // JIT kernels (null on the scalar ISA, which runs gemm_blocked instead).
-  std::unique_ptr<jit::GemmKernel> main, rem;
-  int ldc = 0;
-};
-
-// Out-of-line: BwdGemmPlan must be complete where the destructor is emitted.
-ConvLayer::~ConvLayer() = default;
-
 void ConvLayer::setup_backward() {
   const ConvParams& p = params_;
+  auto& reg = kernels::KernelRegistry::instance();
 
   // The algorithm choice (shape-forced, Section II-I) and its blocking
   // extents come from the resolved plan.
   bwd_algo_ = plan_.bwd_algo;
 
   if (bwd_algo_ == BwdAlgo::kdot) {
-    auto& reg = kernels::KernelRegistry::instance();
     const int rb = plan_.bwd_kdot_rb;
     const int sh = p.stride_h, sw = p.stride_w;
     kdot_wp_.resize(static_cast<std::size_t>(kb_) * p.R * p.S * p.C * vlen_);
@@ -133,7 +119,7 @@ void ConvLayer::setup_backward() {
           const int width = rem ? ph.count % rb : (ph.count >= rb ? rb : 0);
           if (width == 0) continue;
           jit::KdotKernelDesc d;
-          d.isa = kernel_isa(opt_.isa);
+          d.isa = opt_.isa;
           d.vlen = vlen_;
           d.c = p.C;
           d.rb = width;
@@ -147,7 +133,7 @@ void ConvLayer::setup_backward() {
           d.do_row_stride = out_row_stride_;
           d.do_kb_stride = static_cast<int>(out_kb_stride_);
           d.di_px_stride = sw * vlen_;
-          kdot_variants_[(a * sw + b) * 2 + rem] = reg.kdot(d, backend_pref());
+          kdot_variants_[(a * sw + b) * 2 + rem] = reg.kdot(d);
         }
       }
     }
@@ -190,7 +176,6 @@ void ConvLayer::setup_backward() {
   }
 
   if (bwd_algo_ == BwdAlgo::duality_1x1_strided) {
-    auto& reg = kernels::KernelRegistry::instance();
     bwd1x1_rbq_ = plan_.bwd1x1_rbq;
     bwd1x1_qfull_ = p.Q() / bwd1x1_rbq_;
     bwd1x1_qrem_ = p.Q() % bwd1x1_rbq_;
@@ -198,7 +183,7 @@ void ConvLayer::setup_backward() {
     for (int qe = 0; qe < 2; ++qe) {
       if (qe == 1 && bwd1x1_qrem_ == 0) continue;
       jit::ConvKernelDesc d;
-      d.isa = kernel_isa(opt_.isa);
+      d.isa = opt_.isa;
       d.vlen = vlen_;
       d.rbp = 1;
       d.rbq = qe ? bwd1x1_qrem_ : bwd1x1_rbq_;
@@ -214,37 +199,26 @@ void ConvLayer::setup_backward() {
         d.wt_cb_stride = vlen_ * vlen_;
       }
       d.beta0 = true;
-      bwd1x1_variants_.push_back(reg.conv(d, backend_pref()));
+      bwd1x1_variants_.push_back(reg.conv(d));
     }
     return;
   }
 
-  bwd_gemm_ = std::make_shared<BwdGemmPlan>();
-  bwd_gemm_->qc = plan_.bwd_gemm_qc;
-  bwd_gemm_->q_rem = p.Q() % bwd_gemm_->qc;
-  bwd_gemm_->ldc = p.stride_w * vlen_;
-  if (opt_.isa != platform::Isa::scalar &&
-      vlen_ == platform::vlen_fp32(opt_.isa)) {
-    jit::GemmKernelDesc g;
-    g.isa = opt_.isa;
-    g.vlen = vlen_;
-    g.k = vlen_;
-    g.lda = vlen_;
-    g.ldb = vlen_;
-    g.ldc = bwd_gemm_->ldc;
-    g.beta0 = false;
-    g.n = bwd_gemm_->qc;
-    bwd_gemm_->main = jit::generate_gemm_kernel(g);
-    jit::verify::maybe_verify(jit::verify::contract_for(g),
-                              bwd_gemm_->main->code(),
-                              bwd_gemm_->main->code_size(), g.key());
-    if (bwd_gemm_->q_rem > 0) {
-      g.n = bwd_gemm_->q_rem;
-      bwd_gemm_->rem = jit::generate_gemm_kernel(g);
-      jit::verify::maybe_verify(jit::verify::contract_for(g),
-                                bwd_gemm_->rem->code(),
-                                bwd_gemm_->rem->code_size(), g.key());
-    }
+  bwd_gemm_qc_ = plan_.bwd_gemm_qc;
+  bwd_gemm_qrem_ = p.Q() % bwd_gemm_qc_;
+  jit::GemmKernelDesc g;
+  g.isa = opt_.isa;
+  g.vlen = vlen_;
+  g.k = vlen_;
+  g.lda = vlen_;
+  g.ldb = vlen_;
+  g.ldc = p.stride_w * vlen_;
+  g.beta0 = false;
+  g.n = bwd_gemm_qc_;
+  bwd_gemm_kernels_[0] = reg.gemm(g);
+  if (bwd_gemm_qrem_ > 0) {
+    g.n = bwd_gemm_qrem_;
+    bwd_gemm_kernels_[1] = reg.gemm(g);
   }
 }
 
@@ -469,9 +443,7 @@ void ConvLayer::backward_gemm(const tensor::ActTensor& grad_out,
                               const tensor::WtTensor& bwd_wt,
                               tensor::ActTensor& grad_in) {
   const ConvParams& p = params_;
-  const BwdGemmPlan& plan = *bwd_gemm_;
-  const int n_chunks =
-      p.Q() / plan.qc + (plan.q_rem > 0 ? 1 : 0);
+  const int n_chunks = p.Q() / bwd_gemm_qc_ + (bwd_gemm_qrem_ > 0 ? 1 : 0);
 
   // dI rows overlap across oj when stride < R, so parallelism stays at
   // (n, cb) granularity: each item owns a full dI feature-map plane, which
@@ -490,21 +462,13 @@ void ConvLayer::backward_gemm(const tensor::ActTensor& grad_out,
           for (int s = 0; s < p.S; ++s) {
             const float* a = bwd_wt.at(cbi, kbi, p.R - 1 - r, p.S - 1 - s);
             for (int ch = 0; ch < n_chunks; ++ch) {
-              const int oi0 = ch * plan.qc;
-              const bool is_rem =
-                  (plan.q_rem > 0 && ch == n_chunks - 1);
-              const int rows = is_rem ? plan.q_rem : plan.qc;
+              const int oi0 = ch * bwd_gemm_qc_;
+              const bool is_rem = bwd_gemm_qrem_ > 0 && ch == n_chunks - 1;
               const float* b = grad_out.at(n, kbi, oj, oi0);
               float* c = grad_in.at_padded(
                   n, cbi, ij + r + in_shift_h_,
                   oi0 * p.stride_w + s + in_shift_w_);
-              if (plan.main != nullptr) {
-                const auto& k = is_rem ? *plan.rem : *plan.main;
-                k(b, a, c);
-              } else {
-                gemm::gemm_blocked(vlen_, rows, vlen_, a, vlen_, b, vlen_, c,
-                                   plan.ldc);
-              }
+              bwd_gemm_kernels_[is_rem ? 1 : 0]->run(b, a, c);
             }
           }
         }

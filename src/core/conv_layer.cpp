@@ -45,11 +45,6 @@ ConvLayer::ConvLayer(const ConvParams& params, const ConvOptions& opt)
   }
 }
 
-kernels::BackendPref ConvLayer::backend_pref() const {
-  return opt_.isa == platform::Isa::scalar ? kernels::BackendPref::scalar
-                                           : kernels::BackendPref::auto_pick;
-}
-
 void ConvLayer::choose_blocking() {
   const ConvParams& p = params_;
   const int P = p.P(), Q = p.Q();
@@ -138,7 +133,7 @@ void ConvLayer::build_fwd_variants() {
           if (rl == 1 && !last_pass_kernel) continue;
 
           jit::ConvKernelDesc d;
-          d.isa = kernel_isa(opt_.isa);
+          d.isa = opt_.isa;
           d.vlen = vlen_;
           d.rbp = rbp;
           d.rbq = rbq;
@@ -159,7 +154,7 @@ void ConvLayer::build_fwd_variants() {
           d.beta0 = (b0 == 1);
           d.fuse_relu = (rl == 1);
 
-          fwd_variants_.push_back(reg.conv(d, backend_pref()));
+          fwd_variants_.push_back(reg.conv(d));
           fwd_vmap_[vmap_index(pe, qe, b0, rl)] =
               static_cast<int>(fwd_variants_.size() - 1);
         }

@@ -82,7 +82,6 @@ struct ConvOptions {
 class ConvLayer {
  public:
   explicit ConvLayer(const ConvParams& params, const ConvOptions& opt = {});
-  ~ConvLayer();
   ConvLayer(const ConvLayer&) = delete;
   ConvLayer& operator=(const ConvLayer&) = delete;
 
@@ -164,9 +163,6 @@ class ConvLayer {
   void build_fwd_variants();
   void setup_backward();
   void setup_update();
-  /// Registry request for this layer's kernels: scalar exactly when the
-  /// ISA is scalar. Descriptors are stamped with kernel_isa(opt_.isa).
-  kernels::BackendPref backend_pref() const;
 
   // Dryrun recorders (Section II-H): each walks its pass's loop nest once
   // and records the per-thread kernel streams every call then replays.
@@ -234,10 +230,6 @@ class ConvLayer {
   std::unique_ptr<ConvLayer> bwd_layer_;   ///< dual layer (duality paths)
   /// backward()'s transform target; empty until its first call.
   tensor::WtTensor bwd_wt_;
-  struct BwdGemmPlan;
-  // shared_ptr: the deleter is bound where the type is complete
-  // (conv_backward.cpp), keeping the plan out of this header.
-  std::shared_ptr<BwdGemmPlan> bwd_gemm_;  ///< Algorithm-7 fallback plan
 
   // update
   UpdStrategy upd_strategy_ = UpdStrategy::task;
@@ -270,6 +262,12 @@ class ConvLayer {
   std::vector<const kernels::ConvMicrokernel*> bwd1x1_variants_;
   int bwd1x1_rbq_ = 0, bwd1x1_qfull_ = 0, bwd1x1_qrem_ = 0;
   std::vector<KernelStream> bwd1x1_streams_;  ///< one per thread
+
+  // backward GEMM fallback (Algorithm 7): Q in chunks of bwd_gemm_qc_
+  // pixels, the last one bwd_gemm_qrem_ wide when Q % qc != 0;
+  // (is_rem) -> kernel.
+  std::array<const kernels::GemmMicrokernel*, 2> bwd_gemm_kernels_{};
+  int bwd_gemm_qc_ = 0, bwd_gemm_qrem_ = 0;
 };
 
 }  // namespace xconv::core

@@ -78,7 +78,7 @@ void ConvLayer::setup_update() {
         if (bq == 0) continue;
         for (int b0 = 0; b0 < 2; ++b0) {
           jit::UpdKernelDesc d;
-          d.isa = kernel_isa(opt_.isa);
+          d.isa = opt_.isa;
           d.vlen = vlen_;
           d.bp = bp;
           d.bq = bq;
@@ -88,7 +88,7 @@ void ConvLayer::setup_update() {
           d.out_row_stride = out_row_stride_;
           d.beta0 = (b0 == 1);
           d.cmin = ce ? upd_c_rem_ : 0;
-          upd_variants_.push_back(reg.upd(d, backend_pref()));
+          upd_variants_.push_back(reg.upd(d));
           upd_vmap_[upd_vmap_index(ce, pe, qe, b0)] =
               static_cast<int>(upd_variants_.size() - 1);
         }
@@ -127,7 +127,7 @@ void ConvLayer::setup_update() {
       upd_strategy_ == UpdStrategy::minibatch ? threads_ : upd_groups_;
   if (red_copies >= 2 && plan_.upd_reduce_jit) {
     jit::ReduceKernelDesc rd;
-    rd.isa = kernel_isa(opt_.isa);
+    rd.isa = opt_.isa;
     rd.vlen = vlen_;
     rd.copies = red_copies;
     rd.copy_stride = static_cast<std::int64_t>(upd_dw_size_);
@@ -136,7 +136,7 @@ void ConvLayer::setup_update() {
         (static_cast<std::int64_t>(red_copies - 1) * rd.copy_stride +
          static_cast<std::int64_t>(rd.unroll) * vlen_) *
         4;
-    if (span <= INT32_MAX) upd_reduce_ = reg.reduce(rd, backend_pref());
+    if (span <= INT32_MAX) upd_reduce_ = reg.reduce(rd);
   }
 }
 

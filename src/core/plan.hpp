@@ -119,9 +119,10 @@ const char* upd_loop_order_name(UpdLoopOrder o);
 
 struct PlanKey;
 
-/// The ISA a layer's kernels are generated for: Isa::scalar runs scalar
-/// kernels that emulate the avx512-shaped (vlen 16) ones, so register
-/// budgets are quoted for avx512.
+/// The ISA whose register budgets a plan's blocking is quoted for:
+/// Isa::scalar runs scalar kernels that emulate the avx512-shaped (vlen 16)
+/// ones, so its budgets are avx512's. Kernel descriptors carry the layer's
+/// own ISA; the registry picks their backend from it.
 platform::Isa kernel_isa(platform::Isa isa);
 
 /// The complete set of planning decisions for one ConvLayer. Execution

@@ -14,9 +14,10 @@
 //   * gemm_ref      — naive triple loop; correctness oracle and the paper's
 //                     "autovec" baseline (compiler auto-vectorization only).
 //   * gemm_blocked  — hand-blocked, OpenMP-SIMD inner loops; the compiled
-//                     "libxsmm-flavor" engine used by baselines and by the
-//                     Algorithm-7 backward fallback.
-//   * jit::GemmKernelGenerator (src/jit) — runtime-emitted AVX code.
+//                     "libxsmm-flavor" engine used by baselines and as the
+//                     registry's scalar gemm kernel (Algorithm-7 backward
+//                     fallback on Isa::scalar).
+//   * jit::generate_gemm_kernel (src/jit) — runtime-emitted AVX code.
 #pragma once
 
 #include <cstdint>

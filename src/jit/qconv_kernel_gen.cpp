@@ -6,6 +6,20 @@
 
 #include "jit/assembler.hpp"
 
+namespace xconv::quant {
+
+std::string QKernelDesc::key() const {
+  std::ostringstream os;
+  os << "qconv/" << platform::isa_name(isa) << "/v" << vlen << "/rbq" << rbq
+     << "/f" << r << "x" << s << "/st" << stride_h << "x" << stride_w
+     << "/irs" << in_row_stride << "/ocs" << out_col_stride << "/c2"
+     << c2_iters << "/cb" << c_blocks << "." << in_cb_stride << "."
+     << wt_cb_stride << "/fl" << flush_interval << (beta0 ? "/b0" : "/b1");
+  return os.str();
+}
+
+}  // namespace xconv::quant
+
 namespace xconv::jit {
 
 namespace {
@@ -14,16 +28,6 @@ constexpr Gpr kWt = Gpr::rsi;     // int16 weight base (pair-interleaved)
 constexpr Gpr kOut = Gpr::rdx;    // fp32 output base
 constexpr Gpr kScale = Gpr::rcx;  // const float* scale
 }  // namespace
-
-std::string qconv_desc_key(const quant::QKernelDesc& d) {
-  std::ostringstream os;
-  os << "qconv/v" << d.vlen << "/rbq" << d.rbq << "/f" << d.r << "x" << d.s
-     << "/st" << d.stride_h << "x" << d.stride_w << "/irs" << d.in_row_stride
-     << "/ocs" << d.out_col_stride << "/c2" << d.c2_iters << "/cb"
-     << d.c_blocks << "." << d.in_cb_stride << "." << d.wt_cb_stride << "/fl"
-     << d.flush_interval << (d.beta0 ? "/b0" : "/b1");
-  return os.str();
-}
 
 QConvKernel::QConvKernel(quant::QKernelDesc desc, CodeBuffer buf)
     : desc_(desc), buf_(std::move(buf)), fn_(buf_.entry<qconv_fn>()) {}

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "jit/code_buffer.hpp"
 #include "platform/cpu.hpp"
@@ -47,11 +46,9 @@ class QConvKernel {
   qconv_fn fn_;
 };
 
-/// Cache key for a descriptor (QConvLayer caches generated kernels).
-std::string qconv_desc_key(const quant::QKernelDesc& d);
-
 /// Emit and finalize an int16 forward microkernel. Requires AVX512-VNNI on
-/// the host (call sites gate on platform::max_isa()). Throws
+/// the host (kernels::KernelRegistry::qconv generates only for a
+/// desc.isa of avx512_vnni the host supports). Throws
 /// std::invalid_argument for unsupported descriptors (vlen != 16, rbq > 13).
 std::unique_ptr<QConvKernel> generate_qconv_kernel(
     const quant::QKernelDesc& desc);

@@ -31,10 +31,10 @@
 //                  At `ret`, the abstract stack must be empty and
 //                  rbx/rbp/r12..r15 (and rsp) must hold their entry values.
 //
-// Wired into kernel construction (KernelRegistry wrappers, the backward
-// GEMM site, QConvLayer) behind XCONV_VERIFY_JIT — on by default in Debug
-// builds, opt-in (CI) for Release. Verification runs once per generated
-// kernel at insert time; steady-state dispatch cost is zero.
+// Wired into kernel construction (the KernelRegistry's JIT wrappers, the
+// only place kernels are generated) behind XCONV_VERIFY_JIT — on by default
+// in Debug builds, opt-in (CI) for Release. Verification runs once per
+// generated kernel at insert time; steady-state dispatch cost is zero.
 #pragma once
 
 #include <cstddef>

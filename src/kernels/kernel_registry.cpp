@@ -1,7 +1,6 @@
 #include "kernels/kernel_registry.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "jit/verify/verifier.hpp"
 #include "quant/quantize.hpp"
@@ -167,6 +166,40 @@ class JitCodecKernel final : public CodecMicrokernel {
   std::unique_ptr<jit::CodecKernel> k_;
 };
 
+class JitQConvKernel final : public QConvMicrokernel {
+ public:
+  explicit JitQConvKernel(const quant::QKernelDesc& d)
+      : QConvMicrokernel(d), k_(jit::generate_qconv_kernel(d)) {
+    verified(k_, d);
+  }
+
+  void run(const std::int16_t* in, const std::int16_t* wt, float* out,
+           float scale) const override {
+    (*k_)(in, wt, out, scale);
+  }
+  Backend backend() const override { return Backend::jit; }
+
+ private:
+  std::unique_ptr<jit::QConvKernel> k_;
+};
+
+class JitGemmKernel final : public GemmMicrokernel {
+ public:
+  explicit JitGemmKernel(const jit::GemmKernelDesc& d)
+      : GemmMicrokernel(d), k_(jit::generate_gemm_kernel(d)) {
+    verified(k_, d);
+  }
+
+  void run(const float* b, const float* a, float* c) const override {
+    (*k_)(b, a, c);
+  }
+  Backend backend() const override { return Backend::jit; }
+
+ private:
+  std::unique_ptr<jit::GemmKernel> k_;
+};
+
+// The ISAs the conv/upd/reduce/kdot/gemm generators emit for.
 bool isa_is_simd(platform::Isa isa) {
   return isa == platform::Isa::avx2 || isa == platform::Isa::avx512 ||
          isa == platform::Isa::avx512_vnni;
@@ -174,95 +207,6 @@ bool isa_is_simd(platform::Isa isa) {
 
 bool host_supports(platform::Isa isa) {
   return static_cast<int>(platform::max_isa()) >= static_cast<int>(isa);
-}
-
-std::unique_ptr<ConvMicrokernel> build_conv(const jit::ConvKernelDesc& d,
-                                            BackendPref pref) {
-  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return std::make_unique<JitConvKernel>(d);
-    case BackendPref::scalar:
-      return make_conv_scalar(d);
-    case BackendPref::auto_pick:
-      break;
-  }
-  if (simd_ok) return std::make_unique<JitConvKernel>(d);
-  return make_conv_scalar(d);
-}
-
-std::unique_ptr<UpdMicrokernel> build_upd(const jit::UpdKernelDesc& d,
-                                          BackendPref pref) {
-  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return std::make_unique<JitUpdKernel>(d);
-    case BackendPref::scalar:
-      return make_upd_scalar(d);
-    case BackendPref::auto_pick:
-      break;
-  }
-  if (simd_ok) return std::make_unique<JitUpdKernel>(d);
-  return make_upd_scalar(d);
-}
-
-std::unique_ptr<ReduceMicrokernel> build_reduce(const jit::ReduceKernelDesc& d,
-                                                BackendPref pref) {
-  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return make_reduce_jit(d);
-    case BackendPref::scalar:
-      return make_reduce_scalar(d);
-    case BackendPref::auto_pick:
-      break;
-  }
-  if (simd_ok) return make_reduce_jit(d);
-  return make_reduce_scalar(d);
-}
-
-std::unique_ptr<KdotMicrokernel> build_kdot(const jit::KdotKernelDesc& d,
-                                            BackendPref pref) {
-  const bool simd_ok = isa_is_simd(d.isa) && host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return make_kdot_jit(d);
-    case BackendPref::scalar:
-      return make_kdot_scalar(d);
-    case BackendPref::auto_pick:
-      break;
-  }
-  if (simd_ok) return make_kdot_jit(d);
-  return make_kdot_scalar(d);
-}
-
-std::unique_ptr<CodecMicrokernel> build_codec(const jit::CodecKernelDesc& d,
-                                              BackendPref pref) {
-  // Codec generation is avx512-only (validate() rejects avx2), so the
-  // SIMD gate is stricter than for conv/upd.
-  const bool simd_ok = (d.isa == platform::Isa::avx512 ||
-                        d.isa == platform::Isa::avx512_vnni) &&
-                       host_supports(d.isa);
-  switch (pref) {
-    case BackendPref::jit:
-      if (!simd_ok)
-        throw std::invalid_argument("JIT backend needs a SIMD ISA the host supports");
-      return make_codec_jit(d);
-    case BackendPref::scalar:
-      return make_codec_scalar(d);
-    case BackendPref::auto_pick:
-      break;
-  }
-  if (simd_ok) return make_codec_jit(d);
-  return make_codec_scalar(d);
 }
 
 }  // namespace
@@ -287,101 +231,75 @@ KernelRegistry& KernelRegistry::instance() {
 // are immutable and returned pointers stay valid for the process lifetime
 // because entries are never erased. The two-phase locking is written out
 // inline (rather than through a helper taking the guarded map by reference)
-// so thread-safety analysis can see both critical sections.
-const ConvMicrokernel* KernelRegistry::conv(const jit::ConvKernelDesc& desc,
-                                            BackendPref pref) {
-  const std::string key =
-      desc.key() + "#" + std::to_string(static_cast<int>(pref));
+// so thread-safety analysis can see both critical sections. The downcasts are
+// safe because each family's keys carry its own prefix.
+template <class Kernel, class Desc>
+const Kernel* KernelRegistry::resolve(
+    const Desc& desc, bool jit_isa,
+    std::unique_ptr<Kernel> (*make_jit)(const Desc&),
+    std::unique_ptr<Kernel> (*make_scalar)(const Desc&)) {
+  const std::string key = desc.key();
   {
     const platform::MutexLock lock(mu_);
-    auto it = conv_.find(key);
-    if (it != conv_.end()) {
+    auto it = kernels_.find(key);
+    if (it != kernels_.end()) {
       ++stats_.hits;
-      return it->second.get();
+      return static_cast<const Kernel*>(it->second.get());
     }
     ++stats_.misses;
   }
-  auto built = build_conv(desc, pref);  // may throw; cache stays untouched
+  // May throw; the cache stays untouched.
+  std::unique_ptr<Kernel> built = jit_isa && host_supports(desc.isa)
+                                      ? make_jit(desc)
+                                      : make_scalar(desc);
   const platform::MutexLock lock(mu_);
-  return conv_.emplace(key, std::move(built)).first->second.get();
+  return static_cast<const Kernel*>(
+      kernels_.emplace(key, std::move(built)).first->second.get());
 }
 
-const UpdMicrokernel* KernelRegistry::upd(const jit::UpdKernelDesc& desc,
-                                          BackendPref pref) {
-  const std::string key =
-      desc.key() + "#" + std::to_string(static_cast<int>(pref));
-  {
-    const platform::MutexLock lock(mu_);
-    auto it = upd_.find(key);
-    if (it != upd_.end()) {
-      ++stats_.hits;
-      return it->second.get();
-    }
-    ++stats_.misses;
-  }
-  auto built = build_upd(desc, pref);  // may throw; cache stays untouched
-  const platform::MutexLock lock(mu_);
-  return upd_.emplace(key, std::move(built)).first->second.get();
+const ConvMicrokernel* KernelRegistry::conv(const jit::ConvKernelDesc& desc) {
+  return resolve(desc, isa_is_simd(desc.isa), &make_conv_jit,
+                 &make_conv_scalar);
+}
+
+const UpdMicrokernel* KernelRegistry::upd(const jit::UpdKernelDesc& desc) {
+  return resolve(desc, isa_is_simd(desc.isa), &make_upd_jit, &make_upd_scalar);
 }
 
 const ReduceMicrokernel* KernelRegistry::reduce(
-    const jit::ReduceKernelDesc& desc, BackendPref pref) {
-  const std::string key =
-      desc.key() + "#" + std::to_string(static_cast<int>(pref));
-  {
-    const platform::MutexLock lock(mu_);
-    auto it = reduce_.find(key);
-    if (it != reduce_.end()) {
-      ++stats_.hits;
-      return it->second.get();
-    }
-    ++stats_.misses;
-  }
-  auto built = build_reduce(desc, pref);  // may throw; cache stays untouched
-  const platform::MutexLock lock(mu_);
-  return reduce_.emplace(key, std::move(built)).first->second.get();
+    const jit::ReduceKernelDesc& desc) {
+  return resolve(desc, isa_is_simd(desc.isa), &make_reduce_jit,
+                 &make_reduce_scalar);
 }
 
-const KdotMicrokernel* KernelRegistry::kdot(const jit::KdotKernelDesc& desc,
-                                            BackendPref pref) {
-  const std::string key =
-      desc.key() + "#" + std::to_string(static_cast<int>(pref));
-  {
-    const platform::MutexLock lock(mu_);
-    auto it = kdot_.find(key);
-    if (it != kdot_.end()) {
-      ++stats_.hits;
-      return it->second.get();
-    }
-    ++stats_.misses;
-  }
-  auto built = build_kdot(desc, pref);  // may throw; cache stays untouched
-  const platform::MutexLock lock(mu_);
-  return kdot_.emplace(key, std::move(built)).first->second.get();
+const KdotMicrokernel* KernelRegistry::kdot(const jit::KdotKernelDesc& desc) {
+  return resolve(desc, isa_is_simd(desc.isa), &make_kdot_jit,
+                 &make_kdot_scalar);
 }
 
-const CodecMicrokernel* KernelRegistry::codec(const jit::CodecKernelDesc& desc,
-                                              BackendPref pref) {
-  const std::string key =
-      desc.key() + "#" + std::to_string(static_cast<int>(pref));
-  {
-    const platform::MutexLock lock(mu_);
-    auto it = codec_.find(key);
-    if (it != codec_.end()) {
-      ++stats_.hits;
-      return it->second.get();
-    }
-    ++stats_.misses;
-  }
-  auto built = build_codec(desc, pref);  // may throw; cache stays untouched
-  const platform::MutexLock lock(mu_);
-  return codec_.emplace(key, std::move(built)).first->second.get();
+const CodecMicrokernel* KernelRegistry::codec(
+    const jit::CodecKernelDesc& desc) {
+  // Codec generation is avx512-only (validate() rejects avx2).
+  return resolve(desc,
+                 desc.isa == platform::Isa::avx512 ||
+                     desc.isa == platform::Isa::avx512_vnni,
+                 &make_codec_jit, &make_codec_scalar);
+}
+
+const QConvMicrokernel* KernelRegistry::qconv(const quant::QKernelDesc& desc) {
+  // The int16 generator emits vpdpwssd.
+  return resolve(desc, desc.isa == platform::Isa::avx512_vnni,
+                 &make_qconv_jit, &make_qconv_scalar);
+}
+
+const GemmMicrokernel* KernelRegistry::gemm(const jit::GemmKernelDesc& desc) {
+  return resolve(desc, isa_is_simd(desc.isa), &make_gemm_jit,
+                 &make_gemm_scalar);
 }
 
 std::size_t KernelRegistry::size() const {
   const platform::MutexLock lock(mu_);
-  return conv_.size() + upd_.size() + reduce_.size() + kdot_.size() +
-         codec_.size();
+  return kernels_.size();
 }
 
 KernelRegistry::Stats KernelRegistry::stats() const {
@@ -414,6 +332,14 @@ std::unique_ptr<KdotMicrokernel> make_kdot_jit(const jit::KdotKernelDesc& d) {
 std::unique_ptr<CodecMicrokernel> make_codec_jit(
     const jit::CodecKernelDesc& d) {
   return std::make_unique<JitCodecKernel>(d);
+}
+
+std::unique_ptr<QConvMicrokernel> make_qconv_jit(const quant::QKernelDesc& d) {
+  return std::make_unique<JitQConvKernel>(d);
+}
+
+std::unique_ptr<GemmMicrokernel> make_gemm_jit(const jit::GemmKernelDesc& d) {
+  return std::make_unique<JitGemmKernel>(d);
 }
 
 }  // namespace xconv::kernels

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -22,37 +21,31 @@
 
 namespace xconv::kernels {
 
-/// Preferred backend resolution: `auto_pick` = JIT when the descriptor's
-/// ISA is a SIMD ISA the host supports, otherwise scalar. Explicit values
-/// force a family (ConvLayer asks for `scalar` on Isa::scalar; tests compare
-/// JIT against it).
-enum class BackendPref { auto_pick, jit, scalar };
-
+/// Resolves every family's descriptor to its cached microkernel. The backend
+/// follows from the descriptor's ISA: JIT exactly when `desc.isa` is a SIMD
+/// ISA the family's generator accepts and the host supports, scalar
+/// otherwise (Isa::scalar always resolves the scalar reference).
 class KernelRegistry {
  public:
   /// Process-wide instance.
   static KernelRegistry& instance();
 
-  /// Resolve a forward microkernel. For Backend::scalar any vlen is accepted;
-  /// JIT requires the desc's ISA/vlen pairing to be valid.
-  const ConvMicrokernel* conv(const jit::ConvKernelDesc& desc,
-                              BackendPref pref = BackendPref::auto_pick);
-
-  /// Resolve a weight-update microkernel.
-  const UpdMicrokernel* upd(const jit::UpdKernelDesc& desc,
-                            BackendPref pref = BackendPref::auto_pick);
-
-  /// Resolve a dW reduce-epilogue microkernel.
-  const ReduceMicrokernel* reduce(const jit::ReduceKernelDesc& desc,
-                                  BackendPref pref = BackendPref::auto_pick);
-
-  /// Resolve a k-dot backward microkernel (C < VLEN layers).
-  const KdotMicrokernel* kdot(const jit::KdotKernelDesc& desc,
-                              BackendPref pref = BackendPref::auto_pick);
-
-  /// Resolve a gradient-codec microkernel.
-  const CodecMicrokernel* codec(const jit::CodecKernelDesc& desc,
-                                BackendPref pref = BackendPref::auto_pick);
+  /// Forward convolution (also the strided-1x1 backward). JIT on
+  /// avx2/avx512/avx512_vnni.
+  const ConvMicrokernel* conv(const jit::ConvKernelDesc& desc);
+  /// Weight-update microkernel. JIT on avx2/avx512/avx512_vnni.
+  const UpdMicrokernel* upd(const jit::UpdKernelDesc& desc);
+  /// dW reduce epilogue. JIT on avx2/avx512/avx512_vnni.
+  const ReduceMicrokernel* reduce(const jit::ReduceKernelDesc& desc);
+  /// k-dot backward (C < VLEN layers). JIT on avx2/avx512/avx512_vnni.
+  const KdotMicrokernel* kdot(const jit::KdotKernelDesc& desc);
+  /// Gradient-codec hot loop. JIT on avx512/avx512_vnni.
+  const CodecMicrokernel* codec(const jit::CodecKernelDesc& desc);
+  /// Int16 forward block. JIT on avx512_vnni.
+  const QConvMicrokernel* qconv(const quant::QKernelDesc& desc);
+  /// Small GEMM (Algorithm-7 backward fallback). JIT on
+  /// avx2/avx512/avx512_vnni.
+  const GemmMicrokernel* gemm(const jit::GemmKernelDesc& desc);
 
   /// Number of distinct kernels JIT'ed/instantiated so far (for tests and
   /// the "kernels generated" statistics the benches print).
@@ -73,19 +66,22 @@ class KernelRegistry {
 
  private:
   KernelRegistry() = default;
-  // Guards the cache maps only. Kernel *construction* (JIT compile) runs
-  // outside the lock — see conv()/upd() — so the returned pointers are the
-  // unguarded, immutable payloads; the maps holding them are the shared state.
+
+  /// The one resolve sequence every family runs: cached kernel for
+  /// `desc.key()`, else `make_jit(desc)` when `jit_isa` and the host supports
+  /// desc.isa, else `make_scalar(desc)`.
+  template <class Kernel, class Desc>
+  const Kernel* resolve(const Desc& desc, bool jit_isa,
+                        std::unique_ptr<Kernel> (*make_jit)(const Desc&),
+                        std::unique_ptr<Kernel> (*make_scalar)(const Desc&));
+
+  // Guards the cache map only. Kernel *construction* (JIT compile) runs
+  // outside the lock — see resolve() — so the returned pointers are the
+  // unguarded, immutable payloads; the map holding them is the shared state.
+  // The families' key prefixes (conv/, upd/, red/, kdot/, codec/, qconv/,
+  // gemm/) keep them apart in one map.
   mutable platform::Mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<ConvMicrokernel>> conv_
-      XCONV_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::unique_ptr<UpdMicrokernel>> upd_
-      XCONV_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::unique_ptr<ReduceMicrokernel>> reduce_
-      XCONV_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::unique_ptr<KdotMicrokernel>> kdot_
-      XCONV_GUARDED_BY(mu_);
-  std::unordered_map<std::string, std::unique_ptr<CodecMicrokernel>> codec_
+  std::unordered_map<std::string, std::unique_ptr<Microkernel>> kernels_
       XCONV_GUARDED_BY(mu_);
   Stats stats_ XCONV_GUARDED_BY(mu_);
 };
@@ -104,5 +100,9 @@ std::unique_ptr<KdotMicrokernel> make_kdot_jit(const jit::KdotKernelDesc&);
 std::unique_ptr<CodecMicrokernel> make_codec_scalar(
     const jit::CodecKernelDesc&);
 std::unique_ptr<CodecMicrokernel> make_codec_jit(const jit::CodecKernelDesc&);
+std::unique_ptr<QConvMicrokernel> make_qconv_scalar(const quant::QKernelDesc&);
+std::unique_ptr<QConvMicrokernel> make_qconv_jit(const quant::QKernelDesc&);
+std::unique_ptr<GemmMicrokernel> make_gemm_scalar(const jit::GemmKernelDesc&);
+std::unique_ptr<GemmMicrokernel> make_gemm_jit(const jit::GemmKernelDesc&);
 
 }  // namespace xconv::kernels

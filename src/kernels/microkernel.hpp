@@ -2,6 +2,8 @@
 // call microkernels through this interface so the same driver runs:
 //   * the runtime-JIT'ed kernels (the paper's contribution), and
 //   * scalar kernels (correctness oracle, any vlen).
+// Every handle derives from `Microkernel`, so the registry keeps all
+// families in one cache.
 #pragma once
 
 #include <memory>
@@ -9,7 +11,9 @@
 
 #include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
+#include "jit/gemm_kernel_gen.hpp"
 #include "jit/kdot_kernel_gen.hpp"
+#include "jit/qconv_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
 
 namespace xconv::kernels {
@@ -19,15 +23,26 @@ enum class Backend { jit, scalar };
 
 const char* backend_name(Backend b);
 
+/// Common base of every microkernel handle: the registry owns kernels of all
+/// families through it.
+class Microkernel {
+ public:
+  virtual ~Microkernel() = default;
+  Microkernel(const Microkernel&) = delete;
+  Microkernel& operator=(const Microkernel&) = delete;
+  virtual Backend backend() const = 0;
+
+ protected:
+  Microkernel() = default;
+};
+
 /// Forward-convolution microkernel handle (see jit/conv_kernel_gen.hpp for
 /// the computation one invocation performs).
-class ConvMicrokernel {
+class ConvMicrokernel : public Microkernel {
  public:
-  virtual ~ConvMicrokernel() = default;
   virtual void run(const float* in, const float* wt, float* out,
                    const float* pf_in, const float* pf_wt,
                    const float* pf_out) const = 0;
-  virtual Backend backend() const = 0;
   const jit::ConvKernelDesc& desc() const { return desc_; }
 
  protected:
@@ -36,13 +51,11 @@ class ConvMicrokernel {
 };
 
 /// Weight-update microkernel handle (see jit/upd_kernel_gen.hpp).
-class UpdMicrokernel {
+class UpdMicrokernel : public Microkernel {
  public:
-  virtual ~UpdMicrokernel() = default;
   virtual void run(const float* in, const float* dout, float* dw,
                    const float* pf_in, const float* pf_dout,
                    const float* pf_dw) const = 0;
-  virtual Backend backend() const = 0;
   const jit::UpdKernelDesc& desc() const { return desc_; }
 
  protected:
@@ -53,11 +66,9 @@ class UpdMicrokernel {
 /// k-dot backward handle for C < VLEN layers (see jit/kdot_kernel_gen.hpp):
 /// desc().rb dI pixels of one row and column phase from dO and the packed
 /// k-vector weights.
-class KdotMicrokernel {
+class KdotMicrokernel : public Microkernel {
  public:
-  virtual ~KdotMicrokernel() = default;
   virtual void run(const float* dout, const float* wp, float* din) const = 0;
-  virtual Backend backend() const = 0;
   const jit::KdotKernelDesc& desc() const { return desc_; }
 
  protected:
@@ -71,16 +82,41 @@ class KdotMicrokernel {
 /// range; copies sit desc().copy_stride elements apart from `src`. The JIT
 /// backend runs full unroll*vlen chunks through generated code and finishes
 /// the tail with the scalar loop.
-class ReduceMicrokernel {
+class ReduceMicrokernel : public Microkernel {
  public:
-  virtual ~ReduceMicrokernel() = default;
   virtual void run(const float* src, float* dst, std::int64_t n) const = 0;
-  virtual Backend backend() const = 0;
   const jit::ReduceKernelDesc& desc() const { return desc_; }
 
  protected:
   explicit ReduceMicrokernel(const jit::ReduceKernelDesc& d) : desc_(d) {}
   jit::ReduceKernelDesc desc_;
+};
+
+/// Int16 forward-convolution handle (see jit/qconv_kernel_gen.hpp):
+/// desc().rbq output pixels of one row, int32 accumulation flushed into fp32
+/// scaled by `scale`. The scalar backend is quant::qconv_block_scalar.
+class QConvMicrokernel : public Microkernel {
+ public:
+  virtual void run(const std::int16_t* in, const std::int16_t* wt, float* out,
+                   float scale) const = 0;
+  const quant::QKernelDesc& desc() const { return desc_; }
+
+ protected:
+  explicit QConvMicrokernel(const quant::QKernelDesc& d) : desc_(d) {}
+  quant::QKernelDesc desc_;
+};
+
+/// Small-GEMM handle (see jit/gemm_kernel_gen.hpp): C(n x vlen) (+)= B(n x k)
+/// * A(k x vlen). The scalar backend is gemm::gemm_blocked (or its beta=0
+/// twin).
+class GemmMicrokernel : public Microkernel {
+ public:
+  virtual void run(const float* b, const float* a, float* c) const = 0;
+  const jit::GemmKernelDesc& desc() const { return desc_; }
+
+ protected:
+  explicit GemmMicrokernel(const jit::GemmKernelDesc& d) : desc_(d) {}
+  jit::GemmKernelDesc desc_;
 };
 
 /// One codec kernel invocation: operand pointers for the op in desc().op
@@ -102,11 +138,9 @@ struct CodecCall {
 /// Gradient-codec hot-loop handle. run() returns the compress-store element
 /// count for topk_compress and 0 for every other op. Backends are
 /// bitwise-identical by construction (the JIT tail reuses the scalar span).
-class CodecMicrokernel {
+class CodecMicrokernel : public Microkernel {
  public:
-  virtual ~CodecMicrokernel() = default;
   virtual std::int64_t run(const CodecCall& call) const = 0;
-  virtual Backend backend() const = 0;
   const jit::CodecKernelDesc& desc() const { return desc_; }
 
  protected:

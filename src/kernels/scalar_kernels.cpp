@@ -7,6 +7,7 @@
 #include <limits>
 #include <vector>
 
+#include "gemm/gemm.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "quant/bfloat16.hpp"
 #include "quant/quantize.hpp"
@@ -167,6 +168,31 @@ class ScalarCodecKernel final : public CodecMicrokernel {
   Backend backend() const override { return Backend::scalar; }
 };
 
+class ScalarQConvKernel final : public QConvMicrokernel {
+ public:
+  explicit ScalarQConvKernel(const quant::QKernelDesc& d)
+      : QConvMicrokernel(d) {}
+
+  void run(const std::int16_t* in, const std::int16_t* wt, float* out,
+           float scale) const override {
+    quant::qconv_block_scalar(desc_, in, wt, out, scale);
+  }
+  Backend backend() const override { return Backend::scalar; }
+};
+
+class ScalarGemmKernel final : public GemmMicrokernel {
+ public:
+  explicit ScalarGemmKernel(const jit::GemmKernelDesc& d)
+      : GemmMicrokernel(d) {}
+
+  void run(const float* b, const float* a, float* c) const override {
+    const auto& d = desc_;
+    (d.beta0 ? gemm::gemm_blocked_b0 : gemm::gemm_blocked)(
+        d.vlen, d.n, d.k, a, d.lda, b, d.ldb, c, d.ldc);
+  }
+  Backend backend() const override { return Backend::scalar; }
+};
+
 }  // namespace
 
 // Bitwise ground truth for the codec ops: the scalar backend runs them for
@@ -273,6 +299,16 @@ std::unique_ptr<KdotMicrokernel> make_kdot_scalar(
 std::unique_ptr<CodecMicrokernel> make_codec_scalar(
     const jit::CodecKernelDesc& d) {
   return std::make_unique<ScalarCodecKernel>(d);
+}
+
+std::unique_ptr<QConvMicrokernel> make_qconv_scalar(
+    const quant::QKernelDesc& d) {
+  return std::make_unique<ScalarQConvKernel>(d);
+}
+
+std::unique_ptr<GemmMicrokernel> make_gemm_scalar(
+    const jit::GemmKernelDesc& d) {
+  return std::make_unique<ScalarGemmKernel>(d);
 }
 
 }  // namespace xconv::kernels

@@ -86,20 +86,18 @@ void store(std::uint8_t* p, T v) {
   std::memcpy(p, &v, sizeof(T));
 }
 
-/// Resolve the kernel for a codec hot loop: the generated AVX-512 kernel on
-/// an AVX-512 host (after the XCONV_ISA clamp), else the scalar reference
-/// span (kernels::codec_scalar_span). Every generated kernel is
-/// bitwise-equal to that span (the per-op proofs live in
+/// Resolve the kernel for a codec hot loop at the effective ISA (after the
+/// XCONV_ISA clamp): the generated AVX-512 kernel on an AVX-512 host, else
+/// the scalar reference span (kernels::codec_scalar_span). Every generated
+/// kernel is bitwise-equal to that span (the per-op proofs live in
 /// jit/codec_kernel_gen.hpp), so the choice can never change a wire byte;
 /// XCONV_ISA=scalar (or avx2) runs the reference loops end to end.
 const kernels::CodecMicrokernel& codec_kernel(jit::CodecOp op) {
-  static const kernels::BackendPref pref =
-      platform::effective_isa() >= platform::Isa::avx512
-          ? kernels::BackendPref::auto_pick
-          : kernels::BackendPref::scalar;
+  static const platform::Isa isa = platform::effective_isa();
   jit::CodecKernelDesc d;
   d.op = op;
-  return *kernels::KernelRegistry::instance().codec(d, pref);
+  d.isa = isa;
+  return *kernels::KernelRegistry::instance().codec(d);
 }
 
 /// res[i] += src[i] over every segment — the error-feedback fold shared by

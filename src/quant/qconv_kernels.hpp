@@ -1,25 +1,31 @@
 // Int16 convolution block kernels (paper Section II-K): int16 x int16
 // products accumulated into int32 lanes (vpdpwssd semantics), flushed into an
 // fp32 accumulator every `flush_interval` channel-pair steps (the restricted
-// accumulation chain). The forward block runs JIT'ed on AVX512-VNNI hosts
-// (jit/qconv_kernel_gen.cpp) and the update block as VNNI intrinsics
-// (qconv_vnni.cpp, built only when the compiler supports it); each has a
+// accumulation chain). The forward block resolves through
+// kernels::KernelRegistry: JIT'ed (jit/qconv_kernel_gen.cpp) when the
+// descriptor's ISA is avx512_vnni and the host has it, else
+// qconv_block_scalar. The update block runs as VNNI intrinsics
+// (qconv_vnni.cpp, built only when the compiler supports it). Each has a
 // portable scalar twin (qconv_scalar.cpp) with bit-identical integer
 // arithmetic, so tests can require exact equality between the two.
 #pragma once
 
 #include <cstdint>
+#include <string>
+
+#include "platform/cpu.hpp"
 
 namespace xconv::quant {
 
 struct QKernelDesc {
+  /// JIT only on avx512_vnni (the generator emits vpdpwssd); any other ISA
+  /// resolves the scalar block.
+  platform::Isa isa = platform::Isa::avx512_vnni;
   int vlen = 16;           ///< output lanes (16 for AVX-512)
   int rbq = 1;             ///< output pixels accumulated in registers
   int r = 1, s = 1;
   int stride_w = 1, stride_h = 1;
   int in_row_stride = 0;   ///< int16 elements between input rows
-  int out_row_stride = 0;  ///< fp32 elements between output rows (unused,
-                           ///< kernels cover one row)
   int out_col_stride = 0;  ///< fp32 elements between output pixels; 0 = vlen
                            ///< (dense). > vlen scatters (strided 1x1 bwd).
   int c2_iters = 8;        ///< channel-pair steps per (r, s) tap (= vlen/2)
@@ -30,6 +36,9 @@ struct QKernelDesc {
                            ///< (restricted chain; 64 is overflow-safe
                            ///< at kQMax=1024: 64*2*2^20 < 2^31)
   bool beta0 = true;       ///< overwrite out (single-shot kernels)
+
+  /// Registry cache key (jit/qconv_kernel_gen.cpp).
+  std::string key() const;
 };
 
 /// out[q][k] (+)= scale * sum int16 products, for q in [0, rbq).

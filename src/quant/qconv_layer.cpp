@@ -6,37 +6,20 @@
 #include <stdexcept>
 
 #include "core/plan.hpp"
-#include "jit/verify/verifier.hpp"
-#include "platform/cpu.hpp"
+#include "kernels/kernel_registry.hpp"
 
 namespace xconv::quant {
 
-QConvLayer::QConvLayer(const core::ConvParams& p, int threads, bool use_vnni,
-                       int flush_interval)
-    : p_(p), flush_(flush_interval) {
+QConvLayer::QConvLayer(const core::ConvParams& p, int threads,
+                       platform::Isa isa, int flush_interval)
+    : p_(p), isa_(isa), flush_(flush_interval) {
   p_.validate();
   if (p_.C % 2 != 0 && p_.C > 16)
     throw std::invalid_argument("QConvLayer: odd channel counts unsupported");
   cb_ = tensor::ceil_div(p_.C, vlen_);
   kb_ = tensor::ceil_div(p_.K, vlen_);
   threads_ = threads > 0 ? threads : omp_get_max_threads();
-  if (use_vnni) {
-    // The JIT fwd kernel emits vpdpwssd; the scalar block covers other hosts.
-    use_jit_ = platform::max_isa() == platform::Isa::avx512_vnni;
-    vnni_upd_ = qupd_block_vnni();
-  }
-}
-
-const jit::QConvKernel* QConvLayer::jit_kernel(const QKernelDesc& d) {
-  const std::string key = jit::qconv_desc_key(d);
-  auto it = jit_cache_.find(key);
-  if (it == jit_cache_.end()) {
-    it = jit_cache_.emplace(key, jit::generate_qconv_kernel(d)).first;
-    const jit::QConvKernel& k = *it->second;
-    jit::verify::maybe_verify(jit::verify::contract_for(d), k.code(),
-                              k.code_size(), key);
-  }
-  return it->second.get();
+  if (isa_ == platform::Isa::avx512_vnni) vnni_upd_ = qupd_block_vnni();
 }
 
 void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
@@ -53,6 +36,7 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
   const float scale = qin.scale * qwt.scale;
 
   QKernelDesc d;
+  d.isa = isa_;
   d.vlen = v;
   d.r = p.R;
   d.s = p.S;
@@ -70,18 +54,14 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
   const int out_col = scatter_strided ? p_.stride_w * v : v;
   d.out_col_stride = out_col;
 
-  // Generate the JIT kernel variants outside the parallel region.
-  const jit::QConvKernel* jk_main = nullptr;
-  const jit::QConvKernel* jk_edge = nullptr;
-  if (use_jit_) {
-    QKernelDesc dm = d;
-    dm.rbq = rbq;
-    jk_main = jit_kernel(dm);
-    if (q_rem > 0) {
-      QKernelDesc de = d;
-      de.rbq = q_rem;
-      jk_edge = jit_kernel(de);
-    }
+  // Resolve the kernel variants outside the parallel region.
+  auto& reg = kernels::KernelRegistry::instance();
+  d.rbq = rbq;
+  const kernels::QConvMicrokernel* k_main = reg.qconv(d);
+  const kernels::QConvMicrokernel* k_edge = nullptr;
+  if (q_rem > 0) {
+    d.rbq = q_rem;
+    k_edge = reg.qconv(d);
   }
 
   const std::int64_t total =
@@ -98,8 +78,6 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
 
     const bool q_edge = (q_rem > 0 && qb == q_full);
     const int oi0 = std::min(qb, q_full) * rbq;
-    QKernelDesc dd = d;
-    dd.rbq = q_edge ? q_rem : rbq;
 
     const std::int16_t* inp =
         qin.at_padded(n, 0, oj * p.stride_h, oi0 * p.stride_w);
@@ -108,10 +86,7 @@ void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
                    ? out.at_padded(n, kbi, oj * p_.stride_h,
                                    oi0 * p_.stride_w)
                    : out.at(n, kbi, oj, oi0);
-    if (use_jit_)
-      (*(q_edge ? jk_edge : jk_main))(inp, wtp, o, scale);
-    else
-      qconv_block_scalar(dd, inp, wtp, o, scale);
+    (q_edge ? k_edge : k_main)->run(inp, wtp, o, scale);
   }
 }
 

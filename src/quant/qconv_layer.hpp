@@ -9,13 +9,8 @@
 // "transpose upfront" overhead the paper cites for KNM's 4FMA/4VNNIW.
 #pragma once
 
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
-
 #include "core/conv_params.hpp"
-#include "jit/qconv_kernel_gen.hpp"
+#include "platform/cpu.hpp"
 #include "quant/qconv_kernels.hpp"
 #include "quant/quantize.hpp"
 #include "tensor/layout.hpp"
@@ -24,11 +19,14 @@ namespace xconv::quant {
 
 class QConvLayer {
  public:
+  /// `isa` picks the kernels, as ConvOptions::isa does for ConvLayer: the
+  /// JIT'ed forward block and the VNNI update on avx512_vnni (when the host
+  /// has it), the scalar blocks otherwise.
   explicit QConvLayer(const core::ConvParams& p, int threads = 0,
-                      bool use_vnni = true, int flush_interval = 64);
+                      platform::Isa isa = platform::effective_isa(),
+                      int flush_interval = 64);
 
   const core::ConvParams& params() const { return p_; }
-  bool vnni_active() const { return use_jit_; }
 
   /// out (fp32 blocked, same geometry as ConvLayer::make_output) =
   /// conv(qin, qwt) * qin.scale * qwt.scale.
@@ -46,16 +44,12 @@ class QConvLayer {
 
  private:
   core::ConvParams p_;
+  platform::Isa isa_ = platform::Isa::scalar;
   int threads_ = 1;
   int vlen_ = 16;
   int cb_ = 1, kb_ = 1;
   int flush_ = 8;
   qupd_block_fn vnni_upd_ = nullptr;
-  bool use_jit_ = false;
-  /// JIT'ed int16 kernels cached by descriptor key (generated outside the
-  /// parallel region; lookups inside it are read-only).
-  std::map<std::string, std::unique_ptr<jit::QConvKernel>> jit_cache_;
-  const jit::QConvKernel* jit_kernel(const QKernelDesc& d);
 
   void forward_generic(const QActTensor& qin, const QWtTensor& qwt,
                        tensor::ActTensor& out, const core::ConvParams& p,

@@ -331,9 +331,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FoldAmaxBitwise,
                          ::testing::Values(0, 1, 15, 16, 17, 33, 4099,
                                            (1u << 17) + 5));
 
-// Registry resolution: auto_pick serves the JIT backend on AVX-512 hosts and
-// the scalar reference under an explicit scalar preference; both land in the
-// cache.
+// Registry resolution: an avx512 descriptor gets the JIT backend on AVX-512
+// hosts and an Isa::scalar one the scalar reference; both land in the cache.
 TEST(CodecKernelRegistry, ResolvesBothBackends) {
   if (!host_avx512()) GTEST_SKIP() << "host lacks AVX-512";
   auto& reg = kernels::KernelRegistry::instance();
@@ -342,7 +341,9 @@ TEST(CodecKernelRegistry, ResolvesBothBackends) {
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->backend(), kernels::Backend::jit);
   EXPECT_EQ(a, reg.codec(d));  // cached: same instance
-  const auto* s = reg.codec(d, kernels::BackendPref::scalar);
+  auto sd = d;
+  sd.isa = platform::Isa::scalar;
+  const auto* s = reg.codec(sd);
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->backend(), kernels::Backend::scalar);
 }

@@ -451,7 +451,9 @@ TEST(JitReduce, RegistryResolvesAndCaches) {
   const auto* a = reg.reduce(d);
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(a, reg.reduce(d));  // cached
-  const auto* s = reg.reduce(d, kernels::BackendPref::scalar);
+  auto sd = d;
+  sd.isa = platform::Isa::scalar;
+  const auto* s = reg.reduce(sd);
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->backend(), kernels::Backend::scalar);
 }

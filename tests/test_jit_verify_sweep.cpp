@@ -341,8 +341,8 @@ TEST(JitVerifySweep, QConvKernels) {
         d.c2_iters = 8;
         d.flush_interval = flush;
         try {
-          verified += expect_verified(d, jit::generate_qconv_kernel(d),
-                                      jit::qconv_desc_key(d));
+          verified +=
+              expect_verified(d, jit::generate_qconv_kernel(d), d.key());
         } catch (const std::invalid_argument&) {
         }
       }
@@ -358,8 +358,7 @@ TEST(JitVerifySweep, QConvKernels) {
     d.c_blocks = 4;
     d.in_cb_stride = 64 * 64 * 16;
     d.wt_cb_stride = 16 * 16;
-    verified += expect_verified(d, jit::generate_qconv_kernel(d),
-                                jit::qconv_desc_key(d));
+    verified += expect_verified(d, jit::generate_qconv_kernel(d), d.key());
   }
   EXPECT_GE(verified, 20);
 }

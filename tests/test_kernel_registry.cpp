@@ -8,11 +8,11 @@
 
 #include "kernels/kernel_registry.hpp"
 #include "platform/cpu.hpp"
+#include "quant/qconv_layer.hpp"
 #include "test_helpers.hpp"
 
 using namespace xconv;
 using kernels::Backend;
-using kernels::BackendPref;
 using xconv::testing::random_vec;
 
 namespace {
@@ -30,30 +30,38 @@ jit::ConvKernelDesc small_desc() {
   d.c_iters = d.vlen;
   return d;
 }
+
+// The same descriptor at Isa::scalar, which always resolves the scalar
+// reference.
+template <class Desc>
+Desc at_scalar_isa(Desc d) {
+  d.isa = platform::Isa::scalar;
+  return d;
+}
 }  // namespace
 
 TEST(Registry, CachesByDescriptor) {
   auto& reg = kernels::KernelRegistry::instance();
   const auto d = small_desc();
   const std::size_t before = reg.size();
-  const auto* k1 = reg.conv(d, BackendPref::auto_pick);
-  const auto* k2 = reg.conv(d, BackendPref::auto_pick);
+  const auto* k1 = reg.conv(d);
+  const auto* k2 = reg.conv(d);
   EXPECT_EQ(k1, k2);  // cached, not re-JITted
   EXPECT_GE(reg.size(), before + (k1 == k2 ? 1 : 2));
   auto d2 = d;
   d2.rbq = 5;
-  const auto* k3 = reg.conv(d2, BackendPref::auto_pick);
+  const auto* k3 = reg.conv(d2);
   EXPECT_NE(k1, k3);
 }
 
-TEST(Registry, BackendPreferenceIsHonored) {
+// The descriptor's ISA picks the backend: Isa::scalar gives the scalar
+// reference, a SIMD ISA the host supports gives the JIT.
+TEST(Registry, BackendFollowsDescriptorIsa) {
   auto& reg = kernels::KernelRegistry::instance();
   const auto d = small_desc();
-  EXPECT_EQ(reg.conv(d, BackendPref::scalar)->backend(), Backend::scalar);
-  if (platform::max_isa() >= platform::Isa::avx2) {
-    EXPECT_EQ(reg.conv(d, BackendPref::jit)->backend(), Backend::jit);
-    EXPECT_EQ(reg.conv(d, BackendPref::auto_pick)->backend(), Backend::jit);
-  }
+  EXPECT_EQ(reg.conv(at_scalar_isa(d))->backend(), Backend::scalar);
+  if (platform::max_isa() >= d.isa)
+    EXPECT_EQ(reg.conv(d)->backend(), Backend::jit);
 }
 
 TEST(Registry, AllBackendsAgree) {
@@ -71,13 +79,13 @@ TEST(Registry, AllBackendsAgree) {
   const auto base = random_vec(out_sz, 3);
 
   std::vector<std::vector<float>> outs;
-  for (BackendPref pref : {BackendPref::scalar, BackendPref::auto_pick}) {
+  for (const auto& desc : {at_scalar_isa(d), d}) {
     auto out = base;
-    reg.conv(d, pref)->run(in.data(), wt.data(), out.data(), in.data(),
-                           wt.data(), out.data());
+    reg.conv(desc)->run(in.data(), wt.data(), out.data(), in.data(),
+                        wt.data(), out.data());
     outs.push_back(std::move(out));
   }
-  xconv::testing::expect_close(outs[0], outs[1], 1e-4, "scalar-vs-auto");
+  xconv::testing::expect_close(outs[0], outs[1], 1e-4, "scalar-vs-simd-isa");
 }
 
 TEST(Registry, UpdBackendsAgree) {
@@ -100,12 +108,12 @@ TEST(Registry, UpdBackendsAgree) {
                                5);
   const auto base = random_vec(static_cast<std::size_t>(d.vlen) * d.vlen, 6);
   auto a = base, b = base;
-  reg.upd(d, BackendPref::scalar)
+  reg.upd(at_scalar_isa(d))
       ->run(in.data(), dout.data(), a.data(), nullptr, nullptr, nullptr);
-  reg.upd(d, BackendPref::auto_pick)
+  reg.upd(d)
       ->run(in.data(), dout.data(), b.data(), in.data(), dout.data(),
             b.data());
-  xconv::testing::expect_close(a, b, 1e-4, "upd scalar-vs-auto");
+  xconv::testing::expect_close(a, b, 1e-4, "upd scalar-vs-simd-isa");
 }
 
 // Hammer the registry from many threads on overlapping keys: every thread
@@ -118,7 +126,7 @@ TEST(Registry, ConcurrentFirstUseResolution) {
 
   std::vector<jit::ConvKernelDesc> descs;
   for (int i = 0; i < kDescs; ++i) {
-    auto d = small_desc();
+    auto d = at_scalar_isa(small_desc());
     d.rbq = 8 + i;  // distinct keys, not shared with other tests
     descs.push_back(d);
   }
@@ -133,7 +141,7 @@ TEST(Registry, ConcurrentFirstUseResolution) {
         for (int i = 0; i < kDescs; ++i) {
           // Rotate start index per thread so first-use races on every key.
           const int idx = (i + t) % kDescs;
-          seen[t][idx] = reg.conv(descs[idx], BackendPref::scalar);
+          seen[t][idx] = reg.conv(descs[idx]);
         }
       }
     });
@@ -159,7 +167,7 @@ namespace xconv::core {
 struct ConvLayerTestPeer {
   struct Kernels {
     std::vector<kernels::Backend> backends;
-    int fwd = 0, bwd1x1 = 0, kdot = 0, upd = 0, reduce = 0;
+    int fwd = 0, bwd1x1 = 0, kdot = 0, upd = 0, reduce = 0, gemm = 0;
   };
   // Every kernel of `l` and of its backward dual layer.
   static void collect(const ConvLayer& l, Kernels& k) {
@@ -176,6 +184,11 @@ struct ConvLayerTestPeer {
       k.backends.push_back(l.upd_reduce_->backend());
       ++k.reduce;
     }
+    for (const auto* m : l.bwd_gemm_kernels_)
+      if (m != nullptr) {
+        k.backends.push_back(m->backend());
+        ++k.gemm;
+      }
     k.fwd += static_cast<int>(l.fwd_variants_.size());
     k.bwd1x1 += static_cast<int>(l.bwd1x1_variants_.size());
     k.upd += static_cast<int>(l.upd_variants_.size());
@@ -193,7 +206,8 @@ std::uint64_t bits_hash(const std::vector<float>& v) {
 }  // namespace
 
 // A layer built for Isa::scalar runs only scalar kernels: forward variants,
-// the 1x1-strided backward, k-dot, update and the dW reduce. Its results are
+// the 1x1-strided backward, k-dot, the GEMM fallback, update and the dW
+// reduce. Its results are
 // pinned to those of the scalar kernels driven at the scalar ISA's plan
 // (vlen 16, avx512-shaped blocking, 2 threads).
 TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
@@ -216,7 +230,7 @@ TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
       {core::make_conv(2, 3, 32, 15, 15, 7, 7, 2, 3), core::UpdStrategy::hybrid,
        0, 0xf944b4bcc6643407ull, 0xa5ac1a2fced6f018ull,
        0x80dbd1b0c12bb3d7ull},
-      // GEMM fallback (gemm_blocked on the scalar ISA)
+      // GEMM fallback (the scalar gemm kernel runs gemm_blocked)
       {core::make_conv(1, 16, 16, 9, 9, 3, 3, 2), core::UpdStrategy::task, 0,
        0x59497defe052ee8dull, 0x60926d5999650800ull,
        0x0c9d43200c2b958cull},
@@ -239,6 +253,7 @@ TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
     total.kdot += k.kdot;
     total.upd += k.upd;
     total.reduce += k.reduce;
+    total.gemm += k.gemm;
 
     xconv::testing::ConvProblem pr(c.p, 7);
     const auto fwd = layer_forward(layer, pr);
@@ -266,4 +281,39 @@ TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
   EXPECT_GT(total.kdot, 0);
   EXPECT_GT(total.upd, 0);
   EXPECT_EQ(total.reduce, 2);
+  EXPECT_GT(total.gemm, 0);
+}
+
+// Every family resolves through the one cache. Rebuilding a GEMM-fallback
+// ConvLayer compiles nothing: each kernel it holds, the GEMM ones included,
+// is one registry hit. Re-running a QConvLayer of the same shape likewise
+// only hits.
+TEST(Registry, RebuiltGemmAndQConvLayersOnlyHit) {
+  auto& reg = kernels::KernelRegistry::instance();
+  const auto p = core::make_conv(1, 16, 16, 9, 9, 3, 3, 2);
+
+  core::ConvLayer first(p);
+  ASSERT_EQ(first.bwd_algo(), core::BwdAlgo::gemm_fallback);
+  auto before = reg.stats();
+  core::ConvLayer second(p);
+  auto after = reg.stats();
+  core::ConvLayerTestPeer::Kernels k;
+  core::ConvLayerTestPeer::collect(second, k);
+  EXPECT_GT(k.gemm, 0);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits - before.hits, k.backends.size());
+
+  // QConvLayer reads 16-lane fp32 tensors whatever the host's fp32 ISA.
+  core::ConvOptions o;
+  o.isa = platform::Isa::scalar;
+  const core::ConvLayer tensors(p, o);
+  const auto qin = quant::quantize_act(tensors.make_input());
+  const auto qwt = quant::quantize_wt(tensors.make_weights());
+  auto out = tensors.make_output();
+  quant::QConvLayer(p, 1).forward(qin, qwt, out);
+  before = reg.stats();
+  quant::QConvLayer(p, 1).forward(qin, qwt, out);
+  after = reg.stats();
+  EXPECT_GE(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.misses, before.misses);
 }

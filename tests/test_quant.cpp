@@ -7,6 +7,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "core/plan.hpp"
+#include "kernels/kernel_registry.hpp"
 #include "quant/bfloat16.hpp"
 #include "quant/qconv_layer.hpp"
 #include "quant/quantize.hpp"
@@ -144,7 +146,7 @@ struct QRun {
 };
 
 QRun run_qconv(const core::ConvParams& p, const ConvProblem& pr,
-               bool use_vnni, int flush) {
+               platform::Isa isa, int flush) {
   core::ConvLayer ref_layer(p, qconv_tensor_options());  // tensor factories
   auto bin = ref_layer.make_input();
   tensor::nchw_to_blocked(pr.in.data(), bin);
@@ -153,7 +155,7 @@ QRun run_qconv(const core::ConvParams& p, const ConvProblem& pr,
   auto bdout = ref_layer.make_output();
   tensor::nchw_to_blocked(pr.dout.data(), bdout);
 
-  quant::QConvLayer q(p, 1, use_vnni, flush);
+  quant::QConvLayer q(p, 1, isa, flush);
   const auto qin = quant::quantize_act(bin);
   const auto qwt = quant::quantize_wt(bwt);
   const auto qdout = quant::quantize_act(bdout);
@@ -184,7 +186,7 @@ class QConvShapes : public ::testing::TestWithParam<core::ConvParams> {};
 TEST_P(QConvShapes, ScalarTracksFp32WithinQuantError) {
   const auto p = GetParam();
   ConvProblem pr(p, 21);
-  const auto q = run_qconv(p, pr, /*use_vnni=*/false, 8);
+  const auto q = run_qconv(p, pr, platform::Isa::scalar, 8);
   // Quantization error: relative L2 of a few percent for 10-bit mantissas.
   xconv::testing::expect_close(xconv::testing::naive_fwd(pr), q.fwd, 2e-2,
                                "q fwd");
@@ -199,8 +201,8 @@ TEST_P(QConvShapes, VnniMatchesScalarExactly) {
     GTEST_SKIP() << "host lacks AVX512-VNNI";
   const auto p = GetParam();
   ConvProblem pr(p, 22);
-  const auto a = run_qconv(p, pr, false, 8);
-  const auto b = run_qconv(p, pr, true, 8);
+  const auto a = run_qconv(p, pr, platform::Isa::scalar, 8);
+  const auto b = run_qconv(p, pr, platform::Isa::avx512_vnni, 8);
   // Same integer arithmetic and flush points -> bit-identical fp32 results.
   EXPECT_EQ(a.fwd, b.fwd);
   EXPECT_EQ(a.bwd, b.bwd);
@@ -221,14 +223,14 @@ TEST(QConv, FlushIntervalDoesNotChangeResultMuch) {
   // accumulation order changes).
   const auto p = core::make_conv(1, 32, 32, 8, 8, 3, 3, 1);
   ConvProblem pr(p, 23);
-  const auto a = run_qconv(p, pr, false, 2);
-  const auto b = run_qconv(p, pr, false, 64);
+  const auto a = run_qconv(p, pr, platform::Isa::scalar, 2);
+  const auto b = run_qconv(p, pr, platform::Isa::scalar, 64);
   xconv::testing::expect_close(a.fwd, b.fwd, 1e-5, "flush intervals");
 }
 
 TEST(QConv, UnsupportedStridedNon1x1BackwardThrows) {
   const auto p = core::make_conv(1, 16, 16, 9, 9, 3, 3, 2);
-  quant::QConvLayer q(p, 1, false, 8);
+  quant::QConvLayer q(p, 1, platform::Isa::scalar, 8);
   core::ConvLayer ref_layer(p, qconv_tensor_options());
   auto bdout = ref_layer.make_output();
   auto bwt = ref_layer.make_weights();
@@ -250,10 +252,39 @@ TEST(QConv, BackwardRequiresDualWeights) {
   EXPECT_THROW(q.backward(qdout, qwt_fwd, bdin), std::invalid_argument);
 }
 
+// The layer stamps its ISA into the kernel descriptor, so an Isa::scalar
+// layer resolves the registry's scalar int16 block on any host, VNNI ones
+// included: after its forward, the descriptor it used is a cache hit.
+TEST(QConv, ScalarIsaResolvesScalarKernel) {
+  const auto p = core::make_conv(1, 32, 16, 6, 6, 1, 1, 1, 0);
+  core::ConvLayer ref_layer(p, qconv_tensor_options());
+  const auto qin = quant::quantize_act(ref_layer.make_input());
+  const auto qwt = quant::quantize_wt(ref_layer.make_weights());
+  auto out = ref_layer.make_output();
+  quant::QConvLayer(p, 1, platform::Isa::scalar, 8).forward(qin, qwt, out);
+
+  quant::QKernelDesc d;  // QConvLayer::forward's descriptor for this shape
+  d.isa = platform::Isa::scalar;
+  d.rbq = core::pick_block_extent(p.Q(), 13, 2);
+  ASSERT_EQ(p.Q() % d.rbq, 0);  // one variant, no edge kernel
+  d.in_row_stride = static_cast<int>(qin.stride_h());
+  d.c2_iters = 8;
+  d.c_blocks = 2;
+  d.in_cb_stride = qin.stride_cb();
+  d.wt_cb_stride = qwt.stride_cb();
+  d.flush_interval = 8;
+  d.out_col_stride = 16;
+  auto& reg = kernels::KernelRegistry::instance();
+  const auto misses = reg.stats().misses;
+  const auto* k = reg.qconv(d);
+  EXPECT_EQ(reg.stats().misses, misses);
+  EXPECT_EQ(k->backend(), kernels::Backend::scalar);
+}
+
 TEST(QConv, OddQUpdateTailHandled) {
   const auto p = core::make_conv(1, 16, 16, 7, 7, 3, 3, 1);  // Q = 7, odd
   ConvProblem pr(p, 24);
-  const auto q = run_qconv(p, pr, false, 8);
+  const auto q = run_qconv(p, pr, platform::Isa::scalar, 8);
   xconv::testing::expect_close(xconv::testing::naive_upd(pr), q.upd, 2e-2,
                                "odd-Q upd");
 }

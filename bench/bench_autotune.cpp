@@ -82,9 +82,6 @@ int main(int argc, char** argv) {
   // The execution context every plan in this run is keyed to / measured in.
   core::ConvOptions base;
   base.threads = threads;
-  core::PlanRequest req;
-  req.isa = base.isa;
-  req.threads = threads;
 
   core::PlanCache cache(cache_dir);
   core::AutotuneConfig cfg;
@@ -115,18 +112,18 @@ int main(int argc, char** argv) {
     const core::ConvParams p = topo::table1_params(*spec, mb);
     row.params = p.to_string();
 
-    const core::PlanKey key = req.key(p);
+    const core::PlanKey key = core::plan_key(p, base);
     core::ConvPlan tuned;
     row.cache_hit = cache.peek(key, &tuned);
     if (!row.cache_hit) {
-      const core::AutotuneResult res = core::autotune_plan(p, req, cfg);
+      const core::AutotuneResult res = core::autotune_plan(key, cfg);
       tuned = res.plan;
       row.candidates = res.candidates_tried;
       cache.put(key, tuned);
     }
     row.plan = tuned;
 
-    const core::ConvPlan defplan = core::plan_default(p, req);
+    const core::ConvPlan defplan = core::plan_default(key);
     {
       core::ConvOptions o = base;
       o.plan = defplan;

@@ -157,12 +157,9 @@ void ConvLayer::setup_backward() {
           "ConvLayer: pad > R-1 unsupported by the duality transform");
     ConvOptions dopt = opt_;
     dopt.fuse = FusedOp::none;
-    // Re-plan for the dual shape: the parent's explicit plan / ablation
-    // overrides describe *this* layer's geometry, not the dual's.
+    // Re-plan for the dual shape: the parent's explicit plan describes
+    // *this* layer's geometry, not the dual's.
     dopt.plan.reset();
-    dopt.rbp = dopt.rbq = 0;
-    dopt.upd_bp = dopt.upd_bq = 0;
-    dopt.upd_strategy = UpdStrategy::auto_pick;
     dopt.threads = threads_;
     dopt.fwd_only = true;
     // The dual layer's input is this layer's output tensor and its output is

@@ -3,32 +3,31 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <climits>
 #include <sstream>
 #include <stdexcept>
 
 namespace xconv::core {
 
+PlanKey plan_key(const ConvParams& params, const ConvOptions& opt) {
+  PlanKey key;
+  key.params = params;
+  key.pass = opt.fwd_only ? PlanPass::fwd : PlanPass::train;
+  key.isa = opt.isa;
+  key.vlen = resolved_vlen(opt.isa);
+  key.threads = std::max(
+      1, opt.threads > 0 ? opt.threads : omp_get_max_threads());
+  return key;
+}
+
 ConvLayer::ConvLayer(const ConvParams& params, const ConvOptions& opt)
     : params_(params), opt_(opt) {
   params_.validate();
-  threads_ = opt_.threads > 0 ? opt_.threads : omp_get_max_threads();
-  if (threads_ < 1) threads_ = 1;
-
-  // Resolve every planning decision up front (core/plan.hpp): explicit
-  // plan > ablation overrides > PlanCache (disk/autotune/default).
-  PlanRequest req;
-  req.isa = opt_.isa;
-  req.threads = threads_;
-  req.fwd_only = opt_.fwd_only;
-  req.rbp = opt_.rbp;
-  req.rbq = opt_.rbq;
-  req.upd_bp = opt_.upd_bp;
-  req.upd_bq = opt_.upd_bq;
-  req.upd_strategy = opt_.upd_strategy;
-  plan_ = resolve_plan(params_, req, opt_.plan);
-  // The plan is authoritative for the ISA from here on (an explicit plan
-  // may pin it; cache hits inherit ours).
-  opt_.isa = plan_.isa;
+  // Resolve every planning decision up front (core/plan.hpp): the explicit
+  // plan, else the PlanCache (disk/autotune/default).
+  const PlanKey key = plan_key(params_, opt_);
+  threads_ = key.threads;
+  plan_ = resolve_plan(key, opt_.plan);
 
   vlen_ = plan_.vlen;
   cb_ = tensor::ceil_div(params_.C, vlen_);
@@ -90,6 +89,25 @@ void ConvLayer::choose_blocking() {
   out_n_stride_ = out_kb_stride_ * kb_;
   wt_cb_stride_ = static_cast<std::int64_t>(p.R) * p.S * vlen_ * vlen_;
   wt_kb_stride_ = wt_cb_stride_ * cb_;
+
+  // The feature-block strides a generated kernel steps by are int32 byte
+  // counts (the in-kernel Cb loop, the k-dot and 1x1-strided backward Kb
+  // loops). Reject a geometry they cannot address here, before the int
+  // narrowings and before any kernel or stream is built.
+  auto check_kernel_stride = [&](std::int64_t elems, const char* what) {
+    if (elems * 4 > INT32_MAX)
+      throw std::invalid_argument(
+          std::string("ConvLayer: ") + what +
+          " stride exceeds a kernel's int32 byte displacement for " +
+          p.to_string());
+  };
+  if (cb_in_kernel_) {
+    check_kernel_stride(in_cb_stride_, "input feature-block");
+    check_kernel_stride(wt_cb_stride_, "weight feature-block");
+  }
+  if (!opt_.fwd_only && (plan_.bwd_algo == BwdAlgo::kdot ||
+                         plan_.bwd_algo == BwdAlgo::duality_1x1_strided))
+    check_kernel_stride(out_kb_stride_, "output feature-block");
 }
 
 tensor::ActTensor ConvLayer::make_input() const {

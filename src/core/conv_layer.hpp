@@ -11,9 +11,10 @@
 //   * the weight-update parallelization-strategy decision (Section II-J).
 //
 // All planning *decisions* (blocking extents, backward algorithm, update
-// strategy) come from a ConvPlan resolved at construction (core/plan.hpp):
-// an explicit ConvOptions::plan, a PlanCache/autotune hit, or the default
-// heuristics. Setup then only *executes* the plan — JIT, dryrun, scratch
+// strategy) come from one ConvPlan resolved at construction (core/plan.hpp):
+// the explicit ConvOptions::plan when set, else a PlanCache hit (memory,
+// disk, autotune or the default heuristics). The plan is the only way to
+// steer a layer. Setup then only *executes* the plan — JIT, dryrun, scratch
 // sizing — so a persisted plan makes steady-state construction decision-free.
 //
 // The per-iteration calls (`forward`, `backward`, `update`) then only replay
@@ -54,10 +55,6 @@ struct ConvOptions {
   platform::Isa isa = platform::effective_isa();
   FusedOp fuse = FusedOp::none;
   int threads = 0;           ///< 0 = omp_get_max_threads()
-  UpdStrategy upd_strategy = UpdStrategy::auto_pick;
-  // Ablation overrides (0 = auto):
-  int rbp = 0, rbq = 0;      ///< forward register blocking
-  int upd_bp = 0, upd_bq = 0;  ///< weight-update pixel blocking
 
   /// Physical halo of the input/output tensors, in pixels (-1 = default).
   /// The input halo must be >= pad (the extra rim is skipped); the output
@@ -74,10 +71,16 @@ struct ConvOptions {
 
   /// Explicit plan: when set, the layer executes exactly these decisions
   /// (validated against the shape and the isa/threads context above) and
-  /// never consults the PlanCache. When unset, resolution follows
-  /// plan.hpp's order: ablation overrides > cache > autotune/default.
+  /// never consults the PlanCache. To steer a layer, edit a plan (e.g. one
+  /// from plan_default) and pass it here. When unset, the PlanCache
+  /// resolves it (disk, autotune or default).
   std::optional<ConvPlan> plan;
 };
+
+/// The plan identity a ConvLayer built from (params, opt) resolves: shape,
+/// pass, ISA with its vlen, and the resolved thread count. To steer a layer,
+/// edit plan_default(plan_key(params, opt)) and pass it as opt.plan.
+PlanKey plan_key(const ConvParams& params, const ConvOptions& opt);
 
 class ConvLayer {
  public:
@@ -152,7 +155,7 @@ class ConvLayer {
   /// `ConvLayer::BwdAlgo` spellings working.
   using BwdAlgo = core::BwdAlgo;
   BwdAlgo bwd_algo() const { return bwd_algo_; }
-  /// The resolved plan this layer executes (explicit > cache > default).
+  /// The resolved plan this layer executes (explicit, else the cache's).
   const ConvPlan& plan() const { return plan_; }
 
  private:
@@ -243,8 +246,8 @@ class ConvLayer {
     return ((c_edge * 2 + p_edge) * 2 + q_edge) * 2 + beta0;
   }
   int upd_c_rem_ = 0;  ///< C % vlen (0 when divisible: no c-edge variants)
-  /// Reduce-epilogue kernel for the privatized-dW sum (null when the
-  /// strategy doesn't privatize or the plan disables it).
+  /// Reduce-epilogue kernel for the privatized-dW sum (null unless the
+  /// strategy privatizes dW).
   const kernels::ReduceMicrokernel* upd_reduce_ = nullptr;
   int upd_pb_full_ = 0, upd_pb_rem_ = 0, upd_qb_full_ = 0, upd_qb_rem_ = 0;
   int upd_groups_ = 0;  ///< hybrid thread-group count (0 unless hybrid)

@@ -16,7 +16,9 @@
 // every update call replays the per-thread kernel streams (Section II-H):
 // UPD streaks with exact next-call prefetch offsets, plus ZERO / BARRIER /
 // REDUCE records covering the dW privatization of the minibatch and hybrid
-// strategies.
+// strategies. The plan's strategy is exactly what runs, and every REDUCE
+// record replays through the layer's one reduce kernel (the generated one,
+// or the scalar one where the generator cannot address the copies).
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
@@ -97,55 +99,41 @@ void ConvLayer::setup_update() {
   }
 
   // The strategy decision (the paper's bandwidth model) happened at
-  // planning time — see plan_default() / pick_upd_strategy().
+  // planning time — see plan_default() / pick_upd_strategy(). The plan's
+  // strategy is what runs: validate() only admits a hybrid plan that forms
+  // at least two groups.
   upd_strategy_ = plan_.upd_strategy;
 
   // Privatization geometry is fully known at setup: size the per-copy dW
   // scratch arena here, before recording.
   upd_dw_size_ = static_cast<std::size_t>(wt_kb_stride_) * kb_;
-  upd_groups_ = 0;
-  if (upd_strategy_ == UpdStrategy::hybrid) {
-    const std::int64_t tasks =
-        static_cast<std::int64_t>(kb_) * cb_ * p.R * p.S;
-    const int groups = std::min(
-        {std::max(2, threads_ / 2), p.N, static_cast<int>(tasks)});
-    // Degenerate case: hybrid needs >= 2 threads and >= 2 viable groups
-    // (each group must own a non-empty minibatch slice). upd_groups_ == 0
-    // keeps the requested strategy name but runs task-style.
-    if (threads_ >= 2 && groups >= 2) upd_groups_ = groups;
-  }
-  if (upd_strategy_ == UpdStrategy::minibatch)
-    upd_scratch_.resize(upd_dw_size_ * threads_);
-  else if (upd_groups_ > 0)
-    upd_scratch_.resize(upd_dw_size_ * upd_groups_);
-
-  // Reduce-epilogue kernel for the privatized-copy sum. Resolved only when
-  // the strategy actually privatizes; the plan gates it (upd_reduce_jit) and
-  // picks the chunk unroll. Spans past disp32 fall back to the scalar loop.
-  upd_reduce_ = nullptr;
+  upd_groups_ = upd_strategy_ == UpdStrategy::hybrid
+                    ? upd_hybrid_groups(p, vlen_, threads_)
+                    : 0;
   const int red_copies =
       upd_strategy_ == UpdStrategy::minibatch ? threads_ : upd_groups_;
-  if (red_copies >= 2 && plan_.upd_reduce_jit) {
-    jit::ReduceKernelDesc rd;
-    rd.isa = opt_.isa;
-    rd.vlen = vlen_;
-    rd.copies = red_copies;
-    rd.copy_stride = static_cast<std::int64_t>(upd_dw_size_);
-    rd.unroll = plan_.upd_reduce_unroll;
-    const std::int64_t span =
-        (static_cast<std::int64_t>(red_copies - 1) * rd.copy_stride +
-         static_cast<std::int64_t>(rd.unroll) * vlen_) *
-        4;
-    if (span <= INT32_MAX) upd_reduce_ = reg.reduce(rd);
-  }
+  upd_reduce_ = nullptr;
+  if (red_copies == 0) return;
+  upd_scratch_.resize(upd_dw_size_ * red_copies);
+
+  // Reduce-epilogue kernel for the privatized-copy sum; the plan picks the
+  // chunk unroll. The registry falls back to the scalar kernel where the
+  // generated one cannot address the copies.
+  jit::ReduceKernelDesc rd;
+  rd.isa = opt_.isa;
+  rd.vlen = vlen_;
+  rd.copies = red_copies;
+  rd.copy_stride = static_cast<std::int64_t>(upd_dw_size_);
+  rd.unroll = plan_.upd_reduce_unroll;
+  upd_reduce_ = reg.reduce(rd);
 }
 
 float* ConvLayer::upd_dw_base(int tid, float* dw) {
   if (upd_strategy_ == UpdStrategy::minibatch)
     return upd_scratch_.data() + upd_dw_size_ * tid;
-  if (upd_strategy_ == UpdStrategy::hybrid && upd_groups_ > 0)
+  if (upd_strategy_ == UpdStrategy::hybrid)
     return upd_scratch_.data() + upd_dw_size_ * (tid % upd_groups_);
-  return dw;  // task (and degenerate hybrid): the shared dW tensor
+  return dw;  // task: the shared dW tensor
 }
 
 void ConvLayer::record_update() {
@@ -240,19 +228,15 @@ void ConvLayer::record_update() {
     };
 
     // Privatized copies: barrier, then each thread sums a contiguous slice
-    // of the dW element space over all copies (KernelStream::replay_upd).
-    auto reduce_phase = [&](int copies) {
+    // of the dW element space over all copies through the reduce kernel
+    // (KernelStream::replay_upd).
+    auto reduce_phase = [&] {
       stream.record_barrier();
       const Range er = thread_chunk(dw_size, tid, threads_);
-      if (!er.empty())
-        stream.record_reduce({er.begin, er.size(), copies, dw_size});
+      if (!er.empty()) stream.record_reduce({er.begin, er.size()});
     };
 
-    const bool task_style =
-        upd_strategy_ == UpdStrategy::task ||
-        upd_strategy_ == UpdStrategy::auto_pick ||  // resolved at setup
-        (upd_strategy_ == UpdStrategy::hybrid && upd_groups_ == 0);
-    if (task_style) {
+    if (upd_strategy_ == UpdStrategy::task) {
       const Range tr = thread_chunk(tasks, tid, threads_);
       run_tasks(tr.begin, tr.end, 0, p.N);
     } else if (upd_strategy_ == UpdStrategy::minibatch) {
@@ -265,7 +249,7 @@ void ConvLayer::record_update() {
         run_tasks(0, tasks, static_cast<int>(nr.begin),
                   static_cast<int>(nr.end));
       }
-      reduce_phase(threads_);
+      reduce_phase();
     } else {
       // Hybrid: G dW copies; group g covers a minibatch slice, its members
       // split the task space (Section II-J's "hybrid versions of these two
@@ -278,7 +262,7 @@ void ConvLayer::record_update() {
       const Range tr = thread_chunk(tasks, member, members);
       run_tasks(tr.begin, tr.end, static_cast<int>(nr.begin),
                 static_cast<int>(nr.end));
-      reduce_phase(upd_groups_);
+      reduce_phase();
     }
   });
   for (auto& s : upd_streams_) s.finish();

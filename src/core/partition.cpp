@@ -18,7 +18,6 @@ Range thread_chunk(std::int64_t total, int tid, int nthreads) {
 
 const char* upd_strategy_name(UpdStrategy s) {
   switch (s) {
-    case UpdStrategy::auto_pick: return "auto";
     case UpdStrategy::task: return "task";
     case UpdStrategy::minibatch: return "minibatch";
     case UpdStrategy::hybrid: return "hybrid";

@@ -25,7 +25,6 @@ Range thread_chunk(std::int64_t total, int tid, int nthreads);
 
 /// Weight-update parallelization strategy (Section II-J).
 enum class UpdStrategy {
-  auto_pick,   ///< decided at dryrun from layer shape and thread count
   task,        ///< parallelize over (kb, cb, r, s) blocks; one shared dW
   minibatch,   ///< parallelize over N; per-thread dW copies + tree reduction
   hybrid,      ///< thread groups: minibatch across groups, task within

@@ -9,6 +9,7 @@
 // are rejected loudly and re-planned, never half-parsed.
 #include "core/plan.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdio>
@@ -25,11 +26,6 @@
 namespace xconv::core {
 
 namespace {
-
-int resolved_vlen(platform::Isa isa) {
-  const int v = platform::vlen_fp32(isa);
-  return v == 1 ? 16 : v;  // the scalar ISA keeps the blocked layout
-}
 
 bool isa_from_name(const std::string& s, platform::Isa* out) {
   using platform::Isa;
@@ -54,7 +50,6 @@ bool bwd_algo_from_name(const std::string& s, BwdAlgo* out) {
 }
 
 bool upd_strategy_from_name(const std::string& s, UpdStrategy* out) {
-  // auto_pick is deliberately absent: a materialized plan is always resolved.
   for (UpdStrategy u :
        {UpdStrategy::task, UpdStrategy::minibatch, UpdStrategy::hybrid}) {
     if (s == upd_strategy_name(u)) {
@@ -78,6 +73,11 @@ bool upd_loop_order_from_name(const std::string& s, UpdLoopOrder* out) {
 thread_local bool g_autotune_in_progress = false;
 
 }  // namespace
+
+int resolved_vlen(platform::Isa isa) {
+  const int v = platform::vlen_fp32(isa);
+  return v == 1 ? 16 : v;  // the scalar ISA keeps the blocked layout
+}
 
 platform::Isa kernel_isa(platform::Isa isa) {
   return isa == platform::Isa::scalar ? platform::Isa::avx512 : isa;
@@ -149,16 +149,6 @@ std::string PlanKey::hash_hex() const {
   return std::string(buf);
 }
 
-PlanKey PlanRequest::key(const ConvParams& p) const {
-  PlanKey k;
-  k.params = p;
-  k.pass = fwd_only ? PlanPass::fwd : PlanPass::train;
-  k.isa = isa;
-  k.vlen = resolved_vlen(isa);
-  k.threads = threads < 1 ? 1 : threads;
-  return k;
-}
-
 // ---------------------------------------------------------------------------
 // Default heuristics
 // ---------------------------------------------------------------------------
@@ -176,49 +166,51 @@ int pick_block_extent(int dim, int cap, int floor) {
   return best;
 }
 
-ConvPlan plan_default(const ConvParams& p, const PlanRequest& req) {
+int upd_hybrid_groups(const ConvParams& p, int vlen, int threads) {
+  if (threads < 2) return 0;
+  const std::int64_t tasks = static_cast<std::int64_t>(
+                                 tensor::ceil_div(p.K, vlen)) *
+                             tensor::ceil_div(p.C, vlen) * p.R * p.S;
+  return static_cast<int>(std::min<std::int64_t>(
+      {std::max(2, threads / 2), p.N, tasks}));
+}
+
+ConvPlan plan_default(const PlanKey& key) {
+  const ConvParams& p = key.params;
   p.validate();
+  if (key.vlen != resolved_vlen(key.isa) || key.threads < 1)
+    throw std::invalid_argument("plan_default: inconsistent plan key " +
+                                key.to_string());
   ConvPlan plan;
-  plan.isa = req.isa;
-  plan.vlen = resolved_vlen(req.isa);
-  plan.threads = req.threads < 1 ? 1 : req.threads;
+  plan.isa = key.isa;
+  plan.vlen = key.vlen;
+  plan.threads = key.threads;
 
   const int P = p.P(), Q = p.Q();
   const int cb = tensor::ceil_div(p.C, plan.vlen);
   const int kb = tensor::ceil_div(p.K, plan.vlen);
   const int max_acc =
-      jit::ConvKernelDesc::max_accumulators(kernel_isa(req.isa));
+      jit::ConvKernelDesc::max_accumulators(kernel_isa(key.isa));
 
   // Register blocking (Section II-B): RBQ along the fast output dimension;
   // RBP > 1 only when Q alone cannot fill enough independent FMA chains.
-  plan.rbq = req.rbq > 0
-                 ? req.rbq
-                 : pick_block_extent(Q, std::min(max_acc, kFwdRbqCap),
-                                     kRbMinExtent);
-  if (req.rbp > 0) {
-    plan.rbp = req.rbp;
-  } else if (Q <= max_acc / 2 && plan.rbq == Q) {
+  plan.rbq = pick_block_extent(Q, std::min(max_acc, kFwdRbqCap), kRbMinExtent);
+  plan.rbp = 1;
+  if (Q <= max_acc / 2 && plan.rbq == Q)
     plan.rbp = std::min(P, max_acc / plan.rbq);
-  } else {
-    plan.rbp = 1;
-  }
-  if (plan.rbp * plan.rbq > max_acc)
-    throw std::invalid_argument("ConvLayer: register blocking override " +
-                                std::to_string(plan.rbp) + "x" +
-                                std::to_string(plan.rbq) + " exceeds budget");
 
   // 1x1 layers: pull the Cb loop into the kernel (Section II-C) so output
   // registers are reused Cb times. Only profitable with more than one block.
   plan.cb_in_kernel = (p.R == 1 && p.S == 1 && cb > 1);
 
-  if (!req.fwd_only) {
+  if (key.pass == PlanPass::train) {
     // Backward algorithm (Section II-I), forced by layer shape.
     if (p.C < plan.vlen) {
       plan.bwd_algo = BwdAlgo::kdot;
       // One call covers pixels of one column phase: ceil(W / stride) of them.
       plan.bwd_kdot_rb = pick_block_extent(
           tensor::ceil_div(p.W, p.stride_w),
-          jit::KdotKernelDesc::max_rb(kernel_isa(req.isa), p.C), kRbMinExtent);
+          jit::KdotKernelDesc::max_rb(kernel_isa(key.isa), p.C), kRbMinExtent);
     } else if (p.stride_h == 1 && p.stride_w == 1) {
       plan.bwd_algo = BwdAlgo::duality_stride1;
     } else if (p.R == 1 && p.S == 1 && p.pad_h == 0 && p.pad_w == 0) {
@@ -231,23 +223,15 @@ ConvPlan plan_default(const ConvParams& p, const PlanRequest& req) {
     }
 
     // Update pixel blocking + strategy (Section II-J).
-    plan.upd_bq = req.upd_bq > 0
-                      ? req.upd_bq
-                      : pick_block_extent(Q, kUpdBqCap, kUpdBlockMin);
-    plan.upd_bp = req.upd_bp > 0
-                      ? req.upd_bp
-                      : pick_block_extent(P, kUpdBpCap, kUpdBlockMin);
-    plan.upd_strategy = req.upd_strategy;
-    if (plan.upd_strategy == UpdStrategy::auto_pick) {
-      const std::int64_t act_traffic =
-          static_cast<std::int64_t>(p.input_elems()) +
-          static_cast<std::int64_t>(p.output_elems());
-      plan.upd_strategy = pick_upd_strategy(
-          p.N, kb, cb, p.R, p.S, act_traffic,
-          static_cast<std::int64_t>(kb) * cb * p.R * p.S * plan.vlen *
-              plan.vlen,
-          plan.threads);
-    }
+    plan.upd_bq = pick_block_extent(Q, kUpdBqCap, kUpdBlockMin);
+    plan.upd_bp = pick_block_extent(P, kUpdBpCap, kUpdBlockMin);
+    const std::int64_t act_traffic =
+        static_cast<std::int64_t>(p.input_elems()) +
+        static_cast<std::int64_t>(p.output_elems());
+    plan.upd_strategy = pick_upd_strategy(
+        p.N, kb, cb, p.R, p.S, act_traffic,
+        static_cast<std::int64_t>(kb) * cb * p.R * p.S * plan.vlen * plan.vlen,
+        plan.threads);
 
     // Loop-order traffic model: task_outer re-streams each input Cb slice
     // once per (kb, r, s) task touching it (and each dO Kb slice per
@@ -290,9 +274,8 @@ void ConvPlan::validate(const ConvParams& p, PlanPass pass) const {
   const int max_acc = jit::ConvKernelDesc::max_accumulators(kernel_isa(isa));
   if (rbp < 1 || rbq < 1) fail("non-positive register blocking");
   if (rbp * rbq > max_acc)
-    throw std::invalid_argument("ConvLayer: register blocking override " +
-                                std::to_string(rbp) + "x" +
-                                std::to_string(rbq) + " exceeds budget");
+    fail("register blocking " + std::to_string(rbp) + "x" +
+         std::to_string(rbq) + " exceeds the accumulator budget");
   const int cb = tensor::ceil_div(p.C, vlen);
   if (cb_in_kernel && !(p.R == 1 && p.S == 1 && cb > 1))
     fail("cb_in_kernel set on a non-1x1 (or single-block) layer");
@@ -324,8 +307,9 @@ void ConvPlan::validate(const ConvParams& p, PlanPass pass) const {
     if (bwd_gemm_qc < 1 || bwd_gemm_qc > Q) fail("bwd_gemm_qc out of range");
     if (bwd_gemm_qc > max_acc) fail("bwd_gemm_qc outside the register budget");
   }
-  if (upd_strategy == UpdStrategy::auto_pick)
-    fail("unresolved (auto_pick) update strategy");
+  if (upd_strategy == UpdStrategy::hybrid &&
+      upd_hybrid_groups(p, vlen, threads) < 2)
+    fail("hybrid update strategy cannot form two thread groups");
   if (upd_bp < 1 || upd_bp > P || upd_bq < 1 || upd_bq > Q)
     fail("update pixel blocking out of range");
   if (upd_reduce_unroll < 1 || upd_reduce_unroll > 8)
@@ -357,8 +341,6 @@ std::string ConvPlan::to_json(const PlanKey& key) const {
   os << "  \"upd_bq\": " << upd_bq << ",\n";
   os << "  \"upd_loop_order\": \"" << upd_loop_order_name(upd_loop_order)
      << "\",\n";
-  os << "  \"upd_reduce_jit\": " << (upd_reduce_jit ? "true" : "false")
-     << ",\n";
   os << "  \"upd_reduce_unroll\": " << upd_reduce_unroll << ",\n";
   os << "  \"tuned\": " << (tuned ? "true" : "false") << "\n";
   os << "}\n";
@@ -490,7 +472,6 @@ PlanLoadStatus plan_from_json(const std::string& text, const PlanKey& expect,
   if (!num("vlen", &vlen) || !num("threads", &threads))
     return PlanLoadStatus::corrupt;
   if (!boolean("cb_in_kernel", &plan.cb_in_kernel) ||
-      !boolean("upd_reduce_jit", &plan.upd_reduce_jit) ||
       !boolean("tuned", &plan.tuned))
     return PlanLoadStatus::corrupt;
   if (!num("rbp", &rbp) || !num("rbq", &rbq) || !num("bwd1x1_rbq", &b1rbq) ||
@@ -706,30 +687,26 @@ AutotuneScope::AutotuneScope() { g_autotune_in_progress = true; }
 AutotuneScope::~AutotuneScope() { g_autotune_in_progress = false; }
 }  // namespace detail
 
-ConvPlan resolve_plan(const ConvParams& p, const PlanRequest& req,
+ConvPlan resolve_plan(const PlanKey& key,
                       const std::optional<ConvPlan>& explicit_plan) {
-  const PlanPass pass = req.fwd_only ? PlanPass::fwd : PlanPass::train;
   if (explicit_plan.has_value()) {
     const ConvPlan& plan = *explicit_plan;
-    if (plan.isa != req.isa || plan.vlen != resolved_vlen(req.isa) ||
-        plan.threads != (req.threads < 1 ? 1 : req.threads))
+    if (plan.isa != key.isa || plan.vlen != key.vlen ||
+        plan.threads != key.threads)
       throw std::invalid_argument(
           "ConvPlan: explicit plan was built for a different execution "
           "context (isa/vlen/threads) than the layer requests");
-    plan.validate(p, pass);
+    plan.validate(key.params, key.pass);
     return plan;
   }
-  if (req.has_overrides()) return plan_default(p, req);
-
-  const PlanKey key = req.key(p);
   // Autotuning only applies to full training plans: forward-only layers are
   // the internals of the backward duality (their blocking is covered by the
   // parent search) and candidate constructions inside a running search must
   // plan closed-form or the search would recurse.
-  const bool tune = pass == PlanPass::train && autotune_enabled_from_env() &&
-                    !autotune_in_progress();
+  const bool tune = key.pass == PlanPass::train &&
+                    autotune_enabled_from_env() && !autotune_in_progress();
   return PlanCache::instance().get_or_create(key, [&] {
-    return tune ? autotune_plan(p, req).plan : plan_default(p, req);
+    return tune ? autotune_plan(key).plan : plan_default(key);
   });
 }
 

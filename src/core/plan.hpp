@@ -19,10 +19,9 @@
 //                   same key picks them up with zero planning work.
 //
 // Resolution order in ConvLayer (resolve_plan):
-//   1. ConvOptions::plan        — explicit plan, used verbatim (validated),
-//   2. ConvOptions overrides    — rbp/rbq/upd_* ablation knobs bypass the
-//                                 cache and parameterize plan_default(),
-//   3. PlanCache::get_or_create — memory, then disk (XCONV_PLAN_CACHE),
+//   1. ConvOptions::plan        — explicit plan, used verbatim (validated);
+//                                 the only way a caller steers a layer,
+//   2. PlanCache::get_or_create — memory, then disk (XCONV_PLAN_CACHE),
 //                                 then autotune (XCONV_AUTOTUNE=1) or
 //                                 plan_default().
 // Corrupt, truncated or version-mismatched cache entries are reported on
@@ -146,15 +145,12 @@ struct ConvPlan {
   int bwd_gemm_qc = 0;  ///< Q-chunk per GEMM call in the Algorithm-7 fallback
   int bwd_kdot_rb = 0;  ///< dI pixels per k-dot kernel call
 
-  // Weight update (Section II-J). upd_strategy is always resolved (never
-  // auto_pick) in a materialized plan.
+  // Weight update (Section II-J). A hybrid plan must form >= 2 thread
+  // groups (upd_hybrid_groups); validate() rejects one that cannot.
   UpdStrategy upd_strategy = UpdStrategy::task;
   int upd_bp = 0, upd_bq = 0;  ///< pixel blocking (0 for pass=fwd plans)
   /// Driver loop order (see UpdLoopOrder; heuristic in plan_default).
   UpdLoopOrder upd_loop_order = UpdLoopOrder::task_outer;
-  /// Replay/run the privatized-dW reduce epilogue through a generated
-  /// kernel (bitwise-identical to the scalar loop; off = always scalar).
-  bool upd_reduce_jit = true;
   /// Reduce-kernel chunk unroll: vectors per generated iteration, in [1, 8].
   int upd_reduce_unroll = kUpdReduceUnrollDefault;
 
@@ -182,6 +178,10 @@ struct ConvPlan {
 /// compilers and runs (unlike std::hash); pinned by tests/test_plan.cpp.
 std::uint64_t fnv1a64(const std::string& s);
 
+/// The vector length a plan for `isa` blocks channels by: the ISA's fp32
+/// width, except Isa::scalar, which keeps the (vlen 16) blocked layout.
+int resolved_vlen(platform::Isa isa);
+
 /// Cache identity of a plan: layer shape x pass x ISA x vlen x threads.
 struct PlanKey {
   ConvParams params;
@@ -205,39 +205,26 @@ struct PlanKey {
 // re-implementation across the fuzz shapes and both topo layer sets).
 // ---------------------------------------------------------------------------
 
-/// What a caller wants planned: execution context plus the ablation
-/// overrides ConvOptions exposes (0 / auto_pick = derive).
-struct PlanRequest {
-  platform::Isa isa = platform::Isa::avx512;
-  int threads = 1;  ///< resolved thread count (>= 1)
-  bool fwd_only = false;
-  int rbp = 0, rbq = 0;
-  int upd_bp = 0, upd_bq = 0;
-  UpdStrategy upd_strategy = UpdStrategy::auto_pick;
-
-  /// True when any ablation override is set — such requests bypass the
-  /// PlanCache (an override is an experiment, not a cacheable identity).
-  bool has_overrides() const {
-    return rbp > 0 || rbq > 0 || upd_bp > 0 || upd_bq > 0 ||
-           upd_strategy != UpdStrategy::auto_pick;
-  }
-
-  PlanKey key(const ConvParams& p) const;
-};
-
 /// Divisor-preferring block-size pick shared by every planning dimension:
 /// prefer exact divisors of `dim` (no edge kernel), then large extents,
 /// within [floor, cap]; min(dim, cap) when nothing in range divides.
 int pick_block_extent(int dim, int cap, int floor);
 
-/// The default plan: reproduces the historical inline heuristics
-/// bit-identically. Throws std::invalid_argument when an override breaks the
-/// register budget (same contract the inline code had).
-ConvPlan plan_default(const ConvParams& p, const PlanRequest& req);
+/// Thread groups a hybrid update forms for this layer at `threads`: one dW
+/// copy per group, minibatch across groups, tasks within a group. Below 2
+/// the strategy cannot run as hybrid, and ConvPlan::validate rejects it.
+int upd_hybrid_groups(const ConvParams& p, int vlen, int threads);
 
-/// Full resolution as used by the ConvLayer constructor: explicit plan >
-/// overrides > cache (disk/autotune/default). See file header for order.
-ConvPlan resolve_plan(const ConvParams& p, const PlanRequest& req,
+/// The default plan for `key` (layer shape x pass x isa x vlen x threads):
+/// reproduces the historical inline heuristics bit-identically. Throws
+/// std::invalid_argument when the key's vlen does not match its ISA or its
+/// thread count is not positive.
+ConvPlan plan_default(const PlanKey& key);
+
+/// Full resolution as used by the ConvLayer constructor: the explicit plan
+/// when given (validated against `key`), else the cache (disk/autotune/
+/// default). See file header for order.
+ConvPlan resolve_plan(const PlanKey& key,
                       const std::optional<ConvPlan>& explicit_plan);
 
 // ---------------------------------------------------------------------------
@@ -247,7 +234,7 @@ ConvPlan resolve_plan(const ConvParams& p, const PlanRequest& req,
 /// Bump whenever the serialized field set changes; the lint rule
 /// `plan-schema` (tools/lint/xconv_lint.py) locks fields x version against
 /// tools/lint/plan_schema.json.
-inline constexpr int kPlanSchemaVersion = 4;
+inline constexpr int kPlanSchemaVersion = 5;
 
 enum class PlanLoadStatus {
   ok,
@@ -348,7 +335,7 @@ struct AutotuneResult {
 /// Measure candidate plans for this layer and return the fastest; the
 /// default plan is always a candidate, so tuned >= default within one
 /// session's measurements by construction.
-AutotuneResult autotune_plan(const ConvParams& p, const PlanRequest& req,
+AutotuneResult autotune_plan(const PlanKey& key,
                              const AutotuneConfig& cfg = {});
 
 /// XCONV_AUTOTUNE=1: resolve_plan autotunes cache misses (train pass only).

@@ -45,10 +45,10 @@ void fill_pseudorandom(float* p, std::size_t n, std::uint32_t seed) {
   }
 }
 
-ConvOptions exec_options(const PlanRequest& req, bool fwd_only) {
+ConvOptions exec_options(const PlanKey& key, bool fwd_only) {
   ConvOptions o;
-  o.isa = req.isa;
-  o.threads = req.threads;
+  o.isa = key.isa;
+  o.threads = key.threads;
   o.fwd_only = fwd_only;
   return o;
 }
@@ -124,23 +124,15 @@ std::vector<std::pair<int, int>> upd_candidates(const ConvParams& p,
 
 }  // namespace
 
-AutotuneResult autotune_plan(const ConvParams& p, const PlanRequest& req,
-                             const AutotuneConfig& cfg) {
+AutotuneResult autotune_plan(const PlanKey& key, const AutotuneConfig& cfg) {
   // Mark this thread as tuning: candidate layers (and their internal dual
   // layers) must resolve plans closed-form instead of recursing back here.
   const detail::AutotuneScope scope;
 
-  PlanRequest norm_req = req;
-  if (norm_req.threads < 1) norm_req.threads = 1;
-  const PlanRequest& rq = norm_req;
-
-  PlanRequest base_req = rq;
-  base_req.rbp = base_req.rbq = 0;
-  base_req.upd_bp = base_req.upd_bq = 0;
-  base_req.upd_strategy = UpdStrategy::auto_pick;
-  const ConvPlan base = plan_default(p, base_req);
+  const ConvParams& p = key.params;
+  const ConvPlan base = plan_default(key);
   const int max_acc =
-      jit::ConvKernelDesc::max_accumulators(kernel_isa(rq.isa));
+      jit::ConvKernelDesc::max_accumulators(kernel_isa(key.isa));
   const double gflop = static_cast<double>(p.flops()) / 1e9;
 
   AutotuneResult result;
@@ -159,7 +151,7 @@ AutotuneResult autotune_plan(const ConvParams& p, const PlanRequest& req,
       ConvPlan cand = result.plan;
       cand.rbp = rbp;
       cand.rbq = rbq;
-      ConvOptions o = exec_options(rq, /*fwd_only=*/true);
+      ConvOptions o = exec_options(key, /*fwd_only=*/true);
       o.plan = cand;
       ConvLayer layer(p, o);
       if (!tensors_ready) {
@@ -186,14 +178,14 @@ AutotuneResult autotune_plan(const ConvParams& p, const PlanRequest& req,
   }
 
   // --- stage 2: update pixel blocking + strategy ------------------------
-  if (!rq.fwd_only) {
+  if (key.pass == PlanPass::train) {
     ConvPlan best = result.plan;
     double best_s = 0, default_s = 0;
     tensor::ActTensor in, dout;
     tensor::WtTensor dw;
     bool tensors_ready = false;
     auto try_candidate = [&](const ConvPlan& cand) {
-      ConvOptions o = exec_options(rq, /*fwd_only=*/false);
+      ConvOptions o = exec_options(key, /*fwd_only=*/false);
       o.plan = cand;
       ConvLayer layer(p, o);
       if (!tensors_ready) {
@@ -211,7 +203,6 @@ AutotuneResult autotune_plan(const ConvParams& p, const PlanRequest& req,
       if (cand.upd_bp == base.upd_bp && cand.upd_bq == base.upd_bq &&
           cand.upd_strategy == base.upd_strategy &&
           cand.upd_loop_order == base.upd_loop_order &&
-          cand.upd_reduce_jit == base.upd_reduce_jit &&
           cand.upd_reduce_unroll == base.upd_reduce_unroll)
         default_s = s;
       if (best_s == 0 || s < best_s) {
@@ -228,10 +219,10 @@ AutotuneResult autotune_plan(const ConvParams& p, const PlanRequest& req,
     }
     // Strategy sweep at the winning blocking (skips the one already timed).
     std::vector<UpdStrategy> strategies{UpdStrategy::task};
-    if (p.N >= kUpdMinMinibatch && rq.threads >= 2) {
+    if (p.N >= kUpdMinMinibatch && key.threads >= 2)
       strategies.push_back(UpdStrategy::minibatch);
+    if (upd_hybrid_groups(p, key.vlen, key.threads) >= 2)
       strategies.push_back(UpdStrategy::hybrid);
-    }
     const ConvPlan at_best = best;
     for (const UpdStrategy st : strategies) {
       if (st == at_best.upd_strategy) continue;
@@ -251,22 +242,15 @@ AutotuneResult autotune_plan(const ConvParams& p, const PlanRequest& req,
         try_candidate(cand);
       }
     }
-    // Reduce-epilogue axes only matter when the winner privatizes dW
-    // (minibatch/hybrid): toggle the generated kernel and sweep its unroll.
-    if (best.upd_strategy != UpdStrategy::task && rq.threads >= 2) {
+    // The reduce unroll only matters when the winner privatizes dW
+    // (minibatch/hybrid).
+    if (best.upd_strategy != UpdStrategy::task) {
       const ConvPlan red_base = best;
-      {
+      for (const int u : {1, 2, 8}) {
+        if (u == red_base.upd_reduce_unroll) continue;
         ConvPlan cand = red_base;
-        cand.upd_reduce_jit = !red_base.upd_reduce_jit;
+        cand.upd_reduce_unroll = u;
         try_candidate(cand);
-      }
-      if (red_base.upd_reduce_jit) {
-        for (const int u : {1, 2, 8}) {
-          if (u == red_base.upd_reduce_unroll) continue;
-          ConvPlan cand = red_base;
-          cand.upd_reduce_unroll = u;
-          try_candidate(cand);
-        }
       }
     }
     result.plan = best;

@@ -130,23 +130,11 @@ void KernelStream::replay_upd(
         break;
       }
       case SegmentType::reduce: {
-        // Per-element summation order: copy 0 first, then copies 1..C-1 in
-        // order. The generated
-        // kernel keeps that exact per-element copy order, so replaying a
-        // matching record through it changes no bits.
+        if (reduce_kernel == nullptr)
+          throw std::logic_error(
+              "KernelStream: REDUCE record replayed without a reduce kernel");
         const ReduceRecord& r = reduces_[seg.info];
-        if (reduce_kernel != nullptr &&
-            reduce_kernel->desc().copies == r.copies &&
-            reduce_kernel->desc().copy_stride == r.copy_stride) {
-          reduce_kernel->run(red_src + r.begin, red_dst + r.begin, r.count);
-          break;
-        }
-        for (std::int64_t e = r.begin; e < r.begin + r.count; ++e) {
-          float acc = red_src[e];
-          for (std::int32_t c = 1; c < r.copies; ++c)
-            acc += red_src[c * r.copy_stride + e];
-          red_dst[e] = acc;
-        }
+        reduce_kernel->run(red_src + r.begin, red_dst + r.begin, r.count);
         break;
       }
       case SegmentType::barrier: {

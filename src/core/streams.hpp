@@ -48,14 +48,13 @@ struct ZeroRecord {
   std::int64_t count = 0;
 };
 
-/// For each element e in [begin, begin+count):
-///   dst[e] = sum over c in [0, copies) of src[c*copy_stride + e]
+/// Sum the privatized dW copies over elements [begin, begin+count) through
+/// the replay's reduce kernel, whose descriptor holds the copy count and
+/// stride: dst[e] = sum over c in [0, copies) of src[c*copy_stride + e],
 /// where src is the privatized-copy arena and dst the final dW tensor.
 struct ReduceRecord {
   std::int64_t begin = 0;
   std::int64_t count = 0;
-  std::int32_t copies = 0;
-  std::int64_t copy_stride = 0;
 };
 
 // Thread contract (phase-based, no locks): a KernelStream is owned by exactly
@@ -93,16 +92,13 @@ class KernelStream {
   /// private copy for minibatch/hybrid); `red_src`/`red_dst` are the
   /// privatized-copy arena and the final dW tensor for REDUCE records.
   /// BARRIER records bind to the innermost enclosing OpenMP parallel region
-  /// (a no-op when replayed serially). Throws on conv-family records.
-  /// `reduce_kernel`, when non-null and matching a REDUCE record's
-  /// copies/copy_stride, replays that record through generated code
-  /// (bit-identical to the interpreted loop); mismatching or null falls back
-  /// to the interpreted loop.
+  /// (a no-op when replayed serially). REDUCE records run `reduce_kernel`;
+  /// a REDUCE record with no kernel throws std::logic_error. Throws on
+  /// conv-family records.
   void replay_upd(const std::vector<const kernels::UpdMicrokernel*>& variants,
                   const float* in_base, const float* dout_base, float* dw_base,
                   const float* red_src, float* red_dst,
-                  const kernels::ReduceMicrokernel* reduce_kernel =
-                      nullptr) const;
+                  const kernels::ReduceMicrokernel* reduce_kernel) const;
 
   /// Introspection ---------------------------------------------------------
   std::size_t n_calls() const { return var_.size(); }

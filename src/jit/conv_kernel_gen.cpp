@@ -1,6 +1,8 @@
 #include "jit/conv_kernel_gen.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -96,6 +98,22 @@ void ConvKernelDesc::validate() const {
   if (c_blocks > 1 && (in_cb_stride <= 0 || wt_cb_stride <= 0))
     throw std::invalid_argument(
         "ConvKernelDesc: c_blocks needs feature-block strides");
+  // Every displacement and pointer step the generator emits is an int32
+  // byte count. Bound each operand's reach in 64 bits (input rows incl. the
+  // r-loop and prefetch rows, output rows, one Cb block of weights, the
+  // feature-block steps) before the generator forms any of them in int.
+  const std::int64_t ocs = out_col_stride > 0 ? out_col_stride : vlen;
+  const std::int64_t reach[] = {
+      ((std::int64_t{rbp} * stride_h + r - 1) * in_row_stride +
+       (std::int64_t{rbq} * stride_w + s) * vlen) * 4,
+      (std::int64_t{rbp} * out_row_stride + rbq * ocs) * 4,
+      std::int64_t{r} * s * vlen * vlen * 4,
+      std::int64_t{in_cb_stride} * 4,
+      std::int64_t{wt_cb_stride} * 4};
+  for (const std::int64_t bytes : reach)
+    if (bytes > INT32_MAX)
+      throw std::invalid_argument(
+          "ConvKernelDesc: byte displacement exceeds int32");
 }
 
 std::string ConvKernelDesc::key() const {

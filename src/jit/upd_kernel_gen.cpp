@@ -137,14 +137,14 @@ void ReduceKernelDesc::validate() const {
     throw std::invalid_argument("ReduceKernelDesc: unroll out of [1, 8]");
   if (copy_stride < vlen)
     throw std::invalid_argument("ReduceKernelDesc: copy_stride < vlen");
-  // Every copy's lane is addressed as [src + disp32]: the farthest byte
-  // touched in one iteration must stay below 2^31.
-  const std::int64_t top = (static_cast<std::int64_t>(copies - 1) *
-                                copy_stride +
-                            static_cast<std::int64_t>(unroll) * vlen) *
-                           4;
-  if (top > INT32_MAX)
+  if (span_bytes() > INT32_MAX)
     throw std::invalid_argument("ReduceKernelDesc: copy span exceeds disp32");
+}
+
+std::int64_t ReduceKernelDesc::span_bytes() const {
+  return (static_cast<std::int64_t>(copies - 1) * copy_stride +
+          static_cast<std::int64_t>(unroll) * vlen) *
+         4;
 }
 
 std::string ReduceKernelDesc::key() const {

@@ -75,9 +75,9 @@ std::unique_ptr<UpdKernel> generate_upd_kernel(const UpdKernelDesc& desc);
 /// Descriptor for the dW-privatization reduce epilogue kernel: one linear
 /// sweep that sums `copies` private dW copies, laid out `copy_stride`
 /// elements apart, into the destination. The per-element addition order is
-/// copy 0, 1, ..., copies-1 — identical to the scalar reference loop in the
-/// update driver, so the generated kernel is bitwise-equal by construction
-/// (vaddps lanes are independent scalar adds).
+/// copy 0, 1, ..., copies-1 — identical to the scalar reduce kernel
+/// (kernels/scalar_kernels.cpp), so the generated kernel is bitwise-equal by
+/// construction (vaddps lanes are independent scalar adds).
 struct ReduceKernelDesc {
   platform::Isa isa = platform::Isa::avx512;
   int vlen = 16;
@@ -85,6 +85,10 @@ struct ReduceKernelDesc {
   std::int64_t copy_stride = 0;  ///< elements between consecutive copies
   int unroll = 4;                ///< vectors per generated loop iteration
 
+  /// Farthest byte one generated iteration reads past its src pointer: every
+  /// copy's lane is addressed as [src + disp32], so the generator needs this
+  /// to stay <= INT32_MAX (the registry runs the scalar kernel otherwise).
+  std::int64_t span_bytes() const;
   std::string key() const;
   void validate() const;
 };

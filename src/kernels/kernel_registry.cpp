@@ -1,6 +1,7 @@
 #include "kernels/kernel_registry.hpp"
 
 #include <algorithm>
+#include <climits>
 
 #include "jit/verify/verifier.hpp"
 #include "quant/quantize.hpp"
@@ -268,8 +269,12 @@ const UpdMicrokernel* KernelRegistry::upd(const jit::UpdKernelDesc& desc) {
 
 const ReduceMicrokernel* KernelRegistry::reduce(
     const jit::ReduceKernelDesc& desc) {
-  return resolve(desc, isa_is_simd(desc.isa), &make_reduce_jit,
-                 &make_reduce_scalar);
+  // The generator sums >= 2 copies, each addressed as [src + disp32]. A
+  // span past disp32 (or a one-copy copy-out) runs the scalar kernel.
+  return resolve(desc,
+                 isa_is_simd(desc.isa) && desc.copies >= 2 &&
+                     desc.span_bytes() <= INT32_MAX,
+                 &make_reduce_jit, &make_reduce_scalar);
 }
 
 const KdotMicrokernel* KernelRegistry::kdot(const jit::KdotKernelDesc& desc) {

@@ -35,7 +35,8 @@ class KernelRegistry {
   const ConvMicrokernel* conv(const jit::ConvKernelDesc& desc);
   /// Weight-update microkernel. JIT on avx2/avx512/avx512_vnni.
   const UpdMicrokernel* upd(const jit::UpdKernelDesc& desc);
-  /// dW reduce epilogue. JIT on avx2/avx512/avx512_vnni.
+  /// dW reduce epilogue. JIT on avx2/avx512/avx512_vnni for >= 2 copies
+  /// within disp32 (ReduceKernelDesc::span_bytes), scalar otherwise.
   const ReduceMicrokernel* reduce(const jit::ReduceKernelDesc& desc);
   /// k-dot backward (C < VLEN layers). JIT on avx2/avx512/avx512_vnni.
   const KdotMicrokernel* kdot(const jit::KdotKernelDesc& desc);

@@ -98,8 +98,8 @@ class ScalarReduceKernel final : public ReduceMicrokernel {
       : ReduceMicrokernel(d) {}
 
   void run(const float* src, float* dst, std::int64_t n) const override {
-    // Same copy order as ConvLayer's reduce_phase: copy 0 seeds, the rest
-    // add in ascending copy index — the bitwise contract every backend keeps.
+    // Copy 0 seeds, the rest add in ascending copy index — the bitwise
+    // contract every backend keeps.
     const auto& d = desc_;
     for (std::int64_t e = 0; e < n; ++e) {
       float acc = src[e];

@@ -40,8 +40,10 @@ struct MultiNodeOptions {
   SyncMode mode = SyncMode::kOverlap;
   /// Bucket payload cap. Buckets hold at least one layer; a layer larger
   /// than the cap gets a bucket of its own. A cap of at least the gradient
-  /// size gives one bucket: the bulk-synchronous baseline.
-  std::size_t bucket_cap_bytes = std::size_t{4} << 20;
+  /// size gives one bucket: the bulk-synchronous baseline. The 256 KiB
+  /// default cuts even ResNet-mini's 787 KB gradient into several buckets,
+  /// so the default run posts buckets during backward.
+  std::size_t bucket_cap_bytes = std::size_t{256} << 10;
   /// Communication-substrate configuration, passed to the Communicator
   /// verbatim: codec, topk fraction, comm threads, wire models, topology
   /// and reduction algorithm all live here (they used to be duplicated as

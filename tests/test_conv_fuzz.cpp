@@ -2,11 +2,12 @@
 // reproducible sample of the convolution parameter space (channel counts
 // that are not vector multiples, rectangular filters/images, every stride /
 // padding combination the layer supports). Execution is fuzzed too: thread
-// counts, update strategies, fused operators and register/pixel-block
-// overrides that force edge-block (p_rem_/q_rem_ > 0) kernels into the
-// replayed streams.
+// counts, update strategies, fused operators and explicit plans whose
+// register/pixel blockings force edge-block (p_rem_/q_rem_ > 0) kernels into
+// the replayed streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 
@@ -49,24 +50,35 @@ core::ConvParams random_params(unsigned seed) {
 }
 
 // Randomized execution: thread count, update strategy, and occasional
-// blocking overrides that force edge kernels. The first draw is discarded so
-// each seed keeps the options it has always drawn.
-core::ConvOptions random_options(unsigned seed) {
+// blockings that force edge kernels, all as edits of the default plan. The
+// first draw is discarded so each seed keeps the options it has always
+// drawn; a drawn hybrid strategy applies only where the layer can form two
+// thread groups (the plan rejects it elsewhere), and drawn pixel blocks are
+// clamped to the layer's output extent.
+core::ConvOptions random_options(const core::ConvParams& p, unsigned seed) {
   std::mt19937 rng(seed * 7919u + 13u);
   core::ConvOptions o;
   rng();
   o.threads = 1 + static_cast<int>(rng() % 3);
+  core::ConvPlan plan = core::plan_default(core::plan_key(p, o));
   switch (rng() % 4) {
-    case 0: o.upd_strategy = core::UpdStrategy::task; break;
-    case 1: o.upd_strategy = core::UpdStrategy::minibatch; break;
-    case 2: o.upd_strategy = core::UpdStrategy::hybrid; break;
-    default: break;  // auto_pick
+    case 0: plan.upd_strategy = core::UpdStrategy::task; break;
+    case 1: plan.upd_strategy = core::UpdStrategy::minibatch; break;
+    case 2:
+      if (core::upd_hybrid_groups(p, plan.vlen, o.threads) >= 2)
+        plan.upd_strategy = core::UpdStrategy::hybrid;
+      break;
+    default: break;  // the default plan's strategy
   }
-  if (rng() % 3 == 0) o.rbq = 3 + static_cast<int>(rng() % 3);
   if (rng() % 3 == 0) {
-    o.upd_bp = 2 + static_cast<int>(rng() % 2);
-    o.upd_bq = 3 + static_cast<int>(rng() % 3);
+    plan.rbq = 3 + static_cast<int>(rng() % 3);
+    plan.rbp = 1;
   }
+  if (rng() % 3 == 0) {
+    plan.upd_bp = std::min(p.P(), 2 + static_cast<int>(rng() % 2));
+    plan.upd_bq = std::min(p.Q(), 3 + static_cast<int>(rng() % 3));
+  }
+  o.plan = plan;
   return o;
 }
 
@@ -76,7 +88,7 @@ class ConvFuzz : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ConvFuzz, ForwardMatchesNaive) {
   const auto p = random_params(GetParam());
-  const auto o = random_options(GetParam());
+  const auto o = random_options(p, GetParam());
   SCOPED_TRACE(p.to_string());
   ConvProblem pr(p, GetParam());
   core::ConvLayer layer(p, o);
@@ -85,7 +97,7 @@ TEST_P(ConvFuzz, ForwardMatchesNaive) {
 
 TEST_P(ConvFuzz, BackwardMatchesNaive) {
   const auto p = random_params(GetParam());
-  const auto o = random_options(GetParam() + 500);
+  const auto o = random_options(p, GetParam() + 500);
   SCOPED_TRACE(p.to_string());
   ConvProblem pr(p, GetParam() + 1000);
   core::ConvLayer layer(p, o);
@@ -94,7 +106,7 @@ TEST_P(ConvFuzz, BackwardMatchesNaive) {
 
 TEST_P(ConvFuzz, UpdateMatchesNaive) {
   const auto p = random_params(GetParam());
-  const auto o = random_options(GetParam() + 600);
+  const auto o = random_options(p, GetParam() + 600);
   SCOPED_TRACE(p.to_string());
   ConvProblem pr(p, GetParam() + 2000);
   core::ConvLayer layer(p, o);
@@ -104,7 +116,7 @@ TEST_P(ConvFuzz, UpdateMatchesNaive) {
 TEST_P(ConvFuzz, AdjointPropertyHolds) {
   // <conv(x; W), y> == <x, conv_bwd(y; W)> through the optimized layer.
   const auto p = random_params(GetParam());
-  const auto o = random_options(GetParam() + 700);
+  const auto o = random_options(p, GetParam() + 700);
   SCOPED_TRACE(p.to_string());
   ConvProblem pr(p, GetParam() + 3000);
   core::ConvLayer layer(p, o);
@@ -122,10 +134,10 @@ TEST_P(ConvFuzz, StreamReplayMatchesNaiveOnPoisonedOutputs) {
   // Replay of the recorded kernel streams (every pass but the k-dot and
   // GEMM-fallback backwards) against the naive oracle within the
   // reduction-length bound, over random shapes, thread counts, update
-  // strategies, blocking overrides and the in-kernel fused ReLU. The layer
+  // strategies, plan-edited blockings and the in-kernel fused ReLU. The layer
   // helpers poison out/dI/dW with NaN first, so a dropped call fails.
   const auto p = random_params(GetParam());
-  auto o = random_options(GetParam() + 800);
+  auto o = random_options(p, GetParam() + 800);
   std::mt19937 rng(GetParam() * 31u + 7u);
   const bool relu = rng() % 2 == 0;
   o.fuse = relu ? core::FusedOp::relu : core::FusedOp::none;

@@ -73,24 +73,27 @@ TEST(Fwd, MoreThreadsThanJobsSplitsSpatially) {
   expect_close(naive_fwd(pr), layer_forward(layer, pr), 2e-3, "spatial split");
 }
 
-TEST(Fwd, RegisterBlockingOverride) {
+TEST(Fwd, RegisterBlockingFromExplicitPlan) {
   const auto p = core::make_conv(1, 16, 16, 12, 12, 3, 3, 1);
   ConvProblem pr(p);
   for (int rbq : {3, 4, 6, 12}) {
-    core::ConvOptions o;
-    o.rbq = rbq;
-    o.rbp = 1;
-    core::ConvLayer layer(p, o);
+    core::ConvLayer layer(p, xconv::testing::with_plan(
+                                 p, {}, [&](core::ConvPlan& plan) {
+                                   plan.rbp = 1;
+                                   plan.rbq = rbq;
+                                 }));
     EXPECT_EQ(layer.fwd_rbq(), rbq);
     expect_close(naive_fwd(pr), layer_forward(layer, pr), 2e-3, "rbq");
   }
 }
 
-TEST(Fwd, RegisterBudgetOverrideRejected) {
+TEST(Fwd, OverBudgetPlanRejected) {
   const auto p = core::make_conv(1, 16, 16, 32, 32, 3, 3, 1);
-  core::ConvOptions o;
-  o.rbp = 4;
-  o.rbq = 14;  // 56 accumulators
+  const core::ConvOptions o =
+      xconv::testing::with_plan(p, {}, [](core::ConvPlan& plan) {
+        plan.rbp = 4;
+        plan.rbq = 14;  // 56 accumulators
+      });
   EXPECT_THROW(core::ConvLayer(p, o), std::invalid_argument);
 }
 

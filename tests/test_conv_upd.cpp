@@ -9,6 +9,7 @@ using namespace xconv;
 using core::UpdStrategy;
 using xconv::testing::ConvProblem;
 using xconv::testing::expect_close;
+using xconv::testing::with_plan;
 
 namespace {
 core::ConvParams small_table1(int idx, int n = 1) {
@@ -39,8 +40,15 @@ TEST_P(UpdStrategies, AllStrategiesMatchNaive) {
   const auto p = core::make_conv(4, 32, 32, 12, 12, 3, 3, 1);
   ConvProblem pr(p, 77);
   core::ConvOptions o;
-  o.upd_strategy = strategy;
   o.threads = threads;
+  o = with_plan(p, o, [&](core::ConvPlan& plan) {
+    plan.upd_strategy = strategy;
+  });
+  if (strategy == UpdStrategy::hybrid && threads < 2) {
+    // One thread cannot form two hybrid groups: the plan is rejected.
+    EXPECT_THROW(core::ConvLayer(p, o), std::invalid_argument);
+    return;
+  }
   core::ConvLayer layer(p, o);
   EXPECT_EQ(layer.upd_strategy_used(), strategy);
   expect_close(naive_upd(pr), layer_update(layer, pr), 3e-3,
@@ -61,23 +69,25 @@ TEST(Upd, StrategiesProduceIdenticalResultsUpToFp) {
   for (auto s :
        {UpdStrategy::task, UpdStrategy::minibatch, UpdStrategy::hybrid}) {
     core::ConvOptions o;
-    o.upd_strategy = s;
     o.threads = 4;
-    core::ConvLayer layer(p, o);
+    core::ConvLayer layer(
+        p, with_plan(p, o, [&](core::ConvPlan& plan) {
+          plan.upd_strategy = s;
+        }));
     results.push_back(layer_update(layer, pr));
   }
   expect_close(results[0], results[1], 1e-4, "task-vs-minibatch");
   expect_close(results[0], results[2], 1e-4, "task-vs-hybrid");
 }
 
-TEST(Upd, BlockingOverrides) {
+TEST(Upd, BlockingFromExplicitPlan) {
   const auto p = core::make_conv(1, 16, 16, 12, 12, 3, 3, 1);
   ConvProblem pr(p, 6);
   for (auto [bp, bq] : {std::pair{1, 12}, {12, 12}, {3, 4}, {5, 7}}) {
-    core::ConvOptions o;
-    o.upd_bp = bp;
-    o.upd_bq = bq;
-    core::ConvLayer layer(p, o);
+    core::ConvLayer layer(p, with_plan(p, {}, [&](core::ConvPlan& plan) {
+                            plan.upd_bp = bp;
+                            plan.upd_bq = bq;
+                          }));
     EXPECT_EQ(layer.upd_bp(), bp);
     EXPECT_EQ(layer.upd_bq(), bq);
     expect_close(naive_upd(pr), layer_update(layer, pr), 3e-3, "upd blocking");
@@ -88,10 +98,10 @@ TEST(Upd, MaxReusePixelBlockEqualsWholeImage) {
   // BP = P, BQ = Q: the Section II-J maximal-register-reuse extreme.
   const auto p = core::make_conv(1, 16, 16, 7, 7, 3, 3, 1);
   ConvProblem pr(p, 8);
-  core::ConvOptions o;
-  o.upd_bp = p.P();
-  o.upd_bq = p.Q();
-  core::ConvLayer layer(p, o);
+  core::ConvLayer layer(p, with_plan(p, {}, [&](core::ConvPlan& plan) {
+                          plan.upd_bp = p.P();
+                          plan.upd_bq = p.Q();
+                        }));
   expect_close(naive_upd(pr), layer_update(layer, pr), 3e-3, "BP=P BQ=Q");
 }
 

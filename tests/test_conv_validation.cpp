@@ -117,3 +117,25 @@ TEST(ConvValidation, MatchingTensorsPass) {
   EXPECT_NO_THROW(layer.backward(out, wt, din));
   EXPECT_NO_THROW(layer.update(in, out, dwt));
 }
+
+// Generated kernels step feature blocks by an int32 byte count. A 1x1 layer
+// whose input block (8200 x 8200 pixels, two or more blocks: the Cb loop in
+// the kernel) or, for the stride-2 backward, output block spans more than
+// INT32_MAX bytes is rejected at construction, before any kernel or stream
+// is built, on every ISA (the scalar kernels included). No tensor is
+// allocated.
+TEST(ConvValidation, FeatureBlockStridePastInt32Rejected) {
+  const core::ConvParams shapes[] = {
+      core::make_conv(1, 32, 32, 8200, 8200, 1, 1, 1, 0),
+      core::make_conv(1, 16, 16, 16400, 16400, 1, 1, 2, 0)};
+  for (const core::ConvParams& p : shapes) {
+    for (const platform::Isa isa :
+         {platform::Isa::scalar, platform::effective_isa()}) {
+      SCOPED_TRACE(p.to_string() + " " + platform::isa_name(isa));
+      core::ConvOptions o;
+      o.isa = isa;
+      o.threads = 1;
+      EXPECT_THROW(core::ConvLayer(p, o), std::invalid_argument);
+    }
+  }
+}

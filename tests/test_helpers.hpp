@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <random>
 #include <vector>
@@ -16,6 +17,18 @@
 #include "tensor/transform.hpp"
 
 namespace xconv::testing {
+
+/// `o` steered by an explicit plan: the default plan a layer built from
+/// (p, o) resolves, with `edit` applied. ConvOptions::plan is the one way to
+/// steer a layer; validation of the edited plan happens at construction.
+inline core::ConvOptions with_plan(
+    const core::ConvParams& p, core::ConvOptions o,
+    const std::function<void(core::ConvPlan&)>& edit) {
+  core::ConvPlan plan = core::plan_default(core::plan_key(p, o));
+  edit(plan);
+  o.plan = plan;
+  return o;
+}
 
 inline std::vector<float> random_vec(std::size_t n, unsigned seed,
                                      float lo = -1.0f, float hi = 1.0f) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -133,6 +134,38 @@ TEST(JitConv, DescValidation) {
   EXPECT_THROW(d.validate(), std::invalid_argument);  // missing cb strides
   d.in_cb_stride = 1024;
   d.wt_cb_stride = 256;
+  EXPECT_NO_THROW(d.validate());
+}
+
+// Every displacement the generator emits is an int32 byte count. A 1x1
+// layer with C = 32 (two blocks, Cb loop in the kernel) on a 5800 x 5800
+// input steps 538,240,000 elements = 2,152,960,000 bytes per input block,
+// past INT32_MAX: the descriptor is rejected, no tensor needed.
+TEST(JitConv, ByteDisplacementPastInt32Rejected) {
+  jit::ConvKernelDesc d;
+  d.isa = platform::Isa::avx512;
+  d.vlen = 16;
+  d.rbq = 10;
+  d.in_row_stride = d.out_row_stride = 5800 * 16;
+  d.c_iters = 16;
+  d.c_blocks = 2;
+  d.in_cb_stride = 5800 * 5800 * 16;
+  d.wt_cb_stride = 256;
+  EXPECT_THROW(d.validate(), std::invalid_argument);
+  EXPECT_THROW(jit::generate_conv_kernel(d), std::invalid_argument);
+  d.in_cb_stride = 2000 * 2000 * 16;  // 256 MB per block: addressable
+  EXPECT_NO_THROW(d.validate());
+
+  // Row strides reach past int32 through the rows a kernel spans
+  // (rbp * stride_h + r - 1 = 6 input rows here).
+  d.c_blocks = 1;
+  d.in_cb_stride = d.wt_cb_stride = 0;
+  d.rbp = 2;
+  d.stride_h = 2;
+  d.r = 3;
+  d.in_row_stride = (INT32_MAX / 4) / 5 + 16;
+  EXPECT_THROW(d.validate(), std::invalid_argument);
+  d.in_row_stride = (INT32_MAX / 4) / 8;
   EXPECT_NO_THROW(d.validate());
 }
 

@@ -35,6 +35,16 @@ constexpr platform::Isa kIsaClamps[] = {platform::Isa::avx2,
 
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
+/// The planner's default training plan for `p` at `isa` on 4 threads.
+core::ConvPlan default_plan(const core::ConvParams& p, platform::Isa isa) {
+  core::PlanKey key;
+  key.params = p;
+  key.isa = isa;
+  key.vlen = core::resolved_vlen(isa);
+  key.threads = 4;
+  return core::plan_default(key);
+}
+
 /// Verify one generated kernel against its descriptor contract; a rejection
 /// is a test failure carrying the full diagnostic.
 template <class Desc, class KernelPtr>
@@ -77,10 +87,7 @@ int verify_gemm(const jit::GemmKernelDesc& d) {
 /// the real planner's register blocking (main + edge variants, beta0/ReLU,
 /// in-kernel Cb loop, scattered-output stride).
 int sweep_conv_shape(const core::ConvParams& p, platform::Isa isa) {
-  core::PlanRequest req;
-  req.isa = isa;
-  req.threads = 4;
-  const core::ConvPlan plan = core::plan_default(p, req);
+  const core::ConvPlan plan = default_plan(p, isa);
   const int vlen = platform::vlen_fp32(isa);
   const int P = p.P(), Q = p.Q();
 
@@ -137,10 +144,7 @@ int sweep_conv_shape(const core::ConvParams& p, platform::Isa isa) {
 /// k-dot backward descriptors for one C < vlen layer shape: every (row
 /// phase, column phase) at the planner's rb plus each phase's remainder.
 int sweep_kdot_shape(const core::ConvParams& p, platform::Isa isa) {
-  core::PlanRequest req;
-  req.isa = isa;
-  req.threads = 4;
-  const core::ConvPlan plan = core::plan_default(p, req);
+  const core::ConvPlan plan = default_plan(p, isa);
   if (plan.bwd_algo != core::BwdAlgo::kdot) return 0;
   const int vlen = platform::vlen_fp32(isa);
   const int rb = plan.bwd_kdot_rb;
@@ -182,10 +186,7 @@ int sweep_kdot_shape(const core::ConvParams& p, platform::Isa isa) {
 /// Weight-update descriptors for one layer shape (planner pixel blocking,
 /// edge and channel-remainder variants).
 int sweep_upd_shape(const core::ConvParams& p, platform::Isa isa) {
-  core::PlanRequest req;
-  req.isa = isa;
-  req.threads = 4;
-  const core::ConvPlan plan = core::plan_default(p, req);
+  const core::ConvPlan plan = default_plan(p, isa);
   if (plan.upd_bp <= 0 || plan.upd_bq <= 0) return 0;
   const int vlen = platform::vlen_fp32(isa);
   const int P = p.P(), Q = p.Q();

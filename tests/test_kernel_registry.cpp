@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -157,6 +159,30 @@ TEST(Registry, ConcurrentFirstUseResolution) {
   EXPECT_EQ(reg.size(), before + kDescs);
 }
 
+// The reduce generator sums >= 2 copies, each addressed as [src + disp32].
+// A descriptor whose copies span past disp32 resolves the scalar kernel
+// instead of throwing, and so does a one-copy copy-out.
+TEST(Registry, ReduceBeyondDisp32ResolvesScalar) {
+  auto& reg = kernels::KernelRegistry::instance();
+  jit::ReduceKernelDesc d;
+  d.isa = platform::Isa::avx512;
+  d.vlen = 16;
+  d.copies = 3;
+  d.copy_stride = std::int64_t{1} << 30;  // 4 GiB between copies
+  ASSERT_GT(d.span_bytes(), INT32_MAX);
+  const kernels::ReduceMicrokernel* k = nullptr;
+  EXPECT_NO_THROW(k = reg.reduce(d));
+  ASSERT_NE(k, nullptr);
+  EXPECT_EQ(k->backend(), Backend::scalar);
+
+  d.copy_stride = 4096;
+  if (platform::max_isa() >= d.isa) {
+    EXPECT_EQ(reg.reduce(d)->backend(), Backend::jit);
+  }
+  d.copies = 1;
+  EXPECT_EQ(reg.reduce(d)->backend(), Backend::scalar);
+}
+
 TEST(Registry, BackendNames) {
   EXPECT_STREQ(kernels::backend_name(Backend::jit), "jit");
   EXPECT_STREQ(kernels::backend_name(Backend::scalar), "scalar");
@@ -214,7 +240,7 @@ TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
   struct Case {
     core::ConvParams p;
     core::UpdStrategy upd;
-    int rbq;
+    int rbq;  ///< forward RBQ (RBP 1); 0 keeps the default plan's
     std::uint64_t fwd, bwd, upd_bits;
   };
   const Case cases[] = {
@@ -241,9 +267,14 @@ TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
     core::ConvOptions o;
     o.isa = platform::Isa::scalar;
     o.threads = 2;
-    o.upd_strategy = c.upd;
-    o.rbq = c.rbq;
-    core::ConvLayer layer(c.p, o);
+    core::ConvLayer layer(
+        c.p, xconv::testing::with_plan(c.p, o, [&](core::ConvPlan& plan) {
+          plan.upd_strategy = c.upd;
+          if (c.rbq > 0) {
+            plan.rbp = 1;
+            plan.rbq = c.rbq;
+          }
+        }));
     core::ConvLayerTestPeer::Kernels k;
     core::ConvLayerTestPeer::collect(layer, k);
     for (const Backend b : k.backends)

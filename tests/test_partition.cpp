@@ -43,7 +43,6 @@ TEST(ThreadChunk, ZeroThreadsClamped) {
 }
 
 TEST(UpdStrategyNames, AllNamed) {
-  EXPECT_STREQ(upd_strategy_name(UpdStrategy::auto_pick), "auto");
   EXPECT_STREQ(upd_strategy_name(UpdStrategy::task), "task");
   EXPECT_STREQ(upd_strategy_name(UpdStrategy::minibatch), "minibatch");
   EXPECT_STREQ(upd_strategy_name(UpdStrategy::hybrid), "hybrid");

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <set>
 #include <stdexcept>
@@ -52,7 +53,6 @@ using core::ConvPlan;
 using core::PlanKey;
 using core::PlanLoadStatus;
 using core::PlanPass;
-using core::PlanRequest;
 using core::UpdStrategy;
 
 // ===========================================================================
@@ -205,14 +205,31 @@ core::ConvParams fuzz_params(unsigned seed) {
   return core::make_conv(1, 16, 16, 8, 8, 3, 3, 1);
 }
 
+/// The key a layer resolves for `p` on `threads` threads at `isa` (whose
+/// vlen the key carries).
+PlanKey key_for(const core::ConvParams& p, int threads = 1,
+                PlanPass pass = PlanPass::train,
+                platform::Isa isa = platform::Isa::avx512) {
+  PlanKey key;
+  key.params = p;
+  key.pass = pass;
+  key.isa = isa;
+  key.vlen = core::resolved_vlen(isa);
+  key.threads = threads;
+  return key;
+}
+
+/// plan_default for `p` at key_for's defaults (avx512, one thread, train).
+ConvPlan default_for(const core::ConvParams& p) {
+  return core::plan_default(key_for(p));
+}
+
 void expect_matches_legacy(const core::ConvParams& p, int threads,
                            bool fwd_only) {
   SCOPED_TRACE(p.to_string() + " threads=" + std::to_string(threads) +
                (fwd_only ? " fwd" : " train"));
-  PlanRequest req;
-  req.threads = threads;
-  req.fwd_only = fwd_only;
-  const ConvPlan plan = core::plan_default(p, req);
+  const ConvPlan plan = core::plan_default(
+      key_for(p, threads, fwd_only ? PlanPass::fwd : PlanPass::train));
   const legacy_ref::Decisions d = legacy_ref::decide(p, threads, fwd_only);
   EXPECT_EQ(plan.rbp, d.rbp);
   EXPECT_EQ(plan.rbq, d.rbq);
@@ -336,59 +353,76 @@ TEST(PlanLegacyDiff, LayerExecutesItsPlan) {
   }
 }
 
+TEST(PlanDefault, AlwaysPassesValidate) {
+  // plan_default never emits a plan validate() rejects — in particular no
+  // hybrid plan that cannot form two thread groups — on any shape, thread
+  // count or ISA a layer may be built for.
+  std::vector<core::ConvParams> shapes;
+  for (unsigned seed = 0; seed < 24; ++seed)
+    shapes.push_back(fuzz_params(seed));
+  for (const int mb : {1, 4})
+    for (const auto& l : topo::resnet50_table1())
+      shapes.push_back(topo::table1_params(l, mb));
+  for (const auto& l : topo::inception_v3_convs())
+    shapes.push_back(topo::inception_params(l, 1));
+  for (const auto& p : shapes) {
+    for (const int threads : {1, 2, 3, 4, 8, 16}) {
+      for (const platform::Isa isa : {platform::Isa::scalar,
+                                      platform::Isa::avx2,
+                                      platform::Isa::avx512}) {
+        for (const PlanPass pass : {PlanPass::train, PlanPass::fwd}) {
+          const PlanKey key = key_for(p, threads, pass, isa);
+          SCOPED_TRACE(key.to_string());
+          EXPECT_NO_THROW(core::plan_default(key).validate(p, pass));
+        }
+      }
+    }
+  }
+}
+
 // ===========================================================================
 // Crossover pins: the named constants induce these exact boundaries
 // ===========================================================================
 
 TEST(PlanCrossover, ForwardRegisterBlocking) {
-  PlanRequest req;
   // Q=56: RBQ capped at kFwdRbqCap=14 (a divisor of 56), RBP stays 1.
-  ConvPlan plan =
-      core::plan_default(core::make_conv(1, 64, 64, 56, 56, 3, 3, 1), req);
+  ConvPlan plan = default_for(core::make_conv(1, 64, 64, 56, 56, 3, 3, 1));
   EXPECT_EQ(plan.rbq, 14);
   EXPECT_EQ(plan.rbp, 1);
   // Q=17 (prime): no divisor in [kRbMinExtent, 14] => fall back to the cap
   // itself, leaving a remainder block.
-  plan = core::plan_default(core::make_conv(1, 16, 16, 17, 17, 3, 3, 1), req);
+  plan = default_for(core::make_conv(1, 16, 16, 17, 17, 3, 3, 1));
   EXPECT_EQ(plan.rbq, 14);
   EXPECT_EQ(plan.rbp, 1);
   // Q=7 <= max_acc/2 and RBQ==Q: stack rows, RBP = 28/7 = 4 (full budget).
-  plan = core::plan_default(core::make_conv(1, 64, 64, 7, 7, 3, 3, 1), req);
+  plan = default_for(core::make_conv(1, 64, 64, 7, 7, 3, 3, 1));
   EXPECT_EQ(plan.rbq, 7);
   EXPECT_EQ(plan.rbp, 4);
-  // Overrides exceeding the 28-accumulator budget throw (legacy contract).
-  req.rbp = 3;
-  req.rbq = 10;
-  EXPECT_THROW(
-      core::plan_default(core::make_conv(1, 16, 16, 12, 12, 3, 3, 1), req),
-      std::invalid_argument);
+  // A plan exceeding the 28-accumulator budget is rejected.
+  const auto p12 = core::make_conv(1, 16, 16, 12, 12, 3, 3, 1);
+  plan = default_for(p12);
+  plan.rbp = 3;
+  plan.rbq = 10;
+  EXPECT_THROW(plan.validate(p12, PlanPass::train), std::invalid_argument);
 }
 
 TEST(PlanCrossover, CbInKernelOnlyForMultiBlock1x1) {
-  PlanRequest req;
-  EXPECT_TRUE(core::plan_default(core::make_conv(1, 64, 64, 14, 14, 1, 1, 1),
-                                 req)
+  EXPECT_TRUE(default_for(core::make_conv(1, 64, 64, 14, 14, 1, 1, 1))
                   .cb_in_kernel);  // cb=4
-  EXPECT_FALSE(core::plan_default(core::make_conv(1, 16, 64, 14, 14, 1, 1, 1),
-                                  req)
+  EXPECT_FALSE(default_for(core::make_conv(1, 16, 64, 14, 14, 1, 1, 1))
                    .cb_in_kernel);  // cb=1
-  EXPECT_FALSE(core::plan_default(core::make_conv(1, 64, 64, 14, 14, 3, 3, 1),
-                                  req)
+  EXPECT_FALSE(default_for(core::make_conv(1, 64, 64, 14, 14, 3, 3, 1))
                    .cb_in_kernel);  // not 1x1
 }
 
 TEST(PlanCrossover, BackwardAlgorithmShapeForced) {
-  PlanRequest req;
-  EXPECT_EQ(core::plan_default(core::make_conv(2, 16, 16, 14, 14, 3, 3, 1),
-                               req)
-                .bwd_algo,
+  EXPECT_EQ(default_for(core::make_conv(2, 16, 16, 14, 14, 3, 3, 1)).bwd_algo,
             BwdAlgo::duality_stride1);
-  const ConvPlan p1x1 = core::plan_default(
-      core::make_conv(2, 64, 64, 14, 14, 1, 1, 2, 0), req);
+  const ConvPlan p1x1 =
+      default_for(core::make_conv(2, 64, 64, 14, 14, 1, 1, 2, 0));
   EXPECT_EQ(p1x1.bwd_algo, BwdAlgo::duality_1x1_strided);
   EXPECT_EQ(p1x1.bwd1x1_rbq, 7);  // pick(Q=7, 28) = 7
-  const ConvPlan pg = core::plan_default(
-      core::make_conv(2, 16, 16, 14, 14, 3, 3, 2), req);
+  const ConvPlan pg = default_for(core::make_conv(2, 16, 16, 14, 14, 3, 3, 2));
   EXPECT_EQ(pg.bwd_algo, BwdAlgo::gemm_fallback);
   EXPECT_EQ(pg.bwd_gemm_qc, 7);  // pick(Q=7, max_acc=28) = 7
 }
@@ -398,8 +432,9 @@ TEST(PlanCrossover, KdotForLayersNarrowerThanOneBlock) {
   // filter; rb stays within the vector-register budget and prefers a divisor
   // of the per-phase pixel count ceil(W / stride).
   for (platform::Isa isa : {platform::Isa::avx512, platform::Isa::avx2}) {
-    PlanRequest req;
-    req.isa = isa;
+    const auto plan_at = [&](const core::ConvParams& p) {
+      return core::plan_default(key_for(p, 1, PlanPass::train, isa));
+    };
     const int v = platform::vlen_fp32(isa);
     for (int c : {1, 2, 3, v - 1})
       for (int stride : {1, 2})
@@ -407,7 +442,7 @@ TEST(PlanCrossover, KdotForLayersNarrowerThanOneBlock) {
           const auto p = core::make_conv(2, c, 32, 28, 28, r, r, stride,
                                          (r - 1) / 2);
           SCOPED_TRACE(p.to_string() + " " + platform::isa_name(isa));
-          const ConvPlan plan = core::plan_default(p, req);
+          const ConvPlan plan = plan_at(p);
           EXPECT_EQ(plan.bwd_algo, BwdAlgo::kdot);
           EXPECT_GE(plan.bwd_kdot_rb, 1);
           EXPECT_LE(plan.bwd_kdot_rb,
@@ -417,28 +452,24 @@ TEST(PlanCrossover, KdotForLayersNarrowerThanOneBlock) {
           EXPECT_NO_THROW(plan.validate(p, PlanPass::train));
         }
     // A full block keeps the shape-forced algorithms.
-    EXPECT_EQ(core::plan_default(core::make_conv(2, v, 32, 28, 28, 7, 7, 2),
-                                 req)
-                  .bwd_algo,
+    EXPECT_EQ(plan_at(core::make_conv(2, v, 32, 28, 28, 7, 7, 2)).bwd_algo,
               BwdAlgo::gemm_fallback);
-    EXPECT_EQ(core::plan_default(core::make_conv(2, v, 32, 28, 28, 3, 3, 1),
-                                 req)
-                  .bwd_algo,
+    EXPECT_EQ(plan_at(core::make_conv(2, v, 32, 28, 28, 3, 3, 1)).bwd_algo,
               BwdAlgo::duality_stride1);
   }
-  PlanRequest req;
   // ResNet-50 conv1 on AVX-512: 112 pixels per column phase, budget 9.
-  const ConvPlan conv1 = core::plan_default(
-      core::make_conv(4, 3, 64, 224, 224, 7, 7, 2, 3), req);
+  const ConvPlan conv1 =
+      default_for(core::make_conv(4, 3, 64, 224, 224, 7, 7, 2, 3));
   EXPECT_EQ(conv1.bwd_algo, BwdAlgo::kdot);
   EXPECT_EQ(conv1.bwd_kdot_rb, 8);
   // On AVX2 C = 8 is a full block; C = 7 fits only rb = 1.
-  req.isa = platform::Isa::avx2;
-  EXPECT_EQ(core::plan_default(core::make_conv(1, 8, 16, 9, 9, 3, 3, 2), req)
-                .bwd_algo,
+  const auto avx2_plan = [](const core::ConvParams& p) {
+    return core::plan_default(
+        key_for(p, 1, PlanPass::train, platform::Isa::avx2));
+  };
+  EXPECT_EQ(avx2_plan(core::make_conv(1, 8, 16, 9, 9, 3, 3, 2)).bwd_algo,
             BwdAlgo::gemm_fallback);
-  EXPECT_EQ(core::plan_default(core::make_conv(1, 7, 16, 9, 9, 3, 3, 2), req)
-                .bwd_kdot_rb,
+  EXPECT_EQ(avx2_plan(core::make_conv(1, 7, 16, 9, 9, 3, 3, 2)).bwd_kdot_rb,
             1);
   // A plan whose rb exceeds the budget is rejected.
   ConvPlan bad = conv1;
@@ -449,16 +480,15 @@ TEST(PlanCrossover, KdotForLayersNarrowerThanOneBlock) {
 }
 
 TEST(PlanCrossover, UpdatePixelBlocking) {
-  PlanRequest req;
   // P=Q=56: BP capped at kUpdBpCap=8 (divisor), BQ at the largest divisor
   // below kUpdBqCap=32, i.e. 28.
   const ConvPlan plan =
-      core::plan_default(core::make_conv(1, 16, 16, 56, 56, 3, 3, 1), req);
+      default_for(core::make_conv(1, 16, 16, 56, 56, 3, 3, 1));
   EXPECT_EQ(plan.upd_bp, 8);
   EXPECT_EQ(plan.upd_bq, 28);
   // P=Q=17 (prime): no divisor => the caps themselves, remainder blocks.
   const ConvPlan p17 =
-      core::plan_default(core::make_conv(1, 16, 16, 17, 17, 3, 3, 1), req);
+      default_for(core::make_conv(1, 16, 16, 17, 17, 3, 3, 1));
   EXPECT_EQ(p17.upd_bp, 8);
   EXPECT_EQ(p17.upd_bq, 17);  // Q=17 <= kUpdBqCap: whole row
 }
@@ -537,9 +567,9 @@ TEST(PlanKeyTest, TextFormAndHashPinned) {
   // which is exactly what kPlanSchemaVersion (embedded in the text) is for.
   EXPECT_EQ(key.to_string(),
             "conv(N=2,C=64,K=128,H=56,W=56,R=3,S=3,stride=1x1,pad=1x1)"
-            "|pass=train|isa=avx512|vlen=16|threads=4|v4");
-  EXPECT_EQ(key.hash(), 0x9ac441d6cac2167cull);
-  EXPECT_EQ(key.hash_hex(), "9ac441d6cac2167c");
+            "|pass=train|isa=avx512|vlen=16|threads=4|v5");
+  EXPECT_EQ(key.hash(), 0x9ac442d6cac2182full);
+  EXPECT_EQ(key.hash_hex(), "9ac442d6cac2182f");
 }
 
 TEST(PlanKeyTest, HashIsFnv1a64) {
@@ -561,15 +591,10 @@ TEST(PlanKeyTest, HashIsFnv1a64) {
 
 TEST(PlanKeyTest, DistinctContextsDistinctKeys) {
   const auto p = core::make_conv(1, 16, 16, 8, 8, 3, 3, 1);
-  PlanRequest a, b;
-  b.threads = 2;
-  EXPECT_NE(a.key(p).to_string(), b.key(p).to_string());
-  PlanRequest c;
-  c.fwd_only = true;
-  EXPECT_NE(a.key(p).to_string(), c.key(p).to_string());
-  PlanRequest d;
-  d.isa = platform::Isa::avx2;
-  EXPECT_NE(a.key(p).to_string(), d.key(p).to_string());
+  const std::string a = key_for(p).to_string();
+  EXPECT_NE(a, key_for(p, 2).to_string());
+  EXPECT_NE(a, key_for(p, 1, PlanPass::fwd).to_string());
+  EXPECT_NE(a, key_for(p, 1, PlanPass::train, platform::Isa::avx2).to_string());
 }
 
 // ===========================================================================
@@ -578,65 +603,55 @@ TEST(PlanKeyTest, DistinctContextsDistinctKeys) {
 
 TEST(PlanSerialization, RoundTripEveryField) {
   // Vary every serialized field across the sample: isa/vlen (avx2=8),
-  // threads, all three bwd algos, strategies, blocking overrides and the
-  // tuned flag.
+  // threads, all three bwd algos, strategies, edited blockings, loop order,
+  // reduce unroll and the tuned flag.
   struct Case {
-    core::ConvParams p;
-    PlanRequest req;
+    PlanKey key;
+    std::function<void(ConvPlan&)> edit;
     bool tuned;
   };
-  std::vector<Case> cases;
-  {
-    Case c{core::make_conv(2, 64, 64, 14, 14, 3, 3, 1), {}, false};
-    cases.push_back(c);  // duality_stride1, task (1 thread)
-  }
-  {
-    Case c{core::make_conv(2, 64, 64, 14, 14, 1, 1, 2, 0), {}, true};
-    c.req.threads = 4;
-    cases.push_back(c);  // duality_1x1_strided, cb_in_kernel
-  }
-  {
-    Case c{core::make_conv(2, 16, 16, 14, 14, 3, 3, 2), {}, false};
-    c.req.threads = 8;
-    c.req.isa = platform::Isa::scalar;  // vlen 16, avx512-shaped kernels
-    cases.push_back(c);  // gemm_fallback
-  }
-  {
-    Case c{core::make_conv(4, 32, 32, 28, 28, 3, 3, 1), {}, true};
-    c.req.isa = platform::Isa::avx2;  // vlen 8
-    c.req.threads = 2;
-    cases.push_back(c);
-  }
-  {
-    Case c{core::make_conv(1, 16, 16, 8, 8, 3, 3, 1), {}, false};
-    c.req.fwd_only = true;  // pass=fwd plan: upd/bwd fields at defaults
-    cases.push_back(c);
-  }
-  {
-    Case c{core::make_conv(4, 64, 64, 28, 28, 3, 3, 1), {}, true};
-    c.req.threads = 16;
-    c.req.rbp = 2;
-    c.req.rbq = 14;
-    c.req.upd_bp = 4;
-    c.req.upd_bq = 14;
-    c.req.upd_strategy = UpdStrategy::hybrid;
-    cases.push_back(c);  // every override exercised
-  }
-  {
-    Case c{core::make_conv(4, 64, 64, 28, 28, 3, 3, 1), {}, false};
-    c.req.threads = 4;
-    c.req.upd_strategy = UpdStrategy::minibatch;
-    cases.push_back(c);
-  }
+  const auto keep = [](ConvPlan&) {};
+  const std::vector<Case> cases = {
+      // duality_stride1, task (1 thread)
+      {key_for(core::make_conv(2, 64, 64, 14, 14, 3, 3, 1)), keep, false},
+      // duality_1x1_strided, cb_in_kernel
+      {key_for(core::make_conv(2, 64, 64, 14, 14, 1, 1, 2, 0), 4), keep,
+       true},
+      // gemm_fallback; the scalar ISA keeps vlen 16, avx512-shaped kernels
+      {key_for(core::make_conv(2, 16, 16, 14, 14, 3, 3, 2), 8,
+               PlanPass::train, platform::Isa::scalar),
+       keep, false},
+      {key_for(core::make_conv(4, 32, 32, 28, 28, 3, 3, 1), 2,
+               PlanPass::train, platform::Isa::avx2),
+       keep, true},
+      // pass=fwd plan: upd/bwd fields at defaults
+      {key_for(core::make_conv(1, 16, 16, 8, 8, 3, 3, 1), 1, PlanPass::fwd),
+       keep, false},
+      // every tunable field edited
+      {key_for(core::make_conv(4, 64, 64, 28, 28, 3, 3, 1), 16),
+       [](ConvPlan& plan) {
+         plan.rbp = 2;
+         plan.rbq = 14;
+         plan.upd_bp = 4;
+         plan.upd_bq = 14;
+         plan.upd_strategy = UpdStrategy::hybrid;
+         plan.upd_loop_order = core::UpdLoopOrder::pixel_outer;
+         plan.upd_reduce_unroll = 8;
+       },
+       true},
+      {key_for(core::make_conv(4, 64, 64, 28, 28, 3, 3, 1), 4),
+       [](ConvPlan& plan) { plan.upd_strategy = UpdStrategy::minibatch; },
+       false},
+  };
 
   for (const auto& c : cases) {
-    SCOPED_TRACE(c.p.to_string());
-    ConvPlan plan = core::plan_default(c.p, c.req);
+    SCOPED_TRACE(c.key.to_string());
+    ConvPlan plan = core::plan_default(c.key);
+    c.edit(plan);
     plan.tuned = c.tuned;
-    const PlanKey key = c.req.key(c.p);
-    const std::string json = plan.to_json(key);
+    const std::string json = plan.to_json(c.key);
     ConvPlan back;
-    ASSERT_EQ(core::plan_from_json(json, key, &back),
+    ASSERT_EQ(core::plan_from_json(json, c.key, &back),
               PlanLoadStatus::ok)
         << json;
     EXPECT_EQ(back, plan) << json;  // defaulted == covers every field
@@ -645,10 +660,8 @@ TEST(PlanSerialization, RoundTripEveryField) {
 
 TEST(PlanSerialization, RejectsCorruptTruncatedVersionAndForeign) {
   const auto p = core::make_conv(2, 16, 32, 8, 8, 3, 3, 1);
-  PlanRequest req;
-  req.threads = 2;
-  const PlanKey key = req.key(p);
-  const ConvPlan plan = core::plan_default(p, req);
+  const PlanKey key = key_for(p, 2);
+  const ConvPlan plan = core::plan_default(key);
   const std::string good = plan.to_json(key);
   ConvPlan out;
 
@@ -697,9 +710,7 @@ TEST(PlanSerialization, RejectsCorruptTruncatedVersionAndForeign) {
   }
   // An entry serialized for a different key (here: thread count) is foreign.
   {
-    PlanRequest other = req;
-    other.threads = 8;
-    EXPECT_EQ(core::plan_from_json(good, other.key(p), &out),
+    EXPECT_EQ(core::plan_from_json(good, key_for(p, 8), &out),
               PlanLoadStatus::key_mismatch);
   }
 }
@@ -711,12 +722,11 @@ TEST(PlanSerialization, RejectsCorruptTruncatedVersionAndForeign) {
 TEST(PlanCacheTest, MemoryGetOrCreateAndStats) {
   core::PlanCache cache;  // memory-only
   const auto p = core::make_conv(2, 16, 32, 8, 8, 3, 3, 1);
-  PlanRequest req;
-  const PlanKey key = req.key(p);
+  const PlanKey key = key_for(p);
   int makes = 0;
   auto make = [&] {
     ++makes;
-    return core::plan_default(p, req);
+    return core::plan_default(key);
   };
   const ConvPlan a = cache.get_or_create(key, make);
   const ConvPlan b = cache.get_or_create(key, make);
@@ -731,9 +741,7 @@ TEST(PlanCacheTest, MemoryGetOrCreateAndStats) {
   ConvPlan peeked;
   EXPECT_TRUE(cache.peek(key, &peeked));
   EXPECT_EQ(peeked, a);
-  PlanRequest other;
-  other.threads = 3;
-  EXPECT_FALSE(cache.peek(other.key(p), &peeked));
+  EXPECT_FALSE(cache.peek(key_for(p, 3), &peeked));
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
 }
@@ -741,11 +749,9 @@ TEST(PlanCacheTest, MemoryGetOrCreateAndStats) {
 TEST(PlanCacheTest, DiskRoundTrip) {
   TempDir dir;
   const auto p = core::make_conv(2, 64, 64, 14, 14, 3, 3, 1);
-  PlanRequest req;
-  req.threads = 2;
-  const PlanKey key = req.key(p);
+  const PlanKey key = key_for(p, 2);
 
-  ConvPlan tuned = core::plan_default(p, req);
+  ConvPlan tuned = core::plan_default(key);
   tuned.tuned = true;
   tuned.rbq = 7;  // a non-default (but valid) decision must survive the trip
   {
@@ -759,7 +765,7 @@ TEST(PlanCacheTest, DiskRoundTrip) {
   int makes = 0;
   const ConvPlan got = reader.get_or_create(key, [&] {
     ++makes;
-    return core::plan_default(p, req);
+    return core::plan_default(key);
   });
   EXPECT_EQ(makes, 0);
   EXPECT_EQ(got, tuned);
@@ -767,24 +773,22 @@ TEST(PlanCacheTest, DiskRoundTrip) {
   EXPECT_EQ(st.disk_hits, 1u);
   EXPECT_EQ(st.misses, 0u);
   // Second lookup is a pure memory hit.
-  reader.get_or_create(key, [&] { return core::plan_default(p, req); });
+  reader.get_or_create(key, [&] { return core::plan_default(key); });
   EXPECT_EQ(reader.stats().hits, 1u);
 }
 
 TEST(PlanCacheTest, CorruptDiskEntryFallsBackToDefault) {
   TempDir dir;
-  const auto p = core::make_conv(2, 16, 16, 8, 8, 3, 3, 1);
-  PlanRequest req;
-  const PlanKey key = req.key(p);
+  const PlanKey key = key_for(core::make_conv(2, 16, 16, 8, 8, 3, 3, 1));
   core::PlanCache cache(dir.path);
   write_file(cache.file_path(key), "{ \"plan_schema_version\": ");  // truncated
   int makes = 0;
   const ConvPlan got = cache.get_or_create(key, [&] {
     ++makes;
-    return core::plan_default(p, req);
+    return core::plan_default(key);
   });
   EXPECT_EQ(makes, 1);
-  EXPECT_EQ(got, core::plan_default(p, req));
+  EXPECT_EQ(got, core::plan_default(key));
   const auto st = cache.stats();
   EXPECT_EQ(st.disk_stale, 1u);
   EXPECT_EQ(st.misses, 1u);
@@ -799,11 +803,9 @@ TEST(PlanCacheTest, CorruptDiskEntryFallsBackToDefault) {
 
 TEST(PlanCacheTest, VersionMismatchedDiskEntryFallsBack) {
   TempDir dir;
-  const auto p = core::make_conv(2, 16, 16, 8, 8, 3, 3, 1);
-  PlanRequest req;
-  const PlanKey key = req.key(p);
+  const PlanKey key = key_for(core::make_conv(2, 16, 16, 8, 8, 3, 3, 1));
   core::PlanCache cache(dir.path);
-  cache.put(key, core::plan_default(p, req));
+  cache.put(key, core::plan_default(key));
   // Simulate an old-version file in place.
   std::string text = read_file(cache.file_path(key));
   const std::string needle = "\"plan_schema_version\": " +
@@ -817,7 +819,7 @@ TEST(PlanCacheTest, VersionMismatchedDiskEntryFallsBack) {
   int makes = 0;
   fresh.get_or_create(key, [&] {
     ++makes;
-    return core::plan_default(p, req);
+    return core::plan_default(key);
   });
   EXPECT_EQ(makes, 1);
   EXPECT_EQ(fresh.stats().disk_stale, 1u);
@@ -829,14 +831,12 @@ TEST(PlanCacheTest, ConcurrentGetOrCreateAgrees) {
   // key (both racers may build; only the winning insert counts). Runs under
   // the TSan lane like the other sync tests.
   core::PlanCache cache;
-  PlanRequest req;
-  req.threads = 2;
   // Distinct shapes => distinct keys (seeds may repeat shapes; dedupe).
   std::vector<core::ConvParams> shapes;
   std::set<std::string> keys;
   for (unsigned seed = 100; shapes.size() < 6; ++seed) {
     const auto p = fuzz_params(seed);
-    if (keys.insert(req.key(p).to_string()).second) shapes.push_back(p);
+    if (keys.insert(key_for(p, 2).to_string()).second) shapes.push_back(p);
   }
 
   constexpr int kThreads = 8, kIters = 50;
@@ -845,8 +845,9 @@ TEST(PlanCacheTest, ConcurrentGetOrCreateAgrees) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         const auto& p = shapes[(t + i) % shapes.size()];
+        const PlanKey key = key_for(p, 2);
         const ConvPlan plan = cache.get_or_create(
-            req.key(p), [&] { return core::plan_default(p, req); });
+            key, [&] { return core::plan_default(key); });
         (void)plan;
       }
     });
@@ -855,8 +856,8 @@ TEST(PlanCacheTest, ConcurrentGetOrCreateAgrees) {
 
   for (std::size_t s = 0; s < shapes.size(); ++s) {
     ConvPlan expect;
-    ASSERT_TRUE(cache.peek(req.key(shapes[s]), &expect));
-    EXPECT_EQ(expect, core::plan_default(shapes[s], req));
+    ASSERT_TRUE(cache.peek(key_for(shapes[s], 2), &expect));
+    EXPECT_EQ(expect, core::plan_default(key_for(shapes[s], 2)));
   }
   EXPECT_EQ(cache.size(), shapes.size());
   const auto st = cache.stats();
@@ -931,11 +932,12 @@ TEST(PlanExplicit, RejectsWrongContextAndInvalidPlans) {
   oa.plan = wrong_algo;
   EXPECT_THROW(core::ConvLayer(p, oa), std::invalid_argument);
 
-  // Unresolved strategy never executes.
-  ConvPlan unresolved = good;
-  unresolved.upd_strategy = UpdStrategy::auto_pick;
+  // A hybrid update cannot form two thread groups on one thread: the plan
+  // would not run what it names, so it never executes.
+  ConvPlan lone_hybrid = good;
+  lone_hybrid.upd_strategy = UpdStrategy::hybrid;
   core::ConvOptions os = o;
-  os.plan = unresolved;
+  os.plan = lone_hybrid;
   EXPECT_THROW(core::ConvLayer(p, os), std::invalid_argument);
 }
 

@@ -21,6 +21,7 @@ using core::UpdStrategy;
 using xconv::testing::ConvProblem;
 using xconv::testing::expect_bitwise;
 using xconv::testing::expect_within_reduction_bound;
+using xconv::testing::with_plan;
 
 namespace {
 
@@ -30,21 +31,42 @@ double fwd_len(const ConvParams& p) { return double(p.C) * p.R * p.S; }
 double bwd_len(const ConvParams& p) { return double(p.K) * p.R * p.S; }
 double upd_len(const ConvParams& p) { return double(p.N) * p.P() * p.Q(); }
 
-ConvOptions with_threads(ConvOptions o, int threads) {
+/// Options on `threads` threads steered by the default plan with its
+/// forward register blocking set to 1 x `rbq`.
+ConvOptions fwd_plan(const ConvParams& p, int threads, int rbq) {
+  ConvOptions o;
   o.threads = threads;
-  return o;
+  return with_plan(p, o, [&](core::ConvPlan& plan) {
+    plan.rbp = 1;
+    plan.rbq = rbq;
+  });
 }
 
-/// Forward replay on threads 1..4: within the bound of the naive reference,
-/// and bitwise equal across the thread counts.
-void expect_fwd_replay(const ConvParams& p, const ConvOptions& o,
-                       unsigned seed, const char* what) {
+/// Options on `threads` threads steered by the default plan with the given
+/// update strategy and a 2 x 4 pixel blocking, which forces
+/// upd_pb_rem_/upd_qb_rem_ > 0 on 9 x 9 outputs so the edge update kernels
+/// appear in the streams.
+ConvOptions upd_plan(const ConvParams& p, int threads, UpdStrategy strategy) {
+  ConvOptions o;
+  o.threads = threads;
+  return with_plan(p, o, [&](core::ConvPlan& plan) {
+    plan.upd_strategy = strategy;
+    plan.upd_bp = 2;
+    plan.upd_bq = 4;
+  });
+}
+
+/// Forward replay on threads 1..4 at a 1 x `rbq` register blocking: within
+/// the bound of the naive reference, and bitwise equal across the thread
+/// counts.
+void expect_fwd_replay(const ConvParams& p, int rbq, unsigned seed,
+                       const char* what) {
   ConvProblem pr(p, seed);
   const auto ref = xconv::testing::naive_fwd(pr);
   std::vector<float> first;
   for (const int threads : {1, 2, 3, 4}) {
     SCOPED_TRACE(std::string(what) + " threads " + std::to_string(threads));
-    core::ConvLayer layer(p, with_threads(o, threads));
+    core::ConvLayer layer(p, fwd_plan(p, threads, rbq));
     EXPECT_GT(layer.fwd_stream_convs(), 0u);
     const auto got = layer_forward(layer, pr);
     expect_within_reduction_bound(ref, got, fwd_len(p), what);
@@ -95,11 +117,8 @@ std::vector<float> expect_upd_replay(const ConvParams& p, const ConvOptions& o,
 }  // namespace
 
 TEST(StreamReplay, ForwardWithEdgeBlocks) {
-  // rbq override forces q_rem > 0 and p_rem > 0 edge kernels into the
-  // stream.
-  ConvOptions o;
-  o.rbq = 4;
-  expect_fwd_replay(core::make_conv(2, 16, 32, 9, 9, 3, 3, 1), o, 11,
+  // RBQ = 4 on Q = 9 forces q_rem > 0 edge kernels into the stream.
+  expect_fwd_replay(core::make_conv(2, 16, 32, 9, 9, 3, 3, 1), 4, 11,
                     "fwd 3x3 edge blocks");
 }
 
@@ -137,15 +156,15 @@ class StreamUpdReplay
 
 TEST_P(StreamUpdReplay, MatchesNaiveAcrossStrategiesAndThreads) {
   const auto [strategy, threads] = GetParam();
-  // Pixel-block overrides force upd_pb_rem_/upd_qb_rem_ > 0 so the edge
-  // update kernels appear in the streams.
-  ConvOptions o;
-  o.upd_strategy = strategy;
-  o.threads = threads;
-  o.upd_bp = 2;
-  o.upd_bq = 4;
-  expect_upd_replay(core::make_conv(4, 16, 32, 9, 9, 3, 3, 1), o,
-                    20 + threads, core::upd_strategy_name(strategy));
+  const auto p = core::make_conv(4, 16, 32, 9, 9, 3, 3, 1);
+  if (strategy == UpdStrategy::hybrid && threads < 2) {
+    // One thread cannot form two hybrid groups: the plan is rejected.
+    EXPECT_THROW(core::ConvLayer(p, upd_plan(p, threads, strategy)),
+                 std::invalid_argument);
+    return;
+  }
+  expect_upd_replay(p, upd_plan(p, threads, strategy), 20 + threads,
+                    core::upd_strategy_name(strategy));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -159,14 +178,10 @@ TEST(StreamReplay, UpdateTaskStrategyIsThreadInvariant) {
   // Task parallelism gives each dW block to one thread, which accumulates
   // its pixel blocks in (n, pjb, qib) order whatever the thread count.
   const auto p = core::make_conv(4, 16, 32, 9, 9, 3, 3, 1);
-  ConvOptions o;
-  o.upd_strategy = UpdStrategy::task;
-  o.upd_bp = 2;
-  o.upd_bq = 4;
   std::vector<float> first;
   for (const int threads : {1, 3, 4}) {
-    const auto got =
-        expect_upd_replay(p, with_threads(o, threads), 25, "task threads");
+    const auto got = expect_upd_replay(
+        p, upd_plan(p, threads, UpdStrategy::task), 25, "task threads");
     if (first.empty())
       first = got;
     else
@@ -174,42 +189,33 @@ TEST(StreamReplay, UpdateTaskStrategyIsThreadInvariant) {
   }
 }
 
-// The plan's update axes — loop order and the reduce backend — are
-// bitwise-neutral: every (loop order, reduce backend) combination
-// accumulates each dW block in the identical (n, pjb, qib) sequence, and the
-// generated reduce kernel keeps the scalar loop's
-// copy-0-seeds-then-ascending-adds contract.
+// The plan's loop order is bitwise-neutral: both orders accumulate each dW
+// block in the identical (n, pjb, qib) sequence. So is the reduce unroll:
+// every generated chunk shape keeps the copy-0-seeds-then-ascending-adds
+// contract of the scalar reduce kernel.
 class StreamUpdPlanAxes
     : public ::testing::TestWithParam<std::tuple<UpdStrategy, int>> {};
 
-TEST_P(StreamUpdPlanAxes, LoopOrderAndReduceJitAreBitwiseNeutral) {
+TEST_P(StreamUpdPlanAxes, LoopOrderAndReduceUnrollAreBitwiseNeutral) {
   const auto [strategy, threads] = GetParam();
   const auto p = core::make_conv(4, 16, 32, 9, 9, 3, 3, 1);
-  ConvOptions o;
-  o.upd_strategy = strategy;
-  o.threads = threads;
-  o.upd_bp = 2;
-  o.upd_bq = 4;
-
+  const ConvOptions o = upd_plan(p, threads, strategy);
   const auto want = expect_upd_replay(p, o, 50 + threads, "default plan");
-  const core::ConvPlan def = core::ConvLayer(p, o).plan();
   ConvProblem pr(p, 50 + threads);
 
   for (const auto order :
        {core::UpdLoopOrder::task_outer, core::UpdLoopOrder::pixel_outer}) {
-    for (const bool reduce_jit : {true, false}) {
-      core::ConvPlan plan = def;
+    for (const int unroll : {core::kUpdReduceUnrollDefault, 2}) {
+      core::ConvPlan plan = *o.plan;
       plan.upd_loop_order = order;
-      plan.upd_reduce_jit = reduce_jit;
-      // An off-default unroll exercises a distinct generated chunk shape.
-      if (reduce_jit) plan.upd_reduce_unroll = 2;
+      plan.upd_reduce_unroll = unroll;
       ConvOptions oo = o;
       oo.plan = plan;
       core::ConvLayer layer(p, oo);
       const std::string what =
           std::string(core::upd_strategy_name(strategy)) + "/" +
-          core::upd_loop_order_name(order) +
-          (reduce_jit ? "/jit-reduce" : "/scalar-reduce");
+          core::upd_loop_order_name(order) + "/unroll" +
+          std::to_string(unroll);
       expect_bitwise(want, layer_update(layer, pr), what.c_str());
     }
   }
@@ -218,30 +224,38 @@ TEST_P(StreamUpdPlanAxes, LoopOrderAndReduceJitAreBitwiseNeutral) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, StreamUpdPlanAxes,
     ::testing::Combine(::testing::Values(UpdStrategy::task,
-                                         UpdStrategy::minibatch,
-                                         UpdStrategy::hybrid),
+                                         UpdStrategy::minibatch),
                        ::testing::Values(1, 2, 4)));
+
+// Hybrid needs two thread groups, so at least two threads.
+INSTANTIATE_TEST_SUITE_P(
+    Hybrid, StreamUpdPlanAxes,
+    ::testing::Combine(::testing::Values(UpdStrategy::hybrid),
+                       ::testing::Values(2, 4)));
 
 TEST(StreamReplay, UpdateMinibatchWithIdleThreads) {
   // threads > N: idle threads record ZERO records for their private copies,
   // which the reduction then reads.
+  const auto p = core::make_conv(2, 16, 16, 6, 6, 3, 3, 1);
   ConvOptions o;
-  o.upd_strategy = UpdStrategy::minibatch;
   o.threads = 5;
-  expect_upd_replay(core::make_conv(2, 16, 16, 6, 6, 3, 3, 1), o, 31,
-                    "minibatch idle threads");
+  o = with_plan(p, o, [](core::ConvPlan& plan) {
+    plan.upd_strategy = UpdStrategy::minibatch;
+  });
+  expect_upd_replay(p, o, 31, "minibatch idle threads");
 }
 
-TEST(StreamReplay, UpdateHybridDegenerateRunsTaskStyle) {
-  // N = 1 cannot form two minibatch groups: hybrid keeps its name but
-  // records task-style streams.
-  ConvOptions o;
-  o.upd_strategy = UpdStrategy::hybrid;
-  o.threads = 4;
+TEST(StreamReplay, UpdateHybridThatCannotFormTwoGroupsIsRejected) {
+  // N = 1 cannot form two minibatch groups, so an explicit hybrid plan is
+  // rejected instead of running under the hybrid name as something else.
   const auto p = core::make_conv(1, 16, 16, 6, 6, 3, 3, 1);
-  core::ConvLayer probe(p, o);
-  EXPECT_EQ(probe.upd_strategy_used(), UpdStrategy::hybrid);
-  expect_upd_replay(p, o, 32, "hybrid degenerate");
+  ConvOptions o;
+  o.threads = 4;
+  o = with_plan(p, o, [](core::ConvPlan& plan) {
+    plan.upd_strategy = UpdStrategy::hybrid;
+  });
+  ASSERT_EQ(core::upd_hybrid_groups(p, o.plan->vlen, o.threads), 1);
+  EXPECT_THROW(core::ConvLayer(p, o), std::invalid_argument);
 }
 
 TEST(StreamReplay, ForwardFusedOps) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/streams.hpp"
+#include "kernels/kernel_registry.hpp"
 #include "test_helpers.hpp"
 
 using namespace xconv;
@@ -208,7 +209,7 @@ TEST(Streams, UpdStreaksRleAndPrefetch) {
   std::vector<const kernels::UpdMicrokernel*> variants{&k};
   std::vector<float> in(100), dout(1000), dw(10000);
   s.replay_upd(variants, in.data(), dout.data(), dw.data(), nullptr,
-               nullptr);
+               nullptr, nullptr);
   ASSERT_EQ(k.calls.size(), static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const int j = std::min(i + 1, n - 1);  // clamped at the tail
@@ -223,15 +224,14 @@ TEST(Streams, UpdStreaksRleAndPrefetch) {
 
 TEST(Streams, ZeroAndReduceReplay) {
   // A minibatch-privatization stream: zero this thread's copy, (no
-  // accumulation), then sum 3 copies into the destination.
+  // accumulation), then sum 3 copies into the destination through the
+  // registry's scalar reduce kernel, whose descriptor holds the copies.
   KernelStream s;
   s.record_zero(2, 4);
   s.record_barrier();  // no-op when replayed serially
   core::ReduceRecord r;
   r.begin = 1;
   r.count = 3;
-  r.copies = 3;
-  r.copy_stride = 8;
   s.record_reduce(r);
   s.finish();
   ASSERT_EQ(s.n_segments(), 3u);
@@ -239,12 +239,21 @@ TEST(Streams, ZeroAndReduceReplay) {
   EXPECT_EQ(s.segments()[1].type, SegmentType::barrier);
   EXPECT_EQ(s.segments()[2].type, SegmentType::reduce);
 
+  jit::ReduceKernelDesc rd;
+  rd.isa = platform::Isa::scalar;
+  rd.copies = 3;
+  rd.copy_stride = 8;
+  const kernels::ReduceMicrokernel* red =
+      kernels::KernelRegistry::instance().reduce(rd);
+  ASSERT_EQ(red->backend(), kernels::Backend::scalar);
+
   std::vector<float> dw(8, 5.0f);          // the thread's private copy
   std::vector<float> arena(24);            // 3 copies of 8 elements
   for (std::size_t i = 0; i < arena.size(); ++i)
     arena[i] = static_cast<float>(i);
   std::vector<float> dst(8, -1.0f);
-  s.replay_upd({}, nullptr, nullptr, dw.data(), arena.data(), dst.data());
+  s.replay_upd({}, nullptr, nullptr, dw.data(), arena.data(), dst.data(),
+               red);
   // zero: dw[2..5] cleared, rest untouched.
   EXPECT_FLOAT_EQ(dw[1], 5.0f);
   EXPECT_FLOAT_EQ(dw[2], 0.0f);
@@ -255,6 +264,12 @@ TEST(Streams, ZeroAndReduceReplay) {
   for (int e = 1; e < 4; ++e)
     EXPECT_FLOAT_EQ(dst[e], static_cast<float>(e + (8 + e) + (16 + e)));
   EXPECT_FLOAT_EQ(dst[4], -1.0f);
+
+  // A REDUCE record has no loop of its own: replaying it without a kernel
+  // is a logic error, not a silent skip.
+  EXPECT_THROW(s.replay_upd({}, nullptr, nullptr, dw.data(), arena.data(),
+                            dst.data(), nullptr),
+               std::logic_error);
 }
 
 TEST(Streams, MixedFamilyReplayThrows) {
@@ -262,7 +277,8 @@ TEST(Streams, MixedFamilyReplayThrows) {
   conv_stream.record_conv(0, 0, 0, 0);
   conv_stream.finish();
   EXPECT_THROW(
-      conv_stream.replay_upd({}, nullptr, nullptr, nullptr, nullptr, nullptr),
+      conv_stream.replay_upd({}, nullptr, nullptr, nullptr, nullptr, nullptr,
+                             nullptr),
       std::logic_error);
 
   KernelStream upd_stream;

@@ -1,6 +1,6 @@
 // Backward propagation (paper Section II-I).
 //
-// Four paths, selected at setup:
+// Three paths, selected at setup by the layer shape (bwd_algo_for):
 //   1. C < VLEN         — k-dot (jit/kdot_kernel_gen.hpp): the other paths
 //      vectorize over dI channels, which a single padded input block mostly
 //      wastes (conv1: 3 of 16 lanes). This one vectorizes over dO's K
@@ -13,19 +13,19 @@
 //      whose output is dI. This literally reuses the forward code generator,
 //      streams, fusion and parallelization ("duality for backward propagation
 //      to reduce number of code generators").
-//   3. R == S == 1, stride > 1, pad == 0 — duality with a fractional stride:
-//      a dense 1x1 forward convolution over dO scattered into dI with
-//      out_col_stride = stride*VLEN (Section II-I scenario 2).
-//   4. everything else  — Algorithm 7: small GEMMs
-//      GEMM(W'[cb][kb][R-1-r][S-1-s], dO[n][kb][oj][:], dI[n][cb][ij+r][ii+s])
-//      with M = K = VLEN and N = Q, accumulating into a zeroed dI.
+//   3. stride > 1       — duality with a fractional stride: per filter tap
+//      (r, s), a dense 1x1 forward convolution over one dO row scattered
+//      into dI with out_col_stride = stride*VLEN (Section II-I scenario 2).
+//      Algorithm 7's small GEMMs (M = K = VLEN, N = a Q-chunk) are exactly
+//      these 1x1 calls, so the forward generator covers them too: each call
+//      reduces all Kb blocks in-kernel and accumulates into a zeroed dI row.
 //
-// All four run from weights already in backward-dual form (backward_dual);
+// All three run from weights already in backward-dual form (backward_dual);
 // backward() only adds the threaded duality transform in front (k-dot packs
 // straight from the forward form instead). Each path writes every dI
 // element, zeroing inside its own thread partition. Paths 2 and 3 replay
-// kernel streams recorded at setup; paths 1 and 4 call kernels that take
-// no prefetch operands straight from their loop nests.
+// kernel streams recorded at setup; path 1 calls kernels that take no
+// prefetch operands straight from its loop nest.
 #include <omp.h>
 
 #include <algorithm>
@@ -81,21 +81,6 @@ KdotPhase kdot_phase(const core::ConvParams& p, int b) {
   KdotPhase ph{((b - p.pad_w) % sw + sw) % sw, 0};
   if (ph.first < p.W) ph.count = (p.W - 1 - ph.first) / sw + 1;
   return ph;
-}
-
-/// One 1x1-strided work item: image n, dI block cbi, dO row oj, q-block qb.
-struct Item1x1 {
-  int n, cbi, oj, qb;
-};
-Item1x1 decode_1x1(std::int64_t it, int n_qb, int P, int cb) {
-  Item1x1 w{};
-  w.qb = static_cast<int>(it % n_qb);
-  it /= n_qb;
-  w.oj = static_cast<int>(it % P);
-  it /= P;
-  w.cbi = static_cast<int>(it % cb);
-  w.n = static_cast<int>(it / cb);
-  return w;
 }
 }  // namespace
 
@@ -172,50 +157,32 @@ void ConvLayer::setup_backward() {
     return;
   }
 
-  if (bwd_algo_ == BwdAlgo::duality_1x1_strided) {
-    bwd1x1_rbq_ = plan_.bwd1x1_rbq;
-    bwd1x1_qfull_ = p.Q() / bwd1x1_rbq_;
-    bwd1x1_qrem_ = p.Q() % bwd1x1_rbq_;
-    bwd1x1_variants_.clear();
-    for (int qe = 0; qe < 2; ++qe) {
-      if (qe == 1 && bwd1x1_qrem_ == 0) continue;
-      jit::ConvKernelDesc d;
-      d.isa = opt_.isa;
-      d.vlen = vlen_;
-      d.rbp = 1;
-      d.rbq = qe ? bwd1x1_qrem_ : bwd1x1_rbq_;
-      d.r = d.s = 1;
-      d.stride_h = d.stride_w = 1;       // dense read over dO
-      d.in_row_stride = out_row_stride_;  // dO geometry
-      d.out_row_stride = params_.stride_h * in_row_stride_;  // scatter rows
-      d.out_col_stride = params_.stride_w * vlen_;           // scatter cols
-      d.c_iters = vlen_;
-      if (kb_ > 1) {
-        d.c_blocks = kb_;
-        d.in_cb_stride = static_cast<int>(out_kb_stride_);
-        d.wt_cb_stride = vlen_ * vlen_;
-      }
-      d.beta0 = true;
-      bwd1x1_variants_.push_back(reg.conv(d));
+  // duality_strided: one accumulating 1x1 kernel per q-block width. The
+  // input is a dO row (Kb loop in-kernel), the output a dI row scattered by
+  // the stride; the weights of one tap step by R*S*VLEN^2 per Kb block of the
+  // backward form [Cb][Kb][R][S][k][c].
+  const int rbq = plan_.bwd_strided_rbq;
+  bwd_strided_variants_.clear();
+  for (const int width : {rbq, p.Q() % rbq}) {
+    if (width == 0) continue;
+    jit::ConvKernelDesc d;
+    d.isa = opt_.isa;
+    d.vlen = vlen_;
+    d.rbp = 1;
+    d.rbq = width;
+    d.r = d.s = 1;
+    d.stride_h = d.stride_w = 1;       // dense read over dO
+    d.in_row_stride = out_row_stride_;  // dO geometry
+    // int32 byte count checked in choose_blocking.
+    d.out_row_stride = p.stride_h * in_row_stride_;
+    d.out_col_stride = p.stride_w * vlen_;
+    d.c_iters = vlen_;
+    if (kb_ > 1) {
+      d.c_blocks = kb_;
+      d.in_cb_stride = static_cast<int>(out_kb_stride_);
+      d.wt_cb_stride = static_cast<int>(wt_cb_stride_);
     }
-    return;
-  }
-
-  bwd_gemm_qc_ = plan_.bwd_gemm_qc;
-  bwd_gemm_qrem_ = p.Q() % bwd_gemm_qc_;
-  jit::GemmKernelDesc g;
-  g.isa = opt_.isa;
-  g.vlen = vlen_;
-  g.k = vlen_;
-  g.lda = vlen_;
-  g.ldb = vlen_;
-  g.ldc = p.stride_w * vlen_;
-  g.beta0 = false;
-  g.n = bwd_gemm_qc_;
-  bwd_gemm_kernels_[0] = reg.gemm(g);
-  if (bwd_gemm_qrem_ > 0) {
-    g.n = bwd_gemm_qrem_;
-    bwd_gemm_kernels_[1] = reg.gemm(g);
+    bwd_strided_variants_.push_back(reg.conv(d));
   }
 }
 
@@ -252,11 +219,12 @@ void ConvLayer::backward_dual(const tensor::ActTensor& grad_out,
       for (int i = 0; i < planes; ++i) grad_in.zero_halo(i / cb_, i % cb_);
       return;
     }
-    case BwdAlgo::duality_1x1_strided:
-      backward_1x1_strided(grad_out, bwd_wt, grad_in);
-      return;
-    case BwdAlgo::gemm_fallback:
-      backward_gemm(grad_out, bwd_wt, grad_in);
+    case BwdAlgo::duality_strided:
+      parallel_exact("ConvLayer::backward", [&](int tid) {
+        bwd_strided_streams_[tid].replay(bwd_strided_variants_,
+                                         grad_out.data(), bwd_wt.data(),
+                                         grad_in.data(), {});
+      });
       return;
   }
 }
@@ -342,137 +310,77 @@ void ConvLayer::backward_kdot(const tensor::ActTensor& grad_out,
   });
 }
 
-void ConvLayer::backward_1x1_strided(const tensor::ActTensor& grad_out,
-                                     const tensor::WtTensor& bwd_wt,
-                                     tensor::ActTensor& grad_in) {
-  parallel_exact("ConvLayer::backward", [&](int tid) {
-    zero_1x1_uncovered(grad_in.data(), tid);
-    bwd1x1_streams_[tid].replay(bwd1x1_variants_, grad_out.data(),
-                                bwd_wt.data(), grad_in.data(), {});
-  });
-}
-
-// Each work item owns a tile of its dI plane in the padded frame: rows from
-// its covered row up to the next item's (the first row also takes the top
-// halo, the last everything below), and likewise for the columns of its
-// q-block. The tiles cover the plane exactly once. The beta0 kernels
-// overwrite the covered pixels (multiples of the stride); this zeroes the
-// rest of the tile, so dI needs no serial full-tensor zero pass.
-void ConvLayer::zero_1x1_uncovered(float* din, int tid) const {
-  const ConvParams& p = params_;
-  const int P = p.P();
-  const int n_qb = bwd1x1_qfull_ + (bwd1x1_qrem_ > 0 ? 1 : 0);
-  const std::int64_t total = static_cast<std::int64_t>(p.N) * cb_ * P * n_qb;
-  const int hp = p.H + 2 * in_halo_h_, wp = p.W + 2 * in_halo_w_;
-  const std::size_t px_bytes = static_cast<std::size_t>(vlen_) * sizeof(float);
-  const Range rg = thread_chunk(total, tid, threads_);
-  for (std::int64_t it = rg.begin; it < rg.end; ++it) {
-    const Item1x1 w = decode_1x1(it, n_qb, P, cb_);
-    const int cols = (bwd1x1_qrem_ > 0 && w.qb == bwd1x1_qfull_)
-                         ? bwd1x1_qrem_
-                         : bwd1x1_rbq_;
-    const int oi0 = std::min(w.qb, bwd1x1_qfull_) * bwd1x1_rbq_;
-    const int y_cov = w.oj * p.stride_h + in_halo_h_;
-    const int y0 = w.oj == 0 ? 0 : y_cov;
-    const int y1 = w.oj == P - 1 ? hp : y_cov + p.stride_h;
-    const int x_cov = oi0 * p.stride_w + in_halo_w_;
-    const int x0 = w.qb == 0 ? 0 : x_cov;
-    const int x1 = w.qb == n_qb - 1 ? wp : x_cov + cols * p.stride_w;
-    float* plane = din + w.n * in_n_stride_ + w.cbi * in_cb_stride_;
-    for (int y = y0; y < y1; ++y) {
-      float* row = plane + static_cast<std::int64_t>(y) * in_row_stride_;
-      int x = x0;  // first pixel of the row not yet handled
-      if (y == y_cov) {
-        for (int j = 0; j < cols; ++j) {
-          const int xc = x_cov + j * p.stride_w;  // the kernel writes this
-          std::memset(row + x * vlen_, 0, (xc - x) * px_bytes);
-          x = xc + 1;
-        }
-      }
-      std::memset(row + x * vlen_, 0, (x1 - x) * px_bytes);
-    }
-  }
-}
-
 // The stride-1 duality path needs no recording here: its dual layer owns
-// forward streams of its own. The k-dot and GEMM-fallback paths have no
-// stream form (their kernels take no prefetch operands) and call their
-// kernels straight from their loop nests.
-void ConvLayer::record_backward_1x1() {
-  if (bwd_algo_ != BwdAlgo::duality_1x1_strided) return;
+// forward streams of its own. The k-dot path has no stream form (its
+// kernels take no prefetch operands) and calls its kernels straight from
+// its loop nest.
+//
+// One work item per dI row (n, cb, ij), which it owns: a ZERO of the row
+// (the first row of a plane also clears the halo rows above it, the last the
+// ones below), then one accumulating CONV call per contributing tap (r, s)
+// and q-block, then, when pad_w > 0, a ZERO of the halo columns the taps
+// spill into. Every dI element is written by exactly one item in a fixed
+// order, so the thread partition never affects the result.
+void ConvLayer::record_backward_strided() {
+  if (bwd_algo_ != BwdAlgo::duality_strided) return;
   const ConvParams& p = params_;
-  const int n_qb = bwd1x1_qfull_ + (bwd1x1_qrem_ > 0 ? 1 : 0);
-  // One work item per (n, cb, oj, q-block); every item writes disjoint dI
-  // pixels (rbp = 1, distinct rows/columns), so the thread partition never
-  // affects the result.
-  const std::int64_t total =
-      static_cast<std::int64_t>(p.N) * cb_ * p.P() * n_qb;
-  // The backward form is [Cb][Kb][1][1][k][c]: one outer block spans Kb.
-  const std::int64_t wt_cb_stride = wt_cb_stride_ * kb_;
+  const int P = p.P(), rbq = plan_.bwd_strided_rbq;
+  const int q_full = p.Q() / rbq, n_qb = tensor::ceil_div(p.Q(), rbq);
+  const int hp = p.H + 2 * in_halo_h_;
+  const std::int64_t total = static_cast<std::int64_t>(p.N) * cb_ * p.H;
+  // The backward form is [Cb][Kb][R][S][k][c]: one outer block spans Kb.
+  const std::int64_t wt_outer = wt_cb_stride_ * kb_;
+  const std::int64_t tap_elems = static_cast<std::int64_t>(vlen_) * vlen_;
 
-  bwd1x1_streams_.assign(threads_, KernelStream{});
+  bwd_strided_streams_.assign(threads_, KernelStream{});
   parallel_exact("ConvLayer::backward", [&](int tid) {
-    KernelStream& stream = bwd1x1_streams_[tid];
+    KernelStream& stream = bwd_strided_streams_[tid];
     const Range rg = thread_chunk(total, tid, threads_);
     for (std::int64_t it = rg.begin; it < rg.end; ++it) {
-      const Item1x1 w = decode_1x1(it, n_qb, p.P(), cb_);
-      const bool q_edge = (bwd1x1_qrem_ > 0 && w.qb == bwd1x1_qfull_);
-      const int oi0 = std::min(w.qb, bwd1x1_qfull_) * bwd1x1_rbq_;
-      const std::int64_t dout_off =
-          w.n * out_n_stride_ +
-          static_cast<std::int64_t>(w.oj + out_pad_h_) * out_row_stride_ +
-          static_cast<std::int64_t>(oi0 + out_pad_w_) * vlen_;
-      const std::int64_t wt_off = w.cbi * wt_cb_stride;
-      // 1x1 layers have pad == 0; the physical halo (if any consumer raised
-      // it) shifts the scatter frame — same formula ActTensor::offset() uses.
-      const std::int64_t din_off =
-          w.n * in_n_stride_ + w.cbi * in_cb_stride_ +
-          static_cast<std::int64_t>(w.oj * p.stride_h + in_halo_h_) *
-              in_row_stride_ +
-          static_cast<std::int64_t>(oi0 * p.stride_w + in_halo_w_) * vlen_;
-      stream.record_conv(q_edge ? 1 : 0, dout_off, wt_off, din_off);
-    }
-  });
-  for (auto& s : bwd1x1_streams_) s.finish();
-}
-
-void ConvLayer::backward_gemm(const tensor::ActTensor& grad_out,
-                              const tensor::WtTensor& bwd_wt,
-                              tensor::ActTensor& grad_in) {
-  const ConvParams& p = params_;
-  const int n_chunks = p.Q() / bwd_gemm_qc_ + (bwd_gemm_qrem_ > 0 ? 1 : 0);
-
-  // dI rows overlap across oj when stride < R, so parallelism stays at
-  // (n, cb) granularity: each item owns a full dI feature-map plane, which
-  // it zeroes, accumulates into, and then clears the halo of.
-  const std::int64_t total = static_cast<std::int64_t>(p.N) * cb_;
-#pragma omp parallel for num_threads(threads_) schedule(static)
-  for (std::int64_t it = 0; it < total; ++it) {
-    const int cbi = static_cast<int>(it % cb_);
-    const int n = static_cast<int>(it / cb_);
-    std::memset(grad_in.at_padded(n, cbi, 0, 0), 0,
-                grad_in.stride_cb() * sizeof(float));
-    for (int kbi = 0; kbi < kb_; ++kbi) {
-      for (int oj = 0; oj < p.P(); ++oj) {
-        const int ij = oj * p.stride_h;
-        for (int r = 0; r < p.R; ++r) {
-          for (int s = 0; s < p.S; ++s) {
-            const float* a = bwd_wt.at(cbi, kbi, p.R - 1 - r, p.S - 1 - s);
-            for (int ch = 0; ch < n_chunks; ++ch) {
-              const int oi0 = ch * bwd_gemm_qc_;
-              const bool is_rem = bwd_gemm_qrem_ > 0 && ch == n_chunks - 1;
-              const float* b = grad_out.at(n, kbi, oj, oi0);
-              float* c = grad_in.at_padded(
-                  n, cbi, ij + r + in_shift_h_,
-                  oi0 * p.stride_w + s + in_shift_w_);
-              bwd_gemm_kernels_[is_rem ? 1 : 0]->run(b, a, c);
-            }
+      const int ij = static_cast<int>(it % p.H);
+      const int cbi = static_cast<int>(it / p.H % cb_);
+      const int n = static_cast<int>(it / p.H / cb_);
+      const std::int64_t plane = n * in_n_stride_ + cbi * in_cb_stride_;
+      const std::int64_t row =
+          plane + static_cast<std::int64_t>(ij + in_halo_h_) * in_row_stride_;
+      const int y0 = ij == 0 ? 0 : ij + in_halo_h_;
+      const int y1 = ij == p.H - 1 ? hp : ij + in_halo_h_ + 1;
+      stream.record_zero(plane + static_cast<std::int64_t>(y0) * in_row_stride_,
+                         static_cast<std::int64_t>(y1 - y0) * in_row_stride_);
+      for (int r = 0; r < p.R; ++r) {
+        const int t = ij + p.pad_h - r;  // = oj * stride_h for a tap
+        if (t < 0 || t % p.stride_h != 0 || t / p.stride_h >= P) continue;
+        const int oj = t / p.stride_h;
+        for (int s = 0; s < p.S; ++s) {
+          // Forward tap (r, s) sits at the flipped tap of the backward form.
+          const std::int64_t wt_off =
+              cbi * wt_outer +
+              ((p.R - 1 - r) * p.S + (p.S - 1 - s)) * tap_elems;
+          for (int qb = 0; qb < n_qb; ++qb) {
+            const int oi0 = qb * rbq;
+            const std::int64_t dout_off =
+                n * out_n_stride_ +
+                static_cast<std::int64_t>(oj + out_pad_h_) * out_row_stride_ +
+                static_cast<std::int64_t>(oi0 + out_pad_w_) * vlen_;
+            // dI column oi * stride_w + s - pad_w, in the padded frame.
+            const std::int64_t din_off =
+                row + static_cast<std::int64_t>(oi0 * p.stride_w + s -
+                                                p.pad_w + in_halo_w_) *
+                          vlen_;
+            stream.record_conv(qb == q_full ? 1 : 0, dout_off, wt_off,
+                               din_off);
           }
         }
       }
+      if (p.pad_w > 0) {
+        // Taps at s < pad_w (and the last ones right of W) land in the
+        // pad_w halo columns on either side: gradients of the padding.
+        const std::int64_t px = vlen_;
+        stream.record_zero(row + (in_halo_w_ - p.pad_w) * px, p.pad_w * px);
+        stream.record_zero(row + (p.W + in_halo_w_) * px, p.pad_w * px);
+      }
     }
-    // Gradients that fell into the padding halo are discarded.
-    grad_in.zero_halo(n, cbi);
-  }
+  });
+  for (auto& s : bwd_strided_streams_) s.finish();
 }
 }  // namespace xconv::core

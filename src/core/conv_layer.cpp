@@ -39,7 +39,7 @@ ConvLayer::ConvLayer(const ConvParams& params, const ConvOptions& opt)
   if (!opt_.fwd_only) {
     setup_backward();
     setup_update();
-    record_backward_1x1();
+    record_backward_strided();
     record_update();
   }
 }
@@ -79,20 +79,21 @@ void ConvLayer::choose_blocking() {
   in_shift_w_ = in_halo_w_ - p.pad_w;
 
   // Geometry (element strides) of the tensors make_input/make_output create.
-  const int hp = p.H + 2 * in_halo_h_, wp = p.W + 2 * in_halo_w_;
-  in_row_stride_ = wp * vlen_;
-  in_cb_stride_ = static_cast<std::int64_t>(hp) * wp * vlen_;
+  const std::int64_t hp = p.H + 2 * in_halo_h_, wp = p.W + 2 * in_halo_w_;
+  const std::int64_t in_row = wp * vlen_;
+  in_cb_stride_ = hp * in_row;
   in_n_stride_ = in_cb_stride_ * cb_;
-  const int php = P + 2 * out_pad_h_, qwp = Q + 2 * out_pad_w_;
-  out_row_stride_ = qwp * vlen_;
-  out_kb_stride_ = static_cast<std::int64_t>(php) * qwp * vlen_;
+  const std::int64_t php = P + 2 * out_pad_h_, qwp = Q + 2 * out_pad_w_;
+  const std::int64_t out_row = qwp * vlen_;
+  out_kb_stride_ = php * out_row;
   out_n_stride_ = out_kb_stride_ * kb_;
   wt_cb_stride_ = static_cast<std::int64_t>(p.R) * p.S * vlen_ * vlen_;
   wt_kb_stride_ = wt_cb_stride_ * cb_;
 
-  // The feature-block strides a generated kernel steps by are int32 byte
-  // counts (the in-kernel Cb loop, the k-dot and 1x1-strided backward Kb
-  // loops). Reject a geometry they cannot address here, before the int
+  // The row and feature-block strides a generated kernel steps by are int32
+  // byte counts (every kernel's rows, the in-kernel Cb loop, the k-dot and
+  // strided backward Kb loops and the strided backward's scattered dI
+  // rows). Reject a geometry they cannot address here, before the int
   // narrowings and before any kernel or stream is built.
   auto check_kernel_stride = [&](std::int64_t elems, const char* what) {
     if (elems * 4 > INT32_MAX)
@@ -101,13 +102,19 @@ void ConvLayer::choose_blocking() {
           " stride exceeds a kernel's int32 byte displacement for " +
           p.to_string());
   };
-  if (cb_in_kernel_) {
-    check_kernel_stride(in_cb_stride_, "input feature-block");
+  check_kernel_stride(in_row, "input row");
+  check_kernel_stride(out_row, "output row");
+  in_row_stride_ = static_cast<int>(in_row);
+  out_row_stride_ = static_cast<int>(out_row);
+  const bool strided_bwd =
+      !opt_.fwd_only && plan_.bwd_algo == BwdAlgo::duality_strided;
+  if (cb_in_kernel_) check_kernel_stride(in_cb_stride_, "input feature-block");
+  if (cb_in_kernel_ || strided_bwd)
     check_kernel_stride(wt_cb_stride_, "weight feature-block");
-  }
-  if (!opt_.fwd_only && (plan_.bwd_algo == BwdAlgo::kdot ||
-                         plan_.bwd_algo == BwdAlgo::duality_1x1_strided))
+  if (!opt_.fwd_only && plan_.bwd_algo != BwdAlgo::duality_stride1)
     check_kernel_stride(out_kb_stride_, "output feature-block");
+  if (strided_bwd)
+    check_kernel_stride(p.stride_h * in_row, "scattered input row");
 }
 
 tensor::ActTensor ConvLayer::make_input() const {
@@ -222,7 +229,7 @@ std::size_t ConvLayer::fwd_stream_convs() const {
 std::size_t ConvLayer::bwd_stream_convs() const {
   if (bwd_layer_ != nullptr) return bwd_layer_->fwd_stream_convs();
   std::size_t n = 0;
-  for (const auto& s : bwd1x1_streams_) n += s.n_convs();
+  for (const auto& s : bwd_strided_streams_) n += s.n_convs();
   return n;
 }
 

@@ -19,9 +19,9 @@
 //
 // The per-iteration calls (`forward`, `backward`, `update`) then only replay
 // the recorded streams (the loop nests run once, at setup, as recorders) —
-// no compilation, no tuning, no boundary logic. The two backward paths
-// whose kernels take no prefetch operands (k-dot and the GEMM fallback)
-// call them straight from their loop nests.
+// no compilation, no tuning, no boundary logic. The one backward path whose
+// kernels take no prefetch operands (k-dot, C < VLEN) calls them straight
+// from its loop nest.
 //
 // The execution context is just the ISA and the thread count: SIMD ISAs
 // run JIT'ed kernels, Isa::scalar runs the scalar reference kernels.
@@ -142,15 +142,15 @@ class ConvLayer {
   int n_fwd_variants() const { return static_cast<int>(fwd_variants_.size()); }
   std::size_t fwd_stream_convs() const;
   /// Backward stream kernel calls: the dual layer's forward streams for the
-  /// stride-1 duality path, the 1x1-strided streams otherwise (0 for the
-  /// k-dot and GEMM-fallback paths, which have no stream form).
+  /// stride-1 duality path, the strided-duality streams otherwise (0 for
+  /// the k-dot path, which has no stream form).
   std::size_t bwd_stream_convs() const;
   std::size_t upd_stream_calls() const;
   UpdStrategy upd_strategy_used() const { return upd_strategy_; }
   int upd_bp() const { return upd_bp_; }
   int upd_bq() const { return upd_bq_; }
-  /// Which backward algorithm the layer selected (duality, k-dot or GEMM
-  /// fallback).
+  /// Which backward algorithm the layer selected (stride-1 duality,
+  /// strided duality or k-dot; see bwd_algo_for).
   /// The enum itself now lives in plan.hpp; the alias keeps existing
   /// `ConvLayer::BwdAlgo` spellings working.
   using BwdAlgo = core::BwdAlgo;
@@ -170,23 +170,14 @@ class ConvLayer {
   // Dryrun recorders (Section II-H): each walks its pass's loop nest once
   // and records the per-thread kernel streams every call then replays.
   void record_forward();       ///< fwd_streams_
-  void record_backward_1x1();  ///< bwd1x1_streams_ (1x1-strided path)
-  void record_update();        ///< upd_streams_ (all three strategies)
+  void record_backward_strided();  ///< bwd_strided_streams_
+  void record_update();            ///< upd_streams_ (all three strategies)
 
-  // backward paths (the k-dot and GEMM ones have no stream form)
-  void backward_gemm(const tensor::ActTensor& grad_out,
-                     const tensor::WtTensor& bwd_wt,
-                     tensor::ActTensor& grad_in);
-  void backward_1x1_strided(const tensor::ActTensor& grad_out,
-                            const tensor::WtTensor& bwd_wt,
-                            tensor::ActTensor& grad_in);
-  /// k-dot path (C < vlen): packs `wt` — the forward form when `fwd_form`,
-  /// else the backward-dual form — into kdot_wp_, then runs the kernels.
+  /// k-dot path (C < vlen), the one backward path with no stream form:
+  /// packs `wt` — the forward form when `fwd_form`, else the backward-dual
+  /// form — into kdot_wp_, then runs the kernels.
   void backward_kdot(const tensor::ActTensor& grad_out, const float* wt,
                      bool fwd_form, tensor::ActTensor& grad_in);
-  /// Zero the dI pixels of thread `tid`'s 1x1-strided work items that their
-  /// kernels do not write (see conv_backward.cpp).
-  void zero_1x1_uncovered(float* din, int tid) const;
   float* upd_dw_base(int tid, float* dw);  ///< strategy-dependent target
   /// Run `body(tid)` on exactly the `threads_`-sized team every driver and
   /// stream was planned for. Work partitioning, per-thread streams and the
@@ -261,16 +252,9 @@ class ConvLayer {
   std::vector<const kernels::KdotMicrokernel*> kdot_variants_;
   tensor::AlignedBuffer<float> kdot_wp_;  ///< packed [Kb][R][S][C][vlen]
 
-  // backward 1x1-strided variants: (q_edge) -> kernel
-  std::vector<const kernels::ConvMicrokernel*> bwd1x1_variants_;
-  int bwd1x1_rbq_ = 0, bwd1x1_qfull_ = 0, bwd1x1_qrem_ = 0;
-  std::vector<KernelStream> bwd1x1_streams_;  ///< one per thread
-
-  // backward GEMM fallback (Algorithm 7): Q in chunks of bwd_gemm_qc_
-  // pixels, the last one bwd_gemm_qrem_ wide when Q % qc != 0;
-  // (is_rem) -> kernel.
-  std::array<const kernels::GemmMicrokernel*, 2> bwd_gemm_kernels_{};
-  int bwd_gemm_qc_ = 0, bwd_gemm_qrem_ = 0;
+  // backward strided duality: (q_edge) -> accumulating scatter kernel
+  std::vector<const kernels::ConvMicrokernel*> bwd_strided_variants_;
+  std::vector<KernelStream> bwd_strided_streams_;  ///< one per thread
 };
 
 }  // namespace xconv::core

@@ -39,8 +39,8 @@ bool isa_from_name(const std::string& s, platform::Isa* out) {
 }
 
 bool bwd_algo_from_name(const std::string& s, BwdAlgo* out) {
-  for (BwdAlgo a : {BwdAlgo::duality_stride1, BwdAlgo::duality_1x1_strided,
-                    BwdAlgo::gemm_fallback, BwdAlgo::kdot}) {
+  for (BwdAlgo a :
+       {BwdAlgo::duality_stride1, BwdAlgo::duality_strided, BwdAlgo::kdot}) {
     if (s == bwd_algo_name(a)) {
       *out = a;
       return true;
@@ -86,11 +86,16 @@ platform::Isa kernel_isa(platform::Isa isa) {
 const char* bwd_algo_name(BwdAlgo a) {
   switch (a) {
     case BwdAlgo::duality_stride1: return "duality-s1";
-    case BwdAlgo::duality_1x1_strided: return "duality-1x1-strided";
-    case BwdAlgo::gemm_fallback: return "gemm-fallback";
+    case BwdAlgo::duality_strided: return "duality-strided";
     case BwdAlgo::kdot: return "kdot";
   }
   return "unknown";
+}
+
+BwdAlgo bwd_algo_for(const ConvParams& p, int vlen) {
+  if (p.C < vlen) return BwdAlgo::kdot;
+  if (p.stride_h == 1 && p.stride_w == 1) return BwdAlgo::duality_stride1;
+  return BwdAlgo::duality_strided;
 }
 
 const char* upd_loop_order_name(UpdLoopOrder o) {
@@ -205,21 +210,15 @@ ConvPlan plan_default(const PlanKey& key) {
 
   if (key.pass == PlanPass::train) {
     // Backward algorithm (Section II-I), forced by layer shape.
-    if (p.C < plan.vlen) {
-      plan.bwd_algo = BwdAlgo::kdot;
+    plan.bwd_algo = bwd_algo_for(p, plan.vlen);
+    if (plan.bwd_algo == BwdAlgo::kdot) {
       // One call covers pixels of one column phase: ceil(W / stride) of them.
       plan.bwd_kdot_rb = pick_block_extent(
           tensor::ceil_div(p.W, p.stride_w),
           jit::KdotKernelDesc::max_rb(kernel_isa(key.isa), p.C), kRbMinExtent);
-    } else if (p.stride_h == 1 && p.stride_w == 1) {
-      plan.bwd_algo = BwdAlgo::duality_stride1;
-    } else if (p.R == 1 && p.S == 1 && p.pad_h == 0 && p.pad_w == 0) {
-      plan.bwd_algo = BwdAlgo::duality_1x1_strided;
-      plan.bwd1x1_rbq = pick_block_extent(Q, max_acc, kRbMinExtent);
-    } else {
-      plan.bwd_algo = BwdAlgo::gemm_fallback;
-      // One GEMM call keeps its Q-chunk of C rows in registers.
-      plan.bwd_gemm_qc = pick_block_extent(Q, max_acc, kRbMinExtent);
+    } else if (plan.bwd_algo == BwdAlgo::duality_strided) {
+      // One call keeps a q-block of one dO row in registers.
+      plan.bwd_strided_rbq = pick_block_extent(Q, max_acc, kRbMinExtent);
     }
 
     // Update pixel blocking + strategy (Section II-J).
@@ -283,29 +282,16 @@ void ConvPlan::validate(const ConvParams& p, PlanPass pass) const {
 
   // The backward algorithm is shape-forced (Section II-I); a plan that
   // disagrees was serialized for a different layer.
-  BwdAlgo want;
-  if (p.C < vlen) {
-    want = BwdAlgo::kdot;
-  } else if (p.stride_h == 1 && p.stride_w == 1) {
-    want = BwdAlgo::duality_stride1;
-  } else if (p.R == 1 && p.S == 1 && p.pad_h == 0 && p.pad_w == 0) {
-    want = BwdAlgo::duality_1x1_strided;
-  } else {
-    want = BwdAlgo::gemm_fallback;
-  }
-  if (bwd_algo != want) fail("backward algorithm does not match layer shape");
-  if (bwd_algo == BwdAlgo::duality_1x1_strided) {
-    if (bwd1x1_rbq < 1 || bwd1x1_rbq > max_acc)
-      fail("bwd1x1_rbq outside the register budget");
+  if (bwd_algo != bwd_algo_for(p, vlen))
+    fail("backward algorithm does not match layer shape");
+  if (bwd_algo == BwdAlgo::duality_strided) {
+    if (bwd_strided_rbq < 1 || bwd_strided_rbq > max_acc)
+      fail("bwd_strided_rbq outside the register budget");
   }
   if (bwd_algo == BwdAlgo::kdot) {
     if (bwd_kdot_rb < 1 ||
         bwd_kdot_rb > jit::KdotKernelDesc::max_rb(kernel_isa(isa), p.C))
       fail("bwd_kdot_rb outside the register budget");
-  }
-  if (bwd_algo == BwdAlgo::gemm_fallback) {
-    if (bwd_gemm_qc < 1 || bwd_gemm_qc > Q) fail("bwd_gemm_qc out of range");
-    if (bwd_gemm_qc > max_acc) fail("bwd_gemm_qc outside the register budget");
   }
   if (upd_strategy == UpdStrategy::hybrid &&
       upd_hybrid_groups(p, vlen, threads) < 2)
@@ -332,8 +318,7 @@ std::string ConvPlan::to_json(const PlanKey& key) const {
   os << "  \"rbq\": " << rbq << ",\n";
   os << "  \"cb_in_kernel\": " << (cb_in_kernel ? "true" : "false") << ",\n";
   os << "  \"bwd_algo\": \"" << bwd_algo_name(bwd_algo) << "\",\n";
-  os << "  \"bwd1x1_rbq\": " << bwd1x1_rbq << ",\n";
-  os << "  \"bwd_gemm_qc\": " << bwd_gemm_qc << ",\n";
+  os << "  \"bwd_strided_rbq\": " << bwd_strided_rbq << ",\n";
   os << "  \"bwd_kdot_rb\": " << bwd_kdot_rb << ",\n";
   os << "  \"upd_strategy\": \"" << upd_strategy_name(upd_strategy)
      << "\",\n";
@@ -465,8 +450,8 @@ PlanLoadStatus plan_from_json(const std::string& text, const PlanKey& expect,
 
   ConvPlan plan;
   std::string isa, bwd, upd, ulo;
-  long vlen = 0, threads = 0, rbp = 0, rbq = 0, b1rbq = 0, gqc = 0, krb = 0,
-       ubp = 0, ubq = 0, urun = 0;
+  long vlen = 0, threads = 0, rbp = 0, rbq = 0, srbq = 0, krb = 0, ubp = 0,
+       ubq = 0, urun = 0;
   if (!str("isa", &isa) || !isa_from_name(isa, &plan.isa))
     return PlanLoadStatus::corrupt;
   if (!num("vlen", &vlen) || !num("threads", &threads))
@@ -474,10 +459,10 @@ PlanLoadStatus plan_from_json(const std::string& text, const PlanKey& expect,
   if (!boolean("cb_in_kernel", &plan.cb_in_kernel) ||
       !boolean("tuned", &plan.tuned))
     return PlanLoadStatus::corrupt;
-  if (!num("rbp", &rbp) || !num("rbq", &rbq) || !num("bwd1x1_rbq", &b1rbq) ||
-      !num("bwd_gemm_qc", &gqc) || !num("bwd_kdot_rb", &krb) ||
-      !num("upd_bp", &ubp) ||
-      !num("upd_bq", &ubq) || !num("upd_reduce_unroll", &urun))
+  if (!num("rbp", &rbp) || !num("rbq", &rbq) ||
+      !num("bwd_strided_rbq", &srbq) || !num("bwd_kdot_rb", &krb) ||
+      !num("upd_bp", &ubp) || !num("upd_bq", &ubq) ||
+      !num("upd_reduce_unroll", &urun))
     return PlanLoadStatus::corrupt;
   if (!str("bwd_algo", &bwd) || !bwd_algo_from_name(bwd, &plan.bwd_algo))
     return PlanLoadStatus::corrupt;
@@ -491,8 +476,7 @@ PlanLoadStatus plan_from_json(const std::string& text, const PlanKey& expect,
   plan.threads = static_cast<int>(threads);
   plan.rbp = static_cast<int>(rbp);
   plan.rbq = static_cast<int>(rbq);
-  plan.bwd1x1_rbq = static_cast<int>(b1rbq);
-  plan.bwd_gemm_qc = static_cast<int>(gqc);
+  plan.bwd_strided_rbq = static_cast<int>(srbq);
   plan.bwd_kdot_rb = static_cast<int>(krb);
   plan.upd_bp = static_cast<int>(ubp);
   plan.upd_bq = static_cast<int>(ubq);

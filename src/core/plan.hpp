@@ -99,8 +99,15 @@ inline constexpr int kUpdReduceUnrollDefault = 4;
 /// Backward-pass algorithm (Section II-I), selected by layer shape. `kdot`
 /// covers every layer with C < VLEN (a single, partly padded input block):
 /// it vectorizes over dO's K channels instead of dI's padded lanes.
-enum class BwdAlgo { duality_stride1, duality_1x1_strided, gemm_fallback, kdot };
+/// `duality_strided` covers every other stride > 1 layer: one accumulating
+/// 1x1 forward kernel per contributing filter tap, scattered into dI.
+enum class BwdAlgo { duality_stride1, duality_strided, kdot };
 const char* bwd_algo_name(BwdAlgo a);
+
+/// The backward algorithm the shape of `p` forces at channel block `vlen`:
+/// kdot when C < vlen, else duality_stride1 at stride 1, else
+/// duality_strided.
+BwdAlgo bwd_algo_for(const ConvParams& p, int vlen);
 
 /// Which passes a plan covers: `fwd` for forward-only layers (the backward
 /// duality's internal dual layer, inference), `train` for all three passes.
@@ -138,12 +145,11 @@ struct ConvPlan {
   int rbp = 1, rbq = 1;        ///< register blocking
   bool cb_in_kernel = false;   ///< 1x1 path: Cb loop inside the kernel
 
-  // Backward (Section II-I). Meaningful for pass=train plans; bwd1x1_rbq /
-  // bwd_gemm_qc / bwd_kdot_rb are 0 unless their algorithm is selected.
+  // Backward (Section II-I). Meaningful for pass=train plans;
+  // bwd_strided_rbq / bwd_kdot_rb are 0 unless their algorithm is selected.
   BwdAlgo bwd_algo = BwdAlgo::duality_stride1;
-  int bwd1x1_rbq = 0;   ///< register blocking of the 1x1-strided dual path
-  int bwd_gemm_qc = 0;  ///< Q-chunk per GEMM call in the Algorithm-7 fallback
-  int bwd_kdot_rb = 0;  ///< dI pixels per k-dot kernel call
+  int bwd_strided_rbq = 0;  ///< dO pixels per strided-duality kernel call
+  int bwd_kdot_rb = 0;      ///< dI pixels per k-dot kernel call
 
   // Weight update (Section II-J). A hybrid plan must form >= 2 thread
   // groups (upd_hybrid_groups); validate() rejects one that cannot.
@@ -234,7 +240,7 @@ ConvPlan resolve_plan(const PlanKey& key,
 /// Bump whenever the serialized field set changes; the lint rule
 /// `plan-schema` (tools/lint/xconv_lint.py) locks fields x version against
 /// tools/lint/plan_schema.json.
-inline constexpr int kPlanSchemaVersion = 5;
+inline constexpr int kPlanSchemaVersion = 6;
 
 enum class PlanLoadStatus {
   ok,

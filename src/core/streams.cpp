@@ -6,6 +6,13 @@
 
 namespace xconv::core {
 
+namespace {
+void run_zero(const ZeroRecord& z, float* base) {
+  std::memset(base + z.dst_off, 0,
+              static_cast<std::size_t>(z.count) * sizeof(float));
+}
+}  // namespace
+
 void KernelStream::record_call(SegmentType streak, std::uint16_t variant,
                                std::int64_t off_a, std::int64_t off_b,
                                std::int64_t off_c) {
@@ -93,6 +100,9 @@ void KernelStream::replay(
       case SegmentType::apply:
         apply_fused_op(applies_[seg.info], out_base, fargs);
         break;
+      case SegmentType::zero:
+        run_zero(zeros_[seg.info], out_base);
+        break;
       case SegmentType::barrier: {
 #pragma omp barrier
         break;
@@ -123,12 +133,9 @@ void KernelStream::replay_upd(
                                  dw_base + out_off_[j]);
         }
         break;
-      case SegmentType::zero: {
-        const ZeroRecord& z = zeros_[seg.info];
-        std::memset(dw_base + z.dst_off, 0,
-                    static_cast<std::size_t>(z.count) * sizeof(float));
+      case SegmentType::zero:
+        run_zero(zeros_[seg.info], dw_base);
         break;
-      }
       case SegmentType::reduce: {
         if (reduce_kernel == nullptr)
           throw std::logic_error(

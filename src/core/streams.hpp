@@ -2,8 +2,10 @@
 //
 // During the *dryrun* phase each thread records, instead of executing, its
 // sequence of microkernel calls: a variant stream plus three offset streams,
-// APPLY records for fused operators, and — for the weight-update pass — ZERO
-// and REDUCE records covering the minibatch/hybrid dW privatization.
+// APPLY records for fused operators, ZERO records for the output ranges the
+// accumulating kernels start from (the strided backward's dI rows, the
+// update's dW copies) and, for the weight-update pass, REDUCE records
+// covering the minibatch/hybrid dW privatization.
 // Consecutive kernel invocations are run-length encoded as streak segments.
 //
 // During *replay* (Algorithm 5) the segment program is executed with no
@@ -13,8 +15,9 @@
 // tensor instances with the same geometry.
 //
 // The recorder is pass-agnostic: forward and backward streams hold CONV
-// streaks (offsets are in/wt/out), update streams hold UPD streaks (offsets
-// are in/dout/dw, dw relative to the replaying thread's private copy) plus
+// streaks (offsets are in/wt/out) plus APPLY and ZERO records (ZERO relative
+// to the output base), update streams hold UPD streaks (offsets are
+// in/dout/dw, dw relative to the replaying thread's private copy) plus
 // ZERO/BARRIER/REDUCE records. A stream replays through exactly one of
 // `replay` (conv) or `replay_upd` (update); mixing record families in one
 // stream throws at replay time.
@@ -32,7 +35,7 @@ enum class SegmentType : std::uint8_t {
   conv_streak,  ///< `info` convolution microkernel calls
   apply,        ///< one fused-operator APPLY; info = index into applies()
   upd_streak,   ///< `info` weight-update microkernel calls
-  zero,         ///< zero a dW range; info = index into zeros()
+  zero,         ///< zero an output/dW range; info = index into zeros()
   reduce,       ///< sum private dW copies; info = index into reduces()
   barrier,      ///< OpenMP team barrier (privatized-accumulate -> reduce)
 };
@@ -42,7 +45,8 @@ struct Segment {
   std::int32_t info;
 };
 
-/// Zero `count` floats at `dst_off` into the replaying thread's dW base.
+/// Zero `count` floats at `dst_off` into the replay's output base (conv
+/// replay) or the replaying thread's dW base (update replay).
 struct ZeroRecord {
   std::int64_t dst_off = 0;
   std::int64_t count = 0;
@@ -82,7 +86,8 @@ class KernelStream {
 
   /// Replay (Algorithm 5) --------------------------------------------------
   /// Forward/backward replay: `variants[v]` resolves the CONV kernel for
-  /// variant stream value v. Throws on update-family records.
+  /// variant stream value v; ZERO records clear ranges of `out_base`.
+  /// Throws on update-family records (UPD streaks, REDUCE).
   void replay(const std::vector<const kernels::ConvMicrokernel*>& variants,
               const float* in_base, const float* wt_base, float* out_base,
               const FusionArgs& fargs) const;

@@ -10,14 +10,13 @@
 //   in : N x K, row stride ldb (the "B" matrix, scalar-broadcast)
 //   out: N x M, row stride ldc (accumulated into)
 //
-// Three engines with identical semantics:
+// Two engines with identical semantics, used by the comparator baselines
+// (src/baselines) only; the library's own kernels are the forward
+// generator's (a 1x1 kernel is exactly this small GEMM):
 //   * gemm_ref      — naive triple loop; correctness oracle and the paper's
 //                     "autovec" baseline (compiler auto-vectorization only).
 //   * gemm_blocked  — hand-blocked, OpenMP-SIMD inner loops; the compiled
-//                     "libxsmm-flavor" engine used by baselines and as the
-//                     registry's scalar gemm kernel (Algorithm-7 backward
-//                     fallback on Isa::scalar).
-//   * jit::generate_gemm_kernel (src/jit) — runtime-emitted AVX code.
+//                     "libxsmm-flavor" engine.
 #pragma once
 
 #include <cstdint>

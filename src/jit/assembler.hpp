@@ -1,5 +1,5 @@
-// Minimal x86-64 assembler: exactly the instruction subset the convolution
-// and GEMM microkernel generators need (paper Section II-D/E).
+// Minimal x86-64 assembler: exactly the instruction subset the runtime
+// microkernel generators need (paper Section II-D/E).
 //
 //   * GPR: mov/add/sub/cmp with immediates, reg-reg mov/add, dec-and-branch
 //     loops (backward rel32 jcc), push/pop, ret.

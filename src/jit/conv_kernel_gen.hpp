@@ -45,8 +45,10 @@ struct ConvKernelDesc {
   int out_row_stride = 0;  ///< elements between output rows (Q  * vlen)
   int out_col_stride = 0;  ///< elements between output pixels in a row; 0 =
                            ///< dense (vlen). Values > vlen implement the
-                           ///< scattered writes of the strided 1x1 backward
-                           ///< duality (Section II-I scenario 2).
+                           ///< scattered writes of the strided backward
+                           ///< duality (Section II-I scenario 2): with
+                           ///< beta0 = false, one 1x1 call per filter tap
+                           ///< accumulates into a zeroed dI row.
   int c_iters = 0;      ///< input-channel lanes to reduce (normally vlen)
   int c_blocks = 1;     ///< input feature-map *blocks* reduced inside the
                         ///< kernel. For R = S = 1 layers, pulling the Cb loop

@@ -2,7 +2,7 @@
 // for layers with fewer input channels than SIMD lanes (C < VLEN, e.g.
 // ResNet-50 conv1 with C = 3).
 //
-// The duality and GEMM backward paths vectorize over dI channels, so with
+// The duality backward paths vectorize over dI channels, so with
 // C < VLEN most of every FMA multiplies padding. This kernel vectorizes over
 // the K channels of dO instead, which are full lanes:
 //

@@ -2,7 +2,7 @@
 // (src/jit/assembler.cpp). This is deliberately NOT a general x86 decoder:
 // it accepts precisely the encodings our generators produce — GPR
 // moves/arith, push/pop/ret, vzeroupper, backward rel32 jcc, the VEX.256 /
-// EVEX.512 vector ops of the conv/upd/reduce/codec/gemm/qconv kernels — and
+// EVEX.512 vector ops of the conv/upd/reduce/kdot/codec/qconv kernels — and
 // treats every other byte sequence as a decode failure. That strictness is the
 // point: a kernel containing anything the emitter cannot have produced is
 // corrupt by definition, and the verifier (verifier.hpp) wants to reason

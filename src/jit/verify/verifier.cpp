@@ -443,20 +443,6 @@ Contract contract_for(const CodecKernelDesc& d) {
   return c;
 }
 
-Contract contract_for(const GemmKernelDesc& d) {
-  const std::int64_t vb = static_cast<std::int64_t>(d.vlen) * 4;
-  Contract c = generated_kernel(d.isa);
-  c.regions = {
-      {"B", kRdi,
-       (static_cast<std::int64_t>(d.n - 1) * d.ldb + (d.k - 1)) * 4 + 4, 0,
-       false},
-      {"A", kRsi, static_cast<std::int64_t>(d.k - 1) * d.lda * 4 + vb, 0,
-       false},
-      {"C", kRdx, static_cast<std::int64_t>(d.n - 1) * d.ldc * 4 + vb, 0,
-       true}};
-  return c;
-}
-
 Contract contract_for(const KdotKernelDesc& d) {
   const std::int64_t vb = static_cast<std::int64_t>(d.vlen) * 4;
   const int nt = d.taps_r(), nu = d.taps_s();

@@ -45,7 +45,6 @@
 
 #include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
-#include "jit/gemm_kernel_gen.hpp"
 #include "jit/kdot_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
 #include "platform/cpu.hpp"
@@ -90,7 +89,6 @@ Contract contract_for(const ConvKernelDesc& d);
 Contract contract_for(const UpdKernelDesc& d);
 Contract contract_for(const ReduceKernelDesc& d);
 Contract contract_for(const CodecKernelDesc& d);
-Contract contract_for(const GemmKernelDesc& d);
 Contract contract_for(const KdotKernelDesc& d);
 Contract contract_for(const quant::QKernelDesc& d);
 

@@ -184,23 +184,7 @@ class JitQConvKernel final : public QConvMicrokernel {
   std::unique_ptr<jit::QConvKernel> k_;
 };
 
-class JitGemmKernel final : public GemmMicrokernel {
- public:
-  explicit JitGemmKernel(const jit::GemmKernelDesc& d)
-      : GemmMicrokernel(d), k_(jit::generate_gemm_kernel(d)) {
-    verified(k_, d);
-  }
-
-  void run(const float* b, const float* a, float* c) const override {
-    (*k_)(b, a, c);
-  }
-  Backend backend() const override { return Backend::jit; }
-
- private:
-  std::unique_ptr<jit::GemmKernel> k_;
-};
-
-// The ISAs the conv/upd/reduce/kdot/gemm generators emit for.
+// The ISAs the conv/upd/reduce/kdot generators emit for.
 bool isa_is_simd(platform::Isa isa) {
   return isa == platform::Isa::avx2 || isa == platform::Isa::avx512 ||
          isa == platform::Isa::avx512_vnni;
@@ -297,11 +281,6 @@ const QConvMicrokernel* KernelRegistry::qconv(const quant::QKernelDesc& desc) {
                  &make_qconv_jit, &make_qconv_scalar);
 }
 
-const GemmMicrokernel* KernelRegistry::gemm(const jit::GemmKernelDesc& desc) {
-  return resolve(desc, isa_is_simd(desc.isa), &make_gemm_jit,
-                 &make_gemm_scalar);
-}
-
 std::size_t KernelRegistry::size() const {
   const platform::MutexLock lock(mu_);
   return kernels_.size();
@@ -341,10 +320,6 @@ std::unique_ptr<CodecMicrokernel> make_codec_jit(
 
 std::unique_ptr<QConvMicrokernel> make_qconv_jit(const quant::QKernelDesc& d) {
   return std::make_unique<JitQConvKernel>(d);
-}
-
-std::unique_ptr<GemmMicrokernel> make_gemm_jit(const jit::GemmKernelDesc& d) {
-  return std::make_unique<JitGemmKernel>(d);
 }
 
 }  // namespace xconv::kernels

@@ -30,7 +30,7 @@ class KernelRegistry {
   /// Process-wide instance.
   static KernelRegistry& instance();
 
-  /// Forward convolution (also the strided-1x1 backward). JIT on
+  /// Forward convolution (also the strided backward). JIT on
   /// avx2/avx512/avx512_vnni.
   const ConvMicrokernel* conv(const jit::ConvKernelDesc& desc);
   /// Weight-update microkernel. JIT on avx2/avx512/avx512_vnni.
@@ -44,9 +44,6 @@ class KernelRegistry {
   const CodecMicrokernel* codec(const jit::CodecKernelDesc& desc);
   /// Int16 forward block. JIT on avx512_vnni.
   const QConvMicrokernel* qconv(const quant::QKernelDesc& desc);
-  /// Small GEMM (Algorithm-7 backward fallback). JIT on
-  /// avx2/avx512/avx512_vnni.
-  const GemmMicrokernel* gemm(const jit::GemmKernelDesc& desc);
 
   /// Number of distinct kernels JIT'ed/instantiated so far (for tests and
   /// the "kernels generated" statistics the benches print).
@@ -79,8 +76,8 @@ class KernelRegistry {
   // Guards the cache map only. Kernel *construction* (JIT compile) runs
   // outside the lock — see resolve() — so the returned pointers are the
   // unguarded, immutable payloads; the map holding them is the shared state.
-  // The families' key prefixes (conv/, upd/, red/, kdot/, codec/, qconv/,
-  // gemm/) keep them apart in one map.
+  // The families' key prefixes (conv/, upd/, red/, kdot/, codec/, qconv/)
+  // keep them apart in one map.
   mutable platform::Mutex mu_;
   std::unordered_map<std::string, std::unique_ptr<Microkernel>> kernels_
       XCONV_GUARDED_BY(mu_);
@@ -103,7 +100,5 @@ std::unique_ptr<CodecMicrokernel> make_codec_scalar(
 std::unique_ptr<CodecMicrokernel> make_codec_jit(const jit::CodecKernelDesc&);
 std::unique_ptr<QConvMicrokernel> make_qconv_scalar(const quant::QKernelDesc&);
 std::unique_ptr<QConvMicrokernel> make_qconv_jit(const quant::QKernelDesc&);
-std::unique_ptr<GemmMicrokernel> make_gemm_scalar(const jit::GemmKernelDesc&);
-std::unique_ptr<GemmMicrokernel> make_gemm_jit(const jit::GemmKernelDesc&);
 
 }  // namespace xconv::kernels

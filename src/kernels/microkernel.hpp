@@ -11,7 +11,6 @@
 
 #include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
-#include "jit/gemm_kernel_gen.hpp"
 #include "jit/kdot_kernel_gen.hpp"
 #include "jit/qconv_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
@@ -104,19 +103,6 @@ class QConvMicrokernel : public Microkernel {
  protected:
   explicit QConvMicrokernel(const quant::QKernelDesc& d) : desc_(d) {}
   quant::QKernelDesc desc_;
-};
-
-/// Small-GEMM handle (see jit/gemm_kernel_gen.hpp): C(n x vlen) (+)= B(n x k)
-/// * A(k x vlen). The scalar backend is gemm::gemm_blocked (or its beta=0
-/// twin).
-class GemmMicrokernel : public Microkernel {
- public:
-  virtual void run(const float* b, const float* a, float* c) const = 0;
-  const jit::GemmKernelDesc& desc() const { return desc_; }
-
- protected:
-  explicit GemmMicrokernel(const jit::GemmKernelDesc& d) : desc_(d) {}
-  jit::GemmKernelDesc desc_;
 };
 
 /// One codec kernel invocation: operand pointers for the op in desc().op

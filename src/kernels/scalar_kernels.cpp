@@ -7,7 +7,6 @@
 #include <limits>
 #include <vector>
 
-#include "gemm/gemm.hpp"
 #include "kernels/kernel_registry.hpp"
 #include "quant/bfloat16.hpp"
 #include "quant/quantize.hpp"
@@ -180,19 +179,6 @@ class ScalarQConvKernel final : public QConvMicrokernel {
   Backend backend() const override { return Backend::scalar; }
 };
 
-class ScalarGemmKernel final : public GemmMicrokernel {
- public:
-  explicit ScalarGemmKernel(const jit::GemmKernelDesc& d)
-      : GemmMicrokernel(d) {}
-
-  void run(const float* b, const float* a, float* c) const override {
-    const auto& d = desc_;
-    (d.beta0 ? gemm::gemm_blocked_b0 : gemm::gemm_blocked)(
-        d.vlen, d.n, d.k, a, d.lda, b, d.ldb, c, d.ldc);
-  }
-  Backend backend() const override { return Backend::scalar; }
-};
-
 }  // namespace
 
 // Bitwise ground truth for the codec ops: the scalar backend runs them for
@@ -304,11 +290,6 @@ std::unique_ptr<CodecMicrokernel> make_codec_scalar(
 std::unique_ptr<QConvMicrokernel> make_qconv_scalar(
     const quant::QKernelDesc& d) {
   return std::make_unique<ScalarQConvKernel>(d);
-}
-
-std::unique_ptr<GemmMicrokernel> make_gemm_scalar(
-    const jit::GemmKernelDesc& d) {
-  return std::make_unique<ScalarGemmKernel>(d);
 }
 
 }  // namespace xconv::kernels

@@ -1,6 +1,6 @@
-// ConvLayer backward vs Algorithm 6, covering all four implementation paths
-// (k-dot for C < vlen, stride-1 duality, scattered 1x1 duality, Algorithm-7
-// GEMM fallback).
+// ConvLayer backward vs Algorithm 6, covering all three implementation paths
+// (k-dot for C < vlen, stride-1 duality, strided duality with one scattered
+// 1x1 kernel call per filter tap).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,10 +45,11 @@ TEST(Bwd, AlgoSelectionFollowsPaperScenarios) {
   EXPECT_EQ(s1.bwd_algo(), BwdAlgo::duality_stride1);
   // Scenario 2: R = S = 1, stride 2 -> scattered duality.
   core::ConvLayer s2(core::make_conv(1, 16, 16, 8, 8, 1, 1, 2, 0));
-  EXPECT_EQ(s2.bwd_algo(), BwdAlgo::duality_1x1_strided);
-  // Neither: 3x3 stride 2 -> Algorithm 7.
+  EXPECT_EQ(s2.bwd_algo(), BwdAlgo::duality_strided);
+  // 3x3 stride 2 (Algorithm 7's case): the same scattered duality, one 1x1
+  // call per filter tap.
   core::ConvLayer s3(core::make_conv(1, 16, 16, 9, 9, 3, 3, 2));
-  EXPECT_EQ(s3.bwd_algo(), BwdAlgo::gemm_fallback);
+  EXPECT_EQ(s3.bwd_algo(), BwdAlgo::duality_strided);
 }
 
 TEST(Bwd, Stride1DualityPerRSCombos) {
@@ -67,28 +68,30 @@ TEST(Bwd, Strided1x1VariousStrides) {
     const auto p = core::make_conv(1, 32, 16, 12, 12, 1, 1, s, 0);
     ConvProblem pr(p, 200 + s);
     core::ConvLayer layer(p);
-    EXPECT_EQ(layer.bwd_algo(), BwdAlgo::duality_1x1_strided);
+    EXPECT_EQ(layer.bwd_algo(), BwdAlgo::duality_strided);
     expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3,
                  p.to_string().c_str());
   }
 }
 
-TEST(Bwd, GemmFallbackStridedOddShapes) {
+TEST(Bwd, StridedOddShapes) {
   // Uneven stride coverage (floor-semantics output) + padding.
   const auto p = core::make_conv(2, 16, 16, 15, 13, 3, 3, 2);
   ConvProblem pr(p, 7);
   core::ConvLayer layer(p);
-  EXPECT_EQ(layer.bwd_algo(), BwdAlgo::gemm_fallback);
-  expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "odd gemm");
+  EXPECT_EQ(layer.bwd_algo(), BwdAlgo::duality_strided);
+  expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3,
+               "odd strided");
 }
 
-TEST(Bwd, GemmFallbackScalarIsa) {
+TEST(Bwd, StridedScalarIsa) {
   const auto p = core::make_conv(1, 16, 16, 9, 9, 3, 3, 2);
   ConvProblem pr(p, 8);
   core::ConvOptions o;
   o.isa = platform::Isa::scalar;
   core::ConvLayer layer(p, o);
-  expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "scalar gemm");
+  expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3,
+               "scalar strided");
 }
 
 TEST(Bwd, KdotAvx2Conv1) {
@@ -110,9 +113,9 @@ TEST(Bwd, KdotAvx2Conv1) {
   expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "avx2 conv1");
 }
 
-TEST(Bwd, GemmFallbackAvx2SevenBySevenStride2) {
-  // A 7x7/2 layer with a full channel block (C = 16 >= vlen 8) keeps the
-  // GEMM fallback on AVX2: each call's Q-chunk must fit AVX2's 12
+TEST(Bwd, StridedAvx2SevenBySevenStride2) {
+  // A 7x7/2 layer with a full channel block (C = 16 >= vlen 8) runs the
+  // strided duality on AVX2: each call's q-block must fit AVX2's 12
   // accumulators, not AVX-512's 28 (Q = 56 here).
   if (static_cast<int>(platform::max_isa()) <
       static_cast<int>(platform::Isa::avx2))
@@ -122,9 +125,9 @@ TEST(Bwd, GemmFallbackAvx2SevenBySevenStride2) {
   core::ConvOptions o;
   o.isa = platform::Isa::avx2;
   core::ConvLayer layer(p, o);
-  EXPECT_EQ(layer.bwd_algo(), BwdAlgo::gemm_fallback);
+  EXPECT_EQ(layer.bwd_algo(), BwdAlgo::duality_strided);
   EXPECT_EQ(layer.vlen(), 8);
-  EXPECT_LE(layer.plan().bwd_gemm_qc,
+  EXPECT_LE(layer.plan().bwd_strided_rbq,
             jit::ConvKernelDesc::max_accumulators(platform::Isa::avx2));
   expect_close(naive_bwd(pr), layer_backward(layer, pr), 2e-3, "avx2 7x7/2");
 }
@@ -143,14 +146,15 @@ TEST(Bwd, DualLayerReusesForwardMachinery) {
 }
 
 TEST(Bwd, ThreadInvariance) {
-  const auto p = core::make_conv(4, 16, 32, 9, 9, 3, 3, 2);  // gemm fallback
+  // Strided duality: each dI row is owned by one work item.
+  const auto p = core::make_conv(4, 16, 32, 9, 9, 3, 3, 2);
   ConvProblem pr(p, 10);
   core::ConvOptions o1, o4;
   o1.threads = 1;
   o4.threads = 4;
   core::ConvLayer a(p, o1), b(p, o4);
-  expect_close(layer_backward(a, pr), layer_backward(b, pr), 1e-6,
-               "bwd threads");
+  xconv::testing::expect_bitwise(layer_backward(a, pr),
+                                 layer_backward(b, pr), "bwd threads");
 }
 
 TEST(Bwd, GradOutGeometryEnforced) {
@@ -243,20 +247,28 @@ TEST(Bwd, PoisonedDIStride1Duality) {
                     BwdAlgo::duality_stride1);
 }
 
-TEST(Bwd, PoisonedDI1x1Strided) {
-  // Odd spatial extents leave uncovered trailing rows and columns; Q = 15
-  // gives the q-edge kernel a turn.
+TEST(Bwd, PoisonedDIStrided) {
+  // 1x1: odd spatial extents leave uncovered trailing rows and columns;
+  // Q = 15 gives the q-edge kernel a turn; stride 3 leaves rows and columns
+  // no tap reaches.
   check_poisoned_dI(core::make_conv(2, 19, 24, 11, 29, 1, 1, 2, 0), 1,
-                    BwdAlgo::duality_1x1_strided);
+                    BwdAlgo::duality_strided);
   check_poisoned_dI(core::make_conv(1, 35, 16, 10, 10, 1, 1, 3, 0), 0,
-                    BwdAlgo::duality_1x1_strided);
-}
-
-TEST(Bwd, PoisonedDIGemmFallback) {
+                    BwdAlgo::duality_strided);
+  // R > stride with padding: taps spill into the halo columns, which must
+  // end up 0, with the halo raised above the padding.
   check_poisoned_dI(core::make_conv(2, 19, 21, 15, 13, 3, 3, 2), 2,
-                    BwdAlgo::gemm_fallback);
+                    BwdAlgo::duality_strided);
   check_poisoned_dI(core::make_conv(1, 16, 16, 17, 17, 7, 7, 2), 4,
-                    BwdAlgo::gemm_fallback);
+                    BwdAlgo::duality_strided);
+  // 3x3/2 without padding; 2x2/3, whose every third row and column gets no
+  // tap; C = 24, a partial last channel block.
+  check_poisoned_dI(core::make_conv(1, 16, 32, 9, 11, 3, 3, 2, 0), 1,
+                    BwdAlgo::duality_strided);
+  check_poisoned_dI(core::make_conv(1, 16, 16, 11, 10, 2, 2, 3, 0), 1,
+                    BwdAlgo::duality_strided);
+  check_poisoned_dI(core::make_conv(2, 24, 40, 9, 9, 3, 3, 2, 1), 3,
+                    BwdAlgo::duality_strided);
 }
 
 TEST(Bwd, PoisonedDIKdot) {
@@ -268,6 +280,35 @@ TEST(Bwd, PoisonedDIKdot) {
                     BwdAlgo::kdot);
   check_poisoned_dI(core::make_conv(1, 7, 24, 9, 9, 1, 1, 2, 0), 1,
                     BwdAlgo::kdot);
+}
+
+TEST(Bwd, StridedReadsOnlyRealDOPixels) {
+  // With 3x3/2, no padding and an even height, the r = 0 tap of the last dI
+  // row would need dO row P, which lies in dO's halo: the strided duality
+  // must skip it. A NaN halo therefore must not reach dI.
+  const auto p = core::make_conv(1, 16, 16, 10, 10, 3, 3, 2, 0);
+  ConvProblem pr(p, 12);
+  core::ConvLayer layer(p);
+  ASSERT_EQ(layer.bwd_algo(), BwdAlgo::duality_strided);
+  auto dout = layer.make_output();
+  tensor::nchw_to_blocked(pr.dout.data(), dout);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int n = 0; n < dout.n(); ++n)
+    for (int kb = 0; kb < dout.blocks(); ++kb)
+      for (int y = 0; y < dout.hp(); ++y)
+        for (int x = 0; x < dout.wp(); ++x) {
+          const bool interior = y >= dout.pad_h() && y < dout.pad_h() + p.P() &&
+                                x >= dout.pad_w() && x < dout.pad_w() + p.Q();
+          if (!interior)
+            std::fill_n(dout.at_padded(n, kb, y, x), dout.vlen(), nan);
+        }
+  auto wt = layer.make_weights();
+  tensor::kcrs_to_blocked_fwd(pr.wt.data(), p.K, p.C, wt);
+  auto din = layer.make_input();
+  layer.backward(dout, wt, din);
+  std::vector<float> got(p.input_elems());
+  tensor::blocked_to_nchw(din, got.data());
+  expect_close(naive_bwd(pr), got, 2e-3, "NaN dO halo");
 }
 
 TEST(Bwd, BackwardDualRejectsForwardFormWeights) {
@@ -282,7 +323,7 @@ TEST(Bwd, BackwardDualRejectsForwardFormWeights) {
 
 TEST(Bwd, GradientsOfPaddingAreDiscarded) {
   // Property: sum over dI equals sum over the naive dI (no halo leakage).
-  const auto p = core::make_conv(1, 16, 16, 9, 9, 3, 3, 2);  // gemm path
+  const auto p = core::make_conv(1, 16, 16, 9, 9, 3, 3, 2);  // strided
   ConvProblem pr(p, 11);
   core::ConvLayer layer(p);
   const auto got = layer_backward(layer, pr);

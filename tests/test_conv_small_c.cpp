@@ -72,9 +72,10 @@ void check_small_c(const core::ConvParams& p, int threads, unsigned seed) {
         for (int lane = 0; lane < v; ++lane) {
           const bool interior = y >= hh && y < hh + p.H && x >= hw &&
                                 x < hw + p.W && lane < p.C;
-          if (!interior)
+          if (!interior) {
             ASSERT_EQ(*(din.at_padded(n, 0, y, x) + lane), 0.0f)
                 << "n " << n << " y " << y << " x " << x << " lane " << lane;
+          }
         }
 }
 

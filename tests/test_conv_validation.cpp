@@ -55,8 +55,9 @@ TEST(ConvValidation, BackwardRejectsMismatchedTensors) {
   EXPECT_THROW(layer.backward(nohalo_dout, wt, din), std::invalid_argument);
   // Wrong weight block structure (channel blocks swapped).
   tensor::WtTensor bad_wt(wt.inner(), wt.outer(), wt.r(), wt.s(), wt.vlen());
-  if (wt.inner() != wt.outer())
+  if (wt.inner() != wt.outer()) {
     EXPECT_THROW(layer.backward(dout, bad_wt, din), std::invalid_argument);
+  }
   // Wrong filter size.
   tensor::WtTensor bad_rs(wt.outer(), wt.inner(), 1, 1, wt.vlen());
   EXPECT_THROW(layer.backward(dout, bad_rs, din), std::invalid_argument);
@@ -136,6 +137,37 @@ TEST(ConvValidation, FeatureBlockStridePastInt32Rejected) {
       o.isa = isa;
       o.threads = 1;
       EXPECT_THROW(core::ConvLayer(p, o), std::invalid_argument);
+    }
+  }
+}
+
+// Rows are int32 byte strides too: every kernel's input and output rows and
+// the strided backward's scattered dI rows (stride_h input rows apart). A
+// layer whose input row is 1 GiB has a 2 GiB scattered row at stride 2, and
+// one twice as wide has a 2 GiB input row. Both are rejected at
+// construction, before the forward recorder would record the million-odd
+// calls of their streams, on every ISA.
+TEST(ConvValidation, RowStridePastInt32Rejected) {
+  for (const platform::Isa isa :
+       {platform::Isa::scalar, platform::effective_isa()}) {
+    // One channel block (C = K = vlen), so no feature-block stride fails
+    // first.
+    const int v = core::resolved_vlen(isa), gib_row = (1 << 30) / (4 * v);
+    const core::ConvParams shapes[] = {
+        core::make_conv(1, v, v, 2, gib_row, 1, 1, 2, 0),
+        core::make_conv(1, v, v, 1, 2 * gib_row, 1, 1, 1, 0)};
+    for (const core::ConvParams& p : shapes) {
+      SCOPED_TRACE(p.to_string() + " " + platform::isa_name(isa));
+      core::ConvOptions o;
+      o.isa = isa;
+      o.threads = 1;
+      try {
+        core::ConvLayer layer(p, o);
+        ADD_FAILURE() << "constructed";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("row stride"), std::string::npos)
+            << e.what();
+      }
     }
   }
 }

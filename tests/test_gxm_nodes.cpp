@@ -121,23 +121,9 @@ layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
   auto* conv = dynamic_cast<gxm::ConvNode*>(g.find("conv"));
   ASSERT_NE(conv, nullptr);
 
-  // One fixed batch: re-seed the input node so repeated forwards see the
-  // same data (batch_counter advances otherwise).
-  auto fwd_loss = [&]() {
-    g.input()->set_seed(7);
-    // Reset the batch counter by constructing fresh data each call with the
-    // same seed: forward() uses seed + counter, so freeze by re-setting.
-    g.forward(true);
-    return static_cast<double>(g.loss());
-  };
-
-  // Stabilize: InputNode::forward advances an internal counter; neutralize
-  // by setting the seed such that consecutive calls still differ... instead
-  // hold data fixed by running forward once, then reusing activations: for
-  // the FD check we re-generate with an explicitly bumped seed each time and
-  // compensate by re-seeding before every call (counter increments cancel).
-  // Simplest robust approach: wrap with a lambda that reseeds and rewinds.
-  // (set_seed(7 - counter) keeps seed + counter == 7.)
+  // One fixed batch: InputNode::forward draws its data from seed + an
+  // internal counter that every call advances, so each call re-seeds with
+  // 7 - counter, which keeps seed + counter == 7.
   long counter = 0;
   auto loss_at = [&]() {
     g.input()->set_seed(static_cast<unsigned>(7 - counter));

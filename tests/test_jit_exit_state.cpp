@@ -21,7 +21,6 @@
 #include "jit/code_buffer.hpp"
 #include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
-#include "jit/gemm_kernel_gen.hpp"
 #include "jit/kdot_kernel_gen.hpp"
 #include "jit/qconv_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
@@ -191,19 +190,30 @@ TEST_F(JitExitState, UpdateReduceKernel) {
   expect_clean_exit("upd reduce", [&] { (*k)(b.f(kRdi), b.f(kRsi), kIters); });
 }
 
-TEST_F(JitExitState, BackwardGemmKernel) {
-  GemmKernelDesc d;
-  d.isa = fp32_isa();
-  d.vlen = platform::vlen_fp32(d.isa);
-  d.n = ConvKernelDesc::max_accumulators(d.isa);
-  d.k = d.vlen;
-  d.lda = d.ldc = d.vlen;
-  d.ldb = d.k;
-  d.beta0 = true;
-  const auto k = generate_gemm_kernel(d);
-  Buffers b(jv::contract_for(d), 0);
-  expect_clean_exit("bwd gemm",
-                    [&] { (*k)(b.f(kRdi), b.f(kRsi), b.f(kRdx)); });
+TEST_F(JitExitState, BackwardStridedScatterKernel) {
+  // The strided backward's kernel: a 1x1 forward kernel that reduces Kb
+  // blocks in-kernel and accumulates into a dI row scattered by stride 2,
+  // at both vector widths the host can run.
+  for (const platform::Isa isa : {platform::Isa::avx2, platform::Isa::avx512}) {
+    if (!at_least(isa_, isa)) continue;
+    ConvKernelDesc d;
+    d.isa = isa;
+    d.vlen = platform::vlen_fp32(isa);
+    d.rbq = ConvKernelDesc::max_accumulators(isa);
+    d.in_row_stride = (d.rbq + 2) * d.vlen;
+    d.out_row_stride = 2 * 2 * (d.rbq + 2) * d.vlen;
+    d.out_col_stride = 2 * d.vlen;
+    d.c_iters = d.vlen;
+    d.c_blocks = 3;
+    d.in_cb_stride = 2 * d.in_row_stride;
+    d.wt_cb_stride = 3 * 3 * d.vlen * d.vlen;
+    d.beta0 = false;
+    const auto k = generate_conv_kernel(d);
+    Buffers b(jv::contract_for(d), 0);
+    expect_clean_exit(platform::isa_name(isa), [&] {
+      (*k)(b.f(kRdi), b.f(kRsi), b.f(kRdx), b.f(kRdi), b.f(kRsi), b.f(kRdx));
+    });
+  }
 }
 
 TEST_F(JitExitState, BackwardKdotKernel) {

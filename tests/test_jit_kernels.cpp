@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "jit/conv_kernel_gen.hpp"
-#include "jit/gemm_kernel_gen.hpp"
 #include "jit/kdot_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
 #include "jit/verify/decoder.hpp"
@@ -350,68 +349,6 @@ TEST(JitUpd, DescValidation) {
   EXPECT_THROW(d.validate(), std::invalid_argument);
   d.bq = 14;
   EXPECT_NO_THROW(d.validate());
-}
-
-struct GemmCase {
-  platform::Isa isa;
-  int n, k, ldc;
-  bool beta0;
-};
-
-class JitGemmSweep : public ::testing::TestWithParam<GemmCase> {};
-
-TEST_P(JitGemmSweep, MatchesOracle) {
-  const auto c = GetParam();
-  if (!host_has(c.isa)) GTEST_SKIP();
-  jit::GemmKernelDesc d;
-  d.isa = c.isa;
-  d.vlen = platform::vlen_fp32(c.isa);
-  d.n = c.n;
-  d.k = c.k;
-  d.lda = d.vlen;
-  d.ldb = c.k;
-  d.ldc = c.ldc > 0 ? c.ldc : d.vlen;
-  d.beta0 = c.beta0;
-
-  const auto a = random_vec(static_cast<std::size_t>(c.k) * d.lda, 7);
-  const auto bm = random_vec(static_cast<std::size_t>(c.n) * d.ldb, 8);
-  auto cm = random_vec(static_cast<std::size_t>(c.n) * d.ldc, 9);
-  auto want = cm;
-  for (int n = 0; n < c.n; ++n)
-    for (int m = 0; m < d.vlen; ++m) {
-      double acc = c.beta0 ? 0.0 : want[static_cast<std::size_t>(n) * d.ldc + m];
-      for (int k = 0; k < c.k; ++k)
-        acc += static_cast<double>(bm[static_cast<std::size_t>(n) * d.ldb + k]) *
-               a[static_cast<std::size_t>(k) * d.lda + m];
-      want[static_cast<std::size_t>(n) * d.ldc + m] = static_cast<float>(acc);
-    }
-  auto g = jit::generate_gemm_kernel(d);
-  (*g)(bm.data(), a.data(), cm.data());
-  for (int n = 0; n < c.n; ++n)
-    for (int m = 0; m < d.vlen; ++m)
-      EXPECT_NEAR(cm[static_cast<std::size_t>(n) * d.ldc + m],
-                  want[static_cast<std::size_t>(n) * d.ldc + m], 2e-3)
-          << n << "," << m;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, JitGemmSweep,
-    ::testing::Values(GemmCase{platform::Isa::avx512, 14, 16, 0, true},
-                      GemmCase{platform::Isa::avx512, 28, 32, 0, false},
-                      GemmCase{platform::Isa::avx512, 1, 16, 0, true},
-                      GemmCase{platform::Isa::avx512, 7, 16, 48, false},
-                      GemmCase{platform::Isa::avx2, 12, 8, 0, true},
-                      GemmCase{platform::Isa::avx2, 6, 24, 0, false}));
-
-TEST(JitGemm, DescValidation) {
-  jit::GemmKernelDesc d;
-  d.isa = platform::Isa::avx512;
-  d.vlen = 16;
-  d.n = 40;  // over the accumulator budget
-  EXPECT_THROW(d.validate(), std::invalid_argument);
-  d.n = 14;
-  d.lda = 8;  // < vlen
-  EXPECT_THROW(d.validate(), std::invalid_argument);
 }
 
 // The reduce epilogue sums `copies` privatized dW copies. Scalar and JIT

@@ -545,13 +545,11 @@ TEST(JitVerify, EveryContractForRequiresTheCleanExit) {
   UpdKernelDesc upd;
   ReduceKernelDesc reduce;
   CodecKernelDesc codec;
-  GemmKernelDesc gemm;
   quant::QKernelDesc qconv;
   EXPECT_TRUE(jv::contract_for(conv).clean_upper_exit);
   EXPECT_TRUE(jv::contract_for(upd).clean_upper_exit);
   EXPECT_TRUE(jv::contract_for(reduce).clean_upper_exit);
   EXPECT_TRUE(jv::contract_for(codec).clean_upper_exit);
-  EXPECT_TRUE(jv::contract_for(gemm).clean_upper_exit);
   EXPECT_TRUE(jv::contract_for(qconv).clean_upper_exit);
 }
 

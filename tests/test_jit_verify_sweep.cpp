@@ -15,7 +15,6 @@
 #include "core/plan.hpp"
 #include "jit/codec_kernel_gen.hpp"
 #include "jit/conv_kernel_gen.hpp"
-#include "jit/gemm_kernel_gen.hpp"
 #include "jit/kdot_kernel_gen.hpp"
 #include "jit/qconv_kernel_gen.hpp"
 #include "jit/upd_kernel_gen.hpp"
@@ -75,17 +74,10 @@ int verify_upd(const jit::UpdKernelDesc& d) {
   }
 }
 
-int verify_gemm(const jit::GemmKernelDesc& d) {
-  try {
-    return expect_verified(d, jit::generate_gemm_kernel(d), d.key());
-  } catch (const std::invalid_argument&) {
-    return 0;
-  }
-}
-
 /// Forward-conv descriptors for one layer shape under one ISA clamp, using
 /// the real planner's register blocking (main + edge variants, beta0/ReLU,
-/// in-kernel Cb loop, scattered-output stride).
+/// in-kernel Cb loop), plus the strided backward's accumulate-scatter
+/// kernels at the planner's bwd_strided_rbq.
 int sweep_conv_shape(const core::ConvParams& p, platform::Isa isa) {
   const core::ConvPlan plan = default_plan(p, isa);
   const int vlen = platform::vlen_fp32(isa);
@@ -122,21 +114,31 @@ int sweep_conv_shape(const core::ConvParams& p, platform::Isa isa) {
         d.fuse_relu = variant == 2;
         verified += verify_conv(d);
       }
-      // Scattered-output variant (strided 1x1 backward duality).
-      if (p.R == 1 && p.S == 1 && p.stride_w > 1) {
-        jit::ConvKernelDesc d;
-        d.isa = isa;
-        d.vlen = vlen;
-        d.rbp = rbp;
-        d.rbq = rbq;
-        d.in_row_stride = (p.W + 2 * p.pad_w) * vlen;
-        d.out_row_stride = p.stride_h * Q * p.stride_w * vlen;
-        d.out_col_stride = p.stride_w * vlen;
-        d.c_iters = vlen;
-        d.beta0 = true;
-        verified += verify_conv(d);
-      }
     }
+  }
+  if (plan.bwd_algo != core::BwdAlgo::duality_strided) return verified;
+  // Strided backward duality: a dense 1x1 read over a dO row (Kb blocks in
+  // the kernel), accumulated into a dI row scattered by the stride.
+  const int kb = ceil_div(p.K, vlen);
+  const int qwp = Q + 2 * std::max(0, p.S - 1 - p.pad_w);
+  const int php = P + 2 * std::max(0, p.R - 1 - p.pad_h);
+  for (const int rbq : {plan.bwd_strided_rbq, Q % plan.bwd_strided_rbq}) {
+    if (rbq == 0) continue;
+    jit::ConvKernelDesc d;
+    d.isa = isa;
+    d.vlen = vlen;
+    d.rbq = rbq;
+    d.in_row_stride = qwp * vlen;
+    d.out_row_stride = p.stride_h * (p.W + 2 * p.pad_w) * vlen;
+    d.out_col_stride = p.stride_w * vlen;
+    d.c_iters = vlen;
+    if (kb > 1) {
+      d.c_blocks = kb;
+      d.in_cb_stride = php * qwp * vlen;
+      d.wt_cb_stride = p.R * p.S * vlen * vlen;
+    }
+    d.beta0 = false;
+    verified += verify_conv(d);
   }
   return verified;
 }
@@ -283,28 +285,6 @@ TEST(JitVerifySweep, ReduceKernels) {
   EXPECT_GE(verified, 12);
 }
 
-TEST(JitVerifySweep, GemmKernels) {
-  int verified = 0;
-  for (platform::Isa isa : kIsaClamps) {
-    const int vlen = platform::vlen_fp32(isa);
-    for (int n : {1, 4, 8})
-      for (int k : {1, 16, 64})
-        for (int b0 = 0; b0 < 2; ++b0) {
-          jit::GemmKernelDesc d;
-          d.isa = isa;
-          d.vlen = vlen;
-          d.n = n;
-          d.k = k;
-          d.lda = vlen;
-          d.ldb = k + 3;  // padded rows exercise the extent formula
-          d.ldc = vlen + 8;
-          d.beta0 = (b0 == 1);
-          verified += verify_gemm(d);
-        }
-  }
-  EXPECT_GE(verified, 24);
-}
-
 TEST(JitVerifySweep, CodecKernelsAllOps) {
   int verified = 0;
   for (jit::CodecOp op :
@@ -399,7 +379,7 @@ TEST(JitVerifySweep, FuzzedConvDescriptors) {
   EXPECT_GE(verified, 50) << "fuzz rejected too many descriptors pre-codegen";
 }
 
-TEST(JitVerifySweep, FuzzedUpdAndGemmDescriptors) {
+TEST(JitVerifySweep, FuzzedUpdDescriptors) {
   std::mt19937 rng(0xBEEF);
   auto pick = [&](int lo, int hi) {
     return lo + static_cast<int>(rng() % static_cast<unsigned>(hi - lo + 1));
@@ -421,21 +401,6 @@ TEST(JitVerifySweep, FuzzedUpdAndGemmDescriptors) {
     d.beta0 = rng() & 1;
     d.prefetch = rng() & 1;
     verified += verify_upd(d);
-  }
-  for (int i = 0; i < 40; ++i) {
-    const platform::Isa isa = (rng() & 1) ? platform::Isa::avx512
-                                          : platform::Isa::avx2;
-    const int vlen = platform::vlen_fp32(isa);
-    jit::GemmKernelDesc d;
-    d.isa = isa;
-    d.vlen = vlen;
-    d.n = pick(1, 8);
-    d.k = pick(1, 32);
-    d.lda = vlen + pick(0, 8);
-    d.ldb = d.k + pick(0, 8);
-    d.ldc = vlen + pick(0, 8);
-    d.beta0 = rng() & 1;
-    verified += verify_gemm(d);
   }
   EXPECT_GE(verified, 40);
 }

@@ -62,8 +62,9 @@ TEST(Registry, BackendFollowsDescriptorIsa) {
   auto& reg = kernels::KernelRegistry::instance();
   const auto d = small_desc();
   EXPECT_EQ(reg.conv(at_scalar_isa(d))->backend(), Backend::scalar);
-  if (platform::max_isa() >= d.isa)
+  if (platform::max_isa() >= d.isa) {
     EXPECT_EQ(reg.conv(d)->backend(), Backend::jit);
+  }
 }
 
 TEST(Registry, AllBackendsAgree) {
@@ -193,12 +194,12 @@ namespace xconv::core {
 struct ConvLayerTestPeer {
   struct Kernels {
     std::vector<kernels::Backend> backends;
-    int fwd = 0, bwd1x1 = 0, kdot = 0, upd = 0, reduce = 0, gemm = 0;
+    int fwd = 0, bwd_strided = 0, kdot = 0, upd = 0, reduce = 0;
   };
   // Every kernel of `l` and of its backward dual layer.
   static void collect(const ConvLayer& l, Kernels& k) {
     for (const auto* m : l.fwd_variants_) k.backends.push_back(m->backend());
-    for (const auto* m : l.bwd1x1_variants_)
+    for (const auto* m : l.bwd_strided_variants_)
       k.backends.push_back(m->backend());
     for (const auto* m : l.kdot_variants_)
       if (m != nullptr) {
@@ -210,13 +211,8 @@ struct ConvLayerTestPeer {
       k.backends.push_back(l.upd_reduce_->backend());
       ++k.reduce;
     }
-    for (const auto* m : l.bwd_gemm_kernels_)
-      if (m != nullptr) {
-        k.backends.push_back(m->backend());
-        ++k.gemm;
-      }
     k.fwd += static_cast<int>(l.fwd_variants_.size());
-    k.bwd1x1 += static_cast<int>(l.bwd1x1_variants_.size());
+    k.bwd_strided += static_cast<int>(l.bwd_strided_variants_.size());
     k.upd += static_cast<int>(l.upd_variants_.size());
     if (l.bwd_layer_ != nullptr) collect(*l.bwd_layer_, k);
   }
@@ -232,8 +228,7 @@ std::uint64_t bits_hash(const std::vector<float>& v) {
 }  // namespace
 
 // A layer built for Isa::scalar runs only scalar kernels: forward variants,
-// the 1x1-strided backward, k-dot, the GEMM fallback, update and the dW
-// reduce. Its results are
+// the strided backward, k-dot, update and the dW reduce. Its results are
 // pinned to those of the scalar kernels driven at the scalar ISA's plan
 // (vlen 16, avx512-shaped blocking, 2 threads).
 TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
@@ -248,7 +243,7 @@ TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
       {core::make_conv(2, 16, 32, 9, 9, 3, 3, 1), core::UpdStrategy::minibatch,
        4, 0x91de1d78607f57beull, 0x508b792d9a383d6cull,
        0xed15875915eb4f94ull},
-      // duality 1x1-strided
+      // strided duality, 1x1 (bitwise what the 1x1-only scatter path gave)
       {core::make_conv(1, 16, 16, 5, 57, 1, 1, 2, 0), core::UpdStrategy::task,
        0, 0x407e56e3aa0684bbull, 0x67c62454525f864aull,
        0xa2fab1056ea71caaull},
@@ -256,9 +251,10 @@ TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
       {core::make_conv(2, 3, 32, 15, 15, 7, 7, 2, 3), core::UpdStrategy::hybrid,
        0, 0xf944b4bcc6643407ull, 0xa5ac1a2fced6f018ull,
        0x80dbd1b0c12bb3d7ull},
-      // GEMM fallback (the scalar gemm kernel runs gemm_blocked)
+      // strided duality, 3x3 (Algorithm 7's case; its hash moved when the
+      // Kb reduction went inside the 1x1 kernel call)
       {core::make_conv(1, 16, 16, 9, 9, 3, 3, 2), core::UpdStrategy::task, 0,
-       0x59497defe052ee8dull, 0x60926d5999650800ull,
+       0x59497defe052ee8dull, 0xd584880a26fa8a1bull,
        0x0c9d43200c2b958cull},
   };
   core::ConvLayerTestPeer::Kernels total;
@@ -280,11 +276,10 @@ TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
     for (const Backend b : k.backends)
       EXPECT_EQ(b, Backend::scalar) << kernels::backend_name(b);
     total.fwd += k.fwd;
-    total.bwd1x1 += k.bwd1x1;
+    total.bwd_strided += k.bwd_strided;
     total.kdot += k.kdot;
     total.upd += k.upd;
     total.reduce += k.reduce;
-    total.gemm += k.gemm;
 
     xconv::testing::ConvProblem pr(c.p, 7);
     const auto fwd = layer_forward(layer, pr);
@@ -308,29 +303,28 @@ TEST(Registry, ScalarIsaResolvesOnlyScalarKernels) {
   }
   // Every kernel family really was exercised.
   EXPECT_GT(total.fwd, 0);
-  EXPECT_GT(total.bwd1x1, 0);
+  EXPECT_GT(total.bwd_strided, 0);
   EXPECT_GT(total.kdot, 0);
   EXPECT_GT(total.upd, 0);
   EXPECT_EQ(total.reduce, 2);
-  EXPECT_GT(total.gemm, 0);
 }
 
-// Every family resolves through the one cache. Rebuilding a GEMM-fallback
-// ConvLayer compiles nothing: each kernel it holds, the GEMM ones included,
-// is one registry hit. Re-running a QConvLayer of the same shape likewise
-// only hits.
-TEST(Registry, RebuiltGemmAndQConvLayersOnlyHit) {
+// Every family resolves through the one cache. Rebuilding a strided-duality
+// ConvLayer compiles nothing: each kernel it holds, the strided backward's
+// included, is one registry hit. Re-running a QConvLayer of the same shape
+// likewise only hits.
+TEST(Registry, RebuiltStridedAndQConvLayersOnlyHit) {
   auto& reg = kernels::KernelRegistry::instance();
   const auto p = core::make_conv(1, 16, 16, 9, 9, 3, 3, 2);
 
   core::ConvLayer first(p);
-  ASSERT_EQ(first.bwd_algo(), core::BwdAlgo::gemm_fallback);
+  ASSERT_EQ(first.bwd_algo(), core::BwdAlgo::duality_strided);
   auto before = reg.stats();
   core::ConvLayer second(p);
   auto after = reg.stats();
   core::ConvLayerTestPeer::Kernels k;
   core::ConvLayerTestPeer::collect(second, k);
-  EXPECT_GT(k.gemm, 0);
+  EXPECT_GT(k.bwd_strided, 0);
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_EQ(after.hits - before.hits, k.backends.size());
 

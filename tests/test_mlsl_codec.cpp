@@ -312,8 +312,9 @@ TEST_P(EncodeDecodeP, WireRoundTripMatchesTransmitAndAccumulates) {
   codec->decode(wire.data(), wb, decoded.data(), n);
   ASSERT_EQ(0, std::memcmp(decoded.data(), via_transmit.data(),
                            n * sizeof(float)));
-  if (codec->uses_residual())
+  if (codec->uses_residual()) {
     ASSERT_EQ(0, std::memcmp(res_w.data(), res_t.data(), n * sizeof(float)));
+  }
 
   std::vector<float> acc(n, 1.5f);
   codec->decode_accumulate(wire.data(), wb, acc.data(), n);
@@ -1090,25 +1091,30 @@ TEST(MultiNodeCodec, SimulatedWireSlowsOneBucketRound) {
 }
 
 TEST(MultiNodeCodec, CommConfigValidation) {
-  EXPECT_THROW(mlsl::Communicator(2, mlsl::CommConfig{mlsl::Codec::kFp32, 0,
-                                                      0.0}),
+  const auto config = [](mlsl::Codec codec, int comm_threads, double wire_gbs,
+                         double topk_fraction = 0.1) {
+    mlsl::CommConfig c;
+    c.codec = codec;
+    c.comm_threads = comm_threads;
+    c.wire_gbs = wire_gbs;
+    c.topk_fraction = topk_fraction;
+    return c;
+  };
+  using mlsl::Codec;
+  EXPECT_THROW(mlsl::Communicator(2, config(Codec::kFp32, 0, 0.0)),
                std::invalid_argument);
-  EXPECT_THROW(mlsl::Communicator(2, mlsl::CommConfig{mlsl::Codec::kFp32, -2,
-                                                      0.0}),
+  EXPECT_THROW(mlsl::Communicator(2, config(Codec::kFp32, -2, 0.0)),
                std::invalid_argument);
-  EXPECT_THROW(mlsl::Communicator(2, mlsl::CommConfig{mlsl::Codec::kFp32, 1,
-                                                      -0.5}),
+  EXPECT_THROW(mlsl::Communicator(2, config(Codec::kFp32, 1, -0.5)),
                std::invalid_argument);
   // topk fraction outside (0, 1] is rejected at construction; the dense
   // codecs never read it.
-  EXPECT_THROW(mlsl::Communicator(2, mlsl::CommConfig{mlsl::Codec::kTopK, 1,
-                                                      0.0, 0.0}),
+  EXPECT_THROW(mlsl::Communicator(2, config(Codec::kTopK, 1, 0.0, 0.0)),
                std::invalid_argument);
-  EXPECT_THROW(mlsl::Communicator(2, mlsl::CommConfig{mlsl::Codec::kTopK, 1,
-                                                      0.0, 1.5}),
+  EXPECT_THROW(mlsl::Communicator(2, config(Codec::kTopK, 1, 0.0, 1.5)),
                std::invalid_argument);
-  EXPECT_NO_THROW(mlsl::Communicator(2, mlsl::CommConfig{mlsl::Codec::kFp32,
-                                                         1, 0.0, 99.0}));
+  EXPECT_NO_THROW(
+      mlsl::Communicator(2, config(Codec::kFp32, 1, 0.0, 99.0)));
 }
 
 TEST(MultiNodeOptionsEnv, CodecAndCommThreadKnobs) {

@@ -148,9 +148,10 @@ TEST(MultiNodeOverlap, BucketLayoutRespectsCapAndBackwardOrder) {
   for (const auto& b : buckets) {
     ASSERT_FALSE(b.segments.empty());
     // Cap respected unless the bucket holds a single oversized layer.
-    if (b.segments.size() > 1)
+    if (b.segments.size() > 1) {
       EXPECT_LE((b.elems - b.segments.back().elems) * sizeof(float),
                 mn.bucket_cap_bytes);
+    }
     for (const auto& s : b.segments) {
       // Buckets cover bwd_param_segments in order, with matching slices.
       ASSERT_LT(seg_idx, segs.size());

@@ -122,7 +122,7 @@ struct Decisions {
   int rbp = 1, rbq = 1;
   bool cb_in_kernel = false;
   BwdAlgo bwd_algo = BwdAlgo::duality_stride1;
-  int bwd1x1_rbq = 0, bwd_gemm_qc = 0, bwd_kdot_rb = 0;
+  int bwd_strided_rbq = 0, bwd_kdot_rb = 0;
   UpdStrategy upd_strategy = UpdStrategy::task;
   int upd_bp = 0, upd_bq = 0;
 };
@@ -151,12 +151,9 @@ Decisions decide(const core::ConvParams& p, int threads, bool fwd_only) {
     d.bwd_kdot_rb = pick_rb(ceil_div(p.W, p.stride_w), budget);
   } else if (p.stride_h == 1 && p.stride_w == 1) {
     d.bwd_algo = BwdAlgo::duality_stride1;
-  } else if (p.R == 1 && p.S == 1 && p.pad_h == 0 && p.pad_w == 0) {
-    d.bwd_algo = BwdAlgo::duality_1x1_strided;
-    d.bwd1x1_rbq = pick_rb(Q, kMaxAcc);
   } else {
-    d.bwd_algo = BwdAlgo::gemm_fallback;
-    d.bwd_gemm_qc = pick_rb(Q, 28);
+    d.bwd_algo = BwdAlgo::duality_strided;
+    d.bwd_strided_rbq = pick_rb(Q, kMaxAcc);
   }
 
   // setup_update (conv_update.cpp)
@@ -236,8 +233,7 @@ void expect_matches_legacy(const core::ConvParams& p, int threads,
   EXPECT_EQ(plan.cb_in_kernel, d.cb_in_kernel);
   if (!fwd_only) {
     EXPECT_EQ(plan.bwd_algo, d.bwd_algo);
-    EXPECT_EQ(plan.bwd1x1_rbq, d.bwd1x1_rbq);
-    EXPECT_EQ(plan.bwd_gemm_qc, d.bwd_gemm_qc);
+    EXPECT_EQ(plan.bwd_strided_rbq, d.bwd_strided_rbq);
     EXPECT_EQ(plan.bwd_kdot_rb, d.bwd_kdot_rb);
     EXPECT_EQ(plan.upd_strategy, d.upd_strategy);
     EXPECT_EQ(plan.upd_bp, d.upd_bp);
@@ -418,13 +414,21 @@ TEST(PlanCrossover, CbInKernelOnlyForMultiBlock1x1) {
 TEST(PlanCrossover, BackwardAlgorithmShapeForced) {
   EXPECT_EQ(default_for(core::make_conv(2, 16, 16, 14, 14, 3, 3, 1)).bwd_algo,
             BwdAlgo::duality_stride1);
+  // Every stride > 1 layer with a full channel block, 1x1 or not, runs the
+  // strided duality.
   const ConvPlan p1x1 =
       default_for(core::make_conv(2, 64, 64, 14, 14, 1, 1, 2, 0));
-  EXPECT_EQ(p1x1.bwd_algo, BwdAlgo::duality_1x1_strided);
-  EXPECT_EQ(p1x1.bwd1x1_rbq, 7);  // pick(Q=7, 28) = 7
-  const ConvPlan pg = default_for(core::make_conv(2, 16, 16, 14, 14, 3, 3, 2));
-  EXPECT_EQ(pg.bwd_algo, BwdAlgo::gemm_fallback);
-  EXPECT_EQ(pg.bwd_gemm_qc, 7);  // pick(Q=7, max_acc=28) = 7
+  EXPECT_EQ(p1x1.bwd_algo, BwdAlgo::duality_strided);
+  EXPECT_EQ(p1x1.bwd_strided_rbq, 7);  // pick(Q=7, 28) = 7
+  const ConvPlan p3x3 =
+      default_for(core::make_conv(2, 16, 16, 14, 14, 3, 3, 2));
+  EXPECT_EQ(p3x3.bwd_algo, BwdAlgo::duality_strided);
+  EXPECT_EQ(p3x3.bwd_strided_rbq, 7);  // pick(Q=7, max_acc=28) = 7
+  // One shape rule serves plan_default and validate alike.
+  for (const auto& p : {core::make_conv(2, 16, 16, 14, 14, 3, 3, 1),
+                        core::make_conv(2, 16, 16, 14, 14, 3, 3, 2),
+                        core::make_conv(2, 3, 16, 14, 14, 3, 3, 2)})
+    EXPECT_EQ(default_for(p).bwd_algo, core::bwd_algo_for(p, 16));
 }
 
 TEST(PlanCrossover, KdotForLayersNarrowerThanOneBlock) {
@@ -447,13 +451,12 @@ TEST(PlanCrossover, KdotForLayersNarrowerThanOneBlock) {
           EXPECT_GE(plan.bwd_kdot_rb, 1);
           EXPECT_LE(plan.bwd_kdot_rb,
                     jit::KdotKernelDesc::max_rb(isa, c));
-          EXPECT_EQ(plan.bwd1x1_rbq, 0);
-          EXPECT_EQ(plan.bwd_gemm_qc, 0);
+          EXPECT_EQ(plan.bwd_strided_rbq, 0);
           EXPECT_NO_THROW(plan.validate(p, PlanPass::train));
         }
     // A full block keeps the shape-forced algorithms.
     EXPECT_EQ(plan_at(core::make_conv(2, v, 32, 28, 28, 7, 7, 2)).bwd_algo,
-              BwdAlgo::gemm_fallback);
+              BwdAlgo::duality_strided);
     EXPECT_EQ(plan_at(core::make_conv(2, v, 32, 28, 28, 3, 3, 1)).bwd_algo,
               BwdAlgo::duality_stride1);
   }
@@ -468,7 +471,7 @@ TEST(PlanCrossover, KdotForLayersNarrowerThanOneBlock) {
         key_for(p, 1, PlanPass::train, platform::Isa::avx2));
   };
   EXPECT_EQ(avx2_plan(core::make_conv(1, 8, 16, 9, 9, 3, 3, 2)).bwd_algo,
-            BwdAlgo::gemm_fallback);
+            BwdAlgo::duality_strided);
   EXPECT_EQ(avx2_plan(core::make_conv(1, 7, 16, 9, 9, 3, 3, 2)).bwd_kdot_rb,
             1);
   // A plan whose rb exceeds the budget is rejected.
@@ -567,9 +570,9 @@ TEST(PlanKeyTest, TextFormAndHashPinned) {
   // which is exactly what kPlanSchemaVersion (embedded in the text) is for.
   EXPECT_EQ(key.to_string(),
             "conv(N=2,C=64,K=128,H=56,W=56,R=3,S=3,stride=1x1,pad=1x1)"
-            "|pass=train|isa=avx512|vlen=16|threads=4|v5");
-  EXPECT_EQ(key.hash(), 0x9ac442d6cac2182full);
-  EXPECT_EQ(key.hash_hex(), "9ac442d6cac2182f");
+            "|pass=train|isa=avx512|vlen=16|threads=4|v6");
+  EXPECT_EQ(key.hash(), 0x9ac443d6cac219e2ull);
+  EXPECT_EQ(key.hash_hex(), "9ac443d6cac219e2");
 }
 
 TEST(PlanKeyTest, HashIsFnv1a64) {
@@ -614,10 +617,11 @@ TEST(PlanSerialization, RoundTripEveryField) {
   const std::vector<Case> cases = {
       // duality_stride1, task (1 thread)
       {key_for(core::make_conv(2, 64, 64, 14, 14, 3, 3, 1)), keep, false},
-      // duality_1x1_strided, cb_in_kernel
+      // duality_strided (1x1), cb_in_kernel
       {key_for(core::make_conv(2, 64, 64, 14, 14, 1, 1, 2, 0), 4), keep,
        true},
-      // gemm_fallback; the scalar ISA keeps vlen 16, avx512-shaped kernels
+      // duality_strided (3x3); the scalar ISA keeps vlen 16, avx512-shaped
+      // kernels
       {key_for(core::make_conv(2, 16, 16, 14, 14, 3, 3, 2), 8,
                PlanPass::train, platform::Isa::scalar),
        keep, false},
@@ -924,10 +928,10 @@ TEST(PlanExplicit, RejectsWrongContextAndInvalidPlans) {
   ot.plan = wrong_threads;
   EXPECT_THROW(core::ConvLayer(p, ot), std::invalid_argument);
 
-  // Shape mismatch: a stride-1 layer cannot run the GEMM fallback.
+  // Shape mismatch: a stride-1 layer cannot run the strided duality.
   ConvPlan wrong_algo = good;
-  wrong_algo.bwd_algo = BwdAlgo::gemm_fallback;
-  wrong_algo.bwd_gemm_qc = 7;
+  wrong_algo.bwd_algo = BwdAlgo::duality_strided;
+  wrong_algo.bwd_strided_rbq = 7;
   core::ConvOptions oa = o;
   oa.plan = wrong_algo;
   EXPECT_THROW(core::ConvLayer(p, oa), std::invalid_argument);

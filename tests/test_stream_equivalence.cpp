@@ -78,9 +78,10 @@ void expect_fwd_replay(const ConvParams& p, int rbq, unsigned seed,
 }
 
 /// Backward on threads 1..4 within the bound of the naive reference;
-/// bitwise equal across thread counts when `invariant`.
+/// bitwise equal across thread counts when `invariant`. `halo` >= 0 raises
+/// the input halo to that many pixels.
 void expect_bwd_replay(const ConvParams& p, BwdAlgo algo, bool invariant,
-                       unsigned seed, const char* what) {
+                       unsigned seed, const char* what, int halo = -1) {
   ConvProblem pr(p, seed);
   const auto ref = xconv::testing::naive_bwd(pr);
   std::vector<float> first;
@@ -88,11 +89,10 @@ void expect_bwd_replay(const ConvParams& p, BwdAlgo algo, bool invariant,
     SCOPED_TRACE(std::string(what) + " threads " + std::to_string(threads));
     ConvOptions o;
     o.threads = threads;
+    o.in_halo_h = o.in_halo_w = halo;
     core::ConvLayer layer(p, o);
     ASSERT_EQ(layer.bwd_algo(), algo);
-    const bool replays = algo == BwdAlgo::duality_stride1 ||
-                         algo == BwdAlgo::duality_1x1_strided;
-    EXPECT_EQ(layer.bwd_stream_convs() > 0, replays);
+    EXPECT_EQ(layer.bwd_stream_convs() > 0, algo != BwdAlgo::kdot);
     const auto got = layer_backward(layer, pr);
     expect_within_reduction_bound(ref, got, bwd_len(p), what);
     if (!invariant) continue;
@@ -133,16 +133,53 @@ TEST(StreamReplay, Backward1x1Strided) {
   // records the 1x1 kernel sequence, including the Q-remainder edge kernel
   // (Q = 29 is prime, so no register-block divides it).
   expect_bwd_replay(core::make_conv(1, 16, 16, 5, 57, 1, 1, 2, 0),
-                    BwdAlgo::duality_1x1_strided, /*invariant=*/true, 13,
+                    BwdAlgo::duality_strided, /*invariant=*/true, 13,
                     "bwd 1x1 strided");
 }
 
-TEST(StreamReplay, BackwardGemmFallbackRunsDirectly) {
-  // R > 1 with stride > 1: the Algorithm-7 GEMM fallback has no stream form.
+TEST(StreamReplay, BackwardStridedReplaysEveryTap) {
+  // R > 1 with stride > 1 (Algorithm 7's case): one accumulating 1x1 call
+  // per contributing tap, each dI row owned by one work item.
   expect_bwd_replay(core::make_conv(1, 16, 16, 9, 9, 3, 3, 2),
-                    BwdAlgo::gemm_fallback, /*invariant=*/false, 14,
-                    "bwd gemm fallback");
+                    BwdAlgo::duality_strided, /*invariant=*/true, 14,
+                    "bwd strided 3x3");
 }
+
+// The strided duality across the shapes that stress its recorder: taps
+// overlapping rows (R > stride), no padding, rows and columns no tap reaches
+// (2x2/3, 1x1/3), a halo raised above the padding and a partial last
+// channel block. The layer helpers poison dI with NaN.
+struct StridedCase {
+  ConvParams p;
+  int halo;
+  const char* what;
+};
+
+class StreamStridedReplay : public ::testing::TestWithParam<StridedCase> {};
+
+TEST_P(StreamStridedReplay, MatchesNaiveAndIsThreadInvariant) {
+  const StridedCase& c = GetParam();
+  expect_bwd_replay(c.p, BwdAlgo::duality_strided, /*invariant=*/true, 16,
+                    c.what, c.halo);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, StreamStridedReplay,
+    ::testing::Values(
+        StridedCase{core::make_conv(2, 16, 32, 9, 9, 3, 3, 2, 1), -1,
+                    "3x3/2 pad 1"},
+        StridedCase{core::make_conv(1, 32, 16, 9, 11, 3, 3, 2, 0), -1,
+                    "3x3/2 pad 0"},
+        StridedCase{core::make_conv(2, 16, 16, 7, 59, 1, 1, 2, 0), -1,
+                    "1x1/2 prime Q"},
+        StridedCase{core::make_conv(1, 32, 16, 10, 11, 1, 1, 3, 0), -1,
+                    "1x1/3"},
+        StridedCase{core::make_conv(1, 16, 32, 11, 10, 2, 2, 3, 0), -1,
+                    "2x2/3"},
+        StridedCase{core::make_conv(1, 16, 16, 9, 9, 3, 3, 2, 1), 3,
+                    "3x3/2 halo 3"},
+        StridedCase{core::make_conv(2, 24, 40, 9, 9, 3, 3, 2, 1), -1,
+                    "C 24"}));
 
 TEST(StreamReplay, BackwardKdotRunsDirectly) {
   // C < vlen: the k-dot kernels take no prefetch operands and have no

@@ -272,6 +272,18 @@ TEST(Streams, ZeroAndReduceReplay) {
                std::logic_error);
 }
 
+TEST(Streams, ZeroInConvReplayClearsOutput) {
+  // The strided backward's streams: ZERO a range of the output, then CONV
+  // calls accumulate into it. ZERO offsets are relative to out_base.
+  KernelStream s;
+  s.record_zero(2, 3);
+  s.finish();
+  std::vector<float> out(8, 5.0f);
+  s.replay({}, nullptr, nullptr, out.data(), {});
+  const std::vector<float> want = {5, 5, 0, 0, 0, 5, 5, 5};
+  EXPECT_EQ(out, want);
+}
+
 TEST(Streams, MixedFamilyReplayThrows) {
   KernelStream conv_stream;
   conv_stream.record_conv(0, 0, 0, 0);

@@ -103,7 +103,11 @@ class ConvLayer {
   tensor::WtTensor make_weights() const;  ///< forward form [Kb][Cb][R][S][c][k]
 
   /// Forward propagation (Algorithm 3 / 4 / 5). `fargs` supplies fused-op
-  /// operands when options().fuse needs them.
+  /// operands when options().fuse needs them. A call with empty `fargs`
+  /// skips the APPLY records and writes the plain convolution, so one
+  /// layer built with an APPLY op serves both a fused and an unfused pass
+  /// (gxm::ConvNode: fused BatchNorm in inference, plain output in
+  /// training). The in-kernel ReLU is not an APPLY and always runs.
   void forward(const tensor::ActTensor& in, const tensor::WtTensor& wt,
                tensor::ActTensor& out, const FusionArgs& fargs = {});
 

@@ -37,6 +37,46 @@ void for_block(const ApplyRecord& rec, float* out_base, Fn&& fn) {
   }
 }
 
+/// batchnorm / batchnorm_relu over one block, with the lane count V a
+/// compile-time constant so the lane loop vectorizes.
+template <int V, bool Relu>
+void batchnorm_block(const ApplyRecord& rec, float* out_base,
+                     const FusionArgs& a) {
+  const int c0 = rec.kb * V;
+  float g[V], mu[V], is[V], b[V];
+  for (int k = 0; k < V; ++k) {
+    g[k] = a.gamma[c0 + k];
+    mu[k] = a.mean[c0 + k];
+    is[k] = a.invstd[c0 + k];
+    b[k] = a.beta[c0 + k];
+  }
+  for (int p = 0; p < rec.rows; ++p) {
+    float* row = out_base + rec.out_off +
+                 static_cast<std::int64_t>(p) * rec.row_stride;
+    for (int q = 0; q < rec.cols; ++q) {
+      float* px = row + static_cast<std::int64_t>(q) * V;
+#pragma omp simd
+      for (int k = 0; k < V; ++k) {
+        const float v = bn_infer(px[k], g[k], mu[k], is[k], b[k]);
+        px[k] = Relu && v < 0.0f ? 0.0f : v;
+      }
+    }
+  }
+}
+
+template <bool Relu>
+void batchnorm(const ApplyRecord& rec, float* out_base, const FusionArgs& a) {
+  if (a.gamma == nullptr || a.beta == nullptr || a.mean == nullptr ||
+      a.invstd == nullptr)
+    throw std::invalid_argument("fusion: batchnorm operands missing");
+  switch (rec.vlen) {
+    case 8: return batchnorm_block<8, Relu>(rec, out_base, a);
+    case 16: return batchnorm_block<16, Relu>(rec, out_base, a);
+    default:
+      throw std::invalid_argument("fusion: batchnorm needs vlen 8 or 16");
+  }
+}
+
 }  // namespace
 
 void apply_fused_op(const ApplyRecord& rec, float* out_base,
@@ -64,20 +104,9 @@ void apply_fused_op(const ApplyRecord& rec, float* out_base,
       });
       return;
     case FusedOp::batchnorm:
-      if (args.scale == nullptr || args.shift == nullptr)
-        throw std::invalid_argument("fusion: batchnorm operands missing");
-      for_block(rec, out_base, [&](float& v, int k) {
-        v = v * args.scale[base_k + k] + args.shift[base_k + k];
-      });
-      return;
+      return batchnorm<false>(rec, out_base, args);
     case FusedOp::batchnorm_relu:
-      if (args.scale == nullptr || args.shift == nullptr)
-        throw std::invalid_argument("fusion: batchnorm operands missing");
-      for_block(rec, out_base, [&](float& v, int k) {
-        v = v * args.scale[base_k + k] + args.shift[base_k + k];
-        v = v > 0.0f ? v : 0.0f;
-      });
-      return;
+      return batchnorm<true>(rec, out_base, args);
     case FusedOp::eltwise_add:
     case FusedOp::eltwise_add_relu: {
       if (args.residual == nullptr)

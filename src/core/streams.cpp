@@ -98,7 +98,7 @@ void KernelStream::replay(
         }
         break;
       case SegmentType::apply:
-        apply_fused_op(applies_[seg.info], out_base, fargs);
+        if (!fargs.empty()) apply_fused_op(applies_[seg.info], out_base, fargs);
         break;
       case SegmentType::zero:
         run_zero(zeros_[seg.info], out_base);

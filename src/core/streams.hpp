@@ -87,6 +87,8 @@ class KernelStream {
   /// Replay (Algorithm 5) --------------------------------------------------
   /// Forward/backward replay: `variants[v]` resolves the CONV kernel for
   /// variant stream value v; ZERO records clear ranges of `out_base`.
+  /// APPLY records run only when `fargs` carries operands; with empty
+  /// `fargs` they are skipped and the output is the plain convolution.
   /// Throws on update-family records (UPD streaks, REDUCE).
   void replay(const std::vector<const kernels::ConvMicrokernel*>& variants,
               const float* in_base, const float* wt_base, float* out_base,

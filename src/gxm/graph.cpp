@@ -99,10 +99,41 @@ void Graph::build_eng(const std::vector<NodeSpec>& enl) {
   // Shape inference in NL order (topologically valid for parser output),
   // then allocation. infer_shapes also raises halo requirements on ports.
   for (auto& up : nodes_) up->infer_shapes();
+
+  // Ports that must share one halo: a paired conv's top and its BatchNorm's
+  // top (one recorded forward stream writes either buffer), and a Split's
+  // bottom and tops (the tops alias the bottom's storage).
+  std::vector<std::pair<Port*, Port*>> same_halo;
+  for (auto& up : nodes_) {
+    if (auto* bn = dynamic_cast<BatchNormNode*>(up.get())) {
+      auto* conv = dynamic_cast<ConvNode*>(bn->bottoms[0]->producer);
+      if (conv != nullptr && conv->fold_batchnorm(bn))
+        same_halo.emplace_back(conv->tops[0], bn->tops[0]);
+    } else if (dynamic_cast<SplitNode*>(up.get()) != nullptr) {
+      for (Port* t : up->tops) same_halo.emplace_back(up->bottoms[0], t);
+    }
+  }
+  // Raise each pair to the larger halo until nothing changes: conv -> BN ->
+  // Split chains link the two kinds.
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (auto [a, b] : same_halo) {
+      const int h = std::max(a->shape.pad_h, b->shape.pad_h);
+      const int w = std::max(a->shape.pad_w, b->shape.pad_w);
+      if (a->shape.pad_h != h || b->shape.pad_h != h ||
+          a->shape.pad_w != w || b->shape.pad_w != w)
+        changed = true;
+      a->shape.pad_h = b->shape.pad_h = h;
+      a->shape.pad_w = b->shape.pad_w = w;
+    }
+  }
+
   for (auto& [name, port] : ports_) {
     port->needs_grad = !(as_input(port->producer) != nullptr &&
                          dynamic_cast<ConvNode*>(port->consumer) != nullptr);
-    port->allocate(vlen_);
+    // Split tops get a view of their bottom in SplitNode::setup.
+    port->allocate(vlen_,
+                   dynamic_cast<SplitNode*>(port->producer) == nullptr);
   }
   for (auto& up : nodes_) up->setup(vlen_, threads_);
   if (loss_ != nullptr) loss_->set_labels(&input_->labels());

@@ -21,6 +21,7 @@ namespace {
 
 /// Widest vlen (AVX-512 fp32): BatchNorm keeps per-lane sums on the stack.
 constexpr int kMaxLanes = 16;
+constexpr float kBnEps = 1e-5f;
 }  // namespace
 
 std::unique_ptr<Node> make_node(const NodeSpec& spec) {
@@ -115,6 +116,9 @@ void ConvNode::setup(int vlen, int threads) {
   opt.out_halo_h = tops[0]->shape.pad_h;
   opt.out_halo_w = tops[0]->shape.pad_w;
   if (spec_.geti("relu", 0) != 0) opt.fuse = core::FusedOp::relu;
+  if (bn_ != nullptr)
+    opt.fuse = bn_->relu() ? core::FusedOp::batchnorm_relu
+                           : core::FusedOp::batchnorm;
   layer_ = std::make_unique<core::ConvLayer>(p, opt);
 
   wt_ = layer_->make_weights();
@@ -136,7 +140,22 @@ void ConvNode::setup(int vlen, int threads) {
             }
 }
 
-void ConvNode::forward(bool) {
+bool ConvNode::fold_batchnorm(BatchNormNode* bn) {
+  // The in-kernel ReLU would run before the BatchNorm's APPLY.
+  if (spec_.geti("relu", 0) != 0) return false;
+  bn_ = bn;
+  bn->set_folded();
+  return true;
+}
+
+void ConvNode::forward(bool training) {
+  if (bn_ != nullptr && !training) {
+    // The BatchNorm runs as this layer's APPLY records on each still-hot
+    // output block, straight into its top; our own top is not written.
+    layer_->forward(bottoms[0]->act, wt_, bn_->tops[0]->act,
+                    bn_->inference_args());
+    return;
+  }
   layer_->forward(bottoms[0]->act, wt_, tops[0]->act);
 }
 
@@ -207,7 +226,7 @@ void BatchNormNode::setup(int vlen, int threads) {
   Node::setup(vlen, threads);
   if (vlen > kMaxLanes)
     node_fail(*this, "vlen exceeds the per-lane statistics width");
-  relu_ = spec_.geti("relu", 0) != 0;
+  relu_ = relu();
   const int cpad = tensor::ceil_div(bottoms[0]->shape.c, vlen) * vlen;
   gamma_.assign(cpad, 1.0f);
   beta_.assign(cpad, 0.0f);
@@ -221,20 +240,34 @@ void BatchNormNode::setup(int vlen, int threads) {
   run_var_.assign(cpad, 1.0f);
 }
 
+core::FusionArgs BatchNormNode::inference_args() {
+  for (std::size_t c = 0; c < run_mean_.size(); ++c) {
+    mean_[c] = run_mean_[c];
+    invstd_[c] = 1.0f / std::sqrt(run_var_[c] + kBnEps);
+  }
+  core::FusionArgs a;
+  a.gamma = gamma_.data();
+  a.beta = beta_.data();
+  a.mean = mean_.data();
+  a.invstd = invstd_.data();
+  return a;
+}
+
 void BatchNormNode::forward(bool training) {
+  if (folded_ && !training) return;  // the producing ConvNode applied us
   const tensor::ActTensor& x = bottoms[0]->act;
   tensor::ActTensor& y = tops[0]->act;
   const int N = x.n(), CB = x.blocks(), H = x.h(), W = x.w(), v = x.vlen();
   const double count = static_cast<double>(N) * H * W;
-  constexpr float eps = 1e-5f;
 
   // One channel block per iteration, lanes innermost (unit stride). Each
   // lane still sums over (n, h, w) in that order, so the statistics and
-  // outputs equal the lane-at-a-time loop bit for bit.
+  // outputs equal the lane-at-a-time loop bit for bit. Inference reads the
+  // running statistics and skips the sums.
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (int cb = 0; cb < CB; ++cb) {
     double sum[kMaxLanes] = {}, sum2[kMaxLanes] = {};
-    for (int n = 0; n < N; ++n)
+    for (int n = 0; n < N && training; ++n)
       for (int h = 0; h < H; ++h) {
         const float* row = x.at(n, cb, h, 0);
         for (int w = 0; w < W; ++w)
@@ -260,7 +293,7 @@ void BatchNormNode::forward(bool training) {
         var = run_var_[c];
       }
       mean_[c] = m;
-      invstd_[c] = 1.0f / std::sqrt(var + eps);
+      invstd_[c] = 1.0f / std::sqrt(var + kBnEps);
       mu[lane] = m;
       is[lane] = invstd_[c];
       g[lane] = gamma_[c];
@@ -273,9 +306,9 @@ void BatchNormNode::forward(bool training) {
         for (int w = 0; w < W; ++w)
           for (int lane = 0; lane < v; ++lane) {
             const std::size_t i = static_cast<std::size_t>(w) * v + lane;
-            float val = g[lane] * (row[i] - mu[lane]) * is[lane] + b[lane];
-            if (relu_ && val < 0) val = 0;
-            orow[i] = val;
+            const float val =
+                core::bn_infer(row[i], g[lane], mu[lane], is[lane], b[lane]);
+            orow[i] = relu_ && val < 0.0f ? 0.0f : val;
           }
       }
   }
@@ -390,47 +423,85 @@ void MaxPoolNode::setup(int vlen, int threads) {
                  -1);
 }
 
-void MaxPoolNode::forward(bool) {
-  const tensor::ActTensor& x = bottoms[0]->act;
-  tensor::ActTensor& y = tops[0]->act;
-  const int N = x.n(), CB = x.blocks(), v = x.vlen();
-  const int H = x.h(), W = x.w(), P = y.h(), Q = y.w();
+namespace {
 
-#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
-  for (int n = 0; n < N; ++n) {
-    for (int cb = 0; cb < CB; ++cb) {
-      for (int oj = 0; oj < P; ++oj)
+/// Max pooling with the V channel lanes innermost. `argmax` (training only)
+/// receives, per output element, the flat index of the first tap in (r, s)
+/// order that holds the maximum: the tap a strict `>` scan keeps. Padding
+/// taps are skipped; an output whose taps are all NaN, -inf or at most
+/// -3.4e38f reads 0 and has argmax -1.
+template <int V>
+void maxpool_forward(const tensor::ActTensor& x, tensor::ActTensor& y,
+                     int window, int stride, int pad, std::int32_t* argmax,
+                     int threads) {
+  constexpr float kFloor = -3.4e38f;
+  const int N = x.n(), CB = x.blocks(), H = x.h(), W = x.w();
+  const int P = y.h(), Q = y.w();
+#pragma omp parallel for num_threads(threads) schedule(static) collapse(2)
+  for (int n = 0; n < N; ++n)
+    for (int cb = 0; cb < CB; ++cb)
+      for (int oj = 0; oj < P; ++oj) {
+        const int ij0 = oj * stride - pad;
+        const int r_lo = std::max(0, -ij0), r_hi = std::min(window, H - ij0);
         for (int oi = 0; oi < Q; ++oi) {
-          float* out = y.at(n, cb, oj, oi);
-          std::int32_t* am =
-              argmax_.data() +
-              (((static_cast<std::size_t>(n) * CB + cb) * P + oj) * Q + oi) *
-                  v;
-          for (int lane = 0; lane < v; ++lane) {
-            float best = -3.4e38f;
-            std::int32_t besti = -1;
-            for (int r = 0; r < window_; ++r) {
-              const int ij = oj * stride_ + r - pad_;
-              if (ij < 0 || ij >= H) continue;
-              for (int s = 0; s < window_; ++s) {
-                const int ii = oi * stride_ + s - pad_;
-                if (ii < 0 || ii >= W) continue;
-                const float val = *(x.at(n, cb, ij, ii) + lane);
-                if (val > best) {
-                  best = val;
-                  besti = ij * W + ii;
-                }
-              }
+          const int ii0 = oi * stride - pad;
+          const int s_lo = std::max(0, -ii0), s_hi = std::min(window, W - ii0);
+          float best[V];
+          for (int k = 0; k < V; ++k) best[k] = kFloor;
+          for (int r = r_lo; r < r_hi; ++r)
+            for (int s = s_lo; s < s_hi; ++s) {
+              const float* px = x.at(n, cb, ij0 + r, ii0 + s);
+#pragma omp simd
+              for (int k = 0; k < V; ++k)
+                best[k] = px[k] > best[k] ? px[k] : best[k];
             }
-            out[lane] = besti >= 0 ? best : 0.0f;
-            am[lane] = besti;
+          float* out = y.at(n, cb, oj, oi);
+#pragma omp simd
+          for (int k = 0; k < V; ++k)
+            out[k] = best[k] > kFloor ? best[k] : 0.0f;
+          if (argmax == nullptr) continue;
+          std::int32_t* am =
+              argmax +
+              (((static_cast<std::size_t>(n) * CB + cb) * P + oj) * Q + oi) *
+                  V;
+          for (int k = 0; k < V; ++k) {
+            am[k] = -1;
+            if (!(best[k] > kFloor)) continue;
+            for (int r = r_lo; r < r_hi && am[k] < 0; ++r)
+              for (int s = s_lo; s < s_hi; ++s)
+                if (x.at(n, cb, ij0 + r, ii0 + s)[k] == best[k]) {
+                  am[k] = (ij0 + r) * W + ii0 + s;
+                  break;
+                }
           }
         }
-    }
+      }
+}
+
+}  // namespace
+
+void MaxPoolNode::forward(bool training) {
+  const tensor::ActTensor& x = bottoms[0]->act;
+  tensor::ActTensor& y = tops[0]->act;
+  std::int32_t* am = training ? argmax_.data() : nullptr;
+  switch (x.vlen()) {
+    case 8:
+      maxpool_forward<8>(x, y, window_, stride_, pad_, am, threads_);
+      break;
+    case 16:
+      maxpool_forward<16>(x, y, window_, stride_, pad_, am, threads_);
+      break;
+    default:
+      node_fail(*this, "vlen must be 8 or 16");
   }
+  argmax_valid_ = training;
 }
 
 void MaxPoolNode::backward() {
+  if (!argmax_valid_)
+    throw std::logic_error("gxm node '" + name() +
+                           "' (MaxPool): backward needs a training forward "
+                           "first (inference records no argmax)");
   const tensor::ActTensor& dy = tops[0]->grad;
   tensor::ActTensor& dx = bottoms[0]->grad;
   dx.zero();
@@ -533,13 +604,19 @@ void InnerProductNode::setup(int vlen, int threads) {
 void InnerProductNode::forward(bool) {
   const tensor::ActTensor& x = bottoms[0]->act;
   tensor::ActTensor& y = tops[0]->act;
-  const int N = x.n();
+  const int N = x.n(), v = x.vlen();
 #pragma omp parallel for num_threads(threads_) schedule(static)
   for (int n = 0; n < N; ++n) {
+    // The pooled vector is one pixel per channel block: one pointer per
+    // block, channels summed in ascending order.
     for (int k = 0; k < out_k_; ++k) {
       float acc = bias_[k];
       const float* w = wt_.data() + static_cast<std::size_t>(k) * in_c_;
-      for (int c = 0; c < in_c_; ++c) acc += w[c] * x.el(n, c, 0, 0);
+      for (int c0 = 0; c0 < in_c_; c0 += v) {
+        const float* xb = x.at(n, c0 / v, 0, 0);
+        const int lanes = std::min(v, in_c_ - c0);
+        for (int l = 0; l < lanes; ++l) acc += w[c0 + l] * xb[l];
+      }
       y.el(n, k, 0, 0) = acc;
     }
   }
@@ -714,18 +791,16 @@ void SplitNode::infer_shapes() {
   for (Port* t : tops) t->shape = bottoms[0]->shape;
 }
 
-void SplitNode::forward(bool) {
-  const tensor::ActTensor& x = bottoms[0]->act;
-  // Tensor distribution: interior copy into each branch's buffer (halos may
-  // differ per consumer).
-  const int N = x.n(), CB = x.blocks(), v = x.vlen(), H = x.h(), W = x.w();
-#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
-  for (int n = 0; n < N; ++n)
-    for (int cb = 0; cb < CB; ++cb)
-      for (Port* t : tops)
-        for (int h = 0; h < H; ++h)
-          std::memcpy(t->act.at(n, cb, h, 0), x.at(n, cb, h, 0),
-                      sizeof(float) * W * v);
+void SplitNode::setup(int vlen, int threads) {
+  Node::setup(vlen, threads);
+  // Tensor distribution by aliasing: every branch reads the bottom's
+  // storage, which needs the one halo the Graph unified.
+  const PortShape& b = bottoms[0]->shape;
+  for (Port* t : tops) {
+    if (t->shape.pad_h != b.pad_h || t->shape.pad_w != b.pad_w)
+      node_fail(*this, "top '" + t->name + "' halo differs from the bottom's");
+    t->act = bottoms[0]->act.view();
+  }
 }
 
 void SplitNode::backward() {

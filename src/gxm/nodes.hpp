@@ -6,6 +6,12 @@
 // Extender inserts Split nodes, every port has exactly one consumer, so a
 // backward pass may *overwrite* its bottom ports' gradients — the property
 // that lets Conv backward reuse the forward machinery unchanged.
+//
+// Each activation is written once. A Split's tops alias its bottom's
+// activation (same storage, one halo); only their gradients are separate.
+// In inference a convolution paired with the BatchNorm it feeds writes the
+// BatchNorm's top through its batchnorm APPLY records and leaves its own
+// top unwritten; in training both nodes run as two passes.
 #pragma once
 
 #include <memory>
@@ -36,9 +42,12 @@ struct Port {
   /// port allocates no `grad`.
   bool needs_grad = true;
 
-  void allocate(int vlen) {
-    act = tensor::ActTensor(shape.n, shape.c, shape.h, shape.w, shape.pad_h,
-                            shape.pad_w, vlen);
+  /// Allocate the gradient (when needed) and, unless `own_act` is false,
+  /// the activation; a Split top gets its activation from SplitNode::setup.
+  void allocate(int vlen, bool own_act = true) {
+    if (own_act)
+      act = tensor::ActTensor(shape.n, shape.c, shape.h, shape.w,
+                              shape.pad_h, shape.pad_w, vlen);
     if (needs_grad)
       grad = tensor::ActTensor(shape.n, shape.c, shape.h, shape.w,
                                shape.pad_h, shape.pad_w, vlen);
@@ -113,6 +122,7 @@ std::unique_ptr<Node> make_node(const NodeSpec& spec);
 
 class InputNode;
 class SoftmaxLossNode;
+class BatchNormNode;
 
 /// Synthetic-batch control for InputNode (see data.hpp).
 InputNode* as_input(Node*);
@@ -148,6 +158,11 @@ class ConvNode final : public Node {
   void import_grads(const float* buf) override;
   void export_params(float* buf) const override;
   core::ConvLayer* layer() { return layer_.get(); }
+  /// Pair this convolution with the BatchNorm that consumes its top (before
+  /// setup): the layer is built with the batchnorm APPLY records, and an
+  /// inference forward writes the BatchNorm's output into its top. Returns
+  /// false, pairing nothing, when this node has an in-kernel ReLU.
+  bool fold_batchnorm(BatchNormNode* bn);
   /// Forward-form master weights [Kb][Cb][R][S][c][k].
   const tensor::WtTensor& weights() const { return wt_; }
   /// Writable master weights. Marks the backward form stale, so the next
@@ -164,6 +179,7 @@ class ConvNode final : public Node {
   tensor::WtTensor& bwd_form();  ///< bwd_wt_, allocated on first use
 
   std::unique_ptr<core::ConvLayer> layer_;
+  BatchNormNode* bn_ = nullptr;  ///< the folded BatchNorm, if paired
   tensor::WtTensor wt_, dwt_, vel_;
   /// The node owns the backward form: apply_update writes it fused with the
   /// SGD step, so backward() runs no transform in steady state.
@@ -187,12 +203,21 @@ class BatchNormNode final : public Node {
   /// padded channel).
   const std::vector<float>& running_mean() const { return run_mean_; }
   const std::vector<float>& running_var() const { return run_var_; }
+  bool relu() const { return spec_.geti("relu", 0) != 0; }
+  /// Set by ConvNode::fold_batchnorm: the producing convolution applies
+  /// this node in inference, so forward(false) does nothing.
+  void set_folded() { folded_ = true; }
+  /// Load the running statistics as the inference normalization (exactly
+  /// what an unfolded forward(false) uses) and return them with gamma and
+  /// beta as the batchnorm APPLY operands.
+  core::FusionArgs inference_args();
 
  private:
   std::vector<float> gamma_, beta_, dgamma_, dbeta_, vg_, vb_;
   std::vector<float> mean_, invstd_;
   std::vector<float> run_mean_, run_var_;
   bool relu_ = false;
+  bool folded_ = false;
 };
 
 class MaxPoolNode final : public Node {
@@ -200,12 +225,19 @@ class MaxPoolNode final : public Node {
   explicit MaxPoolNode(const NodeSpec& s) : Node(s) {}
   void infer_shapes() override;
   void setup(int vlen, int threads) override;
+  /// Records the argmax only when `training`.
   void forward(bool training) override;
+  /// Throws std::logic_error unless the last forward was a training one.
   void backward() override;
+  /// Flat input index (y * W + x, -1 for an empty window) per output
+  /// element, in the output's blocked order; as of the last training
+  /// forward.
+  const std::vector<std::int32_t>& argmax() const { return argmax_; }
 
  private:
   int window_ = 2, stride_ = 2, pad_ = 0;
   std::vector<std::int32_t> argmax_;  ///< flat input index per output elem
+  bool argmax_valid_ = false;         ///< last forward was a training one
 };
 
 class AvgPoolNode final : public Node {
@@ -263,12 +295,15 @@ class EltwiseNode final : public Node {
 };
 
 /// Split: tensor distribution forward, gradient reduction backward — the
-/// node type the NL Extender inserts (paper Figure 3).
+/// node type the NL Extender inserts (paper Figure 3). Its tops view the
+/// bottom's activation (the Graph gives them one halo), so the forward
+/// copies nothing.
 class SplitNode final : public Node {
  public:
   explicit SplitNode(const NodeSpec& s) : Node(s) {}
   void infer_shapes() override;
-  void forward(bool training) override;
+  void setup(int vlen, int threads) override;
+  void forward(bool) override {}
   void backward() override;
 };
 

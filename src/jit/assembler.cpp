@@ -249,10 +249,6 @@ void Assembler::vfmadd231ps(VecWidth w, Vec dst, Vec a, Vec b) {
   vop_rr(w, 0xB8, kMap0F38, kPp66, dst, a, b);
 }
 
-void Assembler::vfmadd231ps_mem(VecWidth w, Vec dst, Vec a, Mem b) {
-  vop_mem(w, 0xB8, kMap0F38, kPp66, dst, a, b, false);
-}
-
 void Assembler::vfmadd231ps_bcast(VecWidth w, Vec dst, Vec a, Mem b) {
   if (w != VecWidth::zmm512)
     throw std::logic_error("embedded broadcast requires EVEX (zmm512)");

@@ -85,8 +85,6 @@ class Assembler {
   void vbroadcastss(VecWidth w, Vec dst, Mem src);
   /// dst += a * b (all registers).
   void vfmadd231ps(VecWidth w, Vec dst, Vec a, Vec b);
-  /// dst += a * [mem] (full-width memory operand).
-  void vfmadd231ps_mem(VecWidth w, Vec dst, Vec a, Mem b);
   /// dst += a * broadcast32([mem]) — EVEX {1toN} form; zmm512 only.
   void vfmadd231ps_bcast(VecWidth w, Vec dst, Vec a, Mem b);
   void vxorps(VecWidth w, Vec dst, Vec a, Vec b);

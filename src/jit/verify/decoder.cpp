@@ -28,7 +28,6 @@ const char* const kCoveredAssemblerOps[] = {
     "vmovups_store",
     "vbroadcastss",
     "vfmadd231ps",
-    "vfmadd231ps_mem",
     "vfmadd231ps_bcast",
     "vxorps",
     "vmaxps",
@@ -199,8 +198,7 @@ bool evex_lookup(int map, int pp, std::uint8_t opc, bool is_rr, bool bcast,
       case 0xB8:
         if (is_rr) { *s = {Op::vfmadd231ps}; return true; }
         if (bcast) { *s = {Op::vfmadd231ps_bcast, 4, 4}; return true; }
-        *s = {Op::vfmadd231ps_mem, 64, 64};
-        return true;
+        return false;
       case 0x3B: if (is_rr || !bcast) return false; *s = {Op::vpminud_bcast, 4, 4}; return true;
       case 0x23: if (is_rr || bcast) return false; *s = {Op::vpmovsxwd_load, 32, 32}; return true;
       case 0x33: if (is_rr || bcast) return false; *s = {Op::vpmovzxwd_load, 32, 32}; return true;
@@ -282,9 +280,8 @@ bool vex_lookup(int map, int pp, bool l256, std::uint8_t opc, bool is_rr,
       *s = {Op::vbroadcastss, 1, 4, false, false, Isa::avx2};
       return true;
     }
-    if (opc == 0xB8) {
-      *s = is_rr ? VecSpec{Op::vfmadd231ps, 1, 0, false, false, Isa::avx2}
-                 : VecSpec{Op::vfmadd231ps_mem, 1, 32, false, false, Isa::avx2};
+    if (opc == 0xB8 && is_rr) {
+      *s = {Op::vfmadd231ps, 1, 0, false, false, Isa::avx2};
       return true;
     }
     return false;
@@ -626,16 +623,15 @@ std::string format_insn(const Insn& insn) {
       } else {
         os << " " << vpfx << insn.vreg;
         if (insn.vvvv >= 0 &&
-            (insn.op == Op::vfmadd231ps || insn.op == Op::vfmadd231ps_mem ||
-             insn.op == Op::vfmadd231ps_bcast || insn.op == Op::vxorps ||
-             insn.op == Op::vmaxps || insn.op == Op::vminps ||
-             insn.op == Op::vaddps || insn.op == Op::vaddps_mem ||
-             insn.op == Op::vsubps || insn.op == Op::vmulps ||
-             insn.op == Op::vdivps || insn.op == Op::vpaddd ||
-             insn.op == Op::vpaddd_bcast || insn.op == Op::vpandd_bcast ||
-             insn.op == Op::vpord_bcast || insn.op == Op::vpminud_bcast ||
-             insn.op == Op::vpdpwssd || insn.op == Op::vpdpwssd_mem ||
-             insn.op == Op::vpdpwssd_bcast))
+            (insn.op == Op::vfmadd231ps || insn.op == Op::vfmadd231ps_bcast ||
+             insn.op == Op::vxorps || insn.op == Op::vmaxps ||
+             insn.op == Op::vminps || insn.op == Op::vaddps ||
+             insn.op == Op::vaddps_mem || insn.op == Op::vsubps ||
+             insn.op == Op::vmulps || insn.op == Op::vdivps ||
+             insn.op == Op::vpaddd || insn.op == Op::vpaddd_bcast ||
+             insn.op == Op::vpandd_bcast || insn.op == Op::vpord_bcast ||
+             insn.op == Op::vpminud_bcast || insn.op == Op::vpdpwssd ||
+             insn.op == Op::vpdpwssd_mem || insn.op == Op::vpdpwssd_bcast))
           os << ", " << vpfx << insn.vvvv;
         if (insn.vrm >= 0) os << ", " << vpfx << insn.vrm;
         if (insn.has_mem) {

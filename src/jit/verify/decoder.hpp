@@ -44,7 +44,6 @@ enum class Op {
   vmovups_store,
   vbroadcastss,
   vfmadd231ps,
-  vfmadd231ps_mem,
   vfmadd231ps_bcast,
   vxorps,
   vmaxps,

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 
 #include "core/conv_params.hpp"
 #include "tensor/buffer.hpp"
@@ -42,9 +43,28 @@ class ActTensor {
   int wp() const { return w_ + 2 * pad_w_; }
   int vlen() const { return v_; }
 
-  std::size_t size() const { return buf_.size(); }
-  float* data() { return buf_.data(); }
-  const float* data() const { return buf_.data(); }
+  std::size_t size() const { return stride_n() * n_; }
+  float* data() { return view_ != nullptr ? view_ : buf_.data(); }
+  const float* data() const {
+    return view_ != nullptr ? view_ : buf_.data();
+  }
+
+  /// A non-owning tensor with this one's geometry over this one's storage
+  /// (gxm Split tops alias their bottom this way). It is valid while this
+  /// tensor's storage lives; copies of a view are views.
+  ActTensor view() {
+    ActTensor v;
+    v.n_ = n_;
+    v.c_ = c_;
+    v.cb_ = cb_;
+    v.h_ = h_;
+    v.w_ = w_;
+    v.pad_h_ = pad_h_;
+    v.pad_w_ = pad_w_;
+    v.v_ = v_;
+    v.view_ = data();
+    return v;
+  }
 
   /// Strides in elements. The innermost v dimension has stride 1.
   std::size_t stride_w() const { return v_; }
@@ -85,7 +105,9 @@ class ActTensor {
     return *(at(n, c / v_, y, x) + c % v_);
   }
 
-  void zero() { buf_.zero(); }
+  void zero() {
+    if (size() > 0) std::memset(data(), 0, size() * sizeof(float));
+  }
   /// Re-zero only the halo region (needed after in-place writes touch it).
   void zero_halo();
   /// zero_halo() restricted to the (n, cb) feature-map plane, so threads
@@ -93,7 +115,8 @@ class ActTensor {
   void zero_halo(int n, int cb);
 
  private:
-  AlignedBuffer<float> buf_;
+  AlignedBuffer<float> buf_;  ///< empty for a view
+  float* view_ = nullptr;     ///< the viewed storage; null when owning
   int n_ = 0, c_ = 0, cb_ = 0, h_ = 0, w_ = 0;
   int pad_h_ = 0, pad_w_ = 0, v_ = 1;
 };

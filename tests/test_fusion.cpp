@@ -2,6 +2,10 @@
 // at the ApplyRecord level and end-to-end through a fused ConvLayer.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <string>
+
 #include "core/fusion.hpp"
 #include "test_helpers.hpp"
 
@@ -62,17 +66,42 @@ TEST(FusionOps, BiasAndBiasRelu) {
 }
 
 TEST(FusionOps, BatchNormApply) {
-  const auto scale = random_vec(16, 5, 0.5f, 1.5f);
-  const auto shift = random_vec(16, 6);
-  FusionArgs args;
-  args.scale = scale.data();
-  args.shift = shift.data();
-  auto data = random_vec(16, 7);
-  auto want = data;
-  for (int k = 0; k < 16; ++k) want[k] = want[k] * scale[k] + shift[k];
-  apply_fused_op(block_record(FusedOp::batchnorm, 1, 1, 16, 0, 16),
-                 data.data(), args);
-  expect_close(want, data, 1e-6, "batchnorm");
+  // BatchNorm's own operands and inference expression, at both vlens; the
+  // ReLU form maps v < 0 to 0 and passes NaN and -0 through, as the
+  // BatchNorm node does.
+  for (int vlen : {8, 16}) {
+    SCOPED_TRACE("vlen=" + std::to_string(vlen));
+    const auto gamma = random_vec(2 * vlen, 5, 0.5f, 1.5f);
+    const auto beta = random_vec(2 * vlen, 6);
+    const auto mean = random_vec(2 * vlen, 7);
+    const auto invstd = random_vec(2 * vlen, 8, 0.5f, 2.0f);
+    FusionArgs args;
+    args.gamma = gamma.data();
+    args.beta = beta.data();
+    args.mean = mean.data();
+    args.invstd = invstd.data();
+    for (bool relu : {false, true}) {
+      auto data = random_vec(3 * vlen, 9);
+      data[0] = std::nanf("");
+      data[1] = -0.0f;
+      std::vector<float> want = data;
+      for (int q = 0; q < 3; ++q)
+        for (int k = 0; k < vlen; ++k) {
+          float& v = want[q * vlen + k];
+          v = core::bn_infer(v, gamma[vlen + k], mean[vlen + k],
+                             invstd[vlen + k], beta[vlen + k]);
+          if (relu && v < 0.0f) v = 0.0f;
+        }
+      apply_fused_op(block_record(relu ? FusedOp::batchnorm_relu
+                                       : FusedOp::batchnorm,
+                                  1, 3, 3 * vlen, 1, vlen),
+                     data.data(), args);
+      EXPECT_EQ(std::memcmp(want.data(), data.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "relu=" << relu;
+    }
+  }
 }
 
 TEST(FusionOps, EltwiseAddRelu) {

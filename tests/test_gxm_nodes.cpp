@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "gxm/graph.hpp"
+#include "platform/envparse.hpp"
 #include "test_helpers.hpp"
 
 using namespace xconv;
@@ -502,7 +505,7 @@ TEST(GlueNodes, SplitThreadedMatchesSerialBitwise) {
     for (int branches : {2, 3}) {
       SCOPED_TRACE(label(k) + " tops=" + std::to_string(branches));
       Port bottom;
-      bottom.shape = {3, k.channels, 4, 5, 0, 0};
+      bottom.shape = {3, k.channels, 4, 5, 1, 2};
       bottom.allocate(k.vlen);
       fill(bottom.act, 41);
       fill(bottom.grad, 42);
@@ -510,15 +513,18 @@ TEST(GlueNodes, SplitThreadedMatchesSerialBitwise) {
       std::vector<Port*> top_ptrs;
       for (Port& t : tops) top_ptrs.push_back(&t);
       auto node = wire("Split", {}, {&bottom}, top_ptrs, k.vlen, k.threads);
-      // Distinct consumer halos, as the graph wiring may produce.
-      for (int t = 0; t < branches; ++t) {
-        tops[t].shape.pad_h = tops[t].shape.pad_w = t;
-        tops[t].allocate(k.vlen);
-        fill(tops[t].grad, 50 + t);
+      for (int t = 0; t < branches; ++t) fill(tops[t].grad, 50 + t);
+
+      // Forward distributes by aliasing: one storage, one halo, no copy.
+      node->forward(true);
+      for (const Port& t : tops) {
+        EXPECT_EQ(t.act.data(), bottom.act.data());
+        EXPECT_EQ(t.act.pad_h(), bottom.act.pad_h());
+        EXPECT_EQ(t.act.pad_w(), bottom.act.pad_w());
+        EXPECT_EQ(t.act.size(), bottom.act.size());
+        EXPECT_NE(t.grad.data(), bottom.grad.data());
       }
 
-      std::vector<tensor::ActTensor> y_ref;
-      for (const Port& t : tops) y_ref.push_back(t.act);
       tensor::ActTensor dx_ref = bottom.grad;
       const tensor::ActTensor& x = bottom.act;
       for (int n = 0; n < x.n(); ++n)
@@ -527,19 +533,79 @@ TEST(GlueNodes, SplitThreadedMatchesSerialBitwise) {
             for (int i = 0; i < x.w() * k.vlen; ++i) {
               float sum = 0.0f;
               for (int t = 0; t < branches; ++t) {
-                y_ref[t].at(n, cb, h, 0)[i] = x.at(n, cb, h, 0)[i];
                 const float g = tops[t].grad.at(n, cb, h, 0)[i];
                 sum = t == 0 ? g : sum + g;
               }
               dx_ref.at(n, cb, h, 0)[i] = sum;
             }
-      node->forward(true);
-      for (int t = 0; t < branches; ++t)
-        expect_same(tops[t].act, y_ref[t], "split forward");
       node->backward();
       expect_same(bottom.grad, dx_ref, "split backward");
     }
   }
+}
+
+TEST(GlueNodes, SplitRejectsTopsWithAnotherHalo) {
+  Port bottom, top;
+  bottom.shape = {1, 16, 4, 4, 0, 0};
+  bottom.allocate(16);
+  gxm::NodeSpec s;
+  s.name = s.type = "Split";
+  auto node = gxm::make_node(s);
+  node->bottoms = {&bottom};
+  node->tops = {&top};
+  node->infer_shapes();
+  top.shape.pad_h = 1;
+  top.allocate(16, /*own_act=*/false);
+  EXPECT_THROW(node->setup(16, 1), std::runtime_error);
+}
+
+TEST(Graph, SplitTopsShareOneHaloAndStorage) {
+  // One branch is a 3x3 convolution (halo 1), the other a 1x1 (halo 0):
+  // the Graph raises the bottom and both tops to halo 1.
+  Graph g(gxm::parse_topology(R"(
+layer { name: "data" type: "Input" top: "data" minibatch: 1 channels: 16 height: 6 width: 6 classes: 2 }
+layer { name: "c1" type: "Convolution" bottom: "data" top: "c1" K: 16 R: 1 pad: 0 }
+layer { name: "a" type: "Convolution" bottom: "c1" top: "a" K: 16 R: 3 pad: 1 }
+layer { name: "b" type: "Convolution" bottom: "c1" top: "b" K: 16 R: 1 pad: 0 }
+layer { name: "add" type: "Eltwise" bottom: "a" bottom: "b" top: "add" }
+layer { name: "gap" type: "AvgPool" bottom: "add" top: "gap" global: 1 }
+layer { name: "fc" type: "InnerProduct" bottom: "gap" top: "fc" K: 2 }
+layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
+)"),
+          quick_opts());
+  auto* split = g.find("c1_split");
+  ASSERT_NE(split, nullptr);
+  const Port* bottom = split->bottoms[0];
+  EXPECT_EQ(bottom->act.pad_h(), 1);
+  for (const Port* t : split->tops) {
+    EXPECT_EQ(t->act.data(), bottom->act.data());
+    EXPECT_EQ(t->shape.pad_h, 1);
+    EXPECT_EQ(t->shape.pad_w, 1);
+  }
+  g.train_step(gxm::Solver{});
+  EXPECT_TRUE(std::isfinite(g.loss()));
+}
+
+TEST(Graph, BatchNormAfterInKernelReluIsNotFolded) {
+  // The in-kernel ReLU would run before the BatchNorm's APPLY, so the two
+  // nodes stay separate passes in inference too.
+  Graph g(gxm::parse_topology(R"(
+layer { name: "data" type: "Input" top: "data" minibatch: 1 channels: 16 height: 6 width: 6 classes: 2 }
+layer { name: "c1" type: "Convolution" bottom: "data" top: "c1" K: 16 R: 1 pad: 0 relu: 1 }
+layer { name: "bn" type: "BatchNorm" bottom: "c1" top: "bn" relu: 0 }
+layer { name: "gap" type: "AvgPool" bottom: "bn" top: "gap" global: 1 }
+layer { name: "fc" type: "InnerProduct" bottom: "gap" top: "fc" K: 2 }
+layer { name: "loss" type: "SoftmaxLoss" bottom: "fc" top: "loss" }
+)"),
+          quick_opts());
+  auto* conv = dynamic_cast<gxm::ConvNode*>(g.find("c1"));
+  ASSERT_NE(conv, nullptr);
+  EXPECT_EQ(conv->layer()->options().fuse, core::FusedOp::relu);
+  g.forward(false);
+  const tensor::ActTensor& y = conv->tops[0]->act;
+  EXPECT_TRUE(std::any_of(y.data(), y.data() + y.size(),
+                          [](float v) { return v > 0.0f; }));
+  EXPECT_TRUE(std::isfinite(g.loss()));
 }
 
 TEST(GlueNodes, AvgPoolThreadedMatchesSerialBitwise) {
@@ -574,4 +640,276 @@ TEST(GlueNodes, AvgPoolThreadedMatchesSerialBitwise) {
     node->backward();
     expect_same(bottom.grad, dx_ref, "avgpool backward");
   }
+}
+
+// ---------------------------------------------------------------------------
+// MaxPool against the per-lane strict `>` scan it replaced: output and
+// argmax bit for bit, in training and inference, over special values and
+// windows clipped by padding.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct RefMaxPool {
+  tensor::ActTensor y;
+  std::vector<std::int32_t> argmax;
+};
+
+RefMaxPool ref_maxpool(const tensor::ActTensor& x, const tensor::ActTensor& y0,
+                       int window, int stride, int pad) {
+  RefMaxPool ref{y0, {}};
+  const int v = x.vlen(), H = x.h(), W = x.w(), P = y0.h(), Q = y0.w();
+  ref.argmax.assign(static_cast<std::size_t>(x.n()) * x.blocks() * P * Q * v,
+                    -2);
+  std::size_t i = 0;
+  for (int n = 0; n < x.n(); ++n)
+    for (int cb = 0; cb < x.blocks(); ++cb)
+      for (int oj = 0; oj < P; ++oj)
+        for (int oi = 0; oi < Q; ++oi)
+          for (int lane = 0; lane < v; ++lane, ++i) {
+            float best = -3.4e38f;
+            std::int32_t besti = -1;
+            for (int r = 0; r < window; ++r) {
+              const int ij = oj * stride + r - pad;
+              if (ij < 0 || ij >= H) continue;
+              for (int s = 0; s < window; ++s) {
+                const int ii = oi * stride + s - pad;
+                if (ii < 0 || ii >= W) continue;
+                const float val = x.at(n, cb, ij, ii)[lane];
+                if (val > best) {
+                  best = val;
+                  besti = ij * W + ii;
+                }
+              }
+            }
+            ref.y.at(n, cb, oj, oi)[lane] = besti >= 0 ? best : 0.0f;
+            ref.argmax[i] = besti;
+          }
+  return ref;
+}
+
+/// Random values with NaN, +-inf, -3.4e38f and +-0 mixed in, plus whole
+/// rows of only "empty" values (NaN, -inf, -3.4e38f) and only +-0 in image 0.
+void fill_specials(tensor::ActTensor& x) {
+  const float specials[] = {std::nanf(""), INFINITY, -INFINITY, -3.4e38f,
+                            0.0f,          -0.0f};
+  const float empties[] = {std::nanf(""), -INFINITY, -3.4e38f};
+  fill(x, 71);
+  float* d = x.data();
+  for (std::size_t i = 0; i < x.size(); i += 5) d[i] = specials[(i / 5) % 6];
+  for (int cb = 0; cb < x.blocks(); ++cb)
+    for (int w = 0; w < x.w(); ++w)
+      for (int l = 0; l < x.vlen(); ++l) {
+        for (int h = 0; h < 3; ++h)
+          x.at(0, cb, h, w)[l] = empties[(h + w + l) % 3];
+        for (int h = 3; h < 5 && h < x.h(); ++h)
+          x.at(0, cb, h, w)[l] = (h + w + l) % 2 ? 0.0f : -0.0f;
+      }
+}
+
+}  // namespace
+
+TEST(GlueNodes, MaxPoolMatchesPerLaneScanBitwise) {
+  struct Geo {
+    int window, stride, pad, h, w;
+  };
+  for (int vlen : {8, 16})
+    for (int threads : {1, 4})
+      for (const Geo& g : {Geo{3, 2, 1, 9, 7}, Geo{2, 2, 0, 6, 8},
+                           Geo{3, 1, 1, 5, 5}}) {
+        SCOPED_TRACE("vlen=" + std::to_string(vlen) +
+                     " threads=" + std::to_string(threads) +
+                     " window=" + std::to_string(g.window) +
+                     " stride=" + std::to_string(g.stride));
+        Port bottom, top;
+        bottom.shape = {2, vlen + 3, g.h, g.w, 1, 1};
+        bottom.allocate(vlen);
+        fill_specials(bottom.act);
+        auto node = wire("MaxPool",
+                         {{"window", g.window},
+                          {"stride", g.stride},
+                          {"pad", g.pad}},
+                         {&bottom}, {&top}, vlen, threads);
+        auto* pool = dynamic_cast<gxm::MaxPoolNode*>(node.get());
+        ASSERT_NE(pool, nullptr);
+        const RefMaxPool ref =
+            ref_maxpool(bottom.act, top.act, g.window, g.stride, g.pad);
+
+        // Inference records no argmax, and backward refuses to run on it.
+        xconv::testing::poison(top.act);
+        node->forward(false);
+        expect_same(top.act, ref.y, "inference output");
+        EXPECT_THROW(node->backward(), std::logic_error);
+
+        xconv::testing::poison(top.act);
+        node->forward(true);
+        expect_same(top.act, ref.y, "training output");
+        ASSERT_EQ(pool->argmax().size(), ref.argmax.size());
+        for (std::size_t i = 0; i < ref.argmax.size(); ++i)
+          ASSERT_EQ(pool->argmax()[i], ref.argmax[i]) << "argmax at " << i;
+        EXPECT_NO_THROW(node->backward());
+        node->forward(false);
+        EXPECT_THROW(node->backward(), std::logic_error);
+      }
+}
+
+// ---------------------------------------------------------------------------
+// BatchNorm folded into its producing convolution: inference writes the
+// BatchNorm's top through the conv's APPLY records, equal bit for bit to the
+// plain convolution followed by the reference BatchNorm; training still runs
+// the two passes.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Sets XCONV_ISA for its lifetime (layers read it at construction).
+class ScopedIsa {
+ public:
+  explicit ScopedIsa(const char* isa) {
+    const char* old = platform::env::get("XCONV_ISA");
+    had_ = old != nullptr;
+    if (had_) old_ = old;
+    ::setenv("XCONV_ISA", isa, 1);
+  }
+  ~ScopedIsa() {
+    if (had_)
+      ::setenv("XCONV_ISA", old_.c_str(), 1);
+    else
+      ::unsetenv("XCONV_ISA");
+  }
+
+ private:
+  bool had_ = false;
+  std::string old_;
+};
+
+/// ISAs that give vlen 8 and 16 on this host; only the scalar kernels when
+/// the environment asks for them.
+std::vector<std::string> vlen_isas() {
+  if (platform::effective_isa() == platform::Isa::scalar) return {"scalar"};
+  std::vector<std::string> out;
+  for (const char* isa : {"avx2", "avx512"}) {
+    ScopedIsa scoped(isa);
+    const int v = platform::vlen_fp32(platform::effective_isa());
+    if (v == (std::string(isa) == "avx2" ? 8 : 16)) out.push_back(isa);
+  }
+  return out;
+}
+
+/// The convolution a ConvNode runs, built unfused with the node's halos.
+tensor::ActTensor plain_conv_output(gxm::ConvNode* conv, int threads) {
+  const core::ConvLayer& l = *conv->layer();
+  core::ConvOptions o;
+  o.threads = threads;
+  o.in_halo_h = l.in_halo_h();
+  o.in_halo_w = l.in_halo_w();
+  o.out_halo_h = l.out_halo_h();
+  o.out_halo_w = l.out_halo_w();
+  core::ConvLayer plain(l.params(), o);
+  tensor::ActTensor out = plain.make_output();
+  plain.forward(conv->bottoms[0]->act, conv->weights(), out);
+  return out;
+}
+
+RefBatchNorm ref_from(gxm::BatchNormNode* bn, bool relu) {
+  const int cpad = static_cast<int>(bn->running_mean().size());
+  RefBatchNorm ref(cpad, relu);
+  std::vector<float> params(bn->param_count());
+  bn->export_params(params.data());
+  ref.gamma.assign(params.begin(), params.begin() + cpad);
+  ref.beta.assign(params.begin() + cpad, params.end());
+  ref.run_mean = bn->running_mean();
+  ref.run_var = bn->running_var();
+  return ref;
+}
+
+}  // namespace
+
+TEST(GlueNodes, BatchNormFoldedIntoConvMatchesUnfusedBitwise) {
+  struct Producer {
+    int R, stride, pad;
+  };
+  for (const std::string& isa : vlen_isas())
+    for (int threads : {1, 4})
+      for (const Producer& pr : {Producer{1, 1, 0}, Producer{3, 1, 1},
+                                 Producer{1, 2, 0}})
+        for (bool relu : {false, true})
+          for (bool consumer3x3 : {false, true}) {
+            SCOPED_TRACE("isa=" + isa + " threads=" + std::to_string(threads) +
+                         " R=" + std::to_string(pr.R) +
+                         " stride=" + std::to_string(pr.stride) +
+                         " relu=" + std::to_string(relu) +
+                         " consumer3x3=" + std::to_string(consumer3x3));
+            ScopedIsa scoped(isa.c_str());
+            const std::string consumer =
+                consumer3x3 ? "layer { name: \"c2\" type: \"Convolution\" "
+                              "bottom: \"bn\" top: \"c2\" K: 16 R: 3 pad: 1 }\n"
+                              "layer { name: \"gap\" type: \"AvgPool\" "
+                              "bottom: \"c2\" top: \"gap\" global: 1 }\n"
+                            : "layer { name: \"gap\" type: \"AvgPool\" "
+                              "bottom: \"bn\" top: \"gap\" global: 1 }\n";
+            GraphOptions o;
+            o.threads = threads;
+            Graph g(gxm::parse_topology(
+                        "layer { name: \"data\" type: \"Input\" top: \"data\" "
+                        "minibatch: 2 channels: 20 height: 9 width: 9 "
+                        "classes: 3 }\n"
+                        "layer { name: \"c1\" type: \"Convolution\" bottom: "
+                        "\"data\" top: \"c1\" K: 24 R: " +
+                        std::to_string(pr.R) +
+                        " stride: " + std::to_string(pr.stride) +
+                        " pad: " + std::to_string(pr.pad) +
+                        " }\n"
+                        "layer { name: \"bn\" type: \"BatchNorm\" bottom: "
+                        "\"c1\" top: \"bn\" relu: " +
+                        std::to_string(relu) + " }\n" + consumer +
+                        "layer { name: \"fc\" type: \"InnerProduct\" bottom: "
+                        "\"gap\" top: \"fc\" K: 3 }\n"
+                        "layer { name: \"loss\" type: \"SoftmaxLoss\" bottom: "
+                        "\"fc\" top: \"loss\" }\n"),
+                    o);
+            auto* conv = dynamic_cast<gxm::ConvNode*>(g.find("c1"));
+            auto* bn = dynamic_cast<gxm::BatchNormNode*>(g.find("bn"));
+            ASSERT_NE(conv, nullptr);
+            ASSERT_NE(bn, nullptr);
+            Port* conv_top = conv->tops[0];
+            Port* bn_top = bn->tops[0];
+            // One halo for both buffers, raised by the 3x3 consumer.
+            const int halo = std::max(consumer3x3 ? 1 : 0, pr.R - 1 - pr.pad);
+            EXPECT_EQ(conv_top->act.pad_h(), halo);
+            EXPECT_EQ(bn_top->act.pad_h(), halo);
+            EXPECT_EQ(conv_top->act.pad_w(), bn_top->act.pad_w());
+            EXPECT_EQ(conv->layer()->options().fuse,
+                      relu ? core::FusedOp::batchnorm_relu
+                           : core::FusedOp::batchnorm);
+
+            // Training: the conv writes its own top, the BatchNorm runs its
+            // batch-statistics pass over it.
+            gxm::Solver sgd;
+            sgd.lr = 0.1f;
+            for (int step = 0; step < 2; ++step) {
+              RefBatchNorm ref = ref_from(bn, relu);
+              g.forward(true);
+              const tensor::ActTensor plain = plain_conv_output(conv, threads);
+              expect_same(conv_top->act, plain, "training conv output");
+              tensor::ActTensor want = plain;
+              ref.forward(plain, want, /*training=*/true);
+              expect_same(bn_top->act, want, "training BatchNorm output");
+              g.backward_update(sgd);
+            }
+
+            // Inference: the BatchNorm's top comes from the conv's APPLY.
+            RefBatchNorm ref = ref_from(bn, relu);
+            xconv::testing::poison(bn_top->act);
+            bn_top->act.zero_halo();
+            const tensor::ActTensor conv_before = conv_top->act;
+            g.forward(false);
+            const tensor::ActTensor plain = plain_conv_output(conv, threads);
+            tensor::ActTensor want = plain;
+            ref.forward(plain, want, /*training=*/false);
+            expect_same(bn_top->act, want, "inference BatchNorm output");
+            expect_same(conv_top->act, conv_before,
+                        "inference leaves the conv's own top unwritten");
+            EXPECT_TRUE(std::isfinite(g.loss()));
+          }
 }

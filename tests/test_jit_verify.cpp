@@ -104,10 +104,6 @@ std::vector<OpCase> op_cases() {
        [](Assembler& a) { a.vfmadd231ps(kY, Vec{0}, Vec{1}, Vec{2}); }},
       {Op::vfmadd231ps,
        [](Assembler& a) { a.vfmadd231ps(kZ, Vec{0}, Vec{21}, Vec{31}); }},
-      {Op::vfmadd231ps_mem,
-       [=](Assembler& a) { a.vfmadd231ps_mem(kY, Vec{0}, Vec{1}, m); }},
-      {Op::vfmadd231ps_mem,
-       [=](Assembler& a) { a.vfmadd231ps_mem(kZ, Vec{0}, Vec{21}, m); }},
       {Op::vfmadd231ps_bcast,
        [=](Assembler& a) { a.vfmadd231ps_bcast(kZ, Vec{2}, Vec{28}, m); }},
       {Op::vxorps,

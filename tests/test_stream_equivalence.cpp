@@ -8,6 +8,7 @@
 // the thread count.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -297,14 +298,16 @@ TEST(StreamReplay, UpdateHybridThatCannotFormTwoGroupsIsRejected) {
 
 TEST(StreamReplay, ForwardFusedOps) {
   // Fused operators ride the stream as the in-kernel ReLU or APPLY records;
-  // the reference applies the same operator to the naive output.
+  // the reference applies the same operator to the naive output. A replay
+  // without operands skips the APPLY records: it writes the plain conv.
   const auto p = core::make_conv(2, 16, 32, 7, 7, 3, 3, 1);
   ConvProblem pr(p, 40);
   const auto conv = xconv::testing::naive_fwd(pr);
   const auto resid = xconv::testing::random_vec(conv.size(), 44);
   const int plane = p.P() * p.Q();
-  for (const FusedOp op : {FusedOp::relu, FusedOp::bias,
-                           FusedOp::batchnorm_relu, FusedOp::eltwise_add}) {
+  for (const FusedOp op :
+       {FusedOp::relu, FusedOp::bias, FusedOp::batchnorm,
+        FusedOp::batchnorm_relu, FusedOp::eltwise_add}) {
     SCOPED_TRACE(core::fused_op_name(op));
     ConvOptions o;
     o.fuse = op;
@@ -313,8 +316,10 @@ TEST(StreamReplay, ForwardFusedOps) {
 
     const int kch = layer.kb() * layer.vlen();
     const auto bias = xconv::testing::random_vec(kch, 41);
-    const auto scale = xconv::testing::random_vec(kch, 42, 0.5f, 1.5f);
-    const auto shift = xconv::testing::random_vec(kch, 43);
+    const auto gamma = xconv::testing::random_vec(kch, 42, 0.5f, 1.5f);
+    const auto beta = xconv::testing::random_vec(kch, 43);
+    const auto mean = xconv::testing::random_vec(kch, 45);
+    const auto invstd = xconv::testing::random_vec(kch, 46, 0.5f, 2.0f);
     std::vector<float> ref = conv;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       const int k = static_cast<int>(i / plane) % p.K;
@@ -322,9 +327,10 @@ TEST(StreamReplay, ForwardFusedOps) {
       switch (op) {
         case FusedOp::relu: v = v > 0.0f ? v : 0.0f; break;
         case FusedOp::bias: v += bias[k]; break;
+        case FusedOp::batchnorm:
         case FusedOp::batchnorm_relu:
-          v = v * scale[k] + shift[k];
-          v = v > 0.0f ? v : 0.0f;
+          v = core::bn_infer(v, gamma[k], mean[k], invstd[k], beta[k]);
+          if (op == FusedOp::batchnorm_relu && v < 0.0f) v = 0.0f;
           break;
         case FusedOp::eltwise_add: v += resid[i]; break;
         default: FAIL() << "no reference for this op";
@@ -341,13 +347,45 @@ TEST(StreamReplay, ForwardFusedOps) {
     xconv::testing::poison(bout);
     core::FusionArgs fargs;
     fargs.bias = bias.data();
-    fargs.scale = scale.data();
-    fargs.shift = shift.data();
+    fargs.gamma = gamma.data();
+    fargs.beta = beta.data();
+    fargs.mean = mean.data();
+    fargs.invstd = invstd.data();
     fargs.residual = bresid.data();
     layer.forward(bin, bwt, bout, fargs);
     std::vector<float> got(p.output_elems());
     tensor::blocked_to_nchw(bout, got.data());
     expect_within_reduction_bound(ref, got, fwd_len(p),
                                   core::fused_op_name(op));
+
+    if (op != FusedOp::batchnorm) continue;
+    // No operands: the same stream replays as the plain layer, bit for bit.
+    ConvOptions plain_opt;
+    plain_opt.threads = 2;
+    core::ConvLayer plain(p, plain_opt);
+    auto want = plain.make_output();
+    plain.forward(bin, bwt, want);
+    xconv::testing::poison(bout);  // interior NaN, halo zero as in `want`
+    bout.zero_halo();
+    layer.forward(bin, bwt, bout);
+    ASSERT_EQ(want.size(), bout.size());
+    EXPECT_EQ(std::memcmp(want.data(), bout.data(),
+                          want.size() * sizeof(float)),
+              0);
+    // With operands: the plain output through the BatchNorm expression.
+    layer.forward(bin, bwt, bout, fargs);
+    float* w = want.data();
+    for (int n = 0; n < p.N; ++n)
+      for (int kb = 0; kb < layer.kb(); ++kb)
+        for (int y = 0; y < p.P(); ++y)
+          for (int x = 0; x < p.Q(); ++x)
+            for (int l = 0; l < layer.vlen(); ++l) {
+              const int k = kb * layer.vlen() + l;
+              float& v = w[want.offset(n, kb, y, x) + l];
+              v = core::bn_infer(v, gamma[k], mean[k], invstd[k], beta[k]);
+            }
+    EXPECT_EQ(std::memcmp(want.data(), bout.data(),
+                          want.size() * sizeof(float)),
+              0);
   }
 }

@@ -23,9 +23,10 @@
 // All three run from weights already in backward-dual form (backward_dual);
 // backward() only adds the threaded duality transform in front (k-dot packs
 // straight from the forward form instead). Each path writes every dI
-// element, zeroing inside its own thread partition. Paths 2 and 3 replay
-// kernel streams recorded at setup; path 1 calls kernels that take no
-// prefetch operands straight from its loop nest.
+// element, zeroing inside its own thread partition. Every path replays
+// kernel streams recorded at setup: path 2 its dual layer's forward streams,
+// paths 1 and 3 the bwd_streams_ recorded here (the k-dot kernels take the
+// conv ABI and ignore its prefetch operands).
 #include <omp.h>
 
 #include <algorithm>
@@ -96,7 +97,7 @@ void ConvLayer::setup_backward() {
     const int rb = plan_.bwd_kdot_rb;
     const int sh = p.stride_h, sw = p.stride_w;
     kdot_wp_.resize(static_cast<std::size_t>(kb_) * p.R * p.S * p.C * vlen_);
-    kdot_variants_.assign(static_cast<std::size_t>(sh) * sw * 2, nullptr);
+    bwd_variants_.assign(static_cast<std::size_t>(sh) * sw * 2, nullptr);
     for (int a = 0; a < sh; ++a) {
       for (int b = 0; b < sw; ++b) {
         const KdotPhase ph = kdot_phase(p, b);
@@ -118,7 +119,7 @@ void ConvLayer::setup_backward() {
           d.do_row_stride = out_row_stride_;
           d.do_kb_stride = static_cast<int>(out_kb_stride_);
           d.di_px_stride = sw * vlen_;
-          kdot_variants_[(a * sw + b) * 2 + rem] = reg.kdot(d);
+          bwd_variants_[(a * sw + b) * 2 + rem] = reg.kdot(d);
         }
       }
     }
@@ -162,7 +163,7 @@ void ConvLayer::setup_backward() {
   // the stride; the weights of one tap step by R*S*VLEN^2 per Kb block of the
   // backward form [Cb][Kb][R][S][k][c].
   const int rbq = plan_.bwd_strided_rbq;
-  bwd_strided_variants_.clear();
+  bwd_variants_.clear();
   for (const int width : {rbq, p.Q() % rbq}) {
     if (width == 0) continue;
     jit::ConvKernelDesc d;
@@ -182,7 +183,7 @@ void ConvLayer::setup_backward() {
       d.in_cb_stride = static_cast<int>(out_kb_stride_);
       d.wt_cb_stride = static_cast<int>(wt_cb_stride_);
     }
-    bwd_strided_variants_.push_back(reg.conv(d));
+    bwd_variants_.push_back(reg.conv(d));
   }
 }
 
@@ -192,7 +193,7 @@ void ConvLayer::backward(const tensor::ActTensor& grad_out,
   check_bwd_geometry(*this, grad_out, grad_in);
   check_wt_geometry(*this, wt, kb_, cb_, "ConvLayer::backward");
   if (bwd_algo_ == BwdAlgo::kdot) {
-    backward_kdot(grad_out, wt.data(), /*fwd_form=*/true, grad_in);
+    replay_backward(grad_out, wt.data(), /*fwd_form=*/true, grad_in);
     return;
   }
   if (bwd_wt_.size() == 0)
@@ -206,80 +207,92 @@ void ConvLayer::backward_dual(const tensor::ActTensor& grad_out,
                               tensor::ActTensor& grad_in) {
   check_bwd_geometry(*this, grad_out, grad_in);
   check_wt_geometry(*this, bwd_wt, cb_, kb_, "ConvLayer::backward_dual");
-
-  switch (bwd_algo_) {
-    case BwdAlgo::kdot:
-      backward_kdot(grad_out, bwd_wt.data(), /*fwd_form=*/false, grad_in);
-      return;
-    case BwdAlgo::duality_stride1: {
-      // The dual forward writes the whole interior; only the halo is left.
-      bwd_layer_->forward(grad_out, bwd_wt, grad_in);
-      const int planes = params_.N * cb_;
+  if (bwd_algo_ != BwdAlgo::duality_stride1) {
+    replay_backward(grad_out, bwd_wt.data(), /*fwd_form=*/false, grad_in);
+    return;
+  }
+  // The dual forward writes the whole interior; only the halo is left.
+  bwd_layer_->forward(grad_out, bwd_wt, grad_in);
+  const int planes = params_.N * cb_;
 #pragma omp parallel for num_threads(threads_) schedule(static)
-      for (int i = 0; i < planes; ++i) grad_in.zero_halo(i / cb_, i % cb_);
-      return;
+  for (int i = 0; i < planes; ++i) grad_in.zero_halo(i / cb_, i % cb_);
+}
+
+void ConvLayer::replay_backward(const tensor::ActTensor& grad_out,
+                                const float* wt, bool fwd_form,
+                                tensor::ActTensor& grad_in) {
+  const bool kdot = bwd_algo_ == BwdAlgo::kdot;
+  parallel_exact("ConvLayer::backward", [&](int tid) {
+    if (kdot) {
+      pack_kdot_weights(wt, fwd_form, tid);
+#pragma omp barrier
     }
-    case BwdAlgo::duality_strided:
-      parallel_exact("ConvLayer::backward", [&](int tid) {
-        bwd_strided_streams_[tid].replay(bwd_strided_variants_,
-                                         grad_out.data(), bwd_wt.data(),
-                                         grad_in.data(), {});
-      });
-      return;
+    bwd_streams_[tid].replay(bwd_variants_, grad_out.data(),
+                             kdot ? kdot_wp_.data() : wt, grad_in.data(), {});
+  });
+}
+
+// Wp[kb][r][s][c][:] = W[kb][c][r][s][:]: the first C rows of the forward
+// form's (c, k) block, or column c of the backward form's flipped (k, c)
+// block. Thread `tid` packs its chunk of the (kb, r, s) taps.
+void ConvLayer::pack_kdot_weights(const float* wt, bool fwd_form, int tid) {
+  const ConvParams& p = params_;
+  const int C = p.C, R = p.R, S = p.S, v = vlen_;
+  const std::int64_t taps = static_cast<std::int64_t>(kb_) * R * S;
+  float* wp = kdot_wp_.data();
+  const Range pr = thread_chunk(taps, tid, threads_);
+  for (std::int64_t i = pr.begin; i < pr.end; ++i) {
+    float* dst = wp + i * C * v;
+    if (fwd_form) {
+      std::memcpy(dst, wt + i * v * v,
+                  static_cast<std::size_t>(C) * v * sizeof(float));
+      continue;
+    }
+    const int kbi = static_cast<int>(i / (R * S));
+    const int r = static_cast<int>(i / S % R), s = static_cast<int>(i % S);
+    const float* src =
+        wt + ((static_cast<std::int64_t>(kbi) * R + (R - 1 - r)) * S +
+              (S - 1 - s)) *
+                 v * v;
+    for (int c = 0; c < C; ++c)
+      for (int k = 0; k < v; ++k) dst[c * v + k] = src[k * v + c];
   }
 }
 
-// Work items are (n, dI row); each writes its whole padded row (kernels for
-// the interior, zeros for the halo columns), and the first and last rows of
-// an image also clear the halo rows above and below, so every dI element is
-// written exactly once with no serial zero pass.
-void ConvLayer::backward_kdot(const tensor::ActTensor& grad_out,
-                              const float* wt, bool fwd_form,
-                              tensor::ActTensor& grad_in) {
+// Work items are (n, dI row); each writes its whole padded row: a ZERO of
+// the left halo columns (on the first row, from the top of the plane, which
+// takes the halo rows above), one k-dot call per (column phase, rb group) —
+// every interior pixel, padding lanes included — and a ZERO of the right
+// halo columns (on the last row, to the end of the plane). Every dI element
+// is written by exactly one item, so the thread partition never affects the
+// result. cb_ == 1: one dI plane per image.
+void ConvLayer::record_backward_kdot() {
+  if (bwd_algo_ != BwdAlgo::kdot) return;
   const ConvParams& p = params_;
-  const int C = p.C, R = p.R, S = p.S, v = vlen_;
+  const int R = p.R, S = p.S, v = vlen_;
   const int sh = p.stride_h, sw = p.stride_w;
   const int rb = plan_.bwd_kdot_rb;
-  const std::int64_t taps = static_cast<std::int64_t>(kb_) * R * S;
   const std::int64_t items = static_cast<std::int64_t>(p.N) * p.H;
-  const std::size_t px_bytes = static_cast<std::size_t>(v) * sizeof(float);
-  float* wp = kdot_wp_.data();
-  const float* dout = grad_out.data();
-  float* din = grad_in.data();
 
+  bwd_streams_.assign(threads_, KernelStream{});
   parallel_exact("ConvLayer::backward", [&](int tid) {
-    // Pack Wp[kb][r][s][c][:] = W[kb][c][r][s][:]: the first C rows of the
-    // forward form's (c, k) block, or column c of the backward form's
-    // flipped (k, c) block.
-    const Range pr = thread_chunk(taps, tid, threads_);
-    for (std::int64_t i = pr.begin; i < pr.end; ++i) {
-      float* dst = wp + i * C * v;
-      if (fwd_form) {
-        std::memcpy(dst, wt + i * v * v, C * px_bytes);
-        continue;
-      }
-      const int kbi = static_cast<int>(i / (R * S));
-      const int r = static_cast<int>(i / S % R), s = static_cast<int>(i % S);
-      const float* src =
-          wt + ((static_cast<std::int64_t>(kbi) * R + (R - 1 - r)) * S +
-                (S - 1 - s)) *
-                   v * v;
-      for (int c = 0; c < C; ++c)
-        for (int k = 0; k < v; ++k) dst[c * v + k] = src[k * v + c];
-    }
-#pragma omp barrier
+    KernelStream& stream = bwd_streams_[tid];
     const Range rg = thread_chunk(items, tid, threads_);
     for (std::int64_t it = rg.begin; it < rg.end; ++it) {
       const int n = static_cast<int>(it / p.H), ij = static_cast<int>(it % p.H);
       const int a = (ij + p.pad_h) % sh;
       const int nt = a < R ? (R - 1 - a) / sh + 1 : 0;
       const int oj_lo = (ij + p.pad_h - a) / sh - (nt - 1);
-      float* img = din + n * in_n_stride_;  // cb_ == 1: one plane
-      float* row = img + static_cast<std::int64_t>(ij + in_halo_h_) *
-                             in_row_stride_;
-      std::memset(row, 0, in_halo_w_ * px_bytes);
-      std::memset(row + static_cast<std::int64_t>(p.W + in_halo_w_) * v, 0,
-                  in_halo_w_ * px_bytes);
+      const std::int64_t plane = n * in_n_stride_;
+      const std::int64_t row =
+          plane + static_cast<std::int64_t>(ij + in_halo_h_) * in_row_stride_;
+      const std::int64_t left = ij == 0 ? plane : row;
+      const std::int64_t left_end = row + in_halo_w_ * v;
+      const std::int64_t right =
+          row + static_cast<std::int64_t>(p.W + in_halo_w_) * v;
+      const std::int64_t right_end =
+          ij == p.H - 1 ? plane + in_cb_stride_ : row + in_row_stride_;
+      if (left_end > left) stream.record_zero(left, left_end - left);
       for (int b = 0; b < sw; ++b) {
         const KdotPhase ph = kdot_phase(p, b);
         const int nu = b < S ? (S - 1 - b) / sw + 1 : 0;
@@ -288,32 +301,28 @@ void ConvLayer::backward_kdot(const tensor::ActTensor& grad_out,
           const int ii0 = ph.first + g * sw;
           // dO at the phase's last tap (smallest oj, oi); a phase with no
           // taps reads nothing.
-          const float* d = dout;
+          std::int64_t dout_off = 0;
           if (nt > 0 && nu > 0) {
             const int oi_lo = (ii0 + p.pad_w - b) / sw - (nu - 1);
-            d += n * out_n_stride_ +
-                 static_cast<std::int64_t>(oj_lo + out_pad_h_) *
-                     out_row_stride_ +
-                 static_cast<std::int64_t>(oi_lo + out_pad_w_) * v;
+            dout_off = n * out_n_stride_ +
+                       static_cast<std::int64_t>(oj_lo + out_pad_h_) *
+                           out_row_stride_ +
+                       static_cast<std::int64_t>(oi_lo + out_pad_w_) * v;
           }
-          kdot_variants_[(a * sw + b) * 2 + (rem ? 1 : 0)]->run(
-              d, wp, row + static_cast<std::int64_t>(ii0 + in_halo_w_) * v);
+          stream.record_conv(
+              static_cast<std::uint16_t>((a * sw + b) * 2 + (rem ? 1 : 0)),
+              dout_off, 0,
+              row + static_cast<std::int64_t>(ii0 + in_halo_w_) * v);
         }
       }
-      if (ij == 0)
-        std::memset(img, 0, in_halo_h_ * in_row_stride_ * sizeof(float));
-      if (ij == p.H - 1)
-        std::memset(img + static_cast<std::int64_t>(p.H + in_halo_h_) *
-                              in_row_stride_,
-                    0, in_halo_h_ * in_row_stride_ * sizeof(float));
+      if (right_end > right) stream.record_zero(right, right_end - right);
     }
   });
+  for (auto& s : bwd_streams_) s.finish();
 }
 
 // The stride-1 duality path needs no recording here: its dual layer owns
-// forward streams of its own. The k-dot path has no stream form (its
-// kernels take no prefetch operands) and calls its kernels straight from
-// its loop nest.
+// forward streams of its own.
 //
 // One work item per dI row (n, cb, ij), which it owns: a ZERO of the row
 // (the first row of a plane also clears the halo rows above it, the last the
@@ -332,9 +341,9 @@ void ConvLayer::record_backward_strided() {
   const std::int64_t wt_outer = wt_cb_stride_ * kb_;
   const std::int64_t tap_elems = static_cast<std::int64_t>(vlen_) * vlen_;
 
-  bwd_strided_streams_.assign(threads_, KernelStream{});
+  bwd_streams_.assign(threads_, KernelStream{});
   parallel_exact("ConvLayer::backward", [&](int tid) {
-    KernelStream& stream = bwd_strided_streams_[tid];
+    KernelStream& stream = bwd_streams_[tid];
     const Range rg = thread_chunk(total, tid, threads_);
     for (std::int64_t it = rg.begin; it < rg.end; ++it) {
       const int ij = static_cast<int>(it % p.H);
@@ -381,6 +390,6 @@ void ConvLayer::record_backward_strided() {
       }
     }
   });
-  for (auto& s : bwd_strided_streams_) s.finish();
+  for (auto& s : bwd_streams_) s.finish();
 }
 }  // namespace xconv::core

@@ -39,6 +39,7 @@ ConvLayer::ConvLayer(const ConvParams& params, const ConvOptions& opt)
   if (!opt_.fwd_only) {
     setup_backward();
     setup_update();
+    record_backward_kdot();
     record_backward_strided();
     record_update();
   }
@@ -229,7 +230,7 @@ std::size_t ConvLayer::fwd_stream_convs() const {
 std::size_t ConvLayer::bwd_stream_convs() const {
   if (bwd_layer_ != nullptr) return bwd_layer_->fwd_stream_convs();
   std::size_t n = 0;
-  for (const auto& s : bwd_strided_streams_) n += s.n_convs();
+  for (const auto& s : bwd_streams_) n += s.n_convs();
   return n;
 }
 

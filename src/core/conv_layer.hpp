@@ -19,9 +19,8 @@
 //
 // The per-iteration calls (`forward`, `backward`, `update`) then only replay
 // the recorded streams (the loop nests run once, at setup, as recorders) —
-// no compilation, no tuning, no boundary logic. The one backward path whose
-// kernels take no prefetch operands (k-dot, C < VLEN) calls them straight
-// from its loop nest.
+// no compilation, no tuning, no boundary logic — on every backward path,
+// k-dot (C < VLEN) included.
 //
 // The execution context is just the ISA and the thread count: SIMD ISAs
 // run JIT'ed kernels, Isa::scalar runs the scalar reference kernels.
@@ -146,8 +145,7 @@ class ConvLayer {
   int n_fwd_variants() const { return static_cast<int>(fwd_variants_.size()); }
   std::size_t fwd_stream_convs() const;
   /// Backward stream kernel calls: the dual layer's forward streams for the
-  /// stride-1 duality path, the strided-duality streams otherwise (0 for
-  /// the k-dot path, which has no stream form).
+  /// stride-1 duality path, the k-dot or strided-duality streams otherwise.
   std::size_t bwd_stream_convs() const;
   std::size_t upd_stream_calls() const;
   UpdStrategy upd_strategy_used() const { return upd_strategy_; }
@@ -173,15 +171,19 @@ class ConvLayer {
 
   // Dryrun recorders (Section II-H): each walks its pass's loop nest once
   // and records the per-thread kernel streams every call then replays.
-  void record_forward();       ///< fwd_streams_
-  void record_backward_strided();  ///< bwd_strided_streams_
+  void record_forward();           ///< fwd_streams_
+  void record_backward_kdot();     ///< bwd_streams_ (k-dot)
+  void record_backward_strided();  ///< bwd_streams_ (strided duality)
   void record_update();            ///< upd_streams_ (all three strategies)
 
-  /// k-dot path (C < vlen), the one backward path with no stream form:
-  /// packs `wt` — the forward form when `fwd_form`, else the backward-dual
-  /// form — into kdot_wp_, then runs the kernels.
-  void backward_kdot(const tensor::ActTensor& grad_out, const float* wt,
-                     bool fwd_form, tensor::ActTensor& grad_in);
+  /// Replays bwd_streams_ (k-dot and strided duality) from `wt`, the
+  /// backward-dual form. k-dot first packs `wt` — the forward form when
+  /// `fwd_form` — into kdot_wp_ in the same parallel region and replays
+  /// against that.
+  void replay_backward(const tensor::ActTensor& grad_out, const float* wt,
+                       bool fwd_form, tensor::ActTensor& grad_in);
+  /// Thread `tid`'s share of the k-dot weight pack into kdot_wp_.
+  void pack_kdot_weights(const float* wt, bool fwd_form, int tid);
   float* upd_dw_base(int tid, float* dw);  ///< strategy-dependent target
   /// Run `body(tid)` on exactly the `threads_`-sized team every driver and
   /// stream was planned for. Work partitioning, per-thread streams and the
@@ -214,7 +216,7 @@ class ConvLayer {
   int in_shift_h_ = 0, in_shift_w_ = 0;  ///< in_halo - pad (frame shift)
   int out_pad_h_ = 0, out_pad_w_ = 0;  ///< physical output halo
 
-  std::vector<const kernels::ConvMicrokernel*> fwd_variants_;
+  std::vector<const kernels::StreamMicrokernel*> fwd_variants_;
   std::array<int, 16> fwd_vmap_{};  ///< (p_edge, q_edge, beta0, relu) -> idx
   static int vmap_index(int p_edge, int q_edge, int beta0, int relu) {
     return ((p_edge * 2 + q_edge) * 2 + beta0) * 2 + relu;
@@ -250,15 +252,14 @@ class ConvLayer {
   tensor::AlignedBuffer<float> upd_scratch_;  ///< per-copy dW buffers
   std::vector<KernelStream> upd_streams_;     ///< one per thread
 
-  // backward k-dot (C < vlen): one kernel per (row phase, column phase,
-  // remainder width), index (a * stride_w + b) * 2 + is_rem; null where a
-  // phase has no such call.
-  std::vector<const kernels::KdotMicrokernel*> kdot_variants_;
+  // backward streams (k-dot and strided duality; empty for stride-1
+  // duality, whose dual layer owns them). k-dot (C < vlen): one kernel per
+  // (row phase, column phase, remainder width), index
+  // (a * stride_w + b) * 2 + is_rem, null where a phase has no such call.
+  // Strided duality: (q_edge) -> accumulating scatter kernel.
+  std::vector<const kernels::StreamMicrokernel*> bwd_variants_;
+  std::vector<KernelStream> bwd_streams_;  ///< one per thread
   tensor::AlignedBuffer<float> kdot_wp_;  ///< packed [Kb][R][S][C][vlen]
-
-  // backward strided duality: (q_edge) -> accumulating scatter kernel
-  std::vector<const kernels::ConvMicrokernel*> bwd_strided_variants_;
-  std::vector<KernelStream> bwd_strided_streams_;  ///< one per thread
 };
 
 }  // namespace xconv::core

@@ -79,7 +79,7 @@ void KernelStream::clear() {
 }
 
 void KernelStream::replay(
-    const std::vector<const kernels::ConvMicrokernel*>& variants,
+    const std::vector<const kernels::StreamMicrokernel*>& variants,
     const float* in_base, const float* wt_base, float* out_base,
     const FusionArgs& fargs) const {
   if (!finished_) throw std::logic_error("KernelStream: replay before finish");

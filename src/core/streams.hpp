@@ -2,10 +2,11 @@
 //
 // During the *dryrun* phase each thread records, instead of executing, its
 // sequence of microkernel calls: a variant stream plus three offset streams,
-// APPLY records for fused operators, ZERO records for the output ranges the
-// accumulating kernels start from (the strided backward's dI rows, the
-// update's dW copies) and, for the weight-update pass, REDUCE records
-// covering the minibatch/hybrid dW privatization.
+// APPLY records for fused operators, ZERO records for the output ranges no
+// kernel writes or the accumulating kernels start from (the backward's dI
+// halos and strided rows, the update's dW copies) and, for the
+// weight-update pass, REDUCE records covering the minibatch/hybrid dW
+// privatization.
 // Consecutive kernel invocations are run-length encoded as streak segments.
 //
 // During *replay* (Algorithm 5) the segment program is executed with no
@@ -15,8 +16,9 @@
 // tensor instances with the same geometry.
 //
 // The recorder is pass-agnostic: forward and backward streams hold CONV
-// streaks (offsets are in/wt/out) plus APPLY and ZERO records (ZERO relative
-// to the output base), update streams hold UPD streaks (offsets are
+// streaks (offsets are in/wt/out; any kernel with the conv ABI, the k-dot
+// backward's included) plus APPLY and ZERO records (ZERO relative to the
+// output base), update streams hold UPD streaks (offsets are
 // in/dout/dw, dw relative to the replaying thread's private copy) plus
 // ZERO/BARRIER/REDUCE records. A stream replays through exactly one of
 // `replay` (conv) or `replay_upd` (update); mixing record families in one
@@ -85,12 +87,13 @@ class KernelStream {
   void finish();
 
   /// Replay (Algorithm 5) --------------------------------------------------
-  /// Forward/backward replay: `variants[v]` resolves the CONV kernel for
-  /// variant stream value v; ZERO records clear ranges of `out_base`.
+  /// Forward/backward replay: `variants[v]` resolves the kernel (a conv
+  /// or k-dot handle) for variant stream value v; ZERO records clear ranges
+  /// of `out_base`.
   /// APPLY records run only when `fargs` carries operands; with empty
   /// `fargs` they are skipped and the output is the plain convolution.
   /// Throws on update-family records (UPD streaks, REDUCE).
-  void replay(const std::vector<const kernels::ConvMicrokernel*>& variants,
+  void replay(const std::vector<const kernels::StreamMicrokernel*>& variants,
               const float* in_base, const float* wt_base, float* out_base,
               const FusionArgs& fargs) const;
 

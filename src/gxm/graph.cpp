@@ -169,16 +169,9 @@ void Graph::build_etg() {
     return a.level < b.level;
   });
 
-  // ETG: deduplicate (defensive; the PETG construction above cannot emit
-  // duplicates, but task binning in general can) and split per pass.
-  std::vector<Task> etg;
+  // ETG: the PETG holds one task per (node, pass), so splitting it per pass
+  // is all that is left.
   for (const Task& t : petg) {
-    const bool dup = std::any_of(etg.begin(), etg.end(), [&](const Task& e) {
-      return e.node == t.node && e.pass == t.pass;
-    });
-    if (!dup) etg.push_back(t);
-  }
-  for (const Task& t : etg) {
     if (t.pass == Pass::FWD) fwd_tasks_.push_back(t);
     if (t.pass == Pass::BWD) bwd_tasks_.push_back(t);
     if (t.pass == Pass::UPD) upd_tasks_.push_back(t);

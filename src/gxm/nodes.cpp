@@ -66,7 +66,7 @@ void InputNode::forward(bool) {
 
 // ---- Convolution -----------------------------------------------------------
 
-void ConvNode::infer_shapes() {
+core::ConvParams ConvNode::conv_params() const {
   const PortShape& b = bottoms[0]->shape;
   core::ConvParams p;
   p.N = b.n;
@@ -79,6 +79,11 @@ void ConvNode::infer_shapes() {
   p.stride_h = p.stride_w = spec_.geti("stride", 1);
   p.pad_h = spec_.geti("pad", (p.R - 1) / 2);
   p.pad_w = spec_.geti("pad", (p.S - 1) / 2);
+  return p;
+}
+
+void ConvNode::infer_shapes() {
+  const core::ConvParams p = conv_params();
   p.validate();
   PortShape o;
   o.n = p.N;
@@ -96,18 +101,7 @@ void ConvNode::infer_shapes() {
 
 void ConvNode::setup(int vlen, int threads) {
   Node::setup(vlen, threads);
-  const PortShape& b = bottoms[0]->shape;
-  core::ConvParams p;
-  p.N = b.n;
-  p.C = b.c;
-  p.K = spec_.geti("K", b.c);
-  p.H = b.h;
-  p.W = b.w;
-  p.R = spec_.geti("R", 1);
-  p.S = spec_.geti("S", p.R);
-  p.stride_h = p.stride_w = spec_.geti("stride", 1);
-  p.pad_h = spec_.geti("pad", (p.R - 1) / 2);
-  p.pad_w = spec_.geti("pad", (p.S - 1) / 2);
+  const core::ConvParams p = conv_params();
 
   core::ConvOptions opt;
   opt.threads = threads;

@@ -177,6 +177,9 @@ class ConvNode final : public Node {
 
  private:
   tensor::WtTensor& bwd_form();  ///< bwd_wt_, allocated on first use
+  /// The layer shape: the bottom port's shape and the spec's K, R, S,
+  /// stride and pad.
+  core::ConvParams conv_params() const;
 
   std::unique_ptr<core::ConvLayer> layer_;
   BatchNormNode* bn_ = nullptr;  ///< the folded BatchNorm, if paired

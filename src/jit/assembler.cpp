@@ -178,12 +178,6 @@ void Assembler::mov_ri(Gpr r, std::int64_t imm) {
   }
 }
 
-void Assembler::mov_rr(Gpr dst, Gpr src) {
-  rex(true, static_cast<int>(src), 0, static_cast<int>(dst));
-  buf_.emit8(0x89);
-  buf_.emit8(static_cast<std::uint8_t>(0xC0 | (lo3(src) << 3) | lo3(dst)));
-}
-
 namespace {
 constexpr int kOpAdd = 0, kOpSub = 5, kOpCmp = 7;
 }
@@ -426,14 +420,6 @@ void Assembler::shl_ri(Gpr r, int imm) {
   buf_.emit8(0xC1);
   buf_.emit8(static_cast<std::uint8_t>(0xC0 | (4 << 3) | lo3(r)));
   buf_.emit8(static_cast<std::uint8_t>(imm));
-}
-
-void Assembler::vpdpwssd_mem(Vec dst, Vec a, Mem b) {
-  vop_mem(VecWidth::zmm512, 0x52, kMap0F38, kPp66, dst, a, b, false);
-}
-
-void Assembler::vpdpwssd(Vec dst, Vec a, Vec b) {
-  vop_rr(VecWidth::zmm512, 0x52, kMap0F38, kPp66, dst, a, b);
 }
 
 void Assembler::vpdpwssd_bcast(Vec dst, Vec a, Mem b) {

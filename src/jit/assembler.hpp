@@ -69,7 +69,6 @@ class Assembler {
   void push(Gpr r);
   void pop(Gpr r);
   void mov_ri(Gpr r, std::int64_t imm);
-  void mov_rr(Gpr dst, Gpr src);
   void add_ri(Gpr r, std::int32_t imm);
   void sub_ri(Gpr r, std::int32_t imm);
   void cmp_ri(Gpr r, std::int32_t imm);
@@ -136,9 +135,6 @@ class Assembler {
   void shl_ri(Gpr r, int imm);
 
   // --- AVX512-VNNI ------------------------------------------------------------
-  /// dst(i32) += dot2(a(i16 pairs), [mem](i16 pairs)); zmm512 only.
-  void vpdpwssd_mem(Vec dst, Vec a, Mem b);
-  void vpdpwssd(Vec dst, Vec a, Vec b);
   /// dst(i32) += dot2(a, broadcast32([mem])) — {1to16} form; zmm512 only.
   void vpdpwssd_bcast(Vec dst, Vec a, Mem b);
   /// dst(fp32) = cvt(src(i32)); zmm512 only.

@@ -18,7 +18,6 @@ const char* const kCoveredAssemblerOps[] = {
     "push",
     "pop",
     "mov_ri",
-    "mov_rr",
     "add_ri",
     "sub_ri",
     "cmp_ri",
@@ -58,8 +57,6 @@ const char* const kCoveredAssemblerOps[] = {
     "kmovw_rk",
     "popcnt64",
     "shl_ri",
-    "vpdpwssd_mem",
-    "vpdpwssd",
     "vpdpwssd_bcast",
     "vcvtdq2ps",
     "prefetcht0",
@@ -209,9 +206,8 @@ bool evex_lookup(int map, int pp, std::uint8_t opc, bool is_rr, bool bcast,
         *s = {Op::vpcompressd_store, 4, 64, true};
         return true;
       case 0x52:
-        if (is_rr) { *s = {Op::vpdpwssd}; }
-        else if (bcast) { *s = {Op::vpdpwssd_bcast, 4, 4}; }
-        else { *s = {Op::vpdpwssd_mem, 64, 64}; }
+        if (is_rr || !bcast) return false;
+        *s = {Op::vpdpwssd_bcast, 4, 4};
         s->min_isa = Isa::avx512_vnni;
         return true;
       default: return false;
@@ -375,10 +371,10 @@ bool decode_one(Reader& rd, Insn* out, std::string* err) {
       out->op = Op::mov_ri;
       out->gpr_dst = (opc - 0xB8) | (b_hi << 3);
       out->imm = static_cast<std::int64_t>(rd.u64());
-    } else if (opc == 0x89 || opc == 0x01) {
+    } else if (opc == 0x01) {
       const std::uint8_t modrm = rd.u8();
-      if ((modrm >> 6) != 3) return fail("GPR mov/add with a memory operand");
-      out->op = (opc == 0x89) ? Op::mov_rr : Op::add_rr;
+      if ((modrm >> 6) != 3) return fail("GPR add with a memory operand");
+      out->op = Op::add_rr;
       out->gpr_dst = (modrm & 7) | (b_hi << 3);
       out->gpr_src = ((modrm >> 3) & 7) | (r_hi << 3);
     } else if (opc == 0x83 || opc == 0x81) {
@@ -568,7 +564,6 @@ std::string format_insn(const Insn& insn) {
     case Op::shl_ri:
       os << " " << kGprNames[insn.gpr_dst & 15] << ", " << insn.imm;
       break;
-    case Op::mov_rr:
     case Op::add_rr:
     case Op::popcnt64:
       os << " " << kGprNames[insn.gpr_dst & 15] << ", "
@@ -630,8 +625,7 @@ std::string format_insn(const Insn& insn) {
              insn.op == Op::vmulps || insn.op == Op::vdivps ||
              insn.op == Op::vpaddd || insn.op == Op::vpaddd_bcast ||
              insn.op == Op::vpandd_bcast || insn.op == Op::vpord_bcast ||
-             insn.op == Op::vpminud_bcast || insn.op == Op::vpdpwssd ||
-             insn.op == Op::vpdpwssd_mem || insn.op == Op::vpdpwssd_bcast))
+             insn.op == Op::vpminud_bcast || insn.op == Op::vpdpwssd_bcast))
           os << ", " << vpfx << insn.vvvv;
         if (insn.vrm >= 0) os << ", " << vpfx << insn.vrm;
         if (insn.has_mem) {

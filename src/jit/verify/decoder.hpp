@@ -33,7 +33,6 @@ enum class Op {
   push,
   pop,
   mov_ri,
-  mov_rr,
   add_ri,
   sub_ri,
   cmp_ri,
@@ -76,8 +75,6 @@ enum class Op {
   popcnt64,
   shl_ri,
   // AVX512-VNNI
-  vpdpwssd_mem,
-  vpdpwssd,
   vpdpwssd_bcast,
   vcvtdq2ps,
   // prefetch

@@ -202,10 +202,6 @@ struct Interp {
           if (dst == kRsp) fail(pc, "direct write to rsp");
           g[dst] = AbsVal::cst(in.imm, in.imm);
           break;
-        case Op::mov_rr:
-          if (dst == kRsp) fail(pc, "direct write to rsp");
-          g[dst] = g[in.gpr_src];
-          break;
         case Op::add_ri:
           if (dst == kRsp) fail(pc, "direct rsp arithmetic");
           g[dst] = abs_add_imm(g[dst], in.imm);

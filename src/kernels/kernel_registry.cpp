@@ -89,7 +89,8 @@ class JitKdotKernel final : public KdotMicrokernel {
     verified(k_, d);
   }
 
-  void run(const float* dout, const float* wp, float* din) const override {
+  void run(const float* dout, const float* wp, float* din, const float*,
+           const float*, const float*) const override {
     (*k_)(dout, wp, din);
   }
   Backend backend() const override { return Backend::jit; }

@@ -35,13 +35,20 @@ class Microkernel {
   Microkernel() = default;
 };
 
-/// Forward-convolution microkernel handle (see jit/conv_kernel_gen.hpp for
-/// the computation one invocation performs).
-class ConvMicrokernel : public Microkernel {
+/// A handle with the conv ABI (jit/kernel_abi.hpp): three operands plus
+/// the next call's three as prefetch hints. A conv KernelStream replays any
+/// of them.
+class StreamMicrokernel : public Microkernel {
  public:
   virtual void run(const float* in, const float* wt, float* out,
                    const float* pf_in, const float* pf_wt,
                    const float* pf_out) const = 0;
+};
+
+/// Forward-convolution microkernel handle (see jit/conv_kernel_gen.hpp for
+/// the computation one invocation performs).
+class ConvMicrokernel : public StreamMicrokernel {
+ public:
   const jit::ConvKernelDesc& desc() const { return desc_; }
 
  protected:
@@ -63,11 +70,11 @@ class UpdMicrokernel : public Microkernel {
 };
 
 /// k-dot backward handle for C < VLEN layers (see jit/kdot_kernel_gen.hpp):
-/// desc().rb dI pixels of one row and column phase from dO and the packed
-/// k-vector weights.
-class KdotMicrokernel : public Microkernel {
+/// desc().rb dI pixels of one row and column phase from dO (`in`) and the
+/// packed k-vector weights (`wt`) into dI (`out`). It ignores the prefetch
+/// operands.
+class KdotMicrokernel : public StreamMicrokernel {
  public:
-  virtual void run(const float* dout, const float* wp, float* din) const = 0;
   const jit::KdotKernelDesc& desc() const { return desc_; }
 
  protected:

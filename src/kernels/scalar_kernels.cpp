@@ -119,7 +119,8 @@ class ScalarKdotKernel final : public KdotMicrokernel {
   // (kb, r, s) with one rounding per step (std::fma = vfmadd231ps), then the
   // shuffle tree sums lanes pairwise — adjacent pairs, then adjacent pairs of
   // those — which is a balanced tree over the lanes in index order.
-  void run(const float* dout, const float* wp, float* din) const override {
+  void run(const float* dout, const float* wp, float* din, const float*,
+           const float*, const float*) const override {
     const auto& d = desc_;
     const int v = d.vlen, nt = d.taps_r(), nu = d.taps_s();
     std::vector<float> lanes(v);

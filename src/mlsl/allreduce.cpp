@@ -408,10 +408,8 @@ void Communicator::reduce_bucket(const GradBucket& bk,
                                  const std::vector<float*>& bufs,
                                  CommScratch& scratch) {
   const int R = ranks_;
-  // The schedule is resolved per bucket: an explicit GradBucket::algorithm
-  // wins, else the communicator default; hierarchical degenerates to flat
-  // on non-hierarchical topologies.
-  const bool hier = hier_effective(bk.algorithm.value_or(cfg_.algorithm));
+  // Hierarchical degenerates to flat on non-hierarchical topologies.
+  const bool hier = hier_effective(cfg_.algorithm);
   platform::Timer tx;
   const std::size_t n = bk.elems;
   std::size_t contrib_bytes = 0, partial_bytes = 0, sum_bytes = 0;

@@ -25,8 +25,7 @@
 // the reduction schedule — the flat ring over all R ranks, or the two-level
 // hierarchical schedule (intra-node reduce -> inter-node ring over node
 // leaders -> intra-node broadcast) that real MLSL deployments use once R
-// outgrows a single ring. The algorithm is a per-communicator default and
-// can be overridden per bucket.
+// outgrows a single ring. The algorithm is fixed per communicator.
 //
 // `parallel` runs ranks on a persistent rank-thread pool (the "rank farm"):
 // R threads are spawned once on first use and re-dispatched per call, so a
@@ -76,7 +75,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,10 +105,6 @@ struct GradBucket {
   using Segment = PayloadSegment;
   std::vector<Segment> segments;
   std::size_t elems = 0;  ///< total across segments
-  /// Per-bucket reduction-schedule override; unset = CommConfig::algorithm.
-  /// (Small latency-bound buckets can stay on the flat ring while large
-  /// bandwidth-bound ones go hierarchical, or vice versa.)
-  std::optional<ReduceAlgorithm> algorithm;
   std::size_t bytes() const { return elems * sizeof(float); }
 };
 
@@ -131,9 +125,8 @@ struct CommConfig {
   /// Kept coordinate fraction for Codec::kTopK, in (0, 1] (ignored by the
   /// dense codecs; at least one coordinate per payload is always kept).
   double topk_fraction = 0.1;
-  /// Default reduction schedule (per-bucket overridable via
-  /// GradBucket::algorithm). kHierarchical degenerates to the flat ring
-  /// whenever the topology has a single node or one rank per node.
+  /// Reduction schedule of every bucket. kHierarchical degenerates to the
+  /// flat ring whenever the topology has a single node or one rank per node.
   ReduceAlgorithm algorithm = ReduceAlgorithm::kFlatRing;
   /// Machine shape: ranks_per_node x nodes with per-level wire models.
   /// Topology::nodes == 0 (the default) derives the node count from the

@@ -8,7 +8,6 @@
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
-#include <immintrin.h>
 #define XCONV_X86 1
 #endif
 

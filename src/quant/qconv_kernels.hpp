@@ -1,13 +1,12 @@
-// Int16 convolution block kernels (paper Section II-K): int16 x int16
+// Int16 convolution block kernel (paper Section II-K): int16 x int16
 // products accumulated into int32 lanes (vpdpwssd semantics), flushed into an
 // fp32 accumulator every `flush_interval` channel-pair steps (the restricted
-// accumulation chain). The forward block resolves through
-// kernels::KernelRegistry: JIT'ed (jit/qconv_kernel_gen.cpp) when the
-// descriptor's ISA is avx512_vnni and the host has it, else
-// qconv_block_scalar. The update block runs as VNNI intrinsics
-// (qconv_vnni.cpp, built only when the compiler supports it). Each has a
-// portable scalar twin (qconv_scalar.cpp) with bit-identical integer
-// arithmetic, so tests can require exact equality between the two.
+// accumulation chain). It resolves through kernels::KernelRegistry: JIT'ed
+// (jit/qconv_kernel_gen.cpp) when the descriptor's ISA is avx512_vnni and
+// the host has it, else qconv_block_scalar, whose integer arithmetic is
+// bit-identical, so tests can require exact equality between the two.
+// QConvLayer runs all three passes through it (the update with pixels and
+// channels swapped).
 #pragma once
 
 #include <cstdint>
@@ -45,26 +44,5 @@ struct QKernelDesc {
 /// `out` points at the first pixel's fp32 vector (dense, vlen stride).
 void qconv_block_scalar(const QKernelDesc& d, const std::int16_t* in,
                         const std::int16_t* wt, float* out, float scale);
-
-/// Weight-update int16 block kernel: dW block (v x v fp32) += pixel pairs.
-/// `dov` is the pair-interleaved dO row (see QConvLayer::update), `inq` the
-/// int16 input row; both advance by pair.
-struct QUpdKernelDesc {
-  int vlen = 16;
-  int bq2 = 1;             ///< pixel *pairs* accumulated
-  int stride_w = 1;
-  int flush_interval = 64;
-  bool beta0 = true;
-};
-
-using qupd_block_fn = void (*)(const QUpdKernelDesc& d, const std::int16_t* in,
-                               const std::int16_t* dov, float* dw,
-                               float scale);
-
-void qupd_block_scalar(const QUpdKernelDesc& d, const std::int16_t* in,
-                       const std::int16_t* dov, float* dw, float scale);
-/// Returns the VNNI implementation, or nullptr when not compiled in / not
-/// supported by the host.
-qupd_block_fn qupd_block_vnni();
 
 }  // namespace xconv::quant

@@ -19,7 +19,6 @@ QConvLayer::QConvLayer(const core::ConvParams& p, int threads,
   cb_ = tensor::ceil_div(p_.C, vlen_);
   kb_ = tensor::ceil_div(p_.K, vlen_);
   threads_ = threads > 0 ? threads : omp_get_max_threads();
-  if (isa_ == platform::Isa::avx512_vnni) vnni_upd_ = qupd_block_vnni();
 }
 
 void QConvLayer::forward_generic(const QActTensor& qin, const QWtTensor& qwt,
@@ -142,37 +141,90 @@ void QConvLayer::backward(const QActTensor& qgrad_out,
       "QConvLayer::backward: strided non-1x1 layers unsupported in int16");
 }
 
+// The update is the int16 forward kernel with the roles swapped: its output
+// pixels are the dW block's input channels (two calls of v/2), its channel
+// pairs the row's pixel pairs and its weights the pair-interleaved dO row.
 void QConvLayer::update(const QActTensor& qin, const QActTensor& qgrad_out,
                         tensor::WtTensor& grad_wt) {
-  const int v = vlen_;
+  const int v = vlen_, half = v / 2;
   const int P = p_.P(), Q = p_.Q();
   const float scale = qin.scale * qgrad_out.scale;
-  const qupd_block_fn f = vnni_upd_ ? vnni_upd_ : &qupd_block_scalar;
   const int q2 = Q / 2;       // full pixel pairs per row
   const int q_tail = Q % 2;   // trailing odd pixel handled scalar
 
-  // "Transpose upfront": pair-interleave dO rows into [q2][k][2] — the
-  // memory-bound transformation the paper charges against the int16 update.
-  tensor::AlignedBuffer<std::int16_t> dov(static_cast<std::size_t>(p_.N) *
-                                          kb_ * P * (q2 > 0 ? q2 : 1) * v * 2);
+  // "Transpose upfront", once per call and in one threaded pass:
+  //  * dO rows (n, kb, oj) pair-interleaved into [q2][k][2] — the
+  //    memory-bound transformation the paper charges against the update;
+  //  * input rows (n, cb, padded row y, tap s) into X[c][q2][2], one channel
+  //    row per forward output pixel. Each channel row's pitch rounds up to
+  //    whole vectors, so it is the kernel's stride_w * v. Rows no (oj, r)
+  //    reads stay unwritten.
+  const int rows = (P - 1) * p_.stride_h + p_.R;
+  const int xs = std::max(1, tensor::ceil_div(2 * q2, v));
+  const std::int64_t x_pitch = static_cast<std::int64_t>(xs) * v;
+  const std::int64_t x_block = x_pitch * v;  // one (n, cb, y, s)
   const std::int64_t row_pairs = static_cast<std::int64_t>(q2) * v * 2;
-#pragma omp parallel for num_threads(threads_) schedule(static) collapse(2)
-  for (int n = 0; n < p_.N; ++n) {
-    for (int kbi = 0; kbi < kb_; ++kbi) {
-      for (int oj = 0; oj < P; ++oj) {
-        const std::int16_t* src = qgrad_out.at(n, kbi, oj, 0);
-        std::int16_t* dst =
-            dov.data() +
-            ((static_cast<std::int64_t>(n) * kb_ + kbi) * P + oj) * row_pairs;
-        for (int qq = 0; qq < q2; ++qq)
-          for (int k = 0; k < v; ++k) {
-            dst[(static_cast<std::int64_t>(qq) * v + k) * 2 + 0] =
-                src[(2 * qq) * v + k];
-            dst[(static_cast<std::int64_t>(qq) * v + k) * 2 + 1] =
-                src[(2 * qq + 1) * v + k];
-          }
-      }
+  const std::int64_t do_items = static_cast<std::int64_t>(p_.N) * kb_ * P;
+  const std::int64_t x_items =
+      q2 > 0 ? static_cast<std::int64_t>(p_.N) * cb_ * rows * p_.S : 0;
+  // Sized by the shape alone: allocated on the first call, then reused.
+  upd_dov_.resize(static_cast<std::size_t>(
+      std::max<std::int64_t>(1, do_items * row_pairs)));
+  upd_x_.resize(static_cast<std::size_t>(
+      std::max<std::int64_t>(1, x_items * x_block)));
+  std::int16_t* const dov = upd_dov_.data();
+  std::int16_t* const xq = upd_x_.data();
+#pragma omp parallel for num_threads(threads_) schedule(static)
+  for (std::int64_t it = 0; it < do_items + x_items; ++it) {
+    if (it < do_items) {
+      const int oj = static_cast<int>(it % P);
+      const int kbi = static_cast<int>(it / P % kb_);
+      const int n = static_cast<int>(it / P / kb_);
+      const std::int16_t* src = qgrad_out.at(n, kbi, oj, 0);
+      std::int16_t* dst = dov + it * row_pairs;
+      for (int qq = 0; qq < q2; ++qq)
+        for (int k = 0; k < v; ++k) {
+          dst[(static_cast<std::int64_t>(qq) * v + k) * 2 + 0] =
+              src[(2 * qq) * v + k];
+          dst[(static_cast<std::int64_t>(qq) * v + k) * 2 + 1] =
+              src[(2 * qq + 1) * v + k];
+        }
+      continue;
     }
+    const std::int64_t xi = it - do_items;
+    const int s = static_cast<int>(xi % p_.S);
+    const int y = static_cast<int>(xi / p_.S % rows);
+    const int cbi = static_cast<int>(xi / p_.S / rows % cb_);
+    const int n = static_cast<int>(xi / p_.S / rows / cb_);
+    bool read = false;  // does some (oj, r) read padded row y?
+    for (int r = 0; r < p_.R && r <= y && !read; ++r)
+      read = (y - r) % p_.stride_h == 0 && (y - r) / p_.stride_h < P;
+    if (!read) continue;
+    const std::int16_t* src = qin.at_padded(n, cbi, y, s);
+    std::int16_t* dst = xq + xi * x_block;
+    for (int px = 0; px < 2 * q2; ++px) {
+      const std::int16_t* xpx =
+          src + static_cast<std::int64_t>(px) * p_.stride_w * v;
+      for (int c = 0; c < v; ++c) dst[c * x_pitch + px] = xpx[c];
+    }
+  }
+
+  QKernelDesc d;
+  d.isa = isa_;
+  d.vlen = v;
+  d.rbq = half;
+  d.stride_w = xs;
+  d.in_row_stride = static_cast<int>(x_pitch);  // r = 1: never stepped
+  d.out_col_stride = v;
+  d.c2_iters = q2;
+  d.flush_interval = flush_;
+  const kernels::QConvMicrokernel* k_first = nullptr;
+  const kernels::QConvMicrokernel* k_acc = nullptr;
+  if (q2 > 0) {
+    auto& reg = kernels::KernelRegistry::instance();
+    k_first = reg.qconv(d);
+    d.beta0 = false;
+    k_acc = reg.qconv(d);
   }
 
   const std::int64_t tasks =
@@ -191,27 +243,27 @@ void QConvLayer::update(const QActTensor& qin, const QActTensor& qgrad_out,
     bool first = true;
     for (int n = 0; n < p_.N; ++n) {
       for (int oj = 0; oj < P; ++oj) {
-        const std::int16_t* irow =
-            qin.at_padded(n, cbi, oj * p_.stride_h + r, s);
+        const int y = oj * p_.stride_h + r;
         if (q2 > 0) {
-          QUpdKernelDesc d;
-          d.vlen = v;
-          d.bq2 = q2;
-          d.stride_w = p_.stride_w;
-          d.flush_interval = flush_;
-          d.beta0 = first;
+          const std::int16_t* xrow =
+              xq + (((static_cast<std::int64_t>(n) * cb_ + cbi) * rows + y) *
+                   p_.S +
+               s) *
+                  x_block;
           const std::int16_t* grow =
-              dov.data() +
-              ((static_cast<std::int64_t>(n) * kb_ + kbi) * P + oj) *
-                  row_pairs;
-          f(d, irow, grow, dw, scale);
+              dov + ((static_cast<std::int64_t>(n) * kb_ + kbi) * P + oj) *
+                        row_pairs;
+          const kernels::QConvMicrokernel* k = first ? k_first : k_acc;
+          k->run(xrow, grow, dw, scale);
+          k->run(xrow + half * x_pitch, grow, dw + half * v, scale);
           first = false;
         }
         if (q_tail > 0) {
           // Scalar tail for the odd final pixel.
           const int oi = Q - 1;
           const std::int16_t* px =
-              irow + static_cast<std::int64_t>(oi) * p_.stride_w * v;
+              qin.at_padded(n, cbi, y, s) +
+              static_cast<std::int64_t>(oi) * p_.stride_w * v;
           const std::int16_t* g = qgrad_out.at(n, kbi, oj, oi);
           if (first) {
             for (int e = 0; e < v * v; ++e) dw[e] = 0.0f;

@@ -4,9 +4,11 @@
 // streams — the paper evaluates the reduced-precision kernels standalone).
 //
 // Supported shapes match what Figure 8 benchmarks (ResNet-50 layers 2-20):
-// stride 1 (any R, S) and 1x1 stride > 1. The backward pass uses the same
-// duality transforms as fp32; update pre-interleaves dO pixel pairs — the
-// "transpose upfront" overhead the paper cites for KNM's 4FMA/4VNNIW.
+// stride 1 (any R, S) and 1x1 stride > 1. All three passes run the one int16
+// forward kernel: the backward through the same duality transforms as fp32,
+// the update with the roles of pixels and channels swapped, over dO pixel
+// pairs and input channel rows interleaved upfront — the "transpose upfront"
+// overhead the paper cites for KNM's 4FMA/4VNNIW.
 #pragma once
 
 #include "core/conv_params.hpp"
@@ -20,8 +22,8 @@ namespace xconv::quant {
 class QConvLayer {
  public:
   /// `isa` picks the kernels, as ConvOptions::isa does for ConvLayer: the
-  /// JIT'ed forward block and the VNNI update on avx512_vnni (when the host
-  /// has it), the scalar blocks otherwise.
+  /// JIT'ed int16 block on avx512_vnni (when the host has it), the scalar
+  /// block otherwise.
   explicit QConvLayer(const core::ConvParams& p, int threads = 0,
                       platform::Isa isa = platform::effective_isa(),
                       int flush_interval = 64);
@@ -49,7 +51,8 @@ class QConvLayer {
   int vlen_ = 16;
   int cb_ = 1, kb_ = 1;
   int flush_ = 8;
-  qupd_block_fn vnni_upd_ = nullptr;
+  /// update()'s interleaved dO rows and input channel rows.
+  tensor::AlignedBuffer<std::int16_t> upd_dov_, upd_x_;
 
   void forward_generic(const QActTensor& qin, const QWtTensor& qwt,
                        tensor::ActTensor& out, const core::ConvParams& p,

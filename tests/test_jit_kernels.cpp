@@ -480,8 +480,10 @@ TEST_P(JitKdotSweep, BitwiseMatchesScalar) {
       static_cast<std::size_t>(c.rb) * d.di_px_stride, -7.0f);
   auto din_jit = din_ref;
 
-  kernels::make_kdot_scalar(d)->run(dout.data(), wp.data(), din_ref.data());
-  kernels::make_kdot_jit(d)->run(dout.data(), wp.data(), din_jit.data());
+  kernels::make_kdot_scalar(d)->run(dout.data(), wp.data(), din_ref.data(),
+                                    nullptr, nullptr, nullptr);
+  kernels::make_kdot_jit(d)->run(dout.data(), wp.data(), din_jit.data(),
+                                 nullptr, nullptr, nullptr);
   xconv::testing::expect_bitwise(din_ref, din_jit, "kdot kernel");
   for (int j = 0; j < c.rb; ++j)
     for (int lane = c.c; lane < d.vlen; ++lane)

@@ -199,12 +199,10 @@ struct ConvLayerTestPeer {
   // Every kernel of `l` and of its backward dual layer.
   static void collect(const ConvLayer& l, Kernels& k) {
     for (const auto* m : l.fwd_variants_) k.backends.push_back(m->backend());
-    for (const auto* m : l.bwd_strided_variants_)
-      k.backends.push_back(m->backend());
-    for (const auto* m : l.kdot_variants_)
+    for (const auto* m : l.bwd_variants_)
       if (m != nullptr) {
         k.backends.push_back(m->backend());
-        ++k.kdot;
+        ++(l.bwd_algo_ == BwdAlgo::kdot ? k.kdot : k.bwd_strided);
       }
     for (const auto* m : l.upd_variants_) k.backends.push_back(m->backend());
     if (l.upd_reduce_ != nullptr) {
@@ -212,7 +210,6 @@ struct ConvLayerTestPeer {
       ++k.reduce;
     }
     k.fwd += static_cast<int>(l.fwd_variants_.size());
-    k.bwd_strided += static_cast<int>(l.bwd_strided_variants_.size());
     k.upd += static_cast<int>(l.upd_variants_.size());
     if (l.bwd_layer_ != nullptr) collect(*l.bwd_layer_, k);
   }

@@ -303,32 +303,6 @@ TEST(HierarchicalAllreduce, WireCountersSplitByLevel) {
   EXPECT_EQ(degen.stats().intra_wire_bytes_per_rank, 0u);
 }
 
-TEST(HierarchicalAllreduce, PerBucketAlgorithmOverride) {
-  const int R = 4, p = 2;
-  const std::size_t nh = 512, nf = 256;  // hier bucket, flat bucket
-  const auto data = rank_data(R, nh + nf);
-  const std::vector<float> want = canonical_sum(data);
-  mlsl::CommConfig cc;
-  cc.topo.ranks_per_node = p;  // 2x2: hierarchical-capable
-  cc.algorithm = mlsl::ReduceAlgorithm::kFlatRing;
-  mlsl::Communicator comm(R, cc);
-  auto buckets = make_buckets({{0, nh}, {nh, nf}});
-  buckets[0].algorithm = mlsl::ReduceAlgorithm::kHierarchical;
-  comm.set_buckets(std::move(buckets));
-  const auto out = overlap_round(comm, data);
-  for (int r = 0; r < R; ++r)
-    for (std::size_t i = 0; i < nh + nf; ++i)
-      ASSERT_EQ(out[r][i], want[i]) << "rank " << r << " elem " << i;
-  // Bucket 0 went hierarchical (intra + inter per the two-level formulas),
-  // bucket 1 rode the communicator's flat default (inter only).
-  const mlsl::CommStats cs = comm.stats();
-  const std::size_t h4 = nh * sizeof(float), f4 = nf * sizeof(float);
-  const int N = 2;
-  EXPECT_EQ(cs.intra_wire_bytes_per_rank, (p - 1) * (h4 + h4) / p);
-  EXPECT_EQ(cs.inter_wire_bytes_per_rank,
-            (N - 1) * (h4 + h4) / N + 2 * (R - 1) * f4 / R);
-}
-
 // Trainer-level tentpole invariant: under fp32 the hierarchical schedule
 // produces bit-identical *training trajectories* to the flat ring — one
 // bucket and fuzzed bucket caps (ragged layouts), comm-thread pool >= 2.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "core/plan.hpp"
 #include "kernels/kernel_registry.hpp"
@@ -201,12 +202,15 @@ TEST_P(QConvShapes, VnniMatchesScalarExactly) {
     GTEST_SKIP() << "host lacks AVX512-VNNI";
   const auto p = GetParam();
   ConvProblem pr(p, 22);
-  const auto a = run_qconv(p, pr, platform::Isa::scalar, 8);
-  const auto b = run_qconv(p, pr, platform::Isa::avx512_vnni, 8);
-  // Same integer arithmetic and flush points -> bit-identical fp32 results.
-  EXPECT_EQ(a.fwd, b.fwd);
-  EXPECT_EQ(a.bwd, b.bwd);
-  EXPECT_EQ(a.upd, b.upd);
+  for (const int flush : {1, 3, 8, 64}) {
+    SCOPED_TRACE("flush " + std::to_string(flush));
+    const auto a = run_qconv(p, pr, platform::Isa::scalar, flush);
+    const auto b = run_qconv(p, pr, platform::Isa::avx512_vnni, flush);
+    // Same integer arithmetic and flush points -> bit-identical fp32 results.
+    EXPECT_EQ(a.fwd, b.fwd);
+    EXPECT_EQ(a.bwd, b.bwd);
+    EXPECT_EQ(a.upd, b.upd);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

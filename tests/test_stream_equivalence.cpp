@@ -1,10 +1,10 @@
 // Stream replay vs the naive reference (Section II-H). Replay is how
-// ConvLayer runs the forward, both duality backwards and the weight update:
+// ConvLayer runs the forward, every backward and the weight update:
 // the loop nests run once at setup as recorders. The layer helpers poison
 // every output, dI and dW buffer with NaN before the call, so a kernel call
 // the recorder drops fails the reduction bound. Where the thread partition
-// cannot change any element's accumulation order (forward, both duality
-// backwards, the task-strategy update), replay is also bitwise-invariant in
+// cannot change any element's accumulation order (forward, every backward,
+// the task-strategy update), replay is also bitwise-invariant in
 // the thread count.
 #include <gtest/gtest.h>
 
@@ -79,10 +79,10 @@ void expect_fwd_replay(const ConvParams& p, int rbq, unsigned seed,
 }
 
 /// Backward on threads 1..4 within the bound of the naive reference;
-/// bitwise equal across thread counts when `invariant`. `halo` >= 0 raises
+/// bitwise equal across thread counts. `halo` >= 0 raises
 /// the input halo to that many pixels.
-void expect_bwd_replay(const ConvParams& p, BwdAlgo algo, bool invariant,
-                       unsigned seed, const char* what, int halo = -1) {
+void expect_bwd_replay(const ConvParams& p, BwdAlgo algo, unsigned seed,
+                       const char* what, int halo = -1) {
   ConvProblem pr(p, seed);
   const auto ref = xconv::testing::naive_bwd(pr);
   std::vector<float> first;
@@ -93,10 +93,9 @@ void expect_bwd_replay(const ConvParams& p, BwdAlgo algo, bool invariant,
     o.in_halo_h = o.in_halo_w = halo;
     core::ConvLayer layer(p, o);
     ASSERT_EQ(layer.bwd_algo(), algo);
-    EXPECT_EQ(layer.bwd_stream_convs() > 0, algo != BwdAlgo::kdot);
+    EXPECT_GT(layer.bwd_stream_convs(), 0u);
     const auto got = layer_backward(layer, pr);
     expect_within_reduction_bound(ref, got, bwd_len(p), what);
-    if (!invariant) continue;
     if (first.empty())
       first = got;
     else
@@ -125,7 +124,7 @@ TEST(StreamReplay, ForwardWithEdgeBlocks) {
 
 TEST(StreamReplay, BackwardDualityStride1) {
   expect_bwd_replay(core::make_conv(2, 16, 32, 9, 9, 3, 3, 1),
-                    BwdAlgo::duality_stride1, /*invariant=*/true, 12,
+                    BwdAlgo::duality_stride1, 12,
                     "bwd duality stride-1");
 }
 
@@ -134,7 +133,7 @@ TEST(StreamReplay, Backward1x1Strided) {
   // records the 1x1 kernel sequence, including the Q-remainder edge kernel
   // (Q = 29 is prime, so no register-block divides it).
   expect_bwd_replay(core::make_conv(1, 16, 16, 5, 57, 1, 1, 2, 0),
-                    BwdAlgo::duality_strided, /*invariant=*/true, 13,
+                    BwdAlgo::duality_strided, 13,
                     "bwd 1x1 strided");
 }
 
@@ -142,7 +141,7 @@ TEST(StreamReplay, BackwardStridedReplaysEveryTap) {
   // R > 1 with stride > 1 (Algorithm 7's case): one accumulating 1x1 call
   // per contributing tap, each dI row owned by one work item.
   expect_bwd_replay(core::make_conv(1, 16, 16, 9, 9, 3, 3, 2),
-                    BwdAlgo::duality_strided, /*invariant=*/true, 14,
+                    BwdAlgo::duality_strided, 14,
                     "bwd strided 3x3");
 }
 
@@ -160,8 +159,7 @@ class StreamStridedReplay : public ::testing::TestWithParam<StridedCase> {};
 
 TEST_P(StreamStridedReplay, MatchesNaiveAndIsThreadInvariant) {
   const StridedCase& c = GetParam();
-  expect_bwd_replay(c.p, BwdAlgo::duality_strided, /*invariant=*/true, 16,
-                    c.what, c.halo);
+  expect_bwd_replay(c.p, BwdAlgo::duality_strided, 16, c.what, c.halo);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -182,11 +180,11 @@ INSTANTIATE_TEST_SUITE_P(
         StridedCase{core::make_conv(2, 24, 40, 9, 9, 3, 3, 2, 1), -1,
                     "C 24"}));
 
-TEST(StreamReplay, BackwardKdotRunsDirectly) {
-  // C < vlen: the k-dot kernels take no prefetch operands and have no
-  // stream form either.
+TEST(StreamReplay, BackwardKdot) {
+  // C < vlen: one k-dot call per (dI row, column phase, rb group), each dI
+  // row owned by one work item.
   expect_bwd_replay(core::make_conv(2, 3, 32, 15, 15, 7, 7, 2, 3),
-                    BwdAlgo::kdot, /*invariant=*/false, 15, "bwd k-dot");
+                    BwdAlgo::kdot, 15, "bwd k-dot");
 }
 
 class StreamUpdReplay

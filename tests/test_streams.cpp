@@ -111,7 +111,7 @@ TEST(Streams, PrefetchArgsAreNextCallsOffsets) {
   s.finish();
 
   RecordingKernel k;
-  std::vector<const kernels::ConvMicrokernel*> variants{&k};
+  std::vector<const kernels::StreamMicrokernel*> variants{&k};
   std::vector<float> in(1000), wt(1000);
   std::vector<float> out(10000);
   s.replay(variants, in.data(), wt.data(), out.data(), {});
@@ -140,7 +140,7 @@ TEST(Streams, PrefetchCrossesApplyBoundaries) {
   s.finish();
 
   RecordingKernel k;
-  std::vector<const kernels::ConvMicrokernel*> variants{&k};
+  std::vector<const kernels::StreamMicrokernel*> variants{&k};
   std::vector<float> in(64), wt(64), out(64);
   s.replay(variants, in.data(), wt.data(), out.data(), {});
   ASSERT_EQ(k.calls.size(), 2u);
@@ -154,7 +154,7 @@ TEST(Streams, VariantStreamSelectsKernels) {
   s.record_conv(0, 0, 0, 16);
   s.finish();
   RecordingKernel k0, k1;
-  std::vector<const kernels::ConvMicrokernel*> variants{&k0, &k1};
+  std::vector<const kernels::StreamMicrokernel*> variants{&k0, &k1};
   std::vector<float> in(64), wt(64), out(64);
   s.replay(variants, in.data(), wt.data(), out.data(), {});
   EXPECT_EQ(k1.calls.size(), 1u);
@@ -181,7 +181,7 @@ TEST(Streams, ReplayIsDeterministic) {
   for (int i = 0; i < 5; ++i) s.record_conv(0, 0, 0, 16 * i);
   s.finish();
   RecordingKernel k;
-  std::vector<const kernels::ConvMicrokernel*> variants{&k};
+  std::vector<const kernels::StreamMicrokernel*> variants{&k};
   std::vector<float> in(64), wt(64), out(256);
   s.replay(variants, in.data(), wt.data(), out.data(), {});
   const auto first = k.calls;

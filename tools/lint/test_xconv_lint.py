@@ -98,6 +98,51 @@ class RuleTest(unittest.TestCase):
                               "std::thread t([] {});\n"})
         self.assertEqual(lint.check_thread_outside_allreduce(self.repo), [])
 
+    # --- baseline-isa -------------------------------------------------------
+
+    def test_intrinsics_include_flagged(self):
+        make_repo(self.repo, {"src/quant/bad_simd.cpp":
+                              "#include <cstdint>\n#include <immintrin.h>\n"})
+        v = lint.check_baseline_isa(self.repo)
+        self.assertEqual([(x.path, x.line) for x in v],
+                         [("src/quant/bad_simd.cpp", 2)])
+
+    def test_intrinsic_use_flagged(self):
+        make_repo(self.repo, {"src/core/bad_simd.hpp":
+                              "#pragma once\n"
+                              "inline __m512 z() { return _mm512_setzero_ps(); }\n"
+                              "void g(__m256i* p);\n"})
+        v = lint.check_baseline_isa(self.repo)
+        self.assertEqual([x.line for x in v], [2, 3])
+
+    def test_intrinsics_in_comments_and_outside_src_allowed(self):
+        make_repo(self.repo, {
+            "src/quant/doc.cpp":
+                "// matches _mm512_fmadd_ps and <immintrin.h>\n"
+                "/* __m512 */ int my_mmx = 0;\n",
+            "tests/test_simd.cpp": "#include <immintrin.h>\n__m256 v;\n"})
+        self.assertEqual(lint.check_baseline_isa(self.repo), [])
+
+    def test_isa_compile_option_flagged(self):
+        make_repo(self.repo, {
+            "CMakeLists.txt":
+                "project(x)\n# -mavx2 in a comment is fine\n"
+                "add_compile_options(-march=native)\n",
+            "src/CMakeLists.txt":
+                "add_library(x a.cpp)\n"
+                "set_source_files_properties(a.cpp PROPERTIES\n"
+                "  COMPILE_OPTIONS \"-mavx512f;-mavx512vnni\")\n"})
+        v = lint.check_baseline_isa(self.repo)
+        self.assertEqual([(x.path, x.line) for x in v],
+                         [("CMakeLists.txt", 3), ("src/CMakeLists.txt", 3)])
+
+    def test_non_isa_options_allowed(self):
+        make_repo(self.repo, {
+            "CMakeLists.txt": "add_compile_options(-Wall -fno-omit-frame-pointer"
+                              " -O2 -m64)\n",
+            "benchsuite/CMakeLists.txt": "add_compile_options(-mavx2)\n"})
+        self.assertEqual(lint.check_baseline_isa(self.repo), [])
+
     # --- omp-in-header ------------------------------------------------------
 
     def test_pragma_in_header_flagged(self):

@@ -19,6 +19,14 @@ thread-outside-allreduce
     threads invisibly breaks the communicator's threading contract and the
     TSan suppression inventory. ``std::thread::hardware_concurrency()`` is
     fine anywhere (static member access, no thread is created).
+baseline-isa
+    The library is compiled for the baseline target: every SIMD instruction
+    it runs is generated at run time and verified before it runs
+    (``src/jit/``). No file under ``src/`` includes ``<immintrin.h>`` or uses
+    ``_mm*`` / ``__m256`` / ``__m512`` intrinsics outside comments, and no
+    CMake file at the repository root or under ``src/`` sets a ``-m<isa>``
+    compile option. Compiled intrinsics would be a second kernel path that
+    the verifier never sees and a build that needs ISA flags.
 omp-in-header
     No ``#pragma omp`` in headers. A header compiles into every includer,
     with or without -fopenmp, so OpenMP pragmas in headers silently change
@@ -101,6 +109,12 @@ GETENV_RE = re.compile(r"\bgetenv\s*\(")
 # std::thread not followed by :: (static member access creates no thread).
 THREAD_RE = re.compile(r"\bstd::thread\b(?!\s*::)")
 OMP_RE = re.compile(r"#\s*pragma\s+omp\b")
+INTRIN_INCLUDE_RE = re.compile(r"#\s*include\s*[<\"]immintrin\.h[>\"]")
+INTRIN_RE = re.compile(r"\b(?:_mm\w*|__m256\w*|__m512\w*)")
+# An ISA-selecting compiler option: -mavx512f, -msse4.2, -march=native, ...
+ISA_FLAG_RE = re.compile(
+    r"(?<![\w-])-m(?:arch=|tune=|avx|sse|ssse|fma|f16c|bmi|amx|popcnt|lzcnt)"
+    r"[\w.=-]*")
 # A JSON key literal inside an fprintf format string: \"key\":
 JSON_KEY_RE = re.compile(r'\\"([A-Za-z_][A-Za-z_0-9]*)\\":')
 SCHEMA_VERSION_RE = re.compile(r'\\"schema_version\\":\s*(\d+)')
@@ -221,6 +235,39 @@ def check_thread_outside_allreduce(repo: Path) -> list:
                     r, ln, "thread-outside-allreduce",
                     "std::thread outside src/mlsl/allreduce.cpp; the "
                     "communicator owns all library threads"))
+    return out
+
+
+# --- rule: baseline-isa -----------------------------------------------------
+
+def check_baseline_isa(repo: Path) -> list:
+    out = []
+    for p in iter_sources(repo, ("src",)):
+        r = rel(repo, p)
+        code = strip_comments(p.read_text(encoding="utf-8", errors="replace"))
+        for ln, line in enumerate(code.splitlines(), 1):
+            if INTRIN_INCLUDE_RE.search(line) or INTRIN_RE.search(line):
+                out.append(Violation(
+                    r, ln, "baseline-isa",
+                    "compiled SIMD intrinsics; generate the kernel in "
+                    "src/jit/ instead"))
+    cmake_files = [repo / "CMakeLists.txt"]
+    if (repo / "src").is_dir():
+        cmake_files += sorted(
+            p for p in (repo / "src").rglob("*")
+            if p.is_file() and (p.name == "CMakeLists.txt" or
+                                p.suffix == ".cmake"))
+    for p in cmake_files:
+        if not p.is_file():
+            continue
+        text = p.read_text(encoding="utf-8", errors="replace")
+        for ln, line in enumerate(text.splitlines(), 1):
+            m = ISA_FLAG_RE.search(line.split("#", 1)[0])
+            if m:
+                out.append(Violation(
+                    rel(repo, p), ln, "baseline-isa",
+                    f"ISA compile option {m.group(0)}; the library builds "
+                    "for the baseline target"))
     return out
 
 
@@ -551,6 +598,7 @@ def update_plan_lock(repo: Path) -> None:
 RULES = (
     check_env_getenv,
     check_thread_outside_allreduce,
+    check_baseline_isa,
     check_omp_in_header,
     check_test_registration,
     check_jit_bitwise_test,
